@@ -1,0 +1,6 @@
+"""Make ``scalebench`` importable when pytest is started at the repo root."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
