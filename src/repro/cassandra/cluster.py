@@ -21,16 +21,22 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim.cpu import CpuModel, DedicatedCpu, SharedCpu
 from ..sim.kernel import Simulator
 from ..sim.memory import GB, MachineMemory, NodeMemoryProfile, OutOfMemoryError, single_process_profile
-from ..obs.doctor import stage_lateness
 from ..sim.network import LatencyModel, Network, OrderEnforcer
 from .bugs import BugConfig, get_bug
 from .gossip import GossipConfig
-from .metrics import CalcRecord, FlapCounter, RunReport
+from .metrics import (
+    CalcRecord,
+    FlapCounter,
+    NodeStats,
+    RunParts,
+    RunReport,
+    assemble_report,
+)
 from .node import (
     CalcExecutor,
     DirectExecutor,
@@ -39,6 +45,7 @@ from .node import (
     SharedOutputCache,
 )
 from .pending_ranges import CostConstants
+from .state import STATUS, STATUS_NORMAL, TOKENS
 from .tokens import tokens_for_node
 
 
@@ -113,8 +120,29 @@ def node_name(index: int) -> str:
     return f"node-{index:03d}"
 
 
+def phantom_blob(node_id: str, vnodes: int) -> tuple:
+    """The gossip blob of an established-NORMAL remote peer.
+
+    Bit-identical to ``own_state.to_blob()`` after
+    :meth:`~repro.cassandra.node.Node.establish_normal` on a fresh node:
+    generation 1, heartbeat version 0, TOKENS published at version 1 and
+    STATUS NORMAL at version 2 (the partition suite pins the match).
+    """
+    tokens = tuple(tokens_for_node(node_id, vnodes))
+    return (1, 0, ((STATUS, STATUS_NORMAL, 2, None),
+                   (TOKENS, "", 1, tokens)))
+
+
 class Cluster:
-    """A simulated cluster plus all scale-check instrumentation hooks."""
+    """A simulated cluster plus all scale-check instrumentation hooks.
+
+    Two seams let :mod:`repro.cassandra.partition` split one scenario
+    across several clusters: ``network`` builds the fabric for this
+    cluster's simulator (default: a :class:`~repro.sim.network.Network`
+    honouring ``order_enforcer``) and ``hosts`` says which member ids
+    live here.  The rest are *remote*: known through gossip state,
+    reached through the fabric, never built, crashed or reported here.
+    """
 
     def __init__(
         self,
@@ -123,6 +151,8 @@ class Cluster:
         order_enforcer: Optional[OrderEnforcer] = None,
         tracer=None,
         race_tracker=None,
+        network: Optional[Callable[[Simulator], Network]] = None,
+        hosts: Callable[[str], bool] = lambda node_id: True,
     ) -> None:
         self.config = config
         self.shared_state = None
@@ -138,8 +168,10 @@ class Cluster:
         self.race_tracker = race_tracker
         if race_tracker is not None:
             race_tracker.attach(self.sim)
-        self.network = Network(self.sim, latency=config.latency,
-                               enforcer=order_enforcer)
+        self.network = (network(self.sim) if network is not None
+                        else Network(self.sim, latency=config.latency,
+                                     enforcer=order_enforcer))
+        self.hosts = hosts
         self.flaps = FlapCounter()
         self.calc_records: List[CalcRecord] = []
         self.output_cache = SharedOutputCache()
@@ -244,22 +276,28 @@ class Cluster:
         long-running-cluster starting point of the decommission and
         scale-out scenarios.  Population goes through the normal state-
         application path so ring tables and failure detectors are primed.
+        Only hosted members become nodes; they learn remote members from
+        :func:`phantom_blob`.
         """
         names = [node_name(i) for i in range(self.config.nodes)]
-        for name in names:
+        local = [name for name in names if self.hosts(name)]
+        for name in local:
             self.add_node(name)
-        for name in names:
+        for name in local:
             self.nodes[name].establish_normal()
+        vnodes = self.config.bug.vnodes
         blobs = {
-            name: self.nodes[name].gossiper.own_state.to_blob() for name in names
+            name: (self.nodes[name].gossiper.own_state.to_blob()
+                   if name in self.nodes else phantom_blob(name, vnodes))
+            for name in names
         }
-        for name in names:
+        for name in local:
             node = self.nodes[name]
             for other, blob in blobs.items():
                 if other != name:
                     node.gossiper.populate(other, blob)
             node._ring_dirty = False  # population is not a topology change
-        for name in names:
+        for name in local:
             self.start_node(self.nodes[name])
 
     def build_unjoined(self) -> None:
@@ -278,7 +316,9 @@ class Cluster:
         Peers keep gossiping about the silent peer until their phi-accrual
         detectors convict it -- crash *detection* flows through the normal
         failure-detector path, not through any injector back-channel.
-        Returns False for unknown or already-dead nodes.
+        Returns False for unknown or already-dead nodes, remote members
+        included: the fabric consults down-ness only for a local source
+        (send) or destination (arrival), so only the host has work to do.
         """
         node = self.nodes.get(node_id)
         if node is None or not node.running:
@@ -308,9 +348,7 @@ class Cluster:
         generation = old.gossiper.own_state.heartbeat.generation + 1
         node = self.add_node(node_id, generation=generation)
         node.establish_normal()
-        if not self.start_node(node):
-            return False
-        return True
+        return self.start_node(node)
 
     def fault_cpu(self, node_id: str) -> Optional[CpuModel]:
         """The CPU model chaos antagonists should stress for ``node_id``."""
@@ -331,64 +369,60 @@ class Cluster:
 
     # -- reporting ---------------------------------------------------------------------
 
+    def harvest(self) -> RunParts:
+        """Snapshot every metric sink into picklable :class:`RunParts`,
+        rows in ``self.nodes`` order."""
+        reports_utilization = self.config.mode is not Mode.DIECAST
+        seen = set()
+        rows: Dict[str, NodeStats] = {}
+        for name, node in self.nodes.items():
+            cpu = node.cpu
+            first = id(cpu) not in seen
+            seen.add(id(cpu))
+            reported = first and reports_utilization
+            rows[name] = NodeStats(
+                # Settles the CPU's integrator: first, and only if reported.
+                utilization=cpu.utilization() if reported else None,
+                peak_utilization=cpu.peak_utilization,
+                stretch=(cpu.mean_stretch()
+                         if reported and cpu.completed_jobs > 0 else None),
+                cpu_contention=cpu.contention_seconds if first else None,
+                inbox_max_wait=node.inbox.max_wait,
+                inbox_mean_wait=node.inbox.mean_wait(),
+                inbox_total_wait=node.inbox.total_wait,
+                calcq_total_wait=node.calc_queue.total_wait,
+                ring_total_wait=node.ring_lock.total_wait,
+                ring_max_hold=node.ring_lock.max_hold,
+                ring_max_wait=node.ring_lock.max_wait,
+            )
+        network = self.network
+        memo = getattr(self.executor, "stats", dict)()
+        counts = {
+            "recoveries": self.flaps.recoveries,
+            "messages_sent": network.sent,
+            "messages_delivered": network.delivered,
+            "dropped_down": network.dropped_down,
+            "dropped_cut": network.dropped_cut,
+            "dropped_unknown_dst": network.dropped_unknown_dst,
+            "dropped_degraded": network.dropped_degraded,
+            "memory_peak_bytes": self.memory.peak if self.memory else 0,
+            "oom_count": len(self.crashed_for_oom),
+            "memo_hits": int(memo.get("hits", 0)),
+            "memo_misses": int(memo.get("misses", 0)),
+            "memo_conflicts": int(memo.get("conflicts", 0)),
+        }
+        return RunParts(self.sim.now, self.sim.steps, counts,
+                        list(self.flaps.flaps), list(self.calc_records), rows)
+
     def report(self, observe_from: float = 0.0) -> RunReport:
         """Snapshot all metrics into a :class:`RunReport`.
 
         ``observe_from`` excludes warm-up flaps (before the protocol under
         test started) from the headline count.
         """
-        events = [e for e in self.flaps.flaps if e.time >= observe_from]
-        cpus: List[CpuModel] = []
-        if self.config.mode is Mode.REAL:
-            cpus = [n.cpu for n in self.nodes.values()]
-        elif self._shared_cpu is not None:
-            cpus = [self._shared_cpu]
-        util = max((c.utilization() for c in cpus), default=0.0)
-        peak = max(
-            (getattr(c, "peak_utilization", 0.0) for c in cpus), default=0.0
-        )
-        stretches = [
-            c.mean_stretch() for c in cpus
-            if getattr(c, "completed_jobs", 0) > 0 and hasattr(c, "mean_stretch")
-        ]
-        stage_waits = [n.inbox.max_wait for n in self.nodes.values()]
-        mean_waits = [n.inbox.mean_wait() for n in self.nodes.values()]
-        lock_holds = [n.ring_lock.max_hold for n in self.nodes.values()]
-        lock_waits = [n.ring_lock.max_wait for n in self.nodes.values()]
-        memo_stats = getattr(self.executor, "stats", lambda: {})()
-        report = RunReport(
-            mode=self.config.mode.value,
-            bug=self.config.bug.bug_id,
-            nodes=self.config.nodes,
-            vnodes=self.config.bug.vnodes,
-            duration=self.sim.now,
-            flaps=len(events),
-            recoveries=self.flaps.recoveries,
-            flap_events=events,
-            calc_records=[r for r in self.calc_records if r.time >= observe_from],
-            messages_sent=self.network.sent,
-            messages_delivered=self.network.delivered,
-            messages_dropped=self.network.dropped,
-            dropped_down=self.network.dropped_down,
-            dropped_cut=self.network.dropped_cut,
-            dropped_unknown_dst=self.network.dropped_unknown_dst,
-            dropped_degraded=self.network.dropped_degraded,
-            cpu_utilization=util,
-            cpu_peak_utilization=peak,
-            mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
-            max_stage_wait=max(stage_waits, default=0.0),
-            mean_stage_wait=(sum(mean_waits) / len(mean_waits)) if mean_waits else 0.0,
-            memory_peak_bytes=self.memory.peak if self.memory else 0,
-            oom_count=len(self.crashed_for_oom),
-            lock_max_hold=max(lock_holds, default=0.0),
-            lock_max_wait=max(lock_waits, default=0.0),
-            wall_seconds=(_time.perf_counter() - self._wall_started
-                          if self._wall_started else 0.0),
-            memo_hits=int(memo_stats.get("hits", 0)),
-            memo_misses=int(memo_stats.get("misses", 0)),
-            memo_conflicts=int(memo_stats.get("conflicts", 0)),
-            stage_lateness=stage_lateness(self),
-        )
+        report = assemble_report(self.config, self.harvest(), observe_from)
+        if self._wall_started:
+            report.wall_seconds = _time.perf_counter() - self._wall_started
         if self.op_started_at is not None:
             # Protocol completion time: the DES analogue of the paper's
             # run-duration comparison (memoization slow, replay ~ real).

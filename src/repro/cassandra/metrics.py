@@ -14,7 +14,14 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from ..obs.doctor import (
+    CALC_STAGE_QUEUE,
+    CPU_CONTENTION,
+    GOSSIP_STAGE_QUEUE,
+    RING_LOCK,
+)
 
 
 @dataclass(frozen=True)
@@ -203,6 +210,87 @@ class RunReport:
             line += (f", {self.requests_attempted:,.0f} reqs "
                      f"(p99 {p99})")
         return line
+
+
+class NodeStats(NamedTuple):
+    """One node's scalar statistics: a row of the report's reductions.
+
+    The CPU columns are ``None`` on rows that must not contribute:
+    colocated nodes share one machine CPU, which only the first row
+    carries, and a DieCast run reports contention but no utilization.
+    """
+
+    utilization: Optional[float]
+    peak_utilization: float
+    stretch: Optional[float]          # None until a job has completed
+    cpu_contention: Optional[float]
+    inbox_max_wait: float
+    inbox_mean_wait: float
+    inbox_total_wait: float
+    calcq_total_wait: float
+    ring_total_wait: float
+    ring_max_hold: float
+    ring_max_wait: float
+
+
+@dataclass
+class RunParts:
+    """The picklable raw material of one :class:`RunReport`.
+
+    A :class:`~repro.cassandra.cluster.Cluster` harvests one; a
+    partitioned run merges one per shard in global sorted order.
+    """
+
+    duration: float
+    steps: int
+    #: The :class:`RunReport` fields that merge by addition, by name.
+    counts: Dict[str, int]
+    flap_events: List[FlapEvent]
+    calc_records: List[CalcRecord]
+    #: node id -> row, in reduction order (it fixes the float sums).
+    node_stats: Dict[str, NodeStats]
+
+
+def assemble_report(config, parts: RunParts,
+                    observe_from: float = 0.0) -> RunReport:
+    """Reduce ``parts`` into the :class:`RunReport` of a ``config`` run.
+
+    ``observe_from`` excludes warm-up flaps and calculations (before the
+    protocol under test started) from the report.
+    """
+    rows = list(parts.node_stats.values())
+    cpus = [row for row in rows if row.utilization is not None]
+    stretches = [row.stretch for row in cpus if row.stretch is not None]
+    events = [e for e in parts.flap_events if e.time >= observe_from]
+    return RunReport(
+        mode=config.mode.value,
+        bug=config.bug.bug_id,
+        nodes=config.nodes,
+        vnodes=config.bug.vnodes,
+        duration=parts.duration,
+        flaps=len(events),
+        flap_events=events,
+        calc_records=[r for r in parts.calc_records if r.time >= observe_from],
+        messages_dropped=sum(count for name, count in parts.counts.items()
+                             if name.startswith("dropped_")),
+        cpu_utilization=max((row.utilization for row in cpus), default=0.0),
+        cpu_peak_utilization=max((row.peak_utilization for row in cpus),
+                                 default=0.0),
+        mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
+        max_stage_wait=max((row.inbox_max_wait for row in rows), default=0.0),
+        mean_stage_wait=(sum(row.inbox_mean_wait for row in rows) / len(rows))
+        if rows else 0.0,
+        lock_max_hold=max((row.ring_max_hold for row in rows), default=0.0),
+        lock_max_wait=max((row.ring_max_wait for row in rows), default=0.0),
+        stage_lateness={
+            GOSSIP_STAGE_QUEUE: sum(row.inbox_total_wait for row in rows),
+            CALC_STAGE_QUEUE: sum(row.calcq_total_wait for row in rows),
+            RING_LOCK: sum(row.ring_total_wait for row in rows),
+            CPU_CONTENTION: sum(row.cpu_contention for row in rows
+                                if row.cpu_contention is not None),
+        },
+        **parts.counts,
+    )
 
 
 def accuracy_error(real: RunReport, other: RunReport) -> float:

@@ -1,80 +1,66 @@
 """Partitioned parallel simulation of the Cassandra model.
 
 Breaks the single-simulator wall: the N nodes of one scenario are sharded
-round-robin across K independent simulators that advance in conservative
-lockstep epochs (:mod:`repro.sim.partition`), so one machine can run the
-N=2048 gossip scenarios the paper's section 8 colocation analysis asks
-about.  The sharding is *deterministic by construction*: the same spec run
-with any K -- including K=1, the serial baseline -- and with any worker
-count produces a byte-identical canonical :class:`~repro.cassandra.metrics.
-RunReport` (``tests/test_partition_determinism.py`` pins it).
+round-robin across K :class:`~repro.cassandra.cluster.Cluster` instances
+that advance in conservative lockstep epochs (:mod:`repro.sim.partition`),
+so one machine can run the N=2048 gossip scenarios the paper's section 8
+colocation analysis asks about.  A shard is an ordinary ``Cluster`` given a
+:class:`~repro.sim.partition.ShardFabric` as its network and told which
+members it hosts; the builder, the scenario drivers, the fault model
+(:class:`~repro.faults.FaultSchedule`) and the report assembly are the
+classic runner's.  What lives here is what only a split run needs: the
+spec, ownership, the lockstep coordinator, worker processes, and the merge.
 
-What makes K-invariance hold:
+The sharding is *deterministic by construction*: the same spec run with any
+K -- including K=1, the serial baseline -- and with any worker count
+produces a byte-identical canonical :class:`~repro.cassandra.metrics.
+RunReport` (``tests/test_partition_determinism.py`` pins it):
 
 * Node ``i`` lives in shard ``i % K``; every per-node random stream is
   derived from the root seed by name, so a node's draws do not depend on
   which shard hosts it.
-* All messaging goes through :class:`~repro.sim.partition.ShardFabric`:
-  keyed (stateless) fabric randomness, a latency floor of one epoch, and
-  canonical ``(arrival, dst, key)`` injection order at every barrier.
-* Each shard builds only its own nodes but seeds them with *phantom
-  blobs* for remote peers -- bit-identical to the blob an established
-  local node publishes, which :func:`phantom_blob`'s test pins.
-* Chaos operations are quantized to the next barrier and applied in a
-  fixed order in every shard (fabric state is replicated; node stop/
-  restart happens in the owning shard only).
+* All messaging goes through the fabric: keyed (stateless) randomness, a
+  latency floor of one epoch, and canonical ``(arrival, dst, key)``
+  injection order at every barrier.
+* Faults are quantized to the first barrier at or after their time and
+  enacted in timeline order in every shard; cuts and degraded links are
+  thereby replicated, node lifecycle happens where the node is hosted.
 * The merged report is assembled in global sorted-node order regardless
   of K, so float accumulation order -- the usual parallel-reduction
   leak -- is fixed.
 
-Compared to the classic :class:`~repro.cassandra.cluster.Cluster` runner,
-two semantics differ (deliberately, identically for every K): message
-latency has a floor of one epoch, and destination-down/unregistered drops
-are counted at arrival rather than send time.  Partitioned reports are
-therefore compared against other partitioned reports, not classic ones.
+Against a classic run of the same scenario two fabric semantics differ
+(identically for every K): message latency has a floor of one epoch, and
+destination-down/unregistered drops are counted at arrival rather than at
+send.  EXPERIMENTS.md tabulates the measured deviation.
 """
 
 from __future__ import annotations
 
 import time as _time
+import traceback
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence
 
-from ..obs.doctor import (
-    CALC_STAGE_QUEUE,
-    CPU_CONTENTION,
-    GOSSIP_STAGE_QUEUE,
-    RING_LOCK,
-)
-from ..sim.kernel import Timeout
-from ..sim.network import LatencyModel
+from ..faults import ClusterFaultTarget, FaultSchedule, Injector, LinkDegrade
 from ..sim.partition import Flight, ShardFabric, fork_context
-from .bugs import get_bug
-from .cluster import Cluster, ClusterConfig, Mode, node_name
-from .metrics import CalcRecord, FlapEvent, RunReport
-from .state import STATUS, STATUS_BOOT, STATUS_LEAVING, STATUS_LEFT, STATUS_NORMAL, TOKENS
-from .tokens import tokens_for_node
+from .cluster import Cluster, ClusterConfig
+from .metrics import RunParts, RunReport, assemble_report
+from .workloads import ScenarioParams, spawn_decommission, spawn_scale_out
 
-#: Chaos kinds whose node-side effect runs only in the owning shard.
-_NODE_OPS = frozenset({"crash", "restart"})
+#: Scenario name -> the ``workloads`` function spawning its drivers.
+_SCENARIOS = {
+    "steady": None,
+    "decommission": spawn_decommission,
+    "join": spawn_scale_out,
+}
 
-
-@dataclass(frozen=True)
-class ChaosOp:
-    """One fault operation, quantized to the first barrier at/after ``time``.
-
-    Kinds and ``args``:
-
-    * ``"partition"``: ``(side_a, side_b)`` -- node-name tuples to cut.
-    * ``"heal"``: ``()`` -- clear every cut.
-    * ``"degrade"``: ``(src, dst, drop_p, latency_mult)`` with
-      ``latency_mult >= 1``.
-    * ``"crash"`` / ``"restart"``: ``(node_id,)``.
-    """
-
-    time: float
-    kind: str
-    args: Tuple = ()
+#: Short membership timings sized for the few-virtual-second horizons
+#: partitioned runs use; ``warmup`` is when the operation starts.
+DEFAULT_PARAMS = ScenarioParams(warmup=2.0, leaving_duration=2.0,
+                                join_duration=2.0, join_count=0,
+                                join_stagger=0.5)
 
 
 @dataclass(frozen=True)
@@ -85,6 +71,7 @@ class PartitionSpec:
     shards: int = 1
     #: Lockstep window (virtual seconds); also the message-latency floor.
     epoch: float = 0.005
+    #: The horizon.  The lockstep loop owns it: ``params.observe`` is unused.
     until: float = 8.0
     seed: int = 42
     bug: str = "c3831"
@@ -92,15 +79,10 @@ class PartitionSpec:
     #: Worker processes; 0 runs every shard in-process (interleaved).
     workers: int = 0
     scenario: str = "steady"        # "steady" | "decommission" | "join"
-    op_time: float = 2.0            # when the membership operation starts
-    leaving_duration: float = 2.0
-    join_count: int = 0
-    join_duration: float = 2.0
-    join_stagger: float = 0.5
     observe_from: float = 0.0
-    latency_base: float = 0.0005
-    latency_jitter: float = 0.0005
-    chaos: Tuple[ChaosOp, ...] = ()
+    params: ScenarioParams = DEFAULT_PARAMS
+    #: Enacted at barriers, in every shard.
+    faults: FaultSchedule = field(default_factory=FaultSchedule)
 
     def __post_init__(self) -> None:
         if self.nodes < self.shards or self.shards < 1:
@@ -108,8 +90,20 @@ class PartitionSpec:
                 f"need 1 <= shards <= nodes: {self.shards}/{self.nodes}")
         if self.epoch <= 0.0 or self.until <= 0.0:
             raise ValueError("epoch and until must be positive")
-        if self.scenario not in ("steady", "decommission", "join"):
+        if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        for event in self.faults:
+            # A speed-up would let a message arrive before the next barrier
+            # and break the conservative bound.
+            if isinstance(event, LinkDegrade) and event.latency_mult < 1.0:
+                raise ValueError("partitioned runs need latency_mult >= 1: "
+                                 + event.describe())
+
+    def cluster_config(self) -> ClusterConfig:
+        """The :class:`ClusterConfig` every shard (and the merge) uses."""
+        return ClusterConfig.for_bug(self.bug, nodes=self.nodes,
+                                     seed=self.seed,
+                                     state_backend=self.state_backend)
 
 
 def owner_of(node_id: str, shards: int) -> int:
@@ -117,293 +111,106 @@ def owner_of(node_id: str, shards: int) -> int:
     return int(node_id.split("-", 1)[1].split(":", 1)[0]) % shards
 
 
-def phantom_blob(node_id: str, vnodes: int) -> tuple:
-    """The gossip blob of an established-NORMAL remote peer.
-
-    Bit-identical to ``own_state.to_blob()`` after
-    :meth:`~repro.cassandra.node.Node.establish_normal` on a fresh node:
-    generation 1, heartbeat version 0, TOKENS published at version 1 and
-    STATUS NORMAL at version 2 (the differential suite pins the match).
-    """
-    tokens = tuple(tokens_for_node(node_id, vnodes))
-    return (1, 0, ((STATUS, STATUS_NORMAL, 2, None),
-                   (TOKENS, "", 1, tokens)))
-
-
-@dataclass
-class ShardResult:
-    """Per-shard raw material for the merged report (picklable)."""
-
-    index: int
-    steps: int
-    duration: float
-    sent: int
-    delivered: int
-    dropped_down: int
-    dropped_cut: int
-    dropped_unknown_dst: int
-    dropped_degraded: int
-    recoveries: int
-    flap_events: List[FlapEvent] = field(default_factory=list)
-    calc_records: List[CalcRecord] = field(default_factory=list)
-    #: node -> scalar metric dict, for order-fixed global reduction.
-    node_stats: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
-
-
 class Shard:
-    """One simulator hosting ``nodes % K == index``, plus its fabric."""
+    """One :class:`Cluster` hosting ``nodes % K == index`` on a shard fabric.
+
+    ``submit``/``result`` are the coordinator's handle protocol; an
+    in-process shard does the work at ``submit``.
+    """
 
     def __init__(self, spec: PartitionSpec, index: int) -> None:
         self.spec = spec
         self.index = index
-        config = ClusterConfig.for_bug(
-            spec.bug, nodes=spec.nodes, mode=Mode.REAL, seed=spec.seed,
-            state_backend=spec.state_backend,
-            latency=LatencyModel(spec.latency_base, spec.latency_jitter))
-        self.cluster = Cluster(config)
-        self.fabric = ShardFabric(self.cluster.sim, config.latency,
-                                  spec.seed, spec.epoch)
-        # Swap before any node registers; nodes capture cluster.network.
-        self.cluster.network = self.fabric
-        self._build_established()
-        self._spawn_drivers()
+        config = spec.cluster_config()
+        self.cluster = Cluster(
+            config,
+            network=lambda sim: ShardFabric(sim, config.latency, spec.seed,
+                                            spec.epoch),
+            hosts=lambda node_id: owner_of(node_id, spec.shards) == index)
+        self.cluster.build_established()
+        spawn_drivers = _SCENARIOS[spec.scenario]
+        if spawn_drivers is not None:
+            spawn_drivers(self.cluster, spec.params, delay=spec.params.warmup)
+        self.injector = Injector(spec.faults, ClusterFaultTarget(self.cluster))
+        self.injector.bind(self.cluster.sim)
         #: Locally-addressed flights held for the next barrier's inject.
         self._local_hold: List[Flight] = []
+        self._reply: Any = None
 
-    # -- construction ----------------------------------------------------------
-
-    def _build_established(self) -> None:
-        spec = self.spec
-        cluster = self.cluster
-        names = [node_name(i) for i in range(spec.nodes)]
-        local = [name for i, name in enumerate(names)
-                 if i % spec.shards == self.index]
-        for name in local:
-            cluster.add_node(name)
-        for name in local:
-            cluster.nodes[name].establish_normal()
-        vnodes = cluster.config.bug.vnodes
-        blobs = {
-            name: (cluster.nodes[name].gossiper.own_state.to_blob()
-                   if name in cluster.nodes else phantom_blob(name, vnodes))
-            for name in names
-        }
-        for name in local:
-            node = cluster.nodes[name]
-            for other, blob in blobs.items():
-                if other != name:
-                    node.gossiper.populate(other, blob)
-            node._ring_dirty = False  # population is not a topology change
-        for name in local:
-            cluster.start_node(cluster.nodes[name])
-
-    def _spawn_drivers(self) -> None:
-        spec = self.spec
-        if spec.scenario == "decommission":
-            victim = node_name(spec.nodes - 1)
-            if owner_of(victim, spec.shards) == self.index:
-                self.cluster.sim.spawn(
-                    _decommission_driver(self.cluster.nodes[victim], spec),
-                    name=f"decommission:{victim}")
-        elif spec.scenario == "join":
-            for j in range(spec.join_count):
-                joiner = node_name(spec.nodes + j)
-                if owner_of(joiner, spec.shards) != self.index:
-                    continue
-                delay = spec.op_time + j * spec.join_stagger
-                self.cluster.sim.spawn(
-                    _join_driver(self.cluster, joiner, delay, spec),
-                    name=f"join:{joiner}")
-
-    # -- lockstep ---------------------------------------------------------------
-
-    def advance(self, inbound: List[Flight], chaos: Sequence[ChaosOp],
+    def advance(self, inbound: List[Flight],
                 next_barrier: float) -> List[Flight]:
-        """One epoch: inject, apply chaos, run, and return outbound flights.
+        """One epoch: inject, enact due faults, run; return outbound flights.
 
         Called with the simulator sitting exactly at the previous barrier.
-        Injection happens before chaos so the per-barrier order is fixed;
+        Injection happens before faults so the per-barrier order is fixed;
         arrival-time fault checks read fabric state when the arrival event
         fires, so the relative order cannot leak into delivery outcomes.
         """
-        self.fabric.inject(self._local_hold + inbound)
+        fabric = self.cluster.network
+        fabric.inject(self._local_hold + inbound)
         self._local_hold = []
-        for op in chaos:
-            self.apply_chaos(op)
+        self.injector.enact_due()
         self.cluster.sim.run(until=next_barrier)
         outbound: List[Flight] = []
         shards = self.spec.shards
-        for flight in self.fabric.collect():
+        for flight in fabric.collect():
             if owner_of(flight[1].dst, shards) == self.index:
                 self._local_hold.append(flight)
             else:
                 outbound.append(flight)
         return outbound
 
-    def apply_chaos(self, op: ChaosOp) -> None:
-        """Apply one quantized fault op (fabric part in every shard)."""
-        if op.kind == "partition":
-            side_a, side_b = op.args
-            self.fabric.partition(list(side_a), list(side_b))
-        elif op.kind == "heal":
-            self.fabric.heal()
-        elif op.kind == "degrade":
-            src, dst, drop_p, latency_mult = op.args
-            self.fabric.degrade(src, dst, drop_p, latency_mult)
-        elif op.kind == "crash":
-            node_id = op.args[0]
-            self.fabric.crash(node_id)
-            if owner_of(node_id, self.spec.shards) == self.index:
-                node = self.cluster.nodes.get(node_id)
-                if node is not None and node.running:
-                    node.stop()
-        elif op.kind == "restart":
-            node_id = op.args[0]
-            self.fabric.recover(node_id)
-            if owner_of(node_id, self.spec.shards) == self.index:
-                self.cluster.restart_node(node_id)
-        else:
-            raise ValueError(f"unknown chaos kind {op.kind!r}")
-
-    # -- results ------------------------------------------------------------------
-
-    def finish(self) -> ShardResult:
+    def finish(self) -> RunParts:
         """Snapshot this shard's metrics for the merge."""
-        cluster = self.cluster
-        fabric = self.fabric
-        node_stats: Dict[str, Dict[str, Optional[float]]] = {}
-        for name, node in cluster.nodes.items():
-            cpu = node.cpu
-            has_stretch = (getattr(cpu, "completed_jobs", 0) > 0
-                           and hasattr(cpu, "mean_stretch"))
-            node_stats[name] = {
-                "utilization": cpu.utilization(),
-                "peak_utilization": getattr(cpu, "peak_utilization", 0.0),
-                "stretch": cpu.mean_stretch() if has_stretch else None,
-                "cpu_contention": getattr(cpu, "contention_seconds", 0.0),
-                "inbox_max_wait": node.inbox.max_wait,
-                "inbox_mean_wait": node.inbox.mean_wait(),
-                "inbox_total_wait": node.inbox.total_wait,
-                "calcq_total_wait": node.calc_queue.total_wait,
-                "ring_total_wait": node.ring_lock.total_wait,
-                "ring_max_hold": node.ring_lock.max_hold,
-                "ring_max_wait": node.ring_lock.max_wait,
-            }
-        return ShardResult(
-            index=self.index,
-            steps=cluster.sim.steps,
-            duration=cluster.sim.now,
-            sent=fabric.sent,
-            delivered=fabric.delivered,
-            dropped_down=fabric.dropped_down,
-            dropped_cut=fabric.dropped_cut,
-            dropped_unknown_dst=fabric.dropped_unknown_dst,
-            dropped_degraded=fabric.dropped_degraded,
-            recoveries=cluster.flaps.recoveries,
-            flap_events=list(cluster.flaps.flaps),
-            calc_records=list(cluster.calc_records),
-            node_stats=node_stats,
-        )
+        return self.cluster.harvest()
 
+    def submit(self, method: str, *args) -> None:
+        """Run one lockstep command now and hold its reply."""
+        self._reply = getattr(self, method)(*args)
 
-# -- scenario drivers (partitioned twins of repro.cassandra.workloads) ---------
-
-
-def _decommission_driver(node, spec: PartitionSpec):
-    """LEAVING -> (streaming) -> LEFT -> shutdown, announced via gossip."""
-    yield Timeout(spec.op_time)
-    node.announce_status(STATUS_LEAVING)
-    yield Timeout(spec.leaving_duration)
-    node.announce_status(STATUS_LEFT)
-    # Keep gossiping LEFT for a grace period so the departure propagates.
-    yield Timeout(10.0)
-    node.stop()
-
-
-def _join_driver(cluster: Cluster, node_id: str, delay: float,
-                 spec: PartitionSpec):
-    """A new node appearing, bootstrapping, and reaching NORMAL."""
-    yield Timeout(delay)
-    node = cluster.add_node(node_id)
-    if not cluster.start_node(node):
-        return
-    node.announce_tokens()
-    node.announce_status(STATUS_BOOT)
-    yield Timeout(spec.join_duration)
-    node.announce_status(STATUS_NORMAL)
+    def result(self) -> Any:
+        """The reply of the last submitted command."""
+        return self._reply
 
 
 # -- the merge ------------------------------------------------------------------
 
 
 def merge_results(spec: PartitionSpec,
-                  results: Sequence[ShardResult]) -> RunReport:
-    """Fold per-shard results into one deterministic :class:`RunReport`.
+                  results: Sequence[RunParts]) -> RunReport:
+    """Fold per-shard parts into one deterministic :class:`RunReport`.
 
-    Every reduction runs in global sorted-node (or sorted-event) order, so
-    the output -- float sums included -- is independent of how nodes were
-    sharded and of which process produced each piece.
+    Everything is put in global sorted-node (or sorted-event) order before
+    assembly, so the output -- float sums included -- is independent of how
+    nodes were sharded and of which process produced each piece.
     """
-    stats: Dict[str, Dict[str, Optional[float]]] = {}
+    stats = {}
+    counts: Counter = Counter()
     for result in results:
         stats.update(result.node_stats)
-    names = sorted(stats)
-    flap_events = sorted(
-        (event for result in results for event in result.flap_events),
-        key=lambda e: (e.time, e.observer, e.target))
-    events = [e for e in flap_events if e.time >= spec.observe_from]
-    by_node: Dict[str, List[CalcRecord]] = {}
-    for result in results:
-        for record in result.calc_records:
-            by_node.setdefault(record.node, []).append(record)
-    ordered = [record for node in sorted(by_node)
-               for record in by_node[node]]
-    ordered.sort(key=lambda record: record.time)  # stable: node ties hold
-    calc_records = [r for r in ordered if r.time >= spec.observe_from]
-    stretches = [stats[n]["stretch"] for n in names
-                 if stats[n]["stretch"] is not None]
-    mean_waits = [stats[n]["inbox_mean_wait"] for n in names]
-    return RunReport(
-        mode=Mode.REAL.value,
-        bug=spec.bug,
-        nodes=spec.nodes,
-        vnodes=get_bug(spec.bug).vnodes,
+        counts.update(result.counts)
+    merged = RunParts(
         duration=max(result.duration for result in results),
-        flaps=len(events),
-        recoveries=sum(result.recoveries for result in results),
-        flap_events=events,
-        calc_records=calc_records,
-        messages_sent=sum(r.sent for r in results),
-        messages_delivered=sum(r.delivered for r in results),
-        messages_dropped=sum(r.dropped_down + r.dropped_cut
-                             + r.dropped_unknown_dst + r.dropped_degraded
-                             for r in results),
-        dropped_down=sum(r.dropped_down for r in results),
-        dropped_cut=sum(r.dropped_cut for r in results),
-        dropped_unknown_dst=sum(r.dropped_unknown_dst for r in results),
-        dropped_degraded=sum(r.dropped_degraded for r in results),
-        cpu_utilization=max((stats[n]["utilization"] for n in names),
-                            default=0.0),
-        cpu_peak_utilization=max((stats[n]["peak_utilization"]
-                                  for n in names), default=0.0),
-        mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
-        max_stage_wait=max((stats[n]["inbox_max_wait"] for n in names),
-                           default=0.0),
-        mean_stage_wait=(sum(mean_waits) / len(mean_waits))
-        if mean_waits else 0.0,
-        lock_max_hold=max((stats[n]["ring_max_hold"] for n in names),
-                          default=0.0),
-        lock_max_wait=max((stats[n]["ring_max_wait"] for n in names),
-                          default=0.0),
-        stage_lateness={
-            GOSSIP_STAGE_QUEUE: sum(stats[n]["inbox_total_wait"]
-                                    for n in names),
-            CALC_STAGE_QUEUE: sum(stats[n]["calcq_total_wait"]
-                                  for n in names),
-            RING_LOCK: sum(stats[n]["ring_total_wait"] for n in names),
-            CPU_CONTENTION: sum(stats[n]["cpu_contention"] for n in names),
-        },
+        steps=sum(result.steps for result in results),
+        counts=counts,
+        flap_events=sorted(
+            (event for result in results for event in result.flap_events),
+            key=lambda e: (e.time, e.observer, e.target)),
+        # Stable, and one node's records all come from one shard: equal
+        # (time, node) keys keep their recorded order.
+        calc_records=sorted(
+            (record for result in results for record in result.calc_records),
+            key=lambda r: (r.time, r.node)),
+        node_stats={name: stats[name] for name in sorted(stats)},
     )
+    report = assemble_report(spec.cluster_config(), merged, spec.observe_from)
+    # Deliberately no shard/worker count here: the canonical report must
+    # be byte-identical across K.  The total step count *is* K-invariant
+    # (every event fires in exactly one shard) and doubles as an extra
+    # determinism witness.
+    report.extra["epoch"] = spec.epoch
+    report.extra["steps"] = float(merged.steps)
+    return report
 
 
 # -- lockstep coordination ------------------------------------------------------
@@ -423,38 +230,28 @@ def _barriers(spec: PartitionSpec) -> List[float]:
     return barriers
 
 
-class _LocalHandle:
-    """In-process shard handle (workers=0)."""
-
-    def __init__(self, spec: PartitionSpec, index: int) -> None:
-        self._shard = Shard(spec, index)
-
-    def advance(self, inbound, chaos, next_barrier):
-        return self._shard.advance(inbound, chaos, next_barrier)
-
-    def finish(self):
-        return self._shard.finish()
-
-    def close(self):
-        pass
+class ShardWorkerError(RuntimeError):
+    """A shard's worker process failed; names the shard and the command."""
 
 
 def _worker_main(conn, spec: PartitionSpec, index: int) -> None:
-    """Worker-process loop: build one shard, serve lockstep commands."""
+    """Worker-process loop: build one shard, serve lockstep commands.
+
+    Any failure is shipped to the coordinator as ``("error", traceback)``
+    in place of the pending reply, then the worker exits.
+    """
     try:
         shard = Shard(spec, index)
         while True:
-            command = conn.recv()
-            if command[0] == "advance":
-                __, inbound, chaos, next_barrier = command
-                conn.send(shard.advance(inbound, chaos, next_barrier))
-            elif command[0] == "finish":
-                conn.send(shard.finish())
+            method, args = conn.recv()
+            shard.submit(method, *args)
+            conn.send(("ok", shard.result()))
+            if method == "finish":
                 break
-            else:
-                raise ValueError(f"unknown command {command[0]!r}")
     except (EOFError, KeyboardInterrupt):
-        pass
+        pass  # the coordinator hung up
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
 
@@ -463,6 +260,8 @@ class _WorkerHandle:
     """Shard handle living in a forked worker process."""
 
     def __init__(self, ctx, spec: PartitionSpec, index: int) -> None:
+        self._index = index
+        self._command = "build"
         self._conn, child = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_worker_main, args=(child, spec, index),
@@ -470,19 +269,65 @@ class _WorkerHandle:
         self._process.start()
         child.close()
 
-    def advance(self, inbound, chaos, next_barrier):
-        self._conn.send(("advance", inbound, chaos, next_barrier))
-        return self._conn.recv()
+    def submit(self, method: str, *args) -> None:
+        self._command = f"{method}(until={args[-1]:g})" if args else method
+        try:
+            self._conn.send((method, args))
+        except OSError:
+            pass  # the worker is gone; result() reports why
 
-    def finish(self):
-        self._conn.send(("finish",))
-        return self._conn.recv()
+    def result(self) -> Any:
+        try:
+            status, reply = self._conn.recv()
+        except EOFError:
+            self._process.join(timeout=5)
+            status, reply = "error", (
+                f"worker exited (code {self._process.exitcode}) "
+                "without replying")
+        if status == "error":
+            raise ShardWorkerError(
+                f"shard {self._index} failed, last command "
+                f"{self._command}:\n{reply}")
+        return reply
 
-    def close(self):
+    def close(self) -> None:
+        """Hang up and reap the worker.
+
+        After ``finish`` it exits by itself.  Abandoned mid-run it may be
+        inside an epoch, or blocked reading a pipe whose far end its
+        forked siblings also hold, so it is terminated outright.
+        """
         self._conn.close()
-        self._process.join(timeout=30)
+        if self._command != "finish":
+            self._process.terminate()
+        self._process.join(timeout=5)
         if self._process.is_alive():
             self._process.terminate()
+            self._process.join()
+
+
+def _gather(handles: Sequence[Any]) -> List[Any]:
+    return [handle.result() for handle in handles]
+
+
+def _lockstep(spec: PartitionSpec, handles: Sequence[Any]) -> List[RunParts]:
+    """Drive ``handles`` through every barrier; return their final parts.
+
+    Each barrier scatters ``advance`` to every shard before gathering any
+    reply, so worker processes run their epochs concurrently; replies are
+    gathered and routed in shard order.
+    """
+    inbound: List[List[Flight]] = [[] for __ in range(spec.shards)]
+    for barrier in _barriers(spec):
+        for index, handle in enumerate(handles):
+            handle.submit("advance", inbound[index], barrier)
+        inbound = [[] for __ in range(spec.shards)]
+        for outbound in _gather(handles):
+            for flight in outbound:
+                inbound[owner_of(flight[1].dst, spec.shards)].append(flight)
+    for handle in handles:
+        handle.submit("finish")
+    return _gather(handles)
 
 
 def run_partitioned(spec: PartitionSpec) -> RunReport:
@@ -494,39 +339,17 @@ def run_partitioned(spec: PartitionSpec) -> RunReport:
     their reports are byte-identical.
     """
     started = _time.perf_counter()
-    chaos = sorted(spec.chaos, key=lambda op: op.time)
-    if spec.workers > 0:
-        ctx = fork_context()
-        handles: List[Any] = [_WorkerHandle(ctx, spec, index)
-                              for index in range(spec.shards)]
-    else:
-        handles = [_LocalHandle(spec, index) for index in range(spec.shards)]
+    ctx = fork_context() if spec.workers > 0 else None
+    handles: List[Any] = []
     try:
-        inbound: List[List[Flight]] = [[] for __ in range(spec.shards)]
-        applied = 0
-        previous = 0.0
-        for barrier in _barriers(spec):
-            due: List[ChaosOp] = []
-            while applied < len(chaos) and chaos[applied].time <= previous:
-                due.append(chaos[applied])
-                applied += 1
-            outbound: List[Flight] = []
-            for index, handle in enumerate(handles):
-                outbound.extend(handle.advance(inbound[index], due, barrier))
-            inbound = [[] for __ in range(spec.shards)]
-            for flight in outbound:
-                inbound[owner_of(flight[1].dst, spec.shards)].append(flight)
-            previous = barrier
-        results = [handle.finish() for handle in handles]
+        for index in range(spec.shards):
+            handles.append(Shard(spec, index) if ctx is None
+                           else _WorkerHandle(ctx, spec, index))
+        results = _lockstep(spec, handles)
     finally:
-        for handle in handles:
-            handle.close()
+        if ctx is not None:
+            for handle in handles:
+                handle.close()
     report = merge_results(spec, results)
     report.wall_seconds = _time.perf_counter() - started
-    # Deliberately no shard/worker count here: the canonical report must
-    # be byte-identical across K.  The total step count *is* K-invariant
-    # (every event fires in exactly one shard) and doubles as an extra
-    # determinism witness.
-    report.extra["epoch"] = spec.epoch
-    report.extra["steps"] = float(sum(result.steps for result in results))
     return report

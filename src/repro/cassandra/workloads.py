@@ -16,7 +16,7 @@ figures:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import List, Optional
 
 from ..sim.kernel import Timeout
 from ..sim.memory import OutOfMemoryError
@@ -104,8 +104,11 @@ def _convergence_monitor(cluster: Cluster, absent=(), normal=(),
         yield Timeout(interval)
 
 
-def _decommission_driver(node: Node, params: ScenarioParams):
+def _decommission_driver(node: Node, params: ScenarioParams,
+                          delay: float = 0.0):
     """LEAVING -> (streaming) -> LEFT -> shutdown, announced via gossip."""
+    if delay > 0.0:
+        yield Timeout(delay)
     node.announce_status(STATUS_LEAVING)
     yield Timeout(params.leaving_duration)
     node.announce_status(STATUS_LEFT)
@@ -125,6 +128,39 @@ def _join_driver(cluster: Cluster, node_id: str, delay: float,
     node.announce_status(STATUS_BOOT)
     yield Timeout(params.join_duration)
     node.announce_status(STATUS_NORMAL)
+
+
+def spawn_decommission(cluster: Cluster, params: ScenarioParams,
+                       delay: float = 0.0) -> str:
+    """Decommission the highest-numbered initial member ``delay`` from now.
+
+    The driver runs where the victim is hosted (everywhere, unless the
+    scenario is split across clusters).  Returns the victim's id.
+    """
+    victim = node_name(cluster.config.nodes - 1)
+    if cluster.hosts(victim):
+        cluster.sim.spawn(
+            _decommission_driver(cluster.nodes[victim], params, delay),
+            name="decommission-driver")
+    return victim
+
+
+def spawn_scale_out(cluster: Cluster, params: ScenarioParams,
+                    delay: float = 0.0) -> List[str]:
+    """Start ``join_count`` (default: nodes // 4) staggered joins, the
+    first ``delay`` from now, each where the joiner is hosted.  Returns
+    the joiners' ids."""
+    count = params.join_count
+    if count is None:
+        count = max(1, cluster.config.nodes // 4)
+    joiners = [node_name(cluster.config.nodes + i) for i in range(count)]
+    for i, new_id in enumerate(joiners):
+        if cluster.hosts(new_id):
+            cluster.sim.spawn(
+                _join_driver(cluster, new_id,
+                             delay + i * params.join_stagger, params),
+                name=f"join-driver:{new_id}")
+    return joiners
 
 
 def _start_traffic(cluster: Cluster, traffic, params: ScenarioParams):
@@ -155,14 +191,11 @@ def run_decommission(cluster: Cluster,
     params = params or ScenarioParams()
     cluster.build_established()
     cluster.run(until=params.warmup)
-    victim = cluster.nodes[node_name(cluster.config.nodes - 1)]
     cluster.op_started_at = cluster.sim.now
     engine = _start_traffic(cluster, traffic, params)
-    cluster.sim.spawn(_decommission_driver(victim, params),
-                      name="decommission-driver")
-    cluster.sim.spawn(
-        _convergence_monitor(cluster, absent=(victim.node_id,)),
-        name="convergence-monitor")
+    victim = spawn_decommission(cluster, params)
+    cluster.sim.spawn(_convergence_monitor(cluster, absent=(victim,)),
+                      name="convergence-monitor")
     cluster.run(until=params.warmup + params.observe)
     report = cluster.report(observe_from=params.warmup)
     if engine is not None:
@@ -176,18 +209,8 @@ def run_scale_out(cluster: Cluster,
     params = params or ScenarioParams()
     cluster.build_established()
     cluster.run(until=params.warmup)
-    count = params.join_count
-    if count is None:
-        count = max(1, cluster.config.nodes // 4)
     cluster.op_started_at = cluster.sim.now
-    joiners = []
-    for i in range(count):
-        new_id = node_name(cluster.config.nodes + i)
-        joiners.append(new_id)
-        cluster.sim.spawn(
-            _join_driver(cluster, new_id, i * params.join_stagger, params),
-            name=f"join-driver:{new_id}",
-        )
+    joiners = spawn_scale_out(cluster, params)
     cluster.sim.spawn(_convergence_monitor(cluster, normal=tuple(joiners)),
                       name="convergence-monitor")
     cluster.run(until=params.warmup + params.observe)

@@ -459,42 +459,35 @@ def _partition_self_check(epoch: float) -> int:
     forked workers, and asserts every canonical report digest matches the
     serial baseline.  Exit 2 on any mismatch (the self-check convention).
     """
-    from .cassandra.partition import ChaosOp, PartitionSpec, run_partitioned
+    from .cassandra.partition import PartitionSpec, run_partitioned
+    from .faults import FaultSchedule, NodeCrash, NodeRestart, PartitionCut
 
     base = dict(nodes=12, epoch=epoch, until=4.0, seed=7)
-    chaos = (
-        ChaosOp(1.0, "crash", ("node-004",)),
-        ChaosOp(1.2, "partition",
-                (("node-000", "node-001"), ("node-002", "node-003"))),
-        ChaosOp(2.0, "restart", ("node-004",)),
-    )
-    checks = []
+    chaos = FaultSchedule(events=[
+        NodeCrash(1.0, "node-004"),
+        PartitionCut(1.2, ("node-000", "node-001"), ("node-002", "node-003")),
+        NodeRestart(2.0, "node-004"),
+    ])
 
-    serial = run_partitioned(PartitionSpec(shards=1, **base))
-    for shards in (2, 4):
-        report = run_partitioned(PartitionSpec(shards=shards, **base))
-        checks.append((f"steady K={shards} == K=1",
-                       report.canonical_json() == serial.canonical_json(),
-                       f"digest {report.digest()[:12]}"))
+    def run(**overrides):
+        return run_partitioned(PartitionSpec(**base, **overrides))
 
-    chaos_serial = run_partitioned(PartitionSpec(shards=1, chaos=chaos,
-                                                 **base))
-    chaos_sharded = run_partitioned(PartitionSpec(shards=4, chaos=chaos,
-                                                  **base))
-    checks.append(("chaos K=4 == K=1",
-                   chaos_sharded.canonical_json()
-                   == chaos_serial.canonical_json(),
-                   f"digest {chaos_sharded.digest()[:12]}"))
+    serial = run(shards=1)
+    chaos_serial = run(shards=1, faults=chaos)
+    checks = [(name, report.canonical_json() == reference.canonical_json(),
+               f"digest {report.digest()[:12]}")
+              for name, report, reference in (
+                  ("steady K=2 == K=1", run(shards=2), serial),
+                  ("steady K=4 == K=1", run(shards=4), serial),
+                  ("chaos K=4 == K=1", run(shards=4, faults=chaos),
+                   chaos_serial),
+                  ("forked workers == in-process",
+                   run(shards=2, workers=2), serial))]
     checks.append(("chaos schedule was live",
                    chaos_serial.dropped_down > 0
                    and chaos_serial.dropped_cut > 0,
                    f"dropped_down={chaos_serial.dropped_down} "
                    f"dropped_cut={chaos_serial.dropped_cut}"))
-
-    forked = run_partitioned(PartitionSpec(shards=2, workers=2, **base))
-    checks.append(("forked workers == in-process",
-                   forked.canonical_json() == serial.canonical_json(),
-                   f"digest {forked.digest()[:12]}"))
 
     ok = True
     for name, passed, evidence in checks:
@@ -507,8 +500,13 @@ def _partition_self_check(epoch: float) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     import resource
     import sys as _sys
+    from dataclasses import replace
 
-    from .cassandra.partition import PartitionSpec, run_partitioned
+    from .cassandra.partition import (
+        DEFAULT_PARAMS,
+        PartitionSpec,
+        run_partitioned,
+    )
     from .perf.bench import peak_rss_kb, reset_peak_rss
 
     if args.self_check:
@@ -525,9 +523,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         state_backend=args.backend,
         workers=args.workers,
         scenario=args.scenario,
-        op_time=args.op_time,
-        join_count=args.join_count,
         observe_from=args.observe_from,
+        params=replace(DEFAULT_PARAMS, warmup=args.op_time,
+                       join_count=args.join_count),
     )
     print(f"partitioned run: N={spec.nodes} K={spec.shards} "
           f"workers={spec.workers} epoch={spec.epoch} until={spec.until} "

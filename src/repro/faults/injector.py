@@ -15,7 +15,8 @@ subjected to the *same* chaos as the memoization run it replays.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..sim.kernel import Compute, Simulator, Timeout
 from .primitives import (
@@ -172,6 +173,8 @@ class Injector:
         self.enacted: List[Tuple[float, str]] = []
         self.skipped: List[Tuple[float, str]] = []
         self._installed = False
+        #: Timeline entries not yet enacted (filled by :meth:`bind`).
+        self._pending: Deque[Tuple[float, int, str, Callable]] = deque()
 
     # -- timeline expansion ---------------------------------------------------
 
@@ -229,17 +232,34 @@ class Injector:
     # -- the injector process --------------------------------------------------
 
     def install(self, sim: Simulator) -> None:
-        """Spawn the injector process into ``sim`` (once)."""
+        """Spawn the injector process into ``sim`` (once): it sleeps to
+        each action's exact virtual time."""
+        self.bind(sim)
+        sim.spawn(self._run(), name="fault-injector")
+
+    def bind(self, sim: Simulator) -> None:
+        """Attach to ``sim`` (once) without spawning the process, for a
+        caller that stops ``sim`` at its own barriers and calls
+        :meth:`enact_due` there (the lockstep runner's shards)."""
         if self._installed:
             raise RuntimeError("injector already installed")
         self._installed = True
         self._sim = sim
-        sim.spawn(self._run(sim), name="fault-injector")
+        self._pending = deque(self._timeline())
 
-    def _run(self, sim: Simulator):
-        for when, __, label, action in self._timeline():
-            if when > sim.now:
-                yield Timeout(when - sim.now)
+    def _run(self):
+        while self._pending:
+            delay = self._pending[0][0] - self._sim.now
+            if delay > 0:
+                yield Timeout(delay)
+            self.enact_due()
+
+    def enact_due(self) -> None:
+        """Enact, in timeline order, every pending action whose time has
+        come (``<= sim.now``)."""
+        sim = self._sim
+        while self._pending and self._pending[0][0] <= sim.now:
+            __, __, label, action = self._pending.popleft()
             applied = action()
             record = (sim.now, label)
             if applied:

@@ -23,7 +23,7 @@ The output is a ranked, machine-readable :class:`~repro.hunt.report.HuntReport`
 
 from .candidates import Candidate, find_candidates
 from .confirm import Confirmation, confirm_candidate
-from .curves import CurveFit, fit_flap_curve
+from ..core.curves import CurveFit, fit_flap_curve
 from .pipeline import HuntConfig, run_hunt, self_check
 from .probes import PLANTED_BUG_CHECKS, Probe, probe_for
 from .report import HUNT_REPORT_FORMAT, HuntReport

@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..baselines.extrapolate import fit_and_predict
 from ..obs.doctor import attribute_divergence
-from .curves import CurveFit, fit_flap_curve
+from ..core.curves import CurveFit, fit_flap_curve
 
 #: Verdicts a probed candidate can receive.
 CONFIRMED = "confirmed"

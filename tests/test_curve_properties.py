@@ -214,12 +214,3 @@ def test_curve_fit_serialization_rounds_the_exponent():
     assert fit.to_dict()["exponent"] == 1.0
     assert fit.to_dict()["scales"] == [8, 16]
 
-
-def test_hunt_reexports_the_shared_implementation():
-    """The refactor keeps the hunt-facing import surface intact."""
-    from repro.core import curves as core_curves
-    from repro.hunt import curves as hunt_curves
-
-    assert hunt_curves.fit_flap_curve is core_curves.fit_flap_curve
-    assert hunt_curves.CurveFit is core_curves.CurveFit
-    assert hunt_curves.CONFIRMING is core_curves.CONFIRMING

@@ -6,18 +6,28 @@ including the K=1 serial baseline -- and with any worker-process count
 produces a byte-identical canonical :class:`RunReport` (flap ordering,
 float sums, and the total kernel step count included).  These tests pin
 that property across scenarios (steady gossip, decommission, mid-run
-joiners), chaos schedules (crash/restart, partition/heal, degraded
+joiners), fault schedules (crash/restart, partition/heal, degraded
 links), both state backends, and the in-process vs forked-worker paths.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
+from repro.cassandra.cluster import Cluster, ClusterConfig, Mode, phantom_blob
 from repro.cassandra.partition import (
-    ChaosOp,
+    DEFAULT_PARAMS,
     PartitionSpec,
-    phantom_blob,
     run_partitioned,
+)
+from repro.faults import (
+    Fault,
+    FaultSchedule,
+    Heal,
+    LinkDegrade,
+    NodeCrash,
+    NodeRestart,
+    PartitionCut,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.network import LatencyModel
@@ -43,7 +53,9 @@ def test_steady_gossip_matches_serial(shards):
 def test_decommission_matches_serial(seed):
     """The decommission scenario (LEAVING/LEFT/stop) is K-invariant."""
     base = dict(nodes=12, epoch=0.05, until=5.0, seed=seed,
-                scenario="decommission", op_time=1.0, leaving_duration=1.5)
+                scenario="decommission",
+                params=replace(DEFAULT_PARAMS, warmup=1.0,
+                               leaving_duration=1.5))
     serial = _canonical(PartitionSpec(shards=1, **base))
     assert _canonical(PartitionSpec(shards=4, **base)) == serial
     assert _canonical(PartitionSpec(shards=3, **base)) == serial
@@ -52,23 +64,22 @@ def test_decommission_matches_serial(seed):
 def test_midrun_joiners_match_serial():
     """Nodes added mid-run in their owning shard gossip identically."""
     base = dict(nodes=12, epoch=0.05, until=5.0, seed=5, scenario="join",
-                join_count=3, op_time=1.0, join_stagger=0.5)
+                params=replace(DEFAULT_PARAMS, join_count=3, warmup=1.0))
     serial = _canonical(PartitionSpec(shards=1, **base))
     for shards in (2, 4):
         assert _canonical(PartitionSpec(shards=shards, **base)) == serial
 
 
 def test_chaos_schedule_matches_serial():
-    """Barrier-quantized chaos (crash/restart, cuts, degrade) is K-invariant."""
-    chaos = (
-        ChaosOp(1.0, "crash", ("node-004",)),
-        ChaosOp(1.2, "partition",
-                (("node-000", "node-001"), ("node-002", "node-003"))),
-        ChaosOp(2.0, "degrade", ("node-005", "node-006", 0.5, 2.0)),
-        ChaosOp(2.6, "heal", ()),
-        ChaosOp(3.0, "restart", ("node-004",)),
-    )
-    base = dict(nodes=12, epoch=0.05, until=6.0, seed=9, chaos=chaos)
+    """Barrier-quantized faults (crash/restart, cuts, degrade) are K-invariant."""
+    faults = FaultSchedule(events=[
+        NodeCrash(1.0, "node-004"),
+        PartitionCut(1.2, ("node-000", "node-001"), ("node-002", "node-003")),
+        LinkDegrade(2.0, "node-005", "node-006", 0.5, 2.0, symmetric=False),
+        Heal(2.6),
+        NodeRestart(3.0, "node-004"),
+    ])
+    base = dict(nodes=12, epoch=0.05, until=6.0, seed=9, faults=faults)
     serial = run_partitioned(PartitionSpec(shards=1, **base))
     assert serial.dropped_cut > 0      # the cut was live and mattered
     assert serial.dropped_down > 0     # the crash dropped traffic
@@ -79,8 +90,8 @@ def test_chaos_schedule_matches_serial():
 
 def test_crash_conviction_flaps_match_serial():
     """A long crash is convicted by peers identically under any K."""
-    chaos = (ChaosOp(1.0, "crash", ("node-005",)),)
-    base = dict(nodes=8, epoch=0.05, until=25.0, seed=2, chaos=chaos)
+    faults = FaultSchedule(events=[NodeCrash(1.0, "node-005")])
+    base = dict(nodes=8, epoch=0.05, until=25.0, seed=2, faults=faults)
     serial = run_partitioned(PartitionSpec(shards=1, **base))
     assert serial.flaps > 0            # peers actually convicted the victim
     assert all(e.target == "node-005" for e in serial.flap_events)
@@ -94,7 +105,8 @@ def test_crash_conviction_flaps_match_serial():
 def test_worker_processes_match_in_process():
     """Forked shard workers reproduce the in-process run byte for byte."""
     base = dict(nodes=12, shards=4, epoch=0.05, until=4.0, seed=7,
-                scenario="decommission", op_time=1.0)
+                scenario="decommission",
+                params=replace(DEFAULT_PARAMS, warmup=1.0))
     assert (_canonical(PartitionSpec(workers=4, **base))
             == _canonical(PartitionSpec(workers=0, **base)))
 
@@ -107,8 +119,8 @@ def test_state_backends_match_under_partitioning():
 
 
 def test_observe_from_filters_headline_flaps():
-    chaos = (ChaosOp(1.0, "crash", ("node-005",)),)
-    base = dict(nodes=8, epoch=0.05, until=25.0, seed=2, chaos=chaos)
+    faults = FaultSchedule(events=[NodeCrash(1.0, "node-005")])
+    base = dict(nodes=8, epoch=0.05, until=25.0, seed=2, faults=faults)
     full = run_partitioned(PartitionSpec(shards=2, **base))
     first_flap = min(e.time for e in full.flap_events)
     late = run_partitioned(
@@ -138,12 +150,19 @@ def test_spec_validation():
         PartitionSpec(nodes=4, epoch=0.0)
     with pytest.raises(ValueError):
         PartitionSpec(nodes=4, scenario="meteor")
+    # A link speed-up would break the conservative bound: refused up front,
+    # not mid-run inside a worker.
+    speedup = FaultSchedule(events=[
+        LinkDegrade(1.0, "node-000", "node-001", latency_mult=0.5)])
+    with pytest.raises(ValueError, match="latency_mult"):
+        PartitionSpec(nodes=4, faults=speedup)
 
 
 def test_unknown_chaos_kind_rejected():
+    """An event the injector cannot enact fails the run, not silently."""
     spec = PartitionSpec(nodes=4, shards=1, epoch=0.05, until=0.1,
-                         chaos=(ChaosOp(0.0, "eclipse", ()),))
-    with pytest.raises(ValueError):
+                         faults=FaultSchedule(events=[Fault(0.0)]))
+    with pytest.raises(TypeError):
         run_partitioned(spec)
 
 
