@@ -9,7 +9,6 @@ and the historical pending-range calculation code paths of CASSANDRA-3831,
 from .bugs import BugConfig, LockMode, Workload, all_bugs, get_bug
 from .cluster import Cluster, ClusterConfig, MachineSpec, Mode, node_name
 from .failure_detector import (
-    ArrivalWindow,
     DEFAULT_PHI_THRESHOLD,
     PhiAccrualFailureDetector,
 )
@@ -56,11 +55,10 @@ from .state import (
     STATUS_LEFT,
     STATUS_NORMAL,
     TOKENS,
-    EndpointState,
     GossipDigest,
-    HeartBeatState,
     VersionedValue,
 )
+from .state_columnar import EndpointStateView
 from .tokens import Ring, TokenRange, token_for_key, tokens_for_node
 from .workloads import (
     ScenarioParams,
@@ -73,7 +71,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "ArrivalWindow",
     "BugConfig",
     "CalcExecutor",
     "CalcRecord",
@@ -92,13 +89,12 @@ __all__ = [
     "DEFAULT_COSTS",
     "DEFAULT_PHI_THRESHOLD",
     "DirectExecutor",
-    "EndpointState",
+    "EndpointStateView",
     "FlapCounter",
     "FlapEvent",
     "GossipConfig",
     "GossipDigest",
     "Gossiper",
-    "HeartBeatState",
     "LockMode",
     "MachineSpec",
     "Mode",

@@ -46,6 +46,7 @@ from .node import (
 )
 from .pending_ranges import CostConstants
 from .state import STATUS, STATUS_NORMAL, TOKENS
+from .state_columnar import SharedClusterState
 from .tokens import tokens_for_node
 
 
@@ -100,13 +101,6 @@ class ClusterConfig:
     #: identical event order; the knob exists for the differential
     #: determinism tests.
     scheduler: str = "wheel"
-    #: Gossip state representation: "dict" (one EndpointState object per
-    #: observer-endpoint pair, the reference implementation) or
-    #: "columnar" (struct-of-arrays with cluster-shared interning, the
-    #: large-N backend).  Both produce byte-identical RunReports; the
-    #: differential suite in tests/test_state_backend_differential.py
-    #: pins it.
-    state_backend: str = "dict"
 
     @classmethod
     def for_bug(cls, bug_id: str, nodes: int, mode: Mode = Mode.REAL,
@@ -155,13 +149,7 @@ class Cluster:
         hosts: Callable[[str], bool] = lambda node_id: True,
     ) -> None:
         self.config = config
-        self.shared_state = None
-        if config.state_backend == "columnar":
-            from .state_columnar import SharedClusterState
-            self.shared_state = SharedClusterState()
-        elif config.state_backend != "dict":
-            raise ValueError(
-                f"unknown state backend {config.state_backend!r}")
+        self.shared_state = SharedClusterState()
         self.sim = Simulator(seed=config.seed, scheduler=config.scheduler)
         self.sim.tracer = tracer
         self.tracer = tracer
@@ -244,7 +232,6 @@ class Cluster:
             gossip_config=self.config.gossip,
             generation=generation,
             enable_storage=self.config.enable_storage,
-            state_backend=self.config.state_backend,
             shared_state=self.shared_state,
         )
         self.nodes[node_id] = node

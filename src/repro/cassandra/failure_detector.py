@@ -18,9 +18,11 @@ flapping mechanism of every bug in the paper's section 2.
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
+
+from .state_columnar import SharedClusterState
 
 #: Cassandra's PHI_FACTOR: 1 / ln(10).  With an exponential arrival model,
 #: phi = -log10(P(no arrival for t)) = t / (mean * ln 10).
@@ -32,68 +34,7 @@ DEFAULT_PHI_THRESHOLD = 8.0
 #: Default sliding-window size (Cassandra: 1000 samples).
 DEFAULT_WINDOW_SIZE = 1000
 
-
-class ArrivalWindow:
-    """Sliding window of heartbeat inter-arrival intervals for one endpoint."""
-
-    __slots__ = ("_intervals", "_interval_sum", "_last_arrival",
-                 "_bootstrap_interval", "_mean_cache")
-
-    def __init__(self, size: int = DEFAULT_WINDOW_SIZE,
-                 bootstrap_interval: float = 1.0) -> None:
-        self._intervals: Deque[float] = deque(maxlen=size)
-        self._interval_sum = 0.0
-        self._last_arrival: Optional[float] = None
-        # Cassandra seeds the window with half the expected gossip interval
-        # so a freshly discovered endpoint is not instantly suspicious.
-        self._bootstrap_interval = bootstrap_interval / 2.0
-        #: Memoized ``_interval_sum / len``: phi is polled once per peer per
-        #: conviction sweep but the window only changes on arrivals.  The
-        #: cache stores the exact division result -- never a rescaled form
-        #: -- so cached and uncached phi are bit-identical.
-        self._mean_cache: Optional[float] = None
-
-    @property
-    def last_arrival(self) -> Optional[float]:
-        """Time of the most recent heartbeat arrival, if any."""
-        return self._last_arrival
-
-    def add(self, now: float) -> None:
-        """Record a heartbeat arrival at ``now``."""
-        last = self._last_arrival
-        if last is None:
-            interval = self._bootstrap_interval
-        else:
-            interval = now - last
-            if interval < 0:
-                raise ValueError("arrival time went backwards")
-        self._last_arrival = now
-        intervals = self._intervals
-        if len(intervals) == intervals.maxlen:
-            self._interval_sum -= intervals[0]
-        intervals.append(interval)
-        self._interval_sum += interval
-        self._mean_cache = None
-
-    def mean(self) -> float:
-        """Mean inter-arrival interval over the window."""
-        if not self._intervals:
-            return self._bootstrap_interval
-        mean = self._mean_cache
-        if mean is None:
-            mean = self._mean_cache = self._interval_sum / len(self._intervals)
-        return mean
-
-    def phi(self, now: float) -> float:
-        """Current suspicion level; 0 if no arrival has ever been seen."""
-        if self._last_arrival is None:
-            return 0.0
-        mean = max(self.mean(), 1e-9)
-        return PHI_FACTOR * (now - self._last_arrival) / mean
-
-    def sample_count(self) -> int:
-        """Number of intervals currently in the window."""
-        return len(self._intervals)
+_NAN = float("nan")
 
 
 @dataclass
@@ -106,39 +47,111 @@ class FailureDetectorStats:
 
 
 class PhiAccrualFailureDetector:
-    """Observer-local accrual detector over many endpoints."""
+    """Observer-local accrual detector over dense per-target columns.
+
+    Targets are rows indexed by the cluster-wide gid of ``shared`` (a
+    private registry when none is given).  Each row keeps its last
+    arrival, interval sum and count; the mean is memoized as the exact
+    division result -- never a rescaled form -- so cached and uncached
+    phi are bit-identical.  The per-target interval window is a lazily
+    created ``array('d')`` -- the window contents are only ever *read*
+    when the window slides (the 1001st arrival for one target), so the
+    4.2M bootstrap-only pairs of a large established cluster cost 32
+    bytes of columns each and no buffer.
+    """
 
     def __init__(
         self,
         phi_threshold: float = DEFAULT_PHI_THRESHOLD,
         window_size: int = DEFAULT_WINDOW_SIZE,
         expected_interval: float = 1.0,
+        shared: Optional[SharedClusterState] = None,
     ) -> None:
+        self.shared = shared if shared is not None else SharedClusterState()
         self.phi_threshold = phi_threshold
         self.window_size = window_size
         self.expected_interval = expected_interval
-        self._windows: Dict[str, ArrivalWindow] = {}
         self.stats = FailureDetectorStats()
+        self._bootstrap = expected_interval / 2.0
+        self._last_arrival = array("d")
+        self._interval_sum = array("d")
+        self._count = array("q")
+        self._mean_cache = array("d")      # NaN == recompute
+        self._samples: List[Optional[array]] = []
+        self._ring_heads: Dict[int, int] = {}
+        #: First-report order of currently known targets (the order
+        #: ``phis`` reports them in).
+        self._order: List[str] = []
 
-    def _window(self, endpoint: str) -> ArrivalWindow:
-        window = self._windows.get(endpoint)
-        if window is None:
-            window = self._windows[endpoint] = ArrivalWindow(
-                size=self.window_size, bootstrap_interval=self.expected_interval
-            )
-        return window
+    def _ensure_capacity(self, gid: int) -> None:
+        missing = gid + 1 - len(self._count)
+        if missing > 0:
+            self._last_arrival.extend([0.0] * missing)
+            self._interval_sum.extend([0.0] * missing)
+            self._count.extend([0] * missing)
+            self._mean_cache.extend([_NAN] * missing)
+            self._samples.extend([None] * missing)
 
     def report(self, endpoint: str, now: float) -> None:
         """Feed one heartbeat arrival for ``endpoint``."""
         self.stats.reports += 1
-        self._window(endpoint).add(now)
+        gid = self.shared.gid(endpoint)
+        self._ensure_capacity(gid)
+        count = self._count[gid]
+        if count == 0:
+            interval = self._bootstrap
+            self._order.append(endpoint)
+        else:
+            interval = now - self._last_arrival[gid]
+            if interval < 0:
+                raise ValueError("arrival time went backwards")
+        self._last_arrival[gid] = now
+        if count < self.window_size:
+            if count >= 1:
+                buffer = self._samples[gid]
+                if buffer is None:
+                    # The deferred first sample is always the bootstrap
+                    # interval (targets start -- and restart after
+                    # forget -- with it).
+                    buffer = self._samples[gid] = array(
+                        "d", (self._bootstrap,))
+                buffer.append(interval)
+            self._count[gid] = count + 1
+            self._interval_sum[gid] += interval
+        else:
+            buffer = self._samples[gid]
+            if buffer is None:     # window_size == 1: only the deferred sample
+                buffer = self._samples[gid] = array("d", (self._bootstrap,))
+            head = self._ring_heads.get(gid, 0)
+            self._interval_sum[gid] -= buffer[head]
+            buffer[head] = interval
+            self._ring_heads[gid] = (head + 1) % self.window_size
+            self._interval_sum[gid] += interval
+        self._mean_cache[gid] = _NAN
+
+    def _known_gid(self, endpoint: str) -> int:
+        """The gid of a currently known target, or -1."""
+        gid = self.shared.registry.get(endpoint)
+        if gid is None or gid >= len(self._count) or self._count[gid] == 0:
+            return -1
+        return gid
+
+    def _mean(self, gid: int) -> float:
+        mean = self._mean_cache[gid]
+        if mean != mean:               # NaN: recompute the exact division
+            mean = self._interval_sum[gid] / self._count[gid]
+            self._mean_cache[gid] = mean
+        return mean
 
     def phi(self, endpoint: str, now: float) -> float:
         """Current suspicion level for ``endpoint`` at time ``now``."""
-        window = self._windows.get(endpoint)
-        if window is None:
+        gid = self._known_gid(endpoint)
+        if gid < 0:
             return 0.0
-        value = window.phi(now)
+        mean = self._mean(gid)
+        if mean < 1e-9:
+            mean = 1e-9
+        value = PHI_FACTOR * (now - self._last_arrival[gid]) / mean
         self.stats.max_phi_seen = max(self.stats.max_phi_seen, value)
         return value
 
@@ -149,18 +162,16 @@ class PhiAccrualFailureDetector:
         the conviction sweep runs once per peer per gossip round, making
         this the detector's hottest entry point.
         """
-        window = self._windows.get(endpoint)
-        if window is None or window._last_arrival is None:
+        gid = self._known_gid(endpoint)
+        if gid < 0:
             value = 0.0
         else:
-            # window.mean() inlined through its cache slot: one attribute
-            # read on the (overwhelmingly common) cached path.
-            mean = window._mean_cache
-            if mean is None:
-                mean = window.mean()
+            mean = self._mean_cache[gid]
+            if mean != mean:
+                mean = self._mean(gid)
             if mean < 1e-9:
                 mean = 1e-9
-            value = PHI_FACTOR * (now - window._last_arrival) / mean
+            value = PHI_FACTOR * (now - self._last_arrival[gid]) / mean
         stats = self.stats
         if value > stats.max_phi_seen:
             stats.max_phi_seen = value
@@ -171,16 +182,24 @@ class PhiAccrualFailureDetector:
 
     def forget(self, endpoint: str) -> None:
         """Drop all state for a departed endpoint."""
-        self._windows.pop(endpoint, None)
+        gid = self._known_gid(endpoint)
+        if gid < 0:
+            return
+        self._count[gid] = 0
+        self._interval_sum[gid] = 0.0
+        self._mean_cache[gid] = _NAN
+        self._samples[gid] = None
+        self._ring_heads.pop(gid, None)
+        self._order.remove(endpoint)
 
     def known_endpoints(self) -> List[str]:
         """All endpoints with recorded state, sorted."""
-        return sorted(self._windows)
+        return sorted(self._order)
 
     def mean_interval(self, endpoint: str) -> float:
         """Mean heartbeat inter-arrival for ``endpoint`` (NaN if unknown)."""
-        window = self._windows.get(endpoint)
-        return window.mean() if window else float("nan")
+        gid = self._known_gid(endpoint)
+        return self._mean(gid) if gid >= 0 else _NAN
 
     def phis(self, now: float) -> Dict[str, float]:
         """Suspicion levels for every known endpoint at ``now``.
@@ -189,7 +208,10 @@ class PhiAccrualFailureDetector:
         not touch ``stats.max_phi_seen``, so sampling a run for metrics
         cannot perturb what the run itself would have recorded.
         """
-        return {
-            endpoint: window.phi(now)
-            for endpoint, window in self._windows.items()
-        }
+        result = {}
+        for endpoint in self._order:
+            gid = self._known_gid(endpoint)
+            mean = max(self._mean(gid), 1e-9)
+            result[endpoint] = (
+                PHI_FACTOR * (now - self._last_arrival[gid]) / mean)
+        return result

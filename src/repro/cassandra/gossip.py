@@ -25,13 +25,16 @@ from .metrics import FlapCounter
 from .state import (
     STATUS,
     STATUS_LEFT,
-    EndpointState,
     GossipDigest,
-    HeartBeatState,
     VersionGenerator,
     VersionedValue,
     blob_entry_count,
-    make_digests,
+)
+from .state_columnar import (
+    ColumnarEndpointStore,
+    ColumnarStateMap,
+    EndpointStateView,
+    SharedClusterState,
 )
 
 # Message kinds on the wire.
@@ -129,6 +132,12 @@ class Gossiper:
     Pure protocol logic: no simulator imports.  The owner wires in ``send``
     (deliver a message), ``now`` (virtual clock), and ``on_status_change``
     (membership hook: ring updates and pending-range triggers).
+
+    Endpoint state lives in a :class:`~repro.cassandra.state_columnar.
+    ColumnarEndpointStore`; ``shared`` is the cluster's interning tables
+    (a private set when none is given).  The per-digest and per-heartbeat
+    loops read the columns directly; everything else goes through
+    ``endpoint_state_map`` views.
     """
 
     def __init__(
@@ -141,8 +150,10 @@ class Gossiper:
         now: Callable[[], float],
         flaps: FlapCounter,
         config: Optional[GossipConfig] = None,
-        on_status_change: Optional[Callable[[str, str, EndpointState], None]] = None,
-        on_restart: Optional[Callable[[str, EndpointState], None]] = None,
+        on_status_change: Optional[
+            Callable[[str, str, EndpointStateView], None]] = None,
+        on_restart: Optional[Callable[[str, EndpointStateView], None]] = None,
+        shared: Optional[SharedClusterState] = None,
     ) -> None:
         self.node_id = node_id
         self.seeds = [s for s in seeds if s != node_id]
@@ -154,12 +165,15 @@ class Gossiper:
         self.on_status_change = on_status_change
         self.on_restart = on_restart
         self.versions = VersionGenerator()
+        self._shared = shared if shared is not None else SharedClusterState()
+        self._store = ColumnarEndpointStore(self._shared)
         self.fd = PhiAccrualFailureDetector(
             phi_threshold=self.config.phi_threshold,
             window_size=self.config.fd_window,
             expected_interval=self.config.interval,
+            shared=self._shared,
         )
-        self.endpoint_state_map: Dict[str, EndpointState] = {}
+        self.endpoint_state_map = ColumnarStateMap(self._store)
         self.live_endpoints: Set[str] = TrackedSet()
         self.unreachable_endpoints: Set[str] = TrackedSet()
         self._rng_stream = f"gossip:{node_id}"
@@ -175,26 +189,30 @@ class Gossiper:
         self._dead_sorted: List[str] = []
         self._esm_len = -1
         self._esm_sorted: List[str] = []
-        self._init_own_state(generation)
+        gid = self._shared.gid(node_id)
+        self._store.ensure_capacity(gid)
+        self._store.insert(node_id, gid, generation, 0,
+                           self._shared.empty_app, self._now())
+        self._own_gid = gid
+        self._own_view = EndpointStateView(self._store, gid)
 
     # -- local state ------------------------------------------------------------
 
-    def _init_own_state(self, generation: int) -> None:
-        self.endpoint_state_map[self.node_id] = EndpointState(
-            heartbeat=HeartBeatState(generation=generation),
-            update_timestamp=self._now(),
-        )
-
     @property
-    def own_state(self) -> EndpointState:
-        """This node's own endpoint state."""
-        return self.endpoint_state_map[self.node_id]
+    def own_state(self) -> EndpointStateView:
+        """This node's own endpoint state (write-through view)."""
+        return self._own_view
 
-    def set_app_state(self, key: str, value: str, payload: Optional[tuple] = None) -> None:
+    def set_app_state(self, key: str, value: str,
+                      payload: Optional[tuple] = None) -> None:
         """Publish one of our own application states (STATUS, TOKENS, ...)."""
-        self.own_state.app_states[key] = VersionedValue(
-            value, self.versions.next(), payload
-        )
+        store = self._store
+        gid = self._own_gid
+        current = dict(store.app[gid].items)
+        current[key] = VersionedValue(value, self.versions.next(), payload)
+        store.app[gid] = self._shared.intern_items(
+            tuple(sorted(current.items())))
+        store.digest_cache[gid] = None
 
     def populate(self, endpoint: str, blob: tuple) -> None:
         """Pre-seed knowledge of a peer (established-cluster scenarios).
@@ -284,13 +302,33 @@ class Gossiper:
         return targets
 
     def _build_digests(self) -> List[GossipDigest]:
-        """Digest list for this round's SYNs (the state-backend seam).
+        """Digest list for this round's SYNs, from the columns.
 
-        Subclasses with a different state representation override only
-        this; target selection above stays shared so the RNG draw
-        sequence is identical across backends.
+        Per-row digests are memoized in the store and interned in the
+        shared digest table, so an unchanged endpoint costs one list
+        lookup and a changed one costs one dict probe cluster-wide.
         """
-        return make_digests(self.endpoint_state_map, self._sorted_endpoints())
+        store = self._store
+        registry = self._shared.registry
+        generation = store.generation
+        hb_version = store.hb_version
+        app = store.app
+        digest_cache = store.digest_cache
+        intern_digest = self._shared.intern_digest
+        digests: List[GossipDigest] = []
+        append = digests.append
+        for endpoint in self._sorted_endpoints():
+            gid = registry[endpoint]
+            digest = digest_cache[gid]
+            if digest is None:
+                hb = hb_version[gid]
+                max_app = app[gid].max_app
+                digest = intern_digest(
+                    endpoint, generation[gid],
+                    hb if hb > max_app else max_app)
+                digest_cache[gid] = digest
+            append(digest)
+        return digests
 
     # -- message handling -----------------------------------------------------------
 
@@ -310,34 +348,48 @@ class Gossiper:
         seen = set()
         seen_add = seen.add
         requests_append = requests.append
-        esm = self.endpoint_state_map
-        esm_get = esm.get
+        store = self._store
+        registry_get = self._shared.registry.get
+        gen_col = store.generation
+        hb_col = store.hb_version
+        app_col = store.app
+        known = len(gen_col)
         # O(N) digests per SYN: unpack the digest tuples directly and defer
         # the local max-version read to the only branch that needs it.
         for endpoint, generation, max_version in digests:
             seen_add(endpoint)
-            local = esm_get(endpoint)
-            if local is None:
+            gid = registry_get(endpoint)
+            if gid is None or gid >= known or gen_col[gid] < 0:
                 requests_append((endpoint, 0))
                 continue
-            local_generation = local.heartbeat.generation
+            local_generation = gen_col[gid]
             if generation == local_generation:
-                local_version = local.max_version()
+                record = app_col[gid]
+                hb = hb_col[gid]
+                local_version = hb if hb > record.max_app else record.max_app
                 if max_version > local_version:
                     requests_append((endpoint, local_version))
                 elif max_version < local_version:
-                    send_states[endpoint] = local.delta_blob(max_version)
+                    send_states[endpoint] = (
+                        local_generation, hb,
+                        tuple(entry for entry in record.wire
+                              if entry[2] > max_version))
             elif generation > local_generation:
                 requests_append((endpoint, 0))
             else:
-                send_states[endpoint] = local.to_blob()
-        # Endpoints the sender has never heard of.  In an established
-        # cluster the digest list covers everything we know, so a C-speed
-        # superset check replaces the per-endpoint scan.
-        if len(seen) < len(esm) or not seen.issuperset(esm):
-            for endpoint, local in esm.items():
+                send_states[endpoint] = (
+                    local_generation, hb_col[gid], app_col[gid].wire)
+        # Endpoints the sender has never heard of, in discovery order.  In
+        # an established cluster the digest list covers everything we know,
+        # so a C-speed superset check replaces the per-endpoint scan.
+        order_names = store.order_names
+        if len(seen) < store.present or not seen.issuperset(order_names):
+            order_gids = store.order_gids
+            for index, endpoint in enumerate(order_names):
                 if endpoint not in seen:
-                    send_states[endpoint] = local.to_blob()
+                    gid = order_gids[index]
+                    send_states[endpoint] = (
+                        gen_col[gid], hb_col[gid], app_col[gid].wire)
         self._send(src, ACK, (send_states, requests))
         if send_states:
             return len(digests) + sum(blob_entry_count(b)
@@ -373,49 +425,72 @@ class Gossiper:
             return
         generation, hb_version, app_items = blob
         now = self._now()
-        local = self.endpoint_state_map.get(endpoint)
-        if local is None or generation > local.heartbeat.generation:
-            restarted = local is not None
-            state = EndpointState.from_blob(blob, now)
-            self.endpoint_state_map[endpoint] = state
+        store = self._store
+        shared = self._shared
+        gid = shared.gid(endpoint)
+        store.ensure_capacity(gid)
+        local_generation = store.generation[gid]
+        if local_generation < 0 or generation > local_generation:
+            restarted = local_generation >= 0
+            record = shared.intern_wire(app_items)
+            if restarted:
+                if store.on_access is not None:
+                    store.on_access("w")
+                store.generation[gid] = generation
+                store.hb_version[gid] = hb_version
+                store.update_ts[gid] = now
+                store.alive[gid] = 1
+                store.app[gid] = record
+                store.digest_cache[gid] = None
+            else:
+                store.insert(endpoint, gid, generation, hb_version,
+                             record, now)
             self.states_applied += 1
             self.fd.report(endpoint, now)
-            self._mark_alive(endpoint, state)
+            self._mark_alive(endpoint, gid)
             if restarted and self.on_restart is not None:
-                self.on_restart(endpoint, state)
+                self.on_restart(endpoint, EndpointStateView(store, gid))
             for key, value, __, ___ in app_items:
                 if key == STATUS:
-                    self._notify_status(endpoint, value, state)
+                    self._notify_status(endpoint, value,
+                                        EndpointStateView(store, gid))
             return
-        local_hb = local.heartbeat
-        if generation < local_hb.generation:
+        if generation < local_generation:
             return  # stale incarnation
-        if hb_version > local_hb.version:
-            local_hb.version = hb_version
-            local.update_timestamp = now
+        if hb_version > store.hb_version[gid]:
+            store.hb_version[gid] = hb_version
+            store.update_ts[gid] = now
+            store.digest_cache[gid] = None
             self.states_applied += 1
             self.fd.report(endpoint, now)
-            self._mark_alive(endpoint, local)
+            self._mark_alive(endpoint, gid)
         if not app_items:
             return
-        # Apply every app-state value before firing STATUS notifications:
-        # a BOOT/NORMAL handler needs the TOKENS entry riding in the same
-        # blob, and key-sorted application would otherwise deliver STATUS
-        # first (real Cassandra orders ApplicationState handling the same
-        # way for the same reason).
+        # Merge every app-state value newer than what we hold before firing
+        # STATUS notifications: a BOOT/NORMAL handler needs the TOKENS entry
+        # riding in the same blob, and key-sorted application would
+        # otherwise deliver STATUS first (real Cassandra orders
+        # ApplicationState handling the same way for the same reason).
+        record = store.app[gid]
+        current = dict(record.items)
+        current_get = current.get
         status_changes = []
-        app_states = local.app_states
-        app_get = app_states.get
+        changed = False
         for key, value, version, item_payload in app_items:
-            existing = app_get(key)
+            existing = current_get(key)
             if existing is None or version > existing.version:
-                app_states[key] = VersionedValue(value, version, item_payload)
+                current[key] = VersionedValue(value, version, item_payload)
+                changed = True
                 if key == STATUS:
                     status_changes.append(value)
+        if changed:
+            store.app[gid] = shared.intern_items(tuple(sorted(current.items())))
+            store.digest_cache[gid] = None
         for value in status_changes:
-            self._notify_status(endpoint, value, local)
+            self._notify_status(endpoint, value, EndpointStateView(store, gid))
 
-    def _notify_status(self, endpoint: str, status: str, state: EndpointState) -> None:
+    def _notify_status(self, endpoint: str, status: str,
+                       state: EndpointStateView) -> None:
         if status == STATUS_LEFT:
             # departed nodes are no longer gossip targets or conviction subjects
             self.live_endpoints.discard(endpoint)
@@ -426,17 +501,18 @@ class Gossiper:
 
     # -- liveness -------------------------------------------------------------------------
 
-    def _mark_alive(self, endpoint: str, state: EndpointState) -> None:
-        if state.status() == STATUS_LEFT:
+    def _mark_alive(self, endpoint: str, gid: int) -> None:
+        store = self._store
+        if store.app[gid].status == STATUS_LEFT:
             return
         if endpoint in self.unreachable_endpoints:
             self.unreachable_endpoints.discard(endpoint)
             self.live_endpoints.add(endpoint)
-            state.alive = True
+            store.alive[gid] = 1
             self.flaps.record_recovery(self._now(), self.node_id, endpoint)
         elif endpoint not in self.live_endpoints:
             self.live_endpoints.add(endpoint)
-            state.alive = True
+            store.alive[gid] = 1
 
     def check_convictions(self) -> List[str]:
         """FD sweep: convict peers whose phi exceeds the threshold.
@@ -449,18 +525,25 @@ class Gossiper:
         now = self._now()
         convicted: List[str] = []
         node_id = self.node_id
-        esm_get = self.endpoint_state_map.get
+        store = self._store
+        registry_get = self._shared.registry.get
+        gen_col = store.generation
+        app_col = store.app
+        alive_col = store.alive
+        known = len(gen_col)
         should_convict = self.fd.should_convict
         for endpoint in self._sorted_live():
             if endpoint == node_id:
                 continue
-            state = esm_get(endpoint)
-            if state is None or state.status() == STATUS_LEFT:
+            gid = registry_get(endpoint)
+            if gid is None or gid >= known or gen_col[gid] < 0:
+                continue
+            if app_col[gid].status == STATUS_LEFT:
                 continue
             if should_convict(endpoint, now):
                 self.live_endpoints.discard(endpoint)
                 self.unreachable_endpoints.add(endpoint)
-                state.alive = False
+                alive_col[gid] = 0
                 self.flaps.record_conviction(now, node_id, endpoint)
                 convicted.append(endpoint)
         return convicted

@@ -48,9 +48,9 @@ from .state import (
     STATUS_LEFT,
     STATUS_NORMAL,
     TOKENS,
-    EndpointState,
     blob_entry_count,
 )
+from .state_columnar import EndpointStateView, SharedClusterState
 from .tokens import TokenRange
 
 # Lock-discipline declaration (input to the repro.analysis checker): the
@@ -186,8 +186,7 @@ class Node:
         gossip_config: Optional[GossipConfig] = None,
         generation: int = 1,
         enable_storage: bool = False,
-        state_backend: str = "dict",
-        shared_state=None,
+        shared_state: Optional[SharedClusterState] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -205,7 +204,7 @@ class Node:
         self.calc_queue: Channel = sim.channel(f"calcq:{node_id}")
         self.ring_lock = sim.lock(f"ring:{node_id}")
         self.metadata = TokenMetadata()
-        gossiper_kwargs = dict(
+        self.gossiper = Gossiper(
             node_id=node_id,
             generation=generation,
             seeds=seeds,
@@ -215,18 +214,8 @@ class Node:
             flaps=flaps,
             config=gossip_config,
             on_status_change=self._on_status_change,
+            shared=shared_state,
         )
-        if state_backend == "columnar":
-            from .gossip_columnar import ColumnarGossiper
-            from .state_columnar import SharedClusterState
-            if shared_state is None:
-                shared_state = SharedClusterState()
-            self.gossiper = ColumnarGossiper(shared=shared_state,
-                                             **gossiper_kwargs)
-        elif state_backend == "dict":
-            self.gossiper = Gossiper(**gossiper_kwargs)
-        else:
-            raise ValueError(f"unknown state backend {state_backend!r}")
         network.register(node_id, self.inbox)
         self.storage = None
         self.storage_inbox: Optional[Channel] = None
@@ -250,7 +239,7 @@ class Node:
         self.network.send(self.node_id, dst, kind, payload)
 
     def _on_status_change(self, endpoint: str, status: str,
-                          state: EndpointState) -> None:
+                          state: EndpointStateView) -> None:
         tokens = state.tokens()
         if status == STATUS_BOOT and tokens:
             self.metadata.add_bootstrap_tokens(endpoint, tokens)

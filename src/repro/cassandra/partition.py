@@ -75,7 +75,6 @@ class PartitionSpec:
     until: float = 8.0
     seed: int = 42
     bug: str = "c3831"
-    state_backend: str = "columnar"
     #: Worker processes; 0 runs every shard in-process (interleaved).
     workers: int = 0
     scenario: str = "steady"        # "steady" | "decommission" | "join"
@@ -102,8 +101,7 @@ class PartitionSpec:
     def cluster_config(self) -> ClusterConfig:
         """The :class:`ClusterConfig` every shard (and the merge) uses."""
         return ClusterConfig.for_bug(self.bug, nodes=self.nodes,
-                                     seed=self.seed,
-                                     state_backend=self.state_backend)
+                                     seed=self.seed)
 
 
 def owner_of(node_id: str, shards: int) -> int:

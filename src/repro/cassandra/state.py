@@ -1,15 +1,16 @@
-"""Gossip endpoint state: heartbeats, versioned application states, digests.
+"""The gossip wire vocabulary: state keys, versioned values, digests.
 
-Mirrors Cassandra's ``HeartBeatState`` / ``EndpointState`` / ``GossipDigest``
-triple.  Every node keeps its *own* copy of every endpoint's state; gossip
-messages carry plain serialized blobs so views never alias each other.
+Every node keeps its *own* view of every endpoint's state
+(:mod:`repro.cassandra.state_columnar`); gossip messages carry plain
+serialized blobs ``(generation, heartbeat_version, ((key, value, version,
+payload), ...))`` so views never alias each other.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 # Application-state keys (subset of Cassandra's ApplicationState enum that
 # the membership protocols need).
@@ -39,18 +40,6 @@ class VersionGenerator:
         return next(self._counter)
 
 
-@dataclass
-class HeartBeatState:
-    """(generation, version): generation bumps on restart, version on beat."""
-
-    generation: int
-    version: int = 0
-
-    def beat(self, versions: VersionGenerator) -> None:
-        """Advance the heartbeat version."""
-        self.version = versions.next()
-
-
 @dataclass(frozen=True)
 class VersionedValue:
     """An application-state value with the version at which it was set."""
@@ -59,230 +48,6 @@ class VersionedValue:
     version: int
     #: Optional structured payload (e.g. the token tuple for TOKENS).
     payload: Optional[Tuple] = None
-
-
-class TrackedAppStates(Dict[str, VersionedValue]):
-    """A dict of application states that maintains its own derived values.
-
-    Gossip reads ``max_version`` and ``status`` orders of magnitude more
-    often than it writes (every digest of every SYN of every round), so
-    the container keeps three things up to date on each write instead of
-    letting readers rescan:
-
-    * ``mutations`` -- a counter used as the validity token for caches of
-      derived values (the sorted item tuple behind the wire blobs);
-    * ``max_app`` -- the running maximum app-state version (rare shrinking
-      writes just set ``max_dirty`` and the next read rescans);
-    * ``status`` -- the current STATUS entry.
-
-    Tracking at the container level -- rather than invalidating at every
-    internal write site -- keeps external writers (tests poke
-    ``state.app_states[...]`` directly) correct for free.
-    """
-
-    __slots__ = ("mutations", "max_app", "max_dirty", "status")
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.mutations = 0
-        self.status: Optional[VersionedValue] = None
-        self.max_app = 0
-        self.max_dirty = bool(self)
-        if self:
-            self.status = dict.get(self, STATUS)
-
-    def _rescan(self) -> int:
-        max_app = 0
-        for value in self.values():
-            if value.version > max_app:
-                max_app = value.version
-        self.max_app = max_app
-        self.max_dirty = False
-        return max_app
-
-    def max_app_version(self) -> int:
-        """Largest version across the app states (O(1) between writes)."""
-        if self.max_dirty:
-            return self._rescan()
-        return self.max_app
-
-    def _wrote(self, key, value) -> None:
-        self.mutations += 1
-        if value.version > self.max_app:
-            self.max_app = value.version
-        if key == STATUS:
-            self.status = value
-
-    def _unwrote(self) -> None:
-        """A removal or bulk write: rebuild derived values lazily."""
-        self.mutations += 1
-        self.max_dirty = True
-        self.status = dict.get(self, STATUS)
-
-    def __setitem__(self, key, value) -> None:
-        # An overwrite that lowers the version of the current maximum (or
-        # the STATUS holder) must not leave a stale derived value behind.
-        old = dict.get(self, key)
-        super().__setitem__(key, value)
-        if old is not None and old.version >= self.max_app:
-            self.max_dirty = True
-        self._wrote(key, value)
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._unwrote()
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self._unwrote()
-        return result
-
-    def popitem(self):
-        result = super().popitem()
-        self._unwrote()
-        return result
-
-    def clear(self) -> None:
-        super().clear()
-        self.mutations += 1
-        self.max_app = 0
-        self.max_dirty = False
-        self.status = None
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self._unwrote()
-
-    def setdefault(self, key, default=None):
-        result = super().setdefault(key, default)
-        self._unwrote()
-        return result
-
-
-@dataclass
-class EndpointState:
-    """One node's view of one endpoint.
-
-    ``max_version`` and the sorted-items tuple behind the wire blobs are
-    memoized against a ``(heartbeat.version, app_states.mutations)`` token:
-    gossip calls them once per digest per round per node (O(N) calls each
-    over O(N) entries -- the quadratic that dominated large-N profiles),
-    while the underlying state changes only when something is actually
-    applied.  States built with a plain dict (some tests do) skip the
-    cache and recompute every call, so behaviour never depends on the
-    container type.
-    """
-
-    heartbeat: HeartBeatState
-    app_states: Dict[str, VersionedValue] = field(default_factory=TrackedAppStates)
-    #: Local (observer-side) bookkeeping, never gossiped.
-    update_timestamp: float = 0.0
-    alive: bool = True
-
-    def __post_init__(self) -> None:
-        self._items_token = None
-        self._items_sorted: tuple = ()
-        self._digest_token = None
-        self._digest = None
-
-    def max_version(self) -> int:
-        """Largest version across heartbeat and app states (O(1))."""
-        states = self.app_states
-        hb_version = self.heartbeat.version
-        if states.__class__ is TrackedAppStates:
-            app = states.max_app if not states.max_dirty else states._rescan()
-        else:
-            app = 0
-            for value in states.values():
-                if value.version > app:
-                    app = value.version
-        return hb_version if hb_version > app else app
-
-    def status(self) -> Optional[str]:
-        """The STATUS application-state value, if any (O(1))."""
-        states = self.app_states
-        if states.__class__ is TrackedAppStates:
-            value = states.status
-        else:
-            value = states.get(STATUS)
-        return value.value if value else None
-
-    def digest(self, endpoint: str) -> "GossipDigest":
-        """This state's :class:`GossipDigest`, memoized between changes.
-
-        Keyed on ``(heartbeat.version, app_states.mutations)``: the digest
-        depends only on the generation (which never changes without the
-        whole state object being replaced), the heartbeat version and the
-        max app version.  SYN construction calls this O(N) times per round
-        per node; unchanged endpoints reuse the previous tuple outright.
-        """
-        token = (self.heartbeat.version,
-                 getattr(self.app_states, "mutations", -1))
-        digest = self._digest
-        if (digest is not None and token == self._digest_token
-                and token[1] >= 0 and digest[0] == endpoint):
-            return digest
-        digest = GossipDigest(endpoint, self.heartbeat.generation,
-                              self.max_version())
-        self._digest_token = token
-        self._digest = digest
-        return digest
-
-    def tokens(self) -> Optional[Tuple[int, ...]]:
-        """The gossiped token tuple, if any."""
-        value = self.app_states.get(TOKENS)
-        return value.payload if value else None
-
-    # -- wire format ---------------------------------------------------------
-
-    def _sorted_app_items(self) -> tuple:
-        """``sorted(app_states.items())`` memoized on the mutation counter."""
-        states = self.app_states
-        muts = getattr(states, "mutations", -1)
-        if muts < 0:
-            return tuple(sorted(states.items()))
-        if muts != self._items_token:
-            self._items_sorted = tuple(sorted(states.items()))
-            self._items_token = muts
-        return self._items_sorted
-
-    def to_blob(self) -> tuple:
-        """Serializable full-state snapshot (no local bookkeeping)."""
-        return (
-            self.heartbeat.generation,
-            self.heartbeat.version,
-            tuple(
-                (key, value.value, value.version, value.payload)
-                for key, value in self._sorted_app_items()
-            ),
-        )
-
-    def delta_blob(self, newer_than: int) -> tuple:
-        """Snapshot carrying only app states newer than ``newer_than``.
-
-        The heartbeat always rides along (it is the liveness signal).
-        """
-        return (
-            self.heartbeat.generation,
-            self.heartbeat.version,
-            tuple(
-                (key, value.value, value.version, value.payload)
-                for key, value in self._sorted_app_items()
-                if value.version > newer_than
-            ),
-        )
-
-    @staticmethod
-    def from_blob(blob: tuple, now: float) -> "EndpointState":
-        """From blob."""
-        generation, hb_version, app_items = blob
-        state = EndpointState(
-            heartbeat=HeartBeatState(generation=generation, version=hb_version),
-            update_timestamp=now,
-        )
-        for key, value, version, payload in app_items:
-            state.app_states[key] = VersionedValue(value, version, payload)
-        return state
 
 
 class GossipDigest(NamedTuple):
@@ -296,21 +61,6 @@ class GossipDigest(NamedTuple):
     endpoint: str
     generation: int
     max_version: int
-
-
-def make_digests(state_map: Dict[str, EndpointState],
-                 ordered_endpoints: Optional[List[str]] = None) -> List[GossipDigest]:
-    """Digest list for a SYN message (deterministic order).
-
-    ``ordered_endpoints`` lets the caller supply the sorted key list (the
-    gossiper caches it between membership changes) so the per-round sort
-    disappears; it must be exactly ``sorted(state_map)``.
-    """
-    if ordered_endpoints is None:
-        return [state.digest(endpoint)
-                for endpoint, state in sorted(state_map.items())]
-    return [state_map[endpoint].digest(endpoint)
-            for endpoint in ordered_endpoints]
 
 
 def blob_entry_count(blob: tuple) -> int:

@@ -1,12 +1,8 @@
 """Columnar (struct-of-arrays) gossip endpoint state.
 
-The dict backend in :mod:`repro.cassandra.state` keeps one
-:class:`~repro.cassandra.state.EndpointState` object -- a heartbeat
-dataclass plus an app-state dict plus four memo slots -- per (observer,
-endpoint) pair.  At N nodes that is N^2 such objects; the N=256 gossip
-benchmark already peaks near half a gigabyte, and N=2048 (4.2M pairs)
-does not fit on one machine.  This module stores the same information
-columnarly:
+One object per (observer, endpoint) pair is N^2 objects at N nodes --
+half a gigabyte at N=256, and N=2048 (4.2M pairs) does not fit on one
+machine.  The gossip state is therefore kept columnarly:
 
 * :class:`SharedClusterState` -- one per cluster: the endpoint-name
   registry (name -> dense integer ``gid``), the interned app-state
@@ -19,15 +15,11 @@ columnarly:
 * :class:`ColumnarEndpointStore` -- one per observer: dense arrays
   indexed by gid (generation, heartbeat version, update timestamp,
   alive flag) plus one reference per row into the interned app table.
-  An absent endpoint is ``generation == -1``; rows are never removed
-  (the dict backend never deletes map entries either).
-* :class:`EndpointStateView` -- an on-demand proxy with the
-  ``EndpointState`` read/write surface, so cold paths (cluster
-  assembly, storage liveness checks, tests) need no changes.
-* :class:`ColumnarFailureDetector` -- the phi-accrual detector over
-  dense per-target columns, bit-identical to
-  :class:`~repro.cassandra.failure_detector.PhiAccrualFailureDetector`
-  (same accumulation order, same memoized exact division).
+  An absent endpoint is ``generation == -1``; rows are never removed.
+* :class:`EndpointStateView` / :class:`ColumnarStateMap` -- on-demand
+  proxies giving cold paths (cluster assembly, storage liveness checks,
+  tests) a per-endpoint object and a mapping of them.  The hot gossip
+  loops in :mod:`repro.cassandra.gossip` read the columns directly.
 
 Interning exploits what gossip converges *to*: across 4.2M pairs there
 are only about N distinct app-state sets in flight, so per-row cost
@@ -38,12 +30,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .failure_detector import PHI_FACTOR, FailureDetectorStats
 from .state import STATUS, TOKENS, GossipDigest, VersionedValue
-
-_NAN = float("nan")
 
 
 class InternedAppStates:
@@ -145,7 +135,7 @@ class ColumnarEndpointStore:
 
     __slots__ = ("shared", "generation", "hb_version", "update_ts", "alive",
                  "app", "digest_cache", "order_names", "order_gids",
-                 "present")
+                 "present", "on_access")
 
     def __init__(self, shared: SharedClusterState) -> None:
         self.shared = shared
@@ -158,11 +148,16 @@ class ColumnarEndpointStore:
         self.app: List[Optional[InternedAppStates]] = []
         #: gid -> memoized shared digest (None == recompute).
         self.digest_cache: List[Optional[GossipDigest]] = []
-        #: Discovery order, mirroring the dict backend's insertion order
-        #: (it leaks into ACK payload ordering and hence flap ordering).
+        #: Discovery order (it leaks into ACK payload ordering and hence
+        #: flap ordering).
         self.order_names: List[str] = []
         self.order_gids = array("q")
         self.present = 0
+        #: Sanitizer hook, called with "r" for a read through the
+        #: :class:`ColumnarStateMap` facade and "w" when a row is
+        #: materialized or replaced by a restarted incarnation; the
+        #: per-digest and per-heartbeat loops never consult it.
+        self.on_access: Optional[Callable[[str], None]] = None
 
     def ensure_capacity(self, gid: int) -> None:
         """Grow the columns to cover ``gid`` (registry grew)."""
@@ -178,6 +173,8 @@ class ColumnarEndpointStore:
     def insert(self, name: str, gid: int, generation: int, hb_version: int,
                record: InternedAppStates, now: float) -> None:
         """Materialize a previously absent endpoint row."""
+        if self.on_access is not None:
+            self.on_access("w")
         self.generation[gid] = generation
         self.hb_version[gid] = hb_version
         self.update_ts[gid] = now
@@ -187,10 +184,6 @@ class ColumnarEndpointStore:
         self.order_names.append(name)
         self.order_gids.append(gid)
         self.present += 1
-
-    def view(self, gid: int) -> "EndpointStateView":
-        """A fresh proxy for row ``gid``."""
-        return EndpointStateView(self, gid)
 
 
 class HeartBeatView:
@@ -229,7 +222,7 @@ class HeartBeatView:
 
 
 class EndpointStateView:
-    """``EndpointState``-shaped proxy over one store row.
+    """One observer's view of one endpoint, as a proxy over a store row.
 
     Built on demand by cold paths; the hot gossip loops read the columns
     directly and never allocate one of these.
@@ -265,14 +258,14 @@ class EndpointStateView:
         self._store.alive[self._gid] = 1 if value else 0
 
     @property
-    def app_states(self) -> Dict[str, VersionedValue]:
+    def app_states(self) -> Mapping:
         """Read-only snapshot of the application states.
 
         Mutations belong on the gossiper (``set_app_state`` /
         ``_apply_state``), which re-interns; writing into this snapshot
-        would be silently lost.
+        raises ``TypeError``.
         """
-        return dict(self._store.app[self._gid].items)
+        return MappingProxyType(dict(self._store.app[self._gid].items))
 
     def status(self) -> Optional[str]:
         """The STATUS application-state value, if any (O(1))."""
@@ -328,10 +321,9 @@ class EndpointStateView:
 class ColumnarStateMap(Mapping):
     """Dict-shaped read facade over a :class:`ColumnarEndpointStore`.
 
-    Iteration follows discovery order -- exactly the dict backend's
-    insertion order -- because ACK payload construction iterates the map
-    and its ordering reaches the wire (and, through application order on
-    the receiver, the flap-event log).
+    Iteration follows discovery order because ACK payload construction
+    iterates in it and the ordering reaches the wire (and, through
+    application order on the receiver, the flap-event log).
     """
 
     __slots__ = ("_store",)
@@ -339,20 +331,34 @@ class ColumnarStateMap(Mapping):
     def __init__(self, store: ColumnarEndpointStore) -> None:
         self._store = store
 
+    def track_accesses(self, report: Callable[[str], None]) -> None:
+        """Report this map's reads ("r") and row writes ("w") from now on."""
+        self._store.on_access = report
+
     def __len__(self) -> int:
-        return self._store.present
+        store = self._store
+        if store.on_access is not None:
+            store.on_access("r")
+        return store.present
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._store.order_names)
+        store = self._store
+        if store.on_access is not None:
+            store.on_access("r")
+        return iter(store.order_names)
 
     def __contains__(self, name: object) -> bool:
         store = self._store
+        if store.on_access is not None:
+            store.on_access("r")
         gid = store.shared.registry.get(name)
         return (gid is not None and gid < len(store.generation)
                 and store.generation[gid] >= 0)
 
     def __getitem__(self, name: str) -> EndpointStateView:
         store = self._store
+        if store.on_access is not None:
+            store.on_access("r")
         gid = store.shared.registry.get(name)
         if (gid is None or gid >= len(store.generation)
                 or store.generation[gid] < 0):
@@ -362,168 +368,10 @@ class ColumnarStateMap(Mapping):
     def get(self, name: str, default=None):
         """O(1) lookup returning a fresh view (or ``default``)."""
         store = self._store
+        if store.on_access is not None:
+            store.on_access("r")
         gid = store.shared.registry.get(name)
         if (gid is None or gid >= len(store.generation)
                 or store.generation[gid] < 0):
             return default
         return EndpointStateView(store, gid)
-
-
-class ColumnarFailureDetector:
-    """Phi-accrual detector over dense per-target columns.
-
-    Drop-in for :class:`~repro.cassandra.failure_detector.
-    PhiAccrualFailureDetector` with bit-identical arithmetic: interval
-    sums accumulate in the same order, the mean is the same memoized
-    exact division, and phi uses the same expression.  The per-target
-    interval window is a lazily created ``array('d')`` -- the window
-    contents are only ever *read* when the window slides (the 1001st
-    arrival for one target), so the 4.2M bootstrap-only pairs of a large
-    established cluster cost 32 bytes of columns each and no buffer.
-    """
-
-    def __init__(
-        self,
-        shared: SharedClusterState,
-        phi_threshold: float,
-        window_size: int,
-        expected_interval: float,
-    ) -> None:
-        self.shared = shared
-        self.phi_threshold = phi_threshold
-        self.window_size = window_size
-        self.expected_interval = expected_interval
-        self.stats = FailureDetectorStats()
-        self._bootstrap = expected_interval / 2.0
-        self._last_arrival = array("d")
-        self._interval_sum = array("d")
-        self._count = array("q")
-        self._mean_cache = array("d")      # NaN == recompute
-        self._samples: List[Optional[array]] = []
-        self._ring_heads: Dict[int, int] = {}
-        #: First-report order of currently known targets (mirrors the
-        #: dict backend's window-dict insertion order for ``phis``).
-        self._order: List[str] = []
-
-    def _ensure_capacity(self, gid: int) -> None:
-        missing = gid + 1 - len(self._count)
-        if missing > 0:
-            self._last_arrival.extend([0.0] * missing)
-            self._interval_sum.extend([0.0] * missing)
-            self._count.extend([0] * missing)
-            self._mean_cache.extend([_NAN] * missing)
-            self._samples.extend([None] * missing)
-
-    def report(self, endpoint: str, now: float) -> None:
-        """Feed one heartbeat arrival for ``endpoint``."""
-        self.stats.reports += 1
-        gid = self.shared.gid(endpoint)
-        self._ensure_capacity(gid)
-        count = self._count[gid]
-        if count == 0:
-            interval = self._bootstrap
-            self._order.append(endpoint)
-        else:
-            interval = now - self._last_arrival[gid]
-            if interval < 0:
-                raise ValueError("arrival time went backwards")
-        self._last_arrival[gid] = now
-        if count < self.window_size:
-            if count >= 1:
-                buffer = self._samples[gid]
-                if buffer is None:
-                    # The deferred first sample is always the bootstrap
-                    # interval (targets start -- and restart after
-                    # forget -- with it).
-                    buffer = self._samples[gid] = array(
-                        "d", (self._bootstrap,))
-                buffer.append(interval)
-            self._count[gid] = count + 1
-            self._interval_sum[gid] += interval
-        else:
-            buffer = self._samples[gid]
-            if buffer is None:     # window_size == 1: only the deferred sample
-                buffer = self._samples[gid] = array("d", (self._bootstrap,))
-            head = self._ring_heads.get(gid, 0)
-            self._interval_sum[gid] -= buffer[head]
-            buffer[head] = interval
-            self._ring_heads[gid] = (head + 1) % self.window_size
-            self._interval_sum[gid] += interval
-        self._mean_cache[gid] = _NAN
-
-    def _known_gid(self, endpoint: str) -> int:
-        """The gid of a currently known target, or -1."""
-        gid = self.shared.registry.get(endpoint)
-        if gid is None or gid >= len(self._count) or self._count[gid] == 0:
-            return -1
-        return gid
-
-    def _mean(self, gid: int) -> float:
-        mean = self._mean_cache[gid]
-        if mean != mean:               # NaN: recompute the exact division
-            mean = self._interval_sum[gid] / self._count[gid]
-            self._mean_cache[gid] = mean
-        return mean
-
-    def phi(self, endpoint: str, now: float) -> float:
-        """Current suspicion level for ``endpoint`` at time ``now``."""
-        gid = self._known_gid(endpoint)
-        if gid < 0:
-            return 0.0
-        mean = self._mean(gid)
-        if mean < 1e-9:
-            mean = 1e-9
-        value = PHI_FACTOR * (now - self._last_arrival[gid]) / mean
-        self.stats.max_phi_seen = max(self.stats.max_phi_seen, value)
-        return value
-
-    def should_convict(self, endpoint: str, now: float) -> bool:
-        """True when suspicion for ``endpoint`` exceeds the threshold."""
-        gid = self._known_gid(endpoint)
-        if gid < 0:
-            value = 0.0
-        else:
-            mean = self._mean_cache[gid]
-            if mean != mean:
-                mean = self._mean(gid)
-            if mean < 1e-9:
-                mean = 1e-9
-            value = PHI_FACTOR * (now - self._last_arrival[gid]) / mean
-        stats = self.stats
-        if value > stats.max_phi_seen:
-            stats.max_phi_seen = value
-        convict = value > self.phi_threshold
-        if convict:
-            stats.convictions += 1
-        return convict
-
-    def forget(self, endpoint: str) -> None:
-        """Drop all state for a departed endpoint."""
-        gid = self._known_gid(endpoint)
-        if gid < 0:
-            return
-        self._count[gid] = 0
-        self._interval_sum[gid] = 0.0
-        self._mean_cache[gid] = _NAN
-        self._samples[gid] = None
-        self._ring_heads.pop(gid, None)
-        self._order.remove(endpoint)
-
-    def known_endpoints(self) -> List[str]:
-        """All endpoints with recorded state, sorted."""
-        return sorted(self._order)
-
-    def mean_interval(self, endpoint: str) -> float:
-        """Mean heartbeat inter-arrival for ``endpoint`` (NaN if unknown)."""
-        gid = self._known_gid(endpoint)
-        return self._mean(gid) if gid >= 0 else float("nan")
-
-    def phis(self, now: float) -> Dict[str, float]:
-        """Suspicion snapshot for every known endpoint (stats untouched)."""
-        result = {}
-        for endpoint in self._order:
-            gid = self._known_gid(endpoint)
-            mean = max(self._mean(gid), 1e-9)
-            result[endpoint] = (
-                PHI_FACTOR * (now - self._last_arrival[gid]) / mean)
-        return result

@@ -520,7 +520,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         epoch=args.epoch,
         until=args.until,
         seed=args.seed,
-        state_backend=args.backend,
         workers=args.workers,
         scenario=args.scenario,
         observe_from=args.observe_from,
@@ -529,7 +528,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     )
     print(f"partitioned run: N={spec.nodes} K={spec.shards} "
           f"workers={spec.workers} epoch={spec.epoch} until={spec.until} "
-          f"backend={spec.state_backend} scenario={spec.scenario}...",
+          f"scenario={spec.scenario}...",
           flush=True)
     reset_peak_rss()
     report = run_partitioned(spec)
@@ -918,11 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--until", type=float, default=8.0,
                            help="virtual seconds to simulate")
     partition.add_argument("--seed", type=int, default=42)
-    partition.add_argument("--backend", default="columnar",
-                           choices=["dict", "columnar"],
-                           help="gossip state backend (columnar: the "
-                                "struct-of-arrays layout that breaks the "
-                                "N=256 RSS wall)")
     partition.add_argument("--scenario", default="steady",
                            choices=["steady", "decommission", "join"])
     partition.add_argument("--op-time", type=float, default=2.0,

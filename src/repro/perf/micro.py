@@ -78,23 +78,17 @@ def _make_event_churn(quick: bool) -> Tuple[_BenchFn, Dict[str, Any]]:
 # -- gossip rounds ------------------------------------------------------------------
 
 
-def _make_gossip(nodes: int, state_backend: str = "dict",
-                 full_until: float = 8.0):
+def _make_gossip(nodes: int, full_until: float = 8.0):
     def factory(quick: bool) -> Tuple[_BenchFn, Dict[str, Any]]:
         from ..cassandra.cluster import Cluster, ClusterConfig, Mode
 
         until = 3.0 if quick else full_until
         workload = {"bug": "c3831", "nodes": nodes, "until": until,
                     "mode": "real"}
-        if state_backend != "dict":
-            # Only the non-default backend goes into the descriptor, so
-            # the long-committed dict-backend baselines stay comparable.
-            workload["state_backend"] = state_backend
 
         def run() -> Tuple[float, int]:
             config = ClusterConfig.for_bug("c3831", nodes=nodes,
-                                           mode=Mode.REAL,
-                                           state_backend=state_backend)
+                                           mode=Mode.REAL)
             cluster = Cluster(config)
             cluster.build_established()
             t0 = time.perf_counter()
@@ -179,12 +173,8 @@ BENCHMARKS: Dict[str, _Factory] = {
     "gossip_n64": _make_gossip(64),
     "gossip_n128": _make_gossip(128),
     "gossip_n256": _make_gossip(256),
-    # The N=512 point runs on the columnar state backend -- the dict
-    # backend's per-observer EndpointState objects cost ~8x the RSS and
-    # made N=512 the colocation wall (EXPERIMENTS.md T-COLO).  A shorter
-    # horizon keeps the tripled repeat under CI budget.
-    "gossip_n512": _make_gossip(512, state_backend="columnar",
-                                full_until=4.0),
+    # A shorter horizon keeps the tripled repeat under CI budget.
+    "gossip_n512": _make_gossip(512, full_until=4.0),
     "replay_n128": _make_replay(128),
     "replay_n256": _make_replay(256),
     "workload_n128": _make_workload(128),

@@ -16,15 +16,10 @@ only reaches these structures through their owning object's attribute).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional
 
 from .tracker import RaceTracker
-
-#: Method-name prefixes treated as mutations on proxied plain objects.
-MUTATOR_PREFIXES = (
-    "add", "set", "update", "remove", "clear", "pop", "append", "record",
-    "register", "mark", "store", "insert", "del", "reset", "apply",
-)
 
 
 class TrackedMap(dict):
@@ -256,10 +251,13 @@ def instrument_cluster(cluster: Any, sites: Iterable[Any],
     """Wrap each statically-shared container site on a live cluster.
 
     ``sites`` are :class:`repro.analysis.shared.SharedSite` records (or
-    anything with ``cls``/``attr`` attributes).  Only builtin-container
-    attributes are wrapped; plain-object sites (e.g. ``TokenMetadata``)
-    are statically classified but left untracked -- proxying arbitrary
-    objects would risk perturbing model semantics.
+    anything with ``cls``/``attr`` attributes).  Builtin-container
+    attributes are wrapped, and a container that reports its own
+    accesses (``track_accesses(report)``: the gossip state map, whose
+    rows live in columns no wrapper could see) is handed the tracker;
+    other plain-object sites (e.g. ``TokenMetadata``) are statically
+    classified but left untracked -- proxying arbitrary objects would
+    risk perturbing model semantics.
 
     Nodes are created *during* the scenario (staggered joins add members
     mid-run), so besides wrapping everything already reachable this hooks
@@ -280,11 +278,15 @@ def instrument_cluster(cluster: Any, sites: Iterable[Any],
             for site in by_cls[type(obj).__name__]:
                 value = getattr(obj, site.attr, None)
                 wrapper = _WRAPPERS.get(type(value))
-                if wrapper is None:
+                track = getattr(value, "track_accesses", None)
+                if wrapper is None and track is None:
                     continue
                 key = (f"{site.cls}.{site.attr}"
                        + (f"@{label}" if label else ""))
-                setattr(obj, site.attr, wrapper(tracker, key, value))
+                if wrapper is not None:
+                    setattr(obj, site.attr, wrapper(tracker, key, value))
+                else:
+                    track(partial(tracker.access, key))
                 wrapped[key] = getattr(site, "classification", "")
 
     wrap_from([cluster])

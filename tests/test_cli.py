@@ -164,6 +164,12 @@ def test_parser_rejects_unknown_figure3_bug():
         build_parser().parse_args(["figure3", "--bug", "c9999"])
 
 
+def test_partition_has_no_backend_flag():
+    """One gossip state: ``--backend`` went with the second one."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["partition", "--backend", "dict"])
+
+
 # -- lint ----------------------------------------------------------------------------
 
 

@@ -5,62 +5,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cassandra.failure_detector import (
-    ArrivalWindow,
     DEFAULT_PHI_THRESHOLD,
     PHI_FACTOR,
     PhiAccrualFailureDetector,
 )
+from repro.cassandra.state_columnar import SharedClusterState
 
 
 class TestArrivalWindow:
+    """One target's sliding window of inter-arrival intervals."""
+
     def test_phi_zero_before_any_arrival(self):
-        window = ArrivalWindow()
-        assert window.phi(100.0) == 0.0
+        fd = PhiAccrualFailureDetector()
+        assert fd.phi("p", 100.0) == 0.0
 
     def test_regular_heartbeats_keep_phi_low(self):
-        window = ArrivalWindow(bootstrap_interval=1.0)
+        fd = PhiAccrualFailureDetector(expected_interval=1.0)
         for t in range(1, 30):
-            window.add(float(t))
+            fd.report("p", float(t))
         # Just after an arrival, suspicion is tiny.
-        assert window.phi(29.1) < 0.5
+        assert fd.phi("p", 29.1) < 0.5
 
     def test_phi_grows_linearly_with_silence(self):
-        window = ArrivalWindow(bootstrap_interval=1.0)
+        fd = PhiAccrualFailureDetector(expected_interval=1.0)
         for t in range(1, 30):
-            window.add(float(t))
-        phi_5 = window.phi(29.0 + 5.0)
-        phi_10 = window.phi(29.0 + 10.0)
+            fd.report("p", float(t))
+        phi_5 = fd.phi("p", 29.0 + 5.0)
+        phi_10 = fd.phi("p", 29.0 + 10.0)
         assert phi_10 == pytest.approx(2 * phi_5)
 
     def test_phi_formula_matches_cassandra(self):
-        window = ArrivalWindow(bootstrap_interval=1.0)
-        window.add(0.0)
-        window.add(1.0)  # mean interval now (0.5 + 1.0) / 2 = 0.75
-        expected = PHI_FACTOR * 3.0 / window.mean()
-        assert window.phi(4.0) == pytest.approx(expected)
+        fd = PhiAccrualFailureDetector(expected_interval=1.0)
+        fd.report("p", 0.0)
+        fd.report("p", 1.0)  # mean interval now (0.5 + 1.0) / 2 = 0.75
+        assert fd.mean_interval("p") == pytest.approx(0.75)
+        expected = PHI_FACTOR * 3.0 / fd.mean_interval("p")
+        assert fd.phi("p", 4.0) == pytest.approx(expected)
 
     def test_window_slides(self):
-        window = ArrivalWindow(size=3, bootstrap_interval=1.0)
+        fd = PhiAccrualFailureDetector(window_size=3, expected_interval=1.0)
         for t in (1.0, 2.0, 3.0, 4.0, 10.0):
-            window.add(t)
+            fd.report("p", t)
         # Window keeps only last 3 intervals: 1, 1, 6.
-        assert window.sample_count() == 3
-        assert window.mean() == pytest.approx((1 + 1 + 6) / 3)
+        assert fd.mean_interval("p") == pytest.approx((1 + 1 + 6) / 3)
+        # ... and keeps sliding once the ring buffer has wrapped: 1, 6, 2.
+        fd.report("p", 12.0)
+        assert fd.mean_interval("p") == pytest.approx((1 + 6 + 2) / 3)
+
+    def test_window_of_one_keeps_only_the_latest_interval(self):
+        fd = PhiAccrualFailureDetector(window_size=1, expected_interval=1.0)
+        fd.report("p", 1.0)
+        assert fd.mean_interval("p") == 0.5     # the bootstrap interval
+        for t in (3.0, 7.0):
+            fd.report("p", t)
+        assert fd.mean_interval("p") == 4.0
 
     def test_time_going_backwards_rejected(self):
-        window = ArrivalWindow()
-        window.add(5.0)
+        fd = PhiAccrualFailureDetector()
+        fd.report("p", 5.0)
         with pytest.raises(ValueError):
-            window.add(4.0)
+            fd.report("p", 4.0)
 
     def test_fast_heartbeats_make_detector_twitchier(self):
-        slow = ArrivalWindow(bootstrap_interval=1.0)
-        fast = ArrivalWindow(bootstrap_interval=1.0)
+        fd = PhiAccrualFailureDetector(expected_interval=1.0)
         for t in range(1, 20):
-            slow.add(float(t))          # 1s intervals
-            fast.add(float(t) * 0.1)    # 0.1s intervals
+            fd.report("slow", float(t))          # 1s intervals
+            fd.report("fast", float(t) * 0.1)    # 0.1s intervals
         silence = 3.0
-        assert fast.phi(1.9 + silence) > slow.phi(19.0 + silence)
+        assert fd.phi("fast", 1.9 + silence) > fd.phi("slow", 19.0 + silence)
 
 
 class TestPhiAccrualFailureDetector:
@@ -118,16 +130,46 @@ class TestPhiAccrualFailureDetector:
         assert not fd.should_convict("p", last + 5.0)
         assert fd.should_convict("p", last + 12.0)
 
+    def test_observers_sharing_a_registry_keep_their_own_windows(self):
+        """The cluster-wide registry only names rows; arrivals stay local."""
+        shared = SharedClusterState()
+        x = PhiAccrualFailureDetector(shared=shared)
+        y = PhiAccrualFailureDetector(shared=shared)
+        shared.gid("elsewhere")             # rows need not start at gid 0
+        for t in range(1, 10):
+            x.report("p", float(t))
+        assert y.known_endpoints() == []
+        assert y.phi("p", 100.0) == 0.0
+        assert not y.should_convict("p", 100.0)
+        y.report("q", 1.0)
+        assert x.known_endpoints() == ["p"]
+        assert x.should_convict("p", 100.0)
+
+    def test_phis_snapshot_leaves_stats_untouched(self):
+        fd = PhiAccrualFailureDetector()
+        fd.report("b", 1.0)
+        fd.report("a", 2.0)
+        fd.forget("b")
+        fd.report("b", 3.0)
+        snapshot = fd.phis(50.0)
+        assert list(snapshot) == ["a", "b"]      # first-report order
+        assert snapshot["a"] == fd.phi("a", 50.0)
+        assert PhiAccrualFailureDetector().phis(1.0) == {}
+        quiet = PhiAccrualFailureDetector()
+        quiet.report("p", 1.0)
+        quiet.phis(500.0)
+        assert quiet.stats.max_phi_seen == 0.0
+
 
 @given(intervals=st.lists(st.floats(min_value=0.01, max_value=10.0),
                           min_size=1, max_size=100))
 @settings(max_examples=50)
 def test_property_phi_nonnegative_and_monotonic_in_time(intervals):
-    window = ArrivalWindow()
+    fd = PhiAccrualFailureDetector()
     t = 0.0
     for interval in intervals:
         t += interval
-        window.add(t)
-    phis = [window.phi(t + delta) for delta in (0.0, 1.0, 5.0, 25.0)]
+        fd.report("p", t)
+    phis = [fd.phi("p", t + delta) for delta in (0.0, 1.0, 5.0, 25.0)]
     assert all(p >= 0 for p in phis)
     assert phis == sorted(phis)

@@ -56,11 +56,7 @@ class Bus:
 
     def exchange(self, a, b):
         """One full gossip exchange initiated by a towards b."""
-        self.gossipers[a]._send(b, SYN, None)  # placeholder, replaced below
-        self.queue.pop()  # drop placeholder
-        digests = __import__(
-            "repro.cassandra.state", fromlist=["make_digests"]
-        ).make_digests(self.gossipers[a].endpoint_state_map)
+        digests = self.gossipers[a]._build_digests()
         self.gossipers[b].handle_message(SYN, digests, a)
         self.pump()
 

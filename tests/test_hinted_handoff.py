@@ -96,10 +96,12 @@ class TestHintStorage:
         coord, others = write_replicas(cluster, "key-h4")
         victim = others[0]
         coord.gossiper.live_endpoints.discard(victim)
-        from repro.cassandra.state import STATUS, STATUS_LEFT, VersionedValue
+        from repro.cassandra.state import STATUS, STATUS_LEFT
         state = coord.gossiper.endpoint_state_map[victim]
-        state.app_states[STATUS] = VersionedValue(STATUS_LEFT,
-                                                  state.max_version() + 1)
+        coord.gossiper._apply_state(victim, (
+            state.heartbeat.generation, state.heartbeat.version,
+            ((STATUS, STATUS_LEFT, state.max_version() + 1, None),)))
+        assert coord.gossiper.endpoint_state_map[victim].status() == STATUS_LEFT
         run_op(cluster, coord.storage.coordinate_write(
             "key-h4", "v1", ConsistencyLevel.QUORUM))
         assert victim not in coord.storage.hints

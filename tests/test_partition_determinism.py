@@ -7,7 +7,7 @@ produces a byte-identical canonical :class:`RunReport` (flap ordering,
 float sums, and the total kernel step count included).  These tests pin
 that property across scenarios (steady gossip, decommission, mid-run
 joiners), fault schedules (crash/restart, partition/heal, degraded
-links), both state backends, and the in-process vs forked-worker paths.
+links), and the in-process vs forked-worker paths.
 """
 
 from dataclasses import replace
@@ -99,7 +99,7 @@ def test_crash_conviction_flaps_match_serial():
             == serial.canonical_json())
 
 
-# -- execution modes and backends ---------------------------------------------
+# -- execution modes -----------------------------------------------------------
 
 
 def test_worker_processes_match_in_process():
@@ -109,13 +109,6 @@ def test_worker_processes_match_in_process():
                 params=replace(DEFAULT_PARAMS, warmup=1.0))
     assert (_canonical(PartitionSpec(workers=4, **base))
             == _canonical(PartitionSpec(workers=0, **base)))
-
-
-def test_state_backends_match_under_partitioning():
-    """dict and columnar backends stay byte-identical when sharded."""
-    base = dict(nodes=12, shards=3, epoch=0.05, until=4.0, seed=7)
-    assert (_canonical(PartitionSpec(state_backend="dict", **base))
-            == _canonical(PartitionSpec(state_backend="columnar", **base)))
 
 
 def test_observe_from_filters_headline_flaps():

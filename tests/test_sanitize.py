@@ -182,6 +182,31 @@ class TestTrackerAccounting:
         values.add(3)
         assert values == {1, 2, 3} and isinstance(values, set)
 
+    def test_gossip_state_map_is_tracked_through_its_columns(self):
+        """The map's rows live in columns no container wrapper sees: the
+        store reports for itself, under the key a wrapped dict would get.
+        Joiners make the gossip stage materialize rows mid-run (writes)
+        while the gossip task sizes its SYNs from the map (reads)."""
+        from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
+        from repro.cassandra.workloads import ScenarioParams, run_workload
+        from repro.sanitize import instrument_cluster
+
+        sites = harvest_shared_state(
+            Program.load(["repro.cassandra"])).shared()
+        config = ClusterConfig.for_bug("c3881", nodes=8, mode=Mode.REAL,
+                                       seed=42)
+        tracker = RaceTracker()
+        cluster = Cluster(config, race_tracker=tracker)
+        wrapped = instrument_cluster(cluster, sites, tracker)
+        run_workload(cluster, config.bug.workload,
+                     ScenarioParams(warmup=2.0, observe=5.0,
+                                    join_duration=2.0, join_stagger=0.5))
+        assert len(cluster.nodes) > 8        # somebody joined
+        for node_id in cluster.nodes:        # joiners are hooked as built
+            key = f"Gossiper.endpoint_state_map@{node_id}"
+            assert key in wrapped
+            assert tracker.sites[key].reads and tracker.sites[key].writes
+
     def test_race_pairs_deduplicate_per_site_pair(self):
         tracker = ring_mutation_scenario(mutators=4, rounds=3)
         # 3 rounds of all-pairs conflicts still count each pair once.

@@ -1,26 +1,32 @@
-"""Differential determinism: columnar state backend vs the dict backend.
+"""The gossip state against its frozen reference.
 
-The columnar backend replaces per-(observer, endpoint) ``EndpointState``
-objects with struct-of-arrays columns plus cluster-shared interned app
-states and digests.  The representation must be *unobservable*: the same
-scenario on either backend must produce byte-identical canonical
-``RunReport`` JSON (flap ordering included), identical simulator step
-counts, and identical delivery logs, for seeds 0..9 at N in {8, 32, 64}
--- mirroring ``tests/test_scheduler_differential.py`` exactly.
+The columnar store (struct-of-arrays columns plus cluster-shared interned
+app states and digests) replaced a reference implementation that kept one
+``EndpointState`` object per (observer, endpoint) pair and one
+``ArrivalWindow`` per failure-detector target.  The two were run side by
+side -- byte-identical canonical ``RunReport`` JSON (flap ordering
+included), simulator step counts and delivery logs for seeds 0..9 at N in
+{8, 32, 64} -- before the reference was deleted; its outputs on that grid,
+its wire artifacts and its phi arithmetic are recorded in
+``tests/fixtures/gossip_state_golden.json`` and the one implementation
+must keep reproducing them.
 
-The second half parametrizes the gossip- and failure-detector-level unit
-behaviour over both backends, pinning the protocol surface (SYN/ACK/ACK2
-convergence, restart generations, LEFT handling, conviction/recovery
-flaps) rather than just the end-to-end aggregate.
+The second half pins the protocol surface (SYN/ACK/ACK2 convergence,
+restart generations, LEFT handling, conviction/recovery flaps) on
+gossipers that share one ``SharedClusterState`` the way a ``Cluster``'s
+nodes do; ``tests/test_gossip.py`` runs the same protocol on private
+tables.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
+from repro.cassandra.failure_detector import PhiAccrualFailureDetector
 from repro.cassandra.gossip import SYN, GossipConfig, Gossiper
-from repro.cassandra.gossip_columnar import ColumnarGossiper
 from repro.cassandra.metrics import FlapCounter
 from repro.cassandra.state import (
     STATUS,
@@ -33,7 +39,9 @@ from repro.cassandra.state_columnar import SharedClusterState
 from repro.cassandra.workloads import ScenarioParams, run_workload
 from repro.sim.rng import SplittableRng
 
-BACKENDS = ["dict", "columnar"]
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "gossip_state_golden.json")
+    .read_text())
 
 #: Short scenario: long enough for decommission + conviction traffic,
 #: short enough that the 10-seed x 3-scale sweep stays in tier-1.
@@ -41,9 +49,9 @@ FAST = ScenarioParams(warmup=2.0, observe=5.0, leaving_duration=2.0,
                       join_duration=2.0, join_stagger=0.5)
 
 
-def _run(nodes: int, seed: int, state_backend: str):
+def _run(nodes: int, seed: int):
     config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
-                                   seed=seed, state_backend=state_backend)
+                                   seed=seed)
     cluster = Cluster(config)
     report = run_workload(cluster, config.bug.workload, FAST)
     return cluster, report
@@ -56,34 +64,47 @@ def _canonical(report) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("nodes", [8, 32, 64])
 @pytest.mark.parametrize("seed", range(10))
 def test_backends_byte_identical(nodes, seed):
-    """Seeds 0..9, N in {8,32,64}: canonical RunReport JSON matches exactly."""
-    dict_cluster, dict_report = _run(nodes, seed, "dict")
-    col_cluster, col_report = _run(nodes, seed, "columnar")
-    assert _canonical(dict_report) == _canonical(col_report)
-    assert dict_cluster.sim.steps == col_cluster.sim.steps
-    assert (dict_cluster.network.delivery_log
-            == col_cluster.network.delivery_log)
+    """Seeds 0..9, N in {8,32,64}: the reference's report, steps and log."""
+    cluster, report = _run(nodes, seed)
+    assert {
+        "report_sha256": _sha256(_canonical(report)),
+        "steps": cluster.sim.steps,
+        "delivery_log_sha256": _sha256(
+            "\n".join(cluster.network.delivery_log)),
+    } == GOLDEN["grid"][f"n{nodes}-s{seed}"]
 
 
-def test_unknown_backend_rejected():
-    config = ClusterConfig.for_bug("c3831", nodes=4, mode=Mode.REAL,
-                                   state_backend="sparse")
-    with pytest.raises(ValueError):
-        Cluster(config)
+def test_no_state_backend_knob():
+    """The representation is not selectable anywhere (no alias, no no-op)."""
+    import dataclasses
+    import inspect
+
+    from repro.cassandra.node import Node
+    from repro.cassandra.partition import PartitionSpec
+
+    with pytest.raises(TypeError):
+        ClusterConfig.for_bug("c3831", nodes=4, state_backend="columnar")
+    with pytest.raises(TypeError):
+        PartitionSpec(nodes=4, state_backend="columnar")
+    assert len(dataclasses.fields(PartitionSpec)) == 11
+    assert "state_backend" not in inspect.signature(Node.__init__).parameters
 
 
-# -- protocol-level parity, both backends -----------------------------------
+# -- protocol level, shared cluster tables ----------------------------------
 
 
 class Bus:
     """Synchronous loopback fabric for protocol-level tests."""
 
-    def __init__(self, backend):
-        self.backend = backend
-        self.shared = SharedClusterState() if backend == "columnar" else None
+    def __init__(self):
+        self.shared = SharedClusterState()
         self.gossipers = {}
         self.queue = []
         self.clock = 0.0
@@ -94,7 +115,7 @@ class Bus:
         return self.clock
 
     def add(self, node_id, seeds=(), generation=1, config=None):
-        kwargs = dict(
+        gossiper = Gossiper(
             node_id=node_id,
             generation=generation,
             seeds=list(seeds),
@@ -106,11 +127,8 @@ class Bus:
             config=config or GossipConfig(),
             on_status_change=lambda ep, status, state, me=node_id:
                 self.status_changes.append((me, ep, status)),
+            shared=self.shared,
         )
-        if self.backend == "columnar":
-            gossiper = ColumnarGossiper(shared=self.shared, **kwargs)
-        else:
-            gossiper = Gossiper(**kwargs)
         self.gossipers[node_id] = gossiper
         return gossiper
 
@@ -131,13 +149,8 @@ class Bus:
         self.pump()
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
-def make_pair(backend):
-    bus = Bus(backend)
+def make_pair():
+    bus = Bus()
     a = bus.add("a", seeds=["a"])
     b = bus.add("b", seeds=["a"])
     a.set_app_state(TOKENS, "", payload=(100,))
@@ -147,8 +160,8 @@ def make_pair(backend):
     return bus, a, b
 
 
-def test_syn_ack_ack2_converges_two_nodes(backend):
-    bus, a, b = make_pair(backend)
+def test_syn_ack_ack2_converges_two_nodes():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     assert "a" in b.endpoint_state_map
     assert "b" in a.endpoint_state_map
@@ -156,8 +169,8 @@ def test_syn_ack_ack2_converges_two_nodes(backend):
     assert a.endpoint_state_map["b"].tokens() == (200,)
 
 
-def test_heartbeat_versions_propagate(backend):
-    bus, a, b = make_pair(backend)
+def test_heartbeat_versions_propagate():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     version_before = b.endpoint_state_map["a"].heartbeat.version
     bus.clock = 1.0
@@ -167,8 +180,8 @@ def test_heartbeat_versions_propagate(backend):
     assert b.endpoint_state_map["a"].heartbeat.version > version_before
 
 
-def test_left_status_removes_from_liveness_tracking(backend):
-    bus, a, b = make_pair(backend)
+def test_left_status_removes_from_liveness_tracking():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     assert "a" in b.live_endpoints
     a.set_app_state(STATUS, STATUS_LEFT)
@@ -178,8 +191,8 @@ def test_left_status_removes_from_liveness_tracking(backend):
     assert "a" not in b.fd.known_endpoints()
 
 
-def test_restart_with_higher_generation_replaces_state(backend):
-    bus, a, b = make_pair(backend)
+def test_restart_with_higher_generation_replaces_state():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     old_generation = b.endpoint_state_map["a"].heartbeat.generation
     bus.gossipers.pop("a")
@@ -190,16 +203,16 @@ def test_restart_with_higher_generation_replaces_state(backend):
     assert b.endpoint_state_map["a"].heartbeat.generation == old_generation + 1
 
 
-def test_stale_generation_ignored(backend):
-    bus, a, b = make_pair(backend)
+def test_stale_generation_ignored():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     version = b.endpoint_state_map["a"].heartbeat.version
     b._apply_state("a", (0, 999, ()))
     assert b.endpoint_state_map["a"].heartbeat.version == version
 
 
-def test_conviction_and_recovery_counts_flap(backend):
-    bus, a, b = make_pair(backend)
+def test_conviction_and_recovery_counts_flap():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     for t in range(1, 20):
         bus.clock = float(t)
@@ -218,8 +231,8 @@ def test_conviction_and_recovery_counts_flap(backend):
     assert bus.flaps.recoveries == 1
 
 
-def test_status_change_callback_fires_once_per_change(backend):
-    bus, a, b = make_pair(backend)
+def test_status_change_callback_fires_once_per_change():
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     changes_before = list(bus.status_changes)
     a.set_app_state(STATUS, STATUS_LEAVING)
@@ -231,8 +244,8 @@ def test_status_change_callback_fires_once_per_change(backend):
     assert len(bus.status_changes) == before
 
 
-def test_status_notification_sees_tokens_from_same_blob(backend):
-    bus = Bus(backend)
+def test_status_notification_sees_tokens_from_same_blob():
+    bus = Bus()
     a = bus.add("a", seeds=["a"])
     b = bus.add("b", seeds=["a"])
     bus.exchange("a", "b")
@@ -245,57 +258,57 @@ def test_status_notification_sees_tokens_from_same_blob(backend):
     assert ("a", "BOOT", (123, 456)) in seen
 
 
+def _jsonable(value):
+    """``value`` as JSON would return it (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
 def test_blobs_and_digests_match_across_backends():
-    """Wire artifacts -- blobs, deltas, digest lists -- are identical."""
-    pairs = {name: make_pair(name) for name in BACKENDS}
-    for bus, a, b in pairs.values():
-        bus.exchange("a", "b")
-        bus.clock = 1.0
-        a.do_round()
-        bus.pump()
-    dict_a = pairs["dict"][1]
-    col_a = pairs["columnar"][1]
-    assert dict_a.own_state.to_blob() == col_a.own_state.to_blob()
-    assert dict_a.own_state.delta_blob(1) == col_a.own_state.delta_blob(1)
-    assert dict_a.own_state.max_version() == col_a.own_state.max_version()
-    assert list(dict_a._build_digests()) == list(col_a._build_digests())
-    assert dict_a.known_endpoints() == col_a.known_endpoints()
-    assert dict_a.stats() == col_a.stats()
+    """Wire artifacts -- blobs, deltas, digest lists -- are the reference's."""
+    bus, a, b = make_pair()
+    bus.exchange("a", "b")
+    bus.clock = 1.0
+    a.do_round()
+    bus.pump()
+    assert _jsonable({
+        "to_blob": a.own_state.to_blob(),
+        "delta_blob_1": a.own_state.delta_blob(1),
+        "max_version": a.own_state.max_version(),
+        "digests": a._build_digests(),
+        "known_endpoints": a.known_endpoints(),
+        "stats": a.stats(),
+    }) == GOLDEN["wire"]
 
 
 def test_columnar_failure_detector_matches_dict_arithmetic():
-    """phi / mean / window-slide arithmetic is bit-identical."""
-    from repro.cassandra.failure_detector import PhiAccrualFailureDetector
-    from repro.cassandra.state_columnar import ColumnarFailureDetector
-
-    reference = PhiAccrualFailureDetector(window_size=5,
-                                          expected_interval=1.0)
-    columnar = ColumnarFailureDetector(SharedClusterState(),
-                                       phi_threshold=8.0, window_size=5,
-                                       expected_interval=1.0)
-    times = [0.5, 1.0, 2.25, 3.0, 4.5, 5.0, 6.75, 7.0, 8.5, 9.0, 10.25]
-    for t in times:
-        reference.report("p", t)
-        columnar.report("p", t)
-        assert columnar.mean_interval("p") == reference.mean_interval("p")
-        assert columnar.phi("p", t + 3.3) == reference.phi("p", t + 3.3)
-        assert (columnar.should_convict("p", t + 40.0)
-                == reference.should_convict("p", t + 40.0))
-    assert columnar.stats == reference.stats
-    assert columnar.phis(11.0) == reference.phis(11.0)
-    assert columnar.known_endpoints() == reference.known_endpoints()
-    reference.forget("p")
-    columnar.forget("p")
-    assert columnar.known_endpoints() == reference.known_endpoints() == []
+    """phi / mean / window-slide arithmetic is the reference's, bit for bit."""
+    golden = GOLDEN["failure_detector"]
+    detector = PhiAccrualFailureDetector(
+        phi_threshold=golden["phi_threshold"],
+        window_size=golden["window_size"],
+        expected_interval=golden["expected_interval"])
+    for step in golden["steps"]:
+        t = step["t"]
+        detector.report("p", t)
+        assert {
+            "t": t,
+            "mean": detector.mean_interval("p"),
+            "phi": detector.phi("p", t + 3.3),
+            "convict": detector.should_convict("p", t + 40.0),
+        } == step
+    assert vars(detector.stats) == golden["stats"]
+    assert detector.phis(11.0) == golden["phis_at_11"]
+    assert detector.known_endpoints() == golden["known_endpoints"]
+    detector.forget("p")
+    assert detector.known_endpoints() == golden["known_after_forget"] == []
     # Re-reporting after forget re-bootstraps identically.
-    reference.report("p", 20.0)
-    columnar.report("p", 20.0)
-    assert columnar.mean_interval("p") == reference.mean_interval("p")
+    detector.report("p", 20.0)
+    assert detector.mean_interval("p") == golden["mean_after_rereport"]
 
 
 def test_columnar_interning_is_shared():
     """Two observers of the same app states share one interned record."""
-    bus = Bus("columnar")
+    bus = Bus()
     a = bus.add("a", seeds=["a"])
     b = bus.add("b", seeds=["a"])
     c = bus.add("c", seeds=["a"])
