@@ -46,7 +46,8 @@ from .node import (
 )
 from .pending_ranges import CostConstants
 from .state import STATUS, STATUS_NORMAL, TOKENS
-from .state_columnar import SharedClusterState
+from .ring import TokenMetadata
+from .state_columnar import EstablishedView, SharedClusterState
 from .tokens import tokens_for_node
 
 
@@ -261,10 +262,13 @@ class Cluster:
 
         Every node already knows every other node's NORMAL state -- the
         long-running-cluster starting point of the decommission and
-        scale-out scenarios.  Population goes through the normal state-
-        application path so ring tables and failure detectors are primed.
-        Only hosted members become nodes; they learn remote members from
-        :func:`phantom_blob`.
+        scale-out scenarios.  What all observers would learn is the same,
+        so it is built once -- the membership as gossip state
+        (:class:`~repro.cassandra.state_columnar.EstablishedView`) and as
+        ring -- and every node bulk-loads it, leaving stores, ring tables
+        and failure detectors as the state-application path would, one
+        peer at a time.  Only hosted members become nodes; they learn
+        remote members from :func:`phantom_blob`.
         """
         names = [node_name(i) for i in range(self.config.nodes)]
         local = [name for name in names if self.hosts(name)]
@@ -278,12 +282,12 @@ class Cluster:
                    if name in self.nodes else phantom_blob(name, vnodes))
             for name in names
         }
+        view = EstablishedView(self.shared_state, blobs)
+        ring = TokenMetadata()
+        for name in names:
+            ring.update_normal_tokens(name, view.tokens(name))
         for name in local:
-            node = self.nodes[name]
-            for other, blob in blobs.items():
-                if other != name:
-                    node.gossiper.populate(other, blob)
-            node._ring_dirty = False  # population is not a topology change
+            self.nodes[name].load_established(view, ring)
         for name in local:
             self.start_node(self.nodes[name])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .state_columnar import SharedClusterState
 
@@ -128,6 +128,32 @@ class PhiAccrualFailureDetector:
             self._ring_heads[gid] = (head + 1) % self.window_size
             self._interval_sum[gid] += interval
         self._mean_cache[gid] = _NAN
+
+    def report_first_arrivals(self, endpoints: Sequence[str], own_gid: int,
+                              now: float) -> None:
+        """Feed the first arrival, at ``now``, of a whole membership at once.
+
+        Leaves an empty detector exactly as one :meth:`report` per endpoint
+        would, filling the columns by repetition instead of row by row.
+        ``endpoints`` (in the order :meth:`phis` should list them) must be
+        the names of gid rows ``0..len(endpoints)`` minus ``own_gid``, the
+        observer's own row, which stays unknown.
+        """
+        rows = len(endpoints) + 1
+        if self._order:
+            raise ValueError("bulk first arrivals need an empty detector")
+        if own_gid == rows - 1:      # row-by-row would never have grown to it
+            rows -= 1
+        self._ensure_capacity(rows - 1)
+        self._last_arrival[:rows] = array("d", (now,)) * rows
+        self._interval_sum[:rows] = array("d", (self._bootstrap,)) * rows
+        self._count[:rows] = array("q", (1,)) * rows
+        if own_gid < rows:
+            self._last_arrival[own_gid] = 0.0
+            self._interval_sum[own_gid] = 0.0
+            self._count[own_gid] = 0
+        self._order.extend(endpoints)
+        self.stats.reports += len(endpoints)
 
     def _known_gid(self, endpoint: str) -> int:
         """The gid of a currently known target, or -1."""

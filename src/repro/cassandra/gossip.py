@@ -34,6 +34,7 @@ from .state_columnar import (
     ColumnarEndpointStore,
     ColumnarStateMap,
     EndpointStateView,
+    EstablishedView,
     SharedClusterState,
 )
 
@@ -221,6 +222,24 @@ class Gossiper:
         handlers and the failure detector see a normal join.
         """
         self._apply_state(endpoint, blob)
+
+    def load_established(self, view: EstablishedView) -> None:
+        """Learn a whole established membership in one bulk copy.
+
+        Leaves a gossiper that knows only itself exactly as one
+        :meth:`populate` per other member of ``view`` (in ``view.names``
+        order) would: the store's columns are copies of the view's with
+        this node's own row kept, every peer is live, and the failure
+        detector has seen one arrival from each at the current time.  The
+        STATUS notifications are *not* replayed -- the view guarantees
+        every member is NORMAL, and the owner loads the matching ring
+        (:meth:`repro.cassandra.node.Node.load_established`).
+        """
+        now = self._now()
+        peers = self._store.load_established(view, now)
+        self.states_applied += len(peers)
+        self.live_endpoints.update(peers)
+        self.fd.report_first_arrivals(peers, self._own_gid, now)
 
     # -- cached sorted views ------------------------------------------------------
 

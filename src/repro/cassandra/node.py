@@ -50,7 +50,11 @@ from .state import (
     TOKENS,
     blob_entry_count,
 )
-from .state_columnar import EndpointStateView, SharedClusterState
+from .state_columnar import (
+    EndpointStateView,
+    EstablishedView,
+    SharedClusterState,
+)
 from .tokens import TokenRange
 
 # Lock-discipline declaration (input to the repro.analysis checker): the
@@ -346,6 +350,19 @@ class Node:
         self.announce_tokens()
         self.announce_status(STATUS_NORMAL)
         self._ring_dirty = False
+
+    def load_established(self, view: EstablishedView,
+                         ring: TokenMetadata) -> None:
+        """Learn the whole established cluster at once.
+
+        ``view`` is the membership as gossip state, ``ring`` the normal
+        token ownership of the same members (one template per cluster).
+        Equivalent to ``gossiper.populate`` per peer -- peers known, live
+        and reported to the failure detector, ring table filled -- without
+        marking the ring dirty: population is not a topology change.
+        """
+        self.gossiper.load_established(view)
+        self.metadata.load_normal_ring(ring)
 
     # -- processes ---------------------------------------------------------------------
 

@@ -76,6 +76,23 @@ class TokenMetadata:
             self.token_to_endpoint[token] = endpoint
             self._content_hash ^= _entry_hash("normal", token, endpoint)
 
+    def load_normal_ring(self, ring: "TokenMetadata") -> None:
+        """Adopt the normal ownership of ``ring``, a table holding only that.
+
+        For a table holding nothing but normal tokens that ``ring`` holds
+        too (a node that so far knows its own): equivalent to
+        :meth:`update_normal_tokens` per endpoint in ``ring``'s order, as
+        one dict update.  Entries already here keep their position and the
+        rest follow in ``ring``'s order; the content hash is an XOR over the
+        entries, hence equal to ``ring``'s.
+        """
+        if self.bootstrap_tokens or self.leaving_endpoints:
+            raise ValueError("bulk ring load onto in-flight membership state")
+        self.token_to_endpoint.update(ring.token_to_endpoint)
+        if len(self.token_to_endpoint) != len(ring.token_to_endpoint):
+            raise ValueError("bulk ring load onto tokens the ring lacks")
+        self._content_hash = ring._content_hash
+
     def add_bootstrap_tokens(self, endpoint: str, tokens: Iterable[int]) -> None:
         """Mark ``tokens`` as being bootstrapped by ``endpoint``."""
         for token in tokens:

@@ -11,7 +11,10 @@ machine.  The gossip state is therefore kept columnarly:
   its precomputed wire tuple, max version, STATUS and TOKENS), and the
   shared digest table (one :class:`~repro.cassandra.state.GossipDigest`
   per distinct ``(endpoint, generation, max_version)``, shared by every
-  observer instead of N copies).
+  observer instead of N copies; two generations bound it).
+* :class:`EstablishedView` -- one per established cluster: what every
+  observer of an all-NORMAL membership knows about every member, built
+  once and bulk-loaded into each store instead of applied pair by pair.
 * :class:`ColumnarEndpointStore` -- one per observer: dense arrays
   indexed by gid (generation, heartbeat version, update timestamp,
   alive flag) plus one reference per row into the interned app table.
@@ -33,7 +36,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .state import STATUS, TOKENS, GossipDigest, VersionedValue
+from .state import STATUS, STATUS_NORMAL, TOKENS, GossipDigest, VersionedValue
 
 
 class InternedAppStates:
@@ -72,7 +75,7 @@ class SharedClusterState:
     """Cluster-wide shared tables behind every columnar observer."""
 
     __slots__ = ("registry", "names", "_app_table", "_digest_table",
-                 "empty_app")
+                 "_digest_old", "empty_app")
 
     def __init__(self) -> None:
         #: endpoint name -> dense gid (registration order, append-only).
@@ -80,7 +83,11 @@ class SharedClusterState:
         #: gid -> endpoint name.
         self.names: List[str] = []
         self._app_table: Dict[tuple, InternedAppStates] = {}
+        #: Digests interned lately, and the generation before them: every
+        #: heartbeat makes a new key and nothing retires one, so the young
+        #: table is aged out at 16 entries per known endpoint.
         self._digest_table: Dict[tuple, GossipDigest] = {}
+        self._digest_old: Dict[tuple, GossipDigest] = {}
         self.empty_app = self.intern_items(())
 
     def gid(self, name: str) -> int:
@@ -121,13 +128,81 @@ class SharedClusterState:
 
     def intern_digest(self, endpoint: str, generation: int,
                       max_version: int) -> GossipDigest:
-        """One shared digest per distinct (endpoint, generation, max)."""
+        """One shared digest per distinct (endpoint, generation, max).
+
+        A hit is one probe of the young generation.  A miss falls back to
+        the old generation before constructing, and lands in the young
+        one; when that reaches 16 entries per known endpoint it becomes
+        the old generation and a fresh one starts.
+        """
         key = (endpoint, generation, max_version)
         digest = self._digest_table.get(key)
         if digest is None:
-            digest = self._digest_table[key] = GossipDigest(
-                endpoint, generation, max_version)
+            digest = self._digest_old.get(key)
+            if digest is None:
+                digest = GossipDigest(endpoint, generation, max_version)
+            if len(self._digest_table) >= 16 * len(self.names):
+                self._digest_old = self._digest_table
+                self._digest_table = {}
+            self._digest_table[key] = digest
         return digest
+
+
+class EstablishedView:
+    """An established, all-NORMAL membership as every observer knows it.
+
+    Applying N blobs to N observers one pair at a time builds the same
+    columns N times over.  The view builds them once -- registering the
+    members' gids in ``blobs`` order (members already registered keep
+    their gid), interning each member's app states once -- and every
+    observer bulk-copies them (:meth:`repro.cassandra.gossip.Gossiper.
+    load_established`).
+
+    The bulk load skips the per-endpoint STATUS notifications, so the view
+    vouches for what they would have done: every member is NORMAL with
+    tokens, the registry holds the members and nothing else (no holes in
+    the columns), and no two members share a token (pair-by-pair, each
+    observer's own tokens win such a tie, which no shared ring template
+    can reproduce).  Anything else raises ``ValueError``.
+    """
+
+    __slots__ = ("shared", "names", "gids", "generation", "hb_version",
+                 "app")
+
+    def __init__(self, shared: SharedClusterState,
+                 blobs: Mapping[str, tuple]) -> None:
+        self.shared = shared
+        #: Members in ``blobs`` order, and their gids in the same order.
+        self.names: List[str] = list(blobs)
+        self.gids = array("q", [shared.gid(name) for name in self.names])
+        size = len(shared.names)
+        if size != len(self.names):
+            raise ValueError(
+                f"established view of {len(self.names)} members over a "
+                f"registry of {size} endpoints")
+        #: gid-indexed template columns.
+        self.generation = array("q", (0,)) * size
+        self.hb_version = array("q", (0,)) * size
+        self.app: List[InternedAppStates] = [shared.empty_app] * size
+        owners: Dict[int, str] = {}
+        claim = owners.setdefault
+        for gid, (name, blob) in zip(self.gids, blobs.items()):
+            generation, hb_version, wire = blob
+            record = shared.intern_wire(wire)
+            if record.status != STATUS_NORMAL or not record.tokens_payload:
+                raise ValueError(f"{name} is not a NORMAL token owner")
+            for token in record.tokens_payload:
+                owner = claim(token, name)
+                if owner != name:
+                    raise ValueError(
+                        f"{owner} and {name} share token {token}")
+            self.generation[gid] = generation
+            self.hb_version[gid] = hb_version
+            self.app[gid] = record
+
+    def tokens(self, name: str) -> Tuple[int, ...]:
+        """The tokens member ``name`` owns."""
+        return self.app[self.shared.registry[name]].tokens_payload
 
 
 class ColumnarEndpointStore:
@@ -184,6 +259,44 @@ class ColumnarEndpointStore:
         self.order_names.append(name)
         self.order_gids.append(gid)
         self.present += 1
+
+    def load_established(self, view: EstablishedView,
+                         now: float) -> List[str]:
+        """Materialize every member of ``view`` at once, at time ``now``.
+
+        The store must hold one row, its owner's, and that row must be what
+        ``view`` says about the owner; it keeps its update timestamp.
+        Leaves the store as one :meth:`insert` per other member in
+        ``view.names`` order would, and returns those members.
+        """
+        if view.shared is not self.shared or self.present != 1:
+            raise ValueError("bulk load needs a store holding one row of "
+                             "the view's cluster")
+        owner = self.order_names[0]
+        own_gid = self.order_gids[0]
+        if (view.generation[own_gid] != self.generation[own_gid]
+                or view.hb_version[own_gid] != self.hb_version[own_gid]
+                or view.app[own_gid] is not self.app[own_gid]):
+            raise ValueError(f"{owner}'s own row is not what the view holds")
+        names = view.names
+        index = names.index(owner)
+        if self.on_access is not None:
+            self.on_access("w")
+        size = len(names)
+        own_update_ts = self.update_ts[own_gid]
+        self.generation = array("q", view.generation)
+        self.hb_version = array("q", view.hb_version)
+        self.update_ts = array("d", (now,)) * size
+        self.update_ts[own_gid] = own_update_ts
+        self.alive = bytearray(b"\x01") * size
+        self.app = list(view.app)
+        self.digest_cache = [None] * size
+        peers = names[:index] + names[index + 1:]
+        self.order_names.extend(peers)
+        self.order_gids.extend(view.gids[:index])
+        self.order_gids.extend(view.gids[index + 1:])
+        self.present = size
+        return peers
 
 
 class HeartBeatView:

@@ -219,11 +219,30 @@ class TestMicroSuite:
 
 
 class TestCli:
-    def test_bench_update_then_compare_passes(self, tmp_path, capsys):
+    def test_bench_update_then_compare_passes(self, tmp_path, capsys,
+                                              monkeypatch):
+        # What this checks is the plumbing -- ``--update`` writes a baseline
+        # that ``--compare`` reads and accepts at the default tolerance --
+        # so both invocations see the same fixed timings.  Two real
+        # one-repeat timings of a 20 ms loop differ by more than the gate
+        # on a busy host; real timing belongs to the ``perf``-marked suite.
+        from repro.perf import micro
+
+        real_factory = BENCHMARKS["event_churn"]
+
+        def fixed_factory(quick):
+            __, workload = real_factory(quick)
+            return (lambda: (0.05, workload["events"])), workload
+
+        monkeypatch.setitem(BENCHMARKS, "event_churn", fixed_factory)
+        monkeypatch.setattr(micro, "calibrate", lambda repeats=3: 0.05)
         assert main(["bench", "--quick", "--repeats", "1",
                      "--names", "event_churn",
                      "--update", "--dir", str(tmp_path)]) == 0
         assert baseline_path(tmp_path, "event_churn").exists()
+        written = load_baseline(tmp_path, "event_churn")
+        assert (written.wall_seconds, written.calibration_seconds) == (
+            0.05, 0.05)
         assert main(["bench", "--quick", "--repeats", "1",
                      "--names", "event_churn",
                      "--compare", "--dir", str(tmp_path)]) == 0
