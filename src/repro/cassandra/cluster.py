@@ -97,11 +97,6 @@ class ClusterConfig:
     enable_storage: bool = False
     #: Node memory profile for COLO (one process per node).
     memory_profile: NodeMemoryProfile = field(default_factory=NodeMemoryProfile)
-    #: Kernel event-queue implementation: "wheel" (two-tier timer wheel,
-    #: the default) or "heap" (classic binary heap).  Both produce the
-    #: identical event order; the knob exists for the differential
-    #: determinism tests.
-    scheduler: str = "wheel"
 
     @classmethod
     def for_bug(cls, bug_id: str, nodes: int, mode: Mode = Mode.REAL,
@@ -151,7 +146,7 @@ class Cluster:
     ) -> None:
         self.config = config
         self.shared_state = SharedClusterState()
-        self.sim = Simulator(seed=config.seed, scheduler=config.scheduler)
+        self.sim = Simulator(seed=config.seed)
         self.sim.tracer = tracer
         self.tracer = tracer
         self.race_tracker = race_tracker

@@ -96,6 +96,26 @@ def _chaos_scale_check(args: argparse.Namespace) -> ScaleCheck:
     return check
 
 
+class _InputError(Exception):
+    """A user-supplied file is unusable; ``main`` reports it and exits 2."""
+
+
+def _load_schedule(path: Optional[str]) -> Optional[FaultSchedule]:
+    """Load and announce a ``--load-schedule`` file (None when not given)."""
+    if not path:
+        return None
+    try:
+        schedule = FaultSchedule.load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers json.JSONDecodeError; the rest is what
+        # ``FaultSchedule.from_dict`` raises on a wrong-shaped document.
+        raise _InputError(
+            f"cannot load fault schedule {path}: {exc}") from exc
+    print(f"loaded {len(schedule)}-event schedule "
+          f"{schedule.name!r} from {path}")
+    return schedule
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     check = _chaos_scale_check(args)
     population = [node_name(i) for i in range(args.nodes)]
@@ -112,12 +132,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     def flaps_under(schedule: FaultSchedule) -> int:
         return check.run_colo(faults=schedule).flaps
 
-    if args.load_schedule:
-        schedule = FaultSchedule.load(args.load_schedule)
-        print(f"loaded {len(schedule)}-event schedule "
-              f"{schedule.name!r} from {args.load_schedule}")
-    else:
-        schedule = None
+    schedule = _load_schedule(args.load_schedule)
+    if schedule is None:
         best_flaps = -1
         for gen_seed in range(args.chaos_seed, args.chaos_seed + args.tries):
             candidate = generate_schedule(population, gen_seed, config)
@@ -175,11 +191,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         config.bug = dataclasses.replace(config.bug, vnodes=args.vnodes)
     if args.machine_cores is not None:
         config.machine.cores = args.machine_cores
-    schedule = None
-    if args.load_schedule:
-        schedule = FaultSchedule.load(args.load_schedule)
-        print(f"loaded {len(schedule)}-event schedule "
-              f"{schedule.name!r} from {args.load_schedule}")
+    schedule = _load_schedule(args.load_schedule)
     tracer = None if args.no_trace else SpanTracer(max_spans=args.max_spans)
     cluster = Cluster(config, tracer=tracer)
     install_faults(cluster, schedule)
@@ -363,11 +375,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         overrides["observe"] = args.observe
     if overrides:
         params = dataclasses.replace(params, **overrides)
-    faults = None
-    if args.load_schedule:
-        faults = FaultSchedule.load(args.load_schedule)
-        print(f"loaded {len(faults)}-event schedule "
-              f"{faults.name!r} from {args.load_schedule}")
+    faults = _load_schedule(args.load_schedule)
     print(f"driving {spec.users:,} users ({args.preset}, "
           f"{spec.loop} loop) over {args.bug} at {args.nodes} nodes "
           f"(mode {args.mode}, seed {args.seed})...")
@@ -976,7 +984,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -54,7 +54,6 @@ class HdfsConfig:
     report_interval: float = 30.0
     store_data: bool = False          # write blocks to disk (Exalt workloads)
     report_stagger: float = 5.0       # initial block-report spread
-    scheduler: str = "wheel"          # kernel event queue ("wheel" | "heap")
 
 
 class HdfsCluster:
@@ -64,7 +63,7 @@ class HdfsCluster:
                  executor: Optional[CalcExecutor] = None,
                  tracer=None) -> None:
         self.config = config
-        self.sim = Simulator(seed=config.seed, scheduler=config.scheduler)
+        self.sim = Simulator(seed=config.seed)
         self.sim.tracer = tracer
         self.tracer = tracer
         self.network = Network(self.sim, latency=LatencyModel())

@@ -74,22 +74,15 @@ class ClusterCollector:
             reg.counter("net.dropped", reason=reason).set_total(count)
 
     def _mirror_scheduler(self) -> None:
-        """Event-queue counters (two-tier scheduler observability)."""
+        """Event-queue counters: compactions, stored and live entries."""
         sim = getattr(self.cluster, "sim", None)
         events = getattr(sim, "events", None)
         if events is None:
             return
         reg = self.registry
-        scheduler = getattr(sim, "scheduler", "heap")
-        reg.counter("sched.wheel_events", scheduler=scheduler).set_total(
-            getattr(events, "wheel_events", 0))
-        reg.counter("sched.far_events", scheduler=scheduler).set_total(
-            getattr(events, "far_events", 0))
-        reg.counter("sched.compactions", scheduler=scheduler).set_total(
-            getattr(events, "compactions", 0))
-        reg.gauge("sched.storage", scheduler=scheduler).set(
-            events.storage_size())
-        reg.gauge("sched.live", scheduler=scheduler).set(len(events))
+        reg.counter("sched.compactions").set_total(events.compactions)
+        reg.gauge("sched.storage").set(events.storage_size())
+        reg.gauge("sched.live").set(len(events))
 
     def _mirror_cpus(self, cpus) -> None:
         reg = self.registry

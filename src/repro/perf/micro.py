@@ -8,8 +8,8 @@ can never be "beaten" by a run at another.
 
 The suite covers the three hot paths the perf overhaul touched:
 
-* ``event_churn``   -- raw scheduler throughput: schedule/cancel/pop churn
-  through the two-tier timer-wheel queue (no cluster, no protocol);
+* ``event_churn``   -- raw event-queue throughput: schedule/cancel/pop
+  churn through the kernel's queue (no cluster, no protocol);
 * ``gossip_n{64,128,256}`` -- an established c3831 cluster gossiping in
   real mode: the end-to-end events/sec figure the tentpole targets;
 * ``replay_n{128,256}`` -- PIL-infused memoized replay: the paper's
@@ -51,16 +51,16 @@ def _make_event_churn(quick: bool) -> Tuple[_BenchFn, Dict[str, Any]]:
     from ..sim.events import make_queue
 
     n = 20_000 if quick else 200_000
-    workload = {"events": n, "scheduler": "wheel"}
+    workload = {"events": n}
 
     def run() -> Tuple[float, int]:
-        queue = make_queue("wheel")
+        queue = make_queue()
         noop = lambda: None  # noqa: E731 - allocation-free callback
         t0 = time.perf_counter()
         handles = []
-        # Mixed near/far pushes: a spread of short timeouts inside the
-        # wheel horizon plus a tail beyond it, like a real run's mixture
-        # of gossip ticks and long watchdogs.
+        # Mixed near/far pushes: a spread of short timeouts within half a
+        # second plus a tail out to 1.7 s, like a real run's mixture of
+        # gossip ticks and long watchdogs.
         for i in range(n):
             offset = (i % 997) * 0.0005 + (i % 7) * 0.2
             handles.append(queue.push(offset, noop, priority=i % 3 - 1))

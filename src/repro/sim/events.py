@@ -1,32 +1,24 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel (:mod:`repro.sim.kernel`) is a classic calendar-queue simulator:
+The kernel (:mod:`repro.sim.kernel`) is a classic event-queue simulator:
 every state change in a simulated cluster is an :class:`Event` with a virtual
 firing time.  Determinism is load-bearing for this project -- the paper's
 "order determinism" (section 5) requires that a replayed run observes exactly
 the event order of the recorded run -- so ties are broken by an explicit
 ``(time, priority, seq)`` triple and never by object identity or hash order.
 
-Two interchangeable schedulers implement the same "pop the minimum live
-key" contract:
-
-* :class:`EventQueue` -- the classic binary heap with lazy cancellation;
-* :class:`TimerWheelQueue` -- a two-tier structure: a near-horizon timer
-  wheel for the dominant short timeouts (gossip ticks, network latencies,
-  CPU completions) plus a far-event heap for everything beyond the wheel
-  horizon.
-
-Because the ``(time, priority, seq)`` keys are unique and totally ordered,
-any correct min-key queue yields the identical pop sequence for identical
-push/cancel sequences -- which is exactly what the differential determinism
-tests assert (byte-identical run reports under either scheduler).
+There is one queue, :class:`EventQueue`: a binary heap with lazy
+cancellation and compaction.  Because the ``(time, priority, seq)`` keys
+are unique and totally ordered, the pop sequence is a function of the
+push/cancel sequence alone, not of the data structure.
+``tests/fixtures/scheduler_golden.json`` pins that order as an independent
+implementation (a two-tier timer wheel, since removed) produced it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -217,248 +209,16 @@ class EventQueue:
         self._cancelled = 0
         self.compactions += 1
 
-    def note_cancelled(self) -> None:
-        """Backwards-compatible no-op.
 
-        :meth:`Event.cancel` now notifies its owning queue directly via the
-        back-reference, so external accounting calls are redundant; the
-        method survives so older call sites and tests keep working.
-        """
+def make_queue() -> EventQueue:
+    """The kernel's event queue.
 
-
-class TimerWheelQueue:
-    """A two-tier scheduler: near-horizon timer wheel + far-event heap.
-
-    The wheel covers ``nslots * granularity`` seconds of virtual time ahead
-    of the cursor.  Events inside the horizon go to an unsorted per-slot
-    bucket (O(1) push) that is sorted once when its slot is drained; events
-    beyond the horizon go to a conventional heap and are *never* migrated
-    -- every pop simply compares the earliest wheel entry against the far
-    heap's top and takes the smaller ``(time, priority, seq)`` key.
-
-    Order-determinism argument (see DESIGN.md): slot index ``int(t /
-    granularity)`` is monotone non-decreasing in ``t`` (IEEE division by a
-    fixed positive constant is monotone, truncation is monotone), so
-    entries in an earlier slot always carry smaller keys than entries in a
-    later slot; within a slot the batch sort orders by the exact key; and
-    pushes landing in the already-draining slot are inserted (by key) into
-    the undrained suffix of the current batch.  Together with the far-heap
-    comparison on every pop, the queue pops exactly the minimum live key --
-    the same contract as :class:`EventQueue`, hence byte-identical event
-    orders.
+    The one construction point: the simulator and the ``event_churn``
+    micro-benchmark call it, and outside-in profilers wrap
+    ``type(make_queue())`` to find the class that serves ``push`` and
+    ``pop_due``.
     """
-
-    def __init__(self, granularity: float = 0.001, nslots: int = 512) -> None:
-        if granularity <= 0:
-            raise ValueError(f"granularity must be positive: {granularity}")
-        if nslots < 2:
-            raise ValueError(f"need at least 2 slots: {nslots}")
-        self._granularity = granularity
-        self._nslots = nslots
-        self._slots: list = [[] for _ in range(nslots)]
-        #: Absolute slot index currently being drained.
-        self._cursor = 0
-        #: Sorted batch of the cursor slot; entries before ``_pos`` fired.
-        self._current: list = []
-        self._pos = 0
-        #: Entries (incl. cancelled) stored in ``_current[_pos:]`` + slots.
-        self._wheel_count = 0
-        #: Heap of events beyond the wheel horizon at push time.
-        self._far: list = []
-        self._counter = itertools.count()
-        self._live = 0
-        self._cancelled = 0
-        # Diagnostics mirrored by the observability collector.
-        self.wheel_events = 0
-        self.far_events = 0
-        self.compactions = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def storage_size(self) -> int:
-        """Number of entries physically stored (live + not-yet-dropped)."""
-        return self._wheel_count + len(self._far)
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_NORMAL,
-        tag: str = "",
-    ) -> Event:
-        """Schedule ``callback`` at virtual ``time`` and return its handle."""
-        seq = next(self._counter)
-        event = Event(time, priority, seq, callback, False, tag, self)
-        idx = int(time / self._granularity)
-        cursor = self._cursor
-        if idx <= cursor:
-            # Due in (or before) the slot being drained -- e.g. a zero-delay
-            # schedule from inside a callback.  Insert into the undrained
-            # suffix; ``lo=_pos`` keeps the fired prefix untouched even when
-            # the new key sorts below an already-fired one (the heap would
-            # likewise pop it next -- the past cannot be unfired).
-            insort(self._current, ((time, priority, seq), event), lo=self._pos)
-            self._wheel_count += 1
-            self.wheel_events += 1
-        elif idx < cursor + self._nslots:
-            self._slots[idx % self._nslots].append(((time, priority, seq), event))
-            self._wheel_count += 1
-            self.wheel_events += 1
-        else:
-            heapq.heappush(self._far, ((time, priority, seq), event))
-            self.far_events += 1
-        self._live += 1
-        return event
-
-    # -- internal: cursor advance -----------------------------------------
-
-    def _advance_current(self) -> bool:
-        """Make ``_current[_pos]`` the earliest live wheel entry.
-
-        Skips cancelled entries and rotates the cursor across slots until a
-        live entry is found.  Returns False when the wheel tier is empty.
-        """
-        cur = self._current
-        pos = self._pos
-        n = len(cur)
-        while True:
-            while pos < n:
-                if cur[pos][1].cancelled:
-                    pos += 1
-                    self._wheel_count -= 1
-                    self._cancelled -= 1
-                else:
-                    self._pos = pos
-                    return True
-            self._pos = pos
-            if self._wheel_count <= 0:
-                self._current = []
-                self._pos = 0
-                return False
-            # Some later slot holds entries; rotate to it.  Bounded by one
-            # lap of the wheel because the horizon guarantee puts anything
-            # farther out in the far heap.
-            while True:
-                self._cursor += 1
-                slot = self._cursor % self._nslots
-                if self._slots[slot]:
-                    break
-            batch = self._slots[slot]
-            self._slots[slot] = []
-            batch.sort()
-            self._current = cur = batch
-            self._pos = pos = 0
-            n = len(cur)
-
-    def _front(self):
-        """(from_far, key, event) of the earliest live entry, or ``None``."""
-        has_wheel = self._advance_current()
-        far = self._far
-        while far and far[0][1].cancelled:
-            heapq.heappop(far)
-            self._cancelled -= 1
-        if has_wheel:
-            wkey, wevent = self._current[self._pos]
-            if far and far[0][0] < wkey:
-                return (True, far[0][0], far[0][1])
-            return (False, wkey, wevent)
-        if far:
-            return (True, far[0][0], far[0][1])
-        return None
-
-    def _remove_front(self, from_far: bool, event: Event) -> None:
-        if from_far:
-            heapq.heappop(self._far)
-            if self._wheel_count == 0:
-                # The wheel is empty, so nothing constrains the cursor:
-                # jump it to the popped event's slot so near-future pushes
-                # land back on the wheel instead of looking "far".
-                idx = int(event.time / self._granularity)
-                if idx > self._cursor:
-                    self._cursor = idx
-        else:
-            self._pos += 1
-            self._wheel_count -= 1
-        self._live -= 1
-        # Detach so a post-pop cancel() cannot perturb the accounting.
-        event.queue = None
-
-    # -- queue contract ----------------------------------------------------
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or ``None`` if empty."""
-        front = self._front()
-        if front is None:
-            return None
-        from_far, __, event = front
-        self._remove_front(from_far, event)
-        return event
-
-    def pop_due(self, limit: float) -> Optional[Event]:
-        """Pop the earliest live event iff it fires at or before ``limit``."""
-        front = self._front()
-        if front is None or front[1][0] > limit:
-            return None
-        from_far, __, event = front
-        self._remove_front(from_far, event)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, if any."""
-        front = self._front()
-        return None if front is None else front[1][0]
-
-    # -- cancellation accounting ------------------------------------------
-
-    def _on_cancel(self, event: Event) -> None:
-        self._live -= 1
-        self._cancelled += 1
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled > self._live):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry from all three tiers in O(n)."""
-        self._far = [entry for entry in self._far if not entry[1].cancelled]
-        heapq.heapify(self._far)
-        slots = self._slots
-        for i, batch in enumerate(slots):
-            if batch:
-                slots[i] = [entry for entry in batch
-                            if not entry[1].cancelled]
-        self._current = [entry for entry in self._current[self._pos:]
-                         if not entry[1].cancelled]
-        self._pos = 0
-        self._cancelled = 0
-        self._wheel_count = (len(self._current)
-                             + sum(len(batch) for batch in slots))
-        self.compactions += 1
-
-    def note_cancelled(self) -> None:
-        """Backwards-compatible no-op (see :meth:`EventQueue.note_cancelled`)."""
-
-
-#: Registered scheduler implementations for :func:`make_queue`.
-SCHEDULERS = ("wheel", "heap")
-
-
-def make_queue(scheduler: str = "wheel"):
-    """Instantiate an event queue by scheduler name.
-
-    ``"wheel"`` (the default) is the two-tier timer wheel; ``"heap"`` is
-    the classic binary heap, kept selectable so the differential
-    determinism tests can A/B the two against each other.
-    """
-    if scheduler == "wheel":
-        return TimerWheelQueue()
-    if scheduler == "heap":
-        return EventQueue()
-    raise ValueError(
-        f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
+    return EventQueue()
 
 
 @dataclass

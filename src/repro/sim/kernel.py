@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
-from .events import Event, EventQueue, Trace, PRIORITY_NORMAL, make_queue
+from .events import Event, Trace, PRIORITY_NORMAL, make_queue
 from .rng import SplittableRng
 
 
@@ -457,18 +457,12 @@ class Simulator:
     strict:
         When true (the default), an exception inside a process propagates
         out of :meth:`run` instead of silently killing the process.
-    scheduler:
-        Event-queue implementation: ``"wheel"`` (default, two-tier timer
-        wheel) or ``"heap"`` (classic binary heap).  Both pop the same
-        total order; the knob exists for the differential determinism
-        tests that prove it.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False, strict: bool = True,
-                 scheduler: str = "wheel") -> None:
+    def __init__(self, seed: int = 0, trace: bool = False,
+                 strict: bool = True) -> None:
         self.now = 0.0
-        self.scheduler = scheduler
-        self.events = make_queue(scheduler)
+        self.events = make_queue()
         self.rng = SplittableRng(seed)
         self.trace = Trace(enabled=trace)
         self.strict = strict

@@ -88,6 +88,8 @@ class SweepCache:
         self.memo_dir = self.root / "memo"
         self.hits = 0
         self.misses = 0
+        #: Misses whose entry existed but was truncated or damaged.
+        self.corrupt = 0
 
     # -- results -------------------------------------------------------------
 
@@ -95,17 +97,25 @@ class SweepCache:
         return self.results_dir / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Stored result payload for ``key``, or None."""
+        """Stored result payload for ``key``, or None.
+
+        An entry that does not decode to an object carrying ``result`` (a
+        half-written or hand-damaged file) is a miss, counted in
+        ``corrupt``: the caller recomputes and :meth:`put` overwrites it.
+        """
         path = self._result_path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        payload = json.loads(path.read_text())
-        if payload.get("schema") != CACHE_SCHEMA:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload["result"]
+        if path.exists():
+            try:
+                payload = json.loads(path.read_text())
+                if payload.get("schema") == CACHE_SCHEMA:
+                    result = payload["result"]
+                    self.hits += 1
+                    return result
+            except (ValueError, AttributeError, KeyError):
+                # undecodable JSON / not an object / no "result"
+                self.corrupt += 1
+        self.misses += 1
+        return None
 
     def put(self, key: str, result: Dict[str, Any],
             point: Optional[Dict[str, Any]] = None) -> None:
@@ -140,5 +150,6 @@ class SweepCache:
         _atomic_write_text(self.memo_dir / f"{identity_key}.digest", digest)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss counters for reports."""
-        return {"hits": self.hits, "misses": self.misses}
+        """Hit/miss counters for reports (``corrupt`` misses included)."""
+        return {"hits": self.hits, "misses": self.misses,
+                "corrupt": self.corrupt}

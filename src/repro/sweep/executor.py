@@ -213,6 +213,8 @@ class SweepSummary:
     wall_seconds: float = 0.0
     workers: int = 1
     cache_dir: str = ""
+    #: ``SweepCache.stats()`` of the result cache at the end of the run.
+    cache_stats: Dict[str, int] = field(default_factory=dict)
     collector: Optional[SweepCollector] = field(default=None, repr=False)
 
     def table(self) -> str:
@@ -437,6 +439,7 @@ def run_sweep(
         wall_seconds=time.perf_counter() - started,
         workers=workers,
         cache_dir=str(cache_dir),
+        cache_stats=cache.stats(),
         collector=collector,
     )
     if tmp is not None:

@@ -109,6 +109,37 @@ def test_chaos_end_to_end_with_loaded_schedule(tmp_path, capsys):
     assert FaultSchedule.load(out_plan).name == "crash-one"
 
 
+_SCHEDULE_VERBS = {
+    "chaos": ["chaos", "--bug", "c3831-fixed", "--nodes", "6",
+              "--warmup", "2", "--observe", "3"],
+    "doctor": ["doctor", "--bug", "c3831-fixed", "--nodes", "6"],
+    "workload": ["workload", "--nodes", "6", "--users", "1000"],
+}
+
+_BAD_SCHEDULES = {
+    "missing": None,
+    "truncated": '{"format": "repro-fault-schedule-v1", "events": [{"kind"',
+    "events-wrong-type": '{"format": "repro-fault-schedule-v1", "events": 5}',
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_BAD_SCHEDULES))
+@pytest.mark.parametrize("verb", sorted(_SCHEDULE_VERBS))
+def test_malformed_load_schedule_is_a_one_line_error(tmp_path, capsys,
+                                                     verb, damage):
+    """An unusable --load-schedule file exits 2 with `error:`, no traceback."""
+    path = tmp_path / "plan.json"
+    if _BAD_SCHEDULES[damage] is not None:
+        path.write_text(_BAD_SCHEDULES[damage])
+    code = main(_SCHEDULE_VERBS[verb] + ["--load-schedule", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        f"error: cannot load fault schedule {path}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_chaos_generates_and_shrinks(capsys):
     code, out = run_cli(
         capsys, "chaos", "--bug", "c3831-fixed", "--nodes", "6",

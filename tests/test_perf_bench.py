@@ -212,8 +212,7 @@ class TestMicroSuite:
         quick = run_benchmark("event_churn", quick=True, repeats=1,
                               calibration_seconds=0.05)
         fake_full = result(name="event_churn",
-                           workload={"events": 200_000, "scheduler": "wheel",
-                                     "quick": False})
+                           workload={"events": 200_000, "quick": False})
         with pytest.raises(ValueError, match="workload changed"):
             compare(quick, fake_full)
 

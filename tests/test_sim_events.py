@@ -41,7 +41,6 @@ def test_cancelled_events_are_skipped():
     keep = queue.push(1.0, lambda: fired.append("keep"))
     drop = queue.push(0.5, lambda: fired.append("drop"))
     drop.cancel()
-    queue.note_cancelled()
     assert len(queue) == 1
     event = queue.pop()
     assert event is keep
@@ -55,7 +54,6 @@ def test_peek_time_skips_cancelled():
     early = queue.push(0.5, lambda: None)
     queue.push(2.0, lambda: None)
     early.cancel()
-    queue.note_cancelled()
     assert queue.peek_time() == 2.0
 
 

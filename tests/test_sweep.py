@@ -51,6 +51,28 @@ def test_warm_sweep_executes_nothing_and_renders_identically(tmp_path):
         assert a.replay == b.replay
 
 
+def test_corrupt_result_entries_are_recomputed_and_counted(tmp_path):
+    """A truncated or damaged result file is a counted miss, not a crash."""
+    spec = small_spec(seeds=[1, 2])
+    cold = run_sweep(spec, cache_dir=tmp_path)
+    assert cold.executed == 4
+    damaged = [cold.results[0], cold.results[3]]
+    assert {r.point.mode for r in damaged} == {"colo", "pil"}
+    paths = [tmp_path / "results" / f"{r.key}.json" for r in damaged]
+    raw = paths[0].read_bytes()
+    paths[0].write_bytes(raw[:len(raw) // 2])
+    paths[1].write_text("[]")
+
+    warm = run_sweep(spec, cache_dir=tmp_path)
+    assert [r.point for r in warm.results if not r.cached] == [
+        r.point for r in damaged]
+    assert warm.cache_stats["corrupt"] == 2
+    assert warm.table() == cold.table()
+
+    again = run_sweep(spec, cache_dir=tmp_path)     # put() overwrote them
+    assert again.executed == 0 and again.cache_stats["corrupt"] == 0
+
+
 def test_recording_is_shared_across_replay_points(tmp_path):
     """One scenario, many replay knobs: exactly one MemoDB on disk."""
     spec = small_spec(modes=["pil"], seeds=[1, 2])
@@ -147,7 +169,7 @@ def test_cache_miss_then_hit(tmp_path):
     assert cache.get("deadbeef") is None
     cache.put("deadbeef", {"report": {"flaps": 3}}, point={"bug": "c3831"})
     assert cache.get("deadbeef") == {"report": {"flaps": 3}}
-    assert cache.stats() == {"hits": 1, "misses": 1}
+    assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
     assert len(cache) == 1
 
 
