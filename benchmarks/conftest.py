@@ -1,18 +1,11 @@
 """Shared benchmark configuration.
 
 Benchmarks default to the shrunk CI calibration (seconds per panel); set
-``REPRO_FULL=1`` to run at the paper's scales (minutes per panel).  Results
-are cached process-wide so pytest-benchmark's repeated invocations measure
-the harness without re-simulating, while the single genuine run drives the
-shape assertions.
+``REPRO_FULL=1`` to run at the paper's scales (minutes per panel).  Every
+figure and table point resolves through the sweep engine's cache
+(:func:`repro.bench.runner.bench_sweep_cache_dir`), so pytest-benchmark's
+repeated invocations read points back instead of re-simulating them, while
+the single genuine run drives the shape assertions.  The cache lives in a
+temporary directory per session; ``REPRO_SWEEP_CACHE=<dir>`` keeps it
+across sessions.
 """
-
-import pytest
-
-from repro.bench.runner import CACHE
-
-
-@pytest.fixture(scope="session", autouse=True)
-def clear_experiment_cache_at_start():
-    CACHE.clear()
-    yield

@@ -17,7 +17,7 @@ import dataclasses
 import pytest
 
 from repro.bench import calibrate
-from repro.bench.runner import CACHE, make_check
+from repro.bench.runner import make_check
 from repro.cassandra.metrics import accuracy_error
 from repro.core.colocation import (
     ColocationAnalyzer,
@@ -33,7 +33,7 @@ BUG = "c3831"
 @pytest.fixture(scope="module")
 def pipeline():
     check = make_check(BUG, calibrate.figure3_scales()[-1])
-    return check, CACHE.pipeline(check), CACHE.report(check, "real")
+    return check, check.check(), check.run_real()
 
 
 def test_in_situ_durations_beat_static_misprediction(benchmark, pipeline):

@@ -52,6 +52,6 @@ def test_duration_report(benchmark, table, capsys):
                               rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + text)
-        from repro.bench.tables import bench_sweep_cache_dir
+        from repro.bench.runner import bench_sweep_cache_dir
         print(f"(scales: {calibrate.figure3_scales()}, "
               f"sweep cache: {bench_sweep_cache_dir()})")

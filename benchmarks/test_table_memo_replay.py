@@ -86,6 +86,6 @@ def test_memo_replay_report(benchmark, table, capsys):
                               rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + text)
-        from repro.bench.tables import bench_sweep_cache_dir
+        from repro.bench.runner import bench_sweep_cache_dir
         print(f"(top scale: {calibrate.figure3_scales()[-1]}, "
               f"sweep cache: {bench_sweep_cache_dir()})")

@@ -108,10 +108,11 @@ def exalt_blind_spot(
 ) -> ExaltBlindSpot:
     """Quantify the 47%-of-bugs gap on one CPU-bound Cassandra bug.
 
-    ``runner(bug_id, nodes, mode)`` supplies cached experiment points
-    (:func:`repro.bench.runner.run_point`).  The membership protocols move
-    no user data, so Exalt's data-space emulation has nothing to emulate:
-    its colocated run *is* the basic-colocation run.
+    ``runner(bug_id, nodes, mode)`` supplies experiment points
+    (:func:`repro.bench.runner.run_point`, served from the sweep cache).
+    The membership protocols move no user data, so Exalt's data-space
+    emulation has nothing to emulate: its colocated run *is* the
+    basic-colocation run.
     """
     real = runner(bug_id, nodes, "real")
     colo = runner(bug_id, nodes, "colo")

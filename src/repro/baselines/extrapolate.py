@@ -98,7 +98,8 @@ def extrapolate_flaps(
     """Train on small real runs, predict the target, compare with reality.
 
     ``runner(bug_id, nodes, mode)`` supplies experiment points (typically
-    :func:`repro.bench.runner.run_point`, so results are cached).
+    :func:`repro.bench.runner.run_point`, which serves them from the sweep
+    cache).
     """
     train_scales = list(train_scales) if train_scales else [4, 6, 8, 10]
     train_flaps = [runner(bug_id, n, "real").flaps for n in train_scales]

@@ -17,24 +17,14 @@ from .figures import (
     figure1_timings,
     render_figure3,
 )
-from .results import (
-    ResultStore,
-    experiment_key,
-    report_from_dict,
-    report_to_dict,
-)
 from .runner import (
-    CACHE,
-    ExperimentCache,
-    PointSpec,
+    bench_sweep_cache_dir,
     figure3_series,
     make_check,
-    memo_replay_costs,
     run_point,
 )
 from .tables import (
     ColocationLimits,
-    bench_sweep_cache_dir,
     bug_study_summary,
     bug_study_table,
     colocation_limits,
@@ -47,14 +37,10 @@ from .tables import (
 )
 
 __all__ = [
-    "CACHE",
     "CI_SCALES",
     "ColocationLimits",
-    "ExperimentCache",
     "Figure1Point",
     "PAPER_SCALES",
-    "PointSpec",
-    "ResultStore",
     "ShapeCheck",
     "bench_sweep_cache_dir",
     "bug_study_summary",
@@ -64,7 +50,6 @@ __all__ = [
     "colocation_limits",
     "duration_table",
     "expected_symptom_scale",
-    "experiment_key",
     "experiment_constants",
     "figure1_timings",
     "figure3_scales",
@@ -72,14 +57,11 @@ __all__ = [
     "finder_table",
     "full_scale",
     "make_check",
-    "memo_replay_costs",
     "memo_replay_table",
     "render_colocation_limits",
     "render_duration_table",
     "render_figure3",
     "render_memo_replay_table",
-    "report_from_dict",
-    "report_to_dict",
     "run_point",
     "scenario_params",
 ]

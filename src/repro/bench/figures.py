@@ -7,8 +7,9 @@ the actual CPU models: N concurrent compute tasks of demand ``t`` run under
 each model and the makespan is measured.
 
 Figure 3's three panels (flaps vs scale for c3831 / c3881 / c5456, three
-lines each) come from :func:`repro.bench.runner.figure3_series`; this module
-adds shape checks and text rendering.
+lines each) come from :func:`repro.bench.runner.figure3_series`, one sweep
+over the panel's grid resolved in the shared sweep cache; this module adds
+shape checks and text rendering.
 """
 
 from __future__ import annotations

@@ -1,72 +1,61 @@
-"""Experiment runner: one call per figure data point, with caching.
+"""Experiment runner: every figure and table point goes through the sweep cache.
 
-pytest-benchmark re-invokes benchmark bodies; simulated runs are expensive
-and deterministic, so results are cached per (bug, nodes, mode, seed,
-params) within the process.  Benches therefore measure the harness cheaply
-while the assertions exercise real results.
+A point is one (bug, nodes, seed, mode) run resolved by the sweep engine
+(:mod:`repro.sweep`) against one content-addressed cache directory, so a
+repeated point -- pytest-benchmark re-invoking a body, a table asking for a
+figure's point -- is read back instead of re-simulated, and the colo and
+pil modes of a scenario share one recording.  ``REPRO_SWEEP_CACHE=<dir>``
+makes that cache persistent across invocations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import os
+import tempfile
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cassandra.metrics import RunReport
 from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
-from ..core.scalecheck import ScaleCheck, ScaleCheckResult
+from ..core.scalecheck import ScaleCheck
 from . import calibrate
 
-
-@dataclass(frozen=True)
-class PointSpec:
-    """Identity of one experiment data point."""
-
-    bug_id: str
-    nodes: int
-    mode: str          # "real" | "colo" | "pil"
-    seed: int = 42
+_TMP_CACHE: Optional[tempfile.TemporaryDirectory] = None
 
 
-class ExperimentCache:
-    """Process-wide memo of completed experiment points."""
+def bench_sweep_cache_dir() -> str:
+    """The sweep-cache directory every figure and table point resolves in.
 
-    def __init__(self) -> None:
-        self._reports: Dict[PointSpec, RunReport] = {}
-        self._pipelines: Dict[Tuple[str, int, int], ScaleCheckResult] = {}
-
-    def clear(self) -> None:
-        """Drop all cached results."""
-        self._reports.clear()
-        self._pipelines.clear()
-
-    # -- pipeline (memoize + replay share one DB) ---------------------------------
-
-    def pipeline(self, check: ScaleCheck) -> ScaleCheckResult:
-        """The (memoize + replay) result for this check, computed once."""
-        key = (check.bug_id, check.nodes, check.seed)
-        if key not in self._pipelines:
-            self._pipelines[key] = check.check()
-        return self._pipelines[key]
-
-    def report(self, check: ScaleCheck, mode: str) -> RunReport:
-        """Build/return the report for this run or mode."""
-        spec = PointSpec(check.bug_id, check.nodes, mode, check.seed)
-        if spec in self._reports:
-            return self._reports[spec]
-        if mode == "real":
-            result = check.run_real()
-        elif mode == "colo":
-            result = self.pipeline(check).memo_report
-        elif mode == "pil":
-            result = self.pipeline(check).replay_report
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        self._reports[spec] = result
-        return self._reports[spec]
+    ``REPRO_SWEEP_CACHE=<path>`` makes it persistent; otherwise one
+    process-wide temporary directory, removed at exit, is shared by every
+    point of the run.
+    """
+    global _TMP_CACHE
+    path = os.environ.get("REPRO_SWEEP_CACHE")
+    if path:
+        return path
+    if _TMP_CACHE is None:
+        _TMP_CACHE = tempfile.TemporaryDirectory(prefix="repro-bench-sweep-")
+    return _TMP_CACHE.name
 
 
-CACHE = ExperimentCache()
+def sweep_points(bug_ids: Sequence[str], scales: Sequence[int],
+                 modes: Sequence[str], seed: int = 42,
+                 params: Optional[ScenarioParams] = None,
+                 constants: Optional[CostConstants] = None):
+    """Resolve a (bug x scale x mode) grid in the shared sweep cache.
+
+    Returns the :class:`~repro.sweep.SweepSummary`.  ``repro.sweep`` is
+    imported here, not at module level: its executor imports
+    :mod:`repro.bench.calibrate`, so a top-level import would be a cycle.
+    """
+    from ..sweep import SweepSpec, run_sweep
+
+    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
+    spec = SweepSpec(bugs=list(bug_ids), scales=list(scales),
+                     seeds=[seed], modes=list(modes))
+    return run_sweep(spec, workers=workers, cache_dir=bench_sweep_cache_dir(),
+                     params=params, constants=constants)
 
 
 def make_check(
@@ -87,42 +76,13 @@ def make_check(
     )
 
 
-def _result_store():
-    """Optional on-disk store, enabled via ``REPRO_RESULTS=<path>``.
-
-    Paper-scale points take minutes each; persisting summaries lets
-    repeated bench invocations and notebooks skip recomputation.
-    """
-    import os
-
-    path = os.environ.get("REPRO_RESULTS", "")
-    if not path:
-        return None
-    from .results import ResultStore
-
-    global _STORE
-    if _STORE is None or str(_STORE.path) != path:
-        _STORE = ResultStore(path)
-    return _STORE
-
-
-_STORE = None
-
-
 def run_point(bug_id: str, nodes: int, mode: str, seed: int = 42,
               params: Optional[ScenarioParams] = None,
               constants: Optional[CostConstants] = None) -> RunReport:
-    """One cached experiment point (in-process, optionally on-disk)."""
-    check = make_check(bug_id, nodes, seed=seed, params=params,
-                       constants=constants)
-    store = _result_store()
-    if store is None:
-        return CACHE.report(check, mode)
-    from .results import experiment_key
-
-    key = experiment_key(bug_id, nodes, mode, seed, check.params,
-                         check.cost_constants)
-    return store.get_or_run(key, lambda: CACHE.report(check, mode))
+    """One experiment point, served from the sweep cache when present."""
+    summary = sweep_points([bug_id], [nodes], [mode], seed=seed,
+                           params=params, constants=constants)
+    return RunReport.from_dict(summary.results[0].report)
 
 
 def figure3_series(
@@ -133,42 +93,4 @@ def figure3_series(
 ) -> Dict[str, Dict[int, int]]:
     """One Figure 3 panel: flap counts per mode per scale."""
     scales = scales if scales is not None else calibrate.figure3_scales()
-    series: Dict[str, Dict[int, int]] = {mode: {} for mode in modes}
-    for nodes in scales:
-        for mode in modes:
-            series[mode][nodes] = run_point(bug_id, nodes, mode, seed=seed).flaps
-    return series
-
-
-def memo_replay_costs(bug_id: str, nodes: int, seed: int = 42
-                      ) -> Dict[str, float]:
-    """Section 8's memoization-vs-replay cost comparison for one bug.
-
-    The paper compares run durations: the one-time memoization run under
-    basic colocation is slow (7-125 min at 256 nodes) while each PIL
-    replay is fast and "similar to the real deployments" (4-15 min).  The
-    DES analogue is the *protocol completion time* in virtual seconds
-    (``protocol_*``): how long the membership operation took to fully
-    settle cluster-wide under each mode.  Host wall-clock of each stage
-    and recorded-duration statistics ride along.
-    """
-    check = make_check(bug_id, nodes, seed=seed)
-    result = CACHE.pipeline(check)
-    real = CACHE.report(check, "real")
-    low, high = result.db.duration_range()
-    return {
-        "memo_wall_seconds": result.memo_report.wall_seconds,
-        "replay_wall_seconds": result.replay_report.wall_seconds,
-        "speedup": result.speedup(),
-        "protocol_real": real.extra.get("protocol_time", 0.0),
-        "real_converged": real.extra.get("converged", 0.0),
-        "protocol_memo": result.memo_report.extra.get("protocol_time", 0.0),
-        "protocol_replay": result.replay_report.extra.get("protocol_time", 0.0),
-        "memo_converged": result.memo_report.extra.get("converged", 0.0),
-        "replay_converged": result.replay_report.extra.get("converged", 0.0),
-        "distinct_inputs": float(len(result.db)),
-        "samples": float(result.db.total_samples()),
-        "duration_min": low,
-        "duration_max": high,
-        "replay_hit_rate": result.replay.hit_rate,
-    }
+    return sweep_points([bug_id], scales, modes, seed=seed).flap_series()

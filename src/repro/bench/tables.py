@@ -13,8 +13,6 @@ index):
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -29,43 +27,13 @@ from ..core.finder import Finder, FinderReport
 from ..cassandra.pending_ranges import CalculatorVariant
 from ..study import default_study, render_population_table, summarize
 from . import calibrate
-
-# -- shared sweep cache ---------------------------------------------------------------
-#
-# The table generators below run through the sweep engine so every report
-# (and every basic-colocation recording) is computed once per process tree
-# and persisted: two table benchmarks asking for overlapping points share
-# work, and with ``REPRO_SWEEP_CACHE`` set the work survives across
-# invocations entirely.
-
-_BENCH_CACHE_DIR: Optional[str] = None
+from .runner import sweep_points
 
 
-def bench_sweep_cache_dir() -> str:
-    """The benchmarks' shared sweep-cache directory.
-
-    ``REPRO_SWEEP_CACHE=<path>`` makes it persistent; otherwise one
-    process-wide temporary directory is shared by every table in the run.
-    """
-    global _BENCH_CACHE_DIR
-    if _BENCH_CACHE_DIR is None:
-        _BENCH_CACHE_DIR = (os.environ.get("REPRO_SWEEP_CACHE")
-                            or tempfile.mkdtemp(prefix="repro-bench-sweep-"))
-    return _BENCH_CACHE_DIR
-
-
-def _sweep_points(bug_ids: List[str], scales: List[int],
-                  modes: List[str], seed: int = 42):
-    """Resolve a grid through the sweep engine, indexed for table assembly."""
-    from ..sweep import SweepSpec, run_sweep
-
-    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
-    spec = SweepSpec(bugs=list(bug_ids), scales=list(scales),
-                     seeds=[seed], modes=list(modes))
-    summary = run_sweep(spec, workers=workers,
-                        cache_dir=bench_sweep_cache_dir())
+def _indexed_points(bug_ids: List[str], scales: List[int], modes: List[str]):
+    """The grid's results from the shared sweep cache, by (bug, nodes, mode)."""
     return {(r.point.bug_id, r.point.nodes, r.point.mode): r
-            for r in summary.results}
+            for r in sweep_points(bug_ids, scales, modes).results}
 
 
 # -- T-MEMO ---------------------------------------------------------------------------
@@ -81,7 +49,7 @@ def memo_replay_table(bug_ids: Optional[List[str]] = None,
     """
     bug_ids = bug_ids or ["c3831", "c3881", "c5456"]
     nodes = nodes if nodes is not None else calibrate.figure3_scales()[-1]
-    results = _sweep_points(bug_ids, [nodes], ["real", "colo", "pil"])
+    results = _indexed_points(bug_ids, [nodes], ["real", "colo", "pil"])
     table: Dict[str, Dict[str, float]] = {}
     for bug_id in bug_ids:
         real = results[(bug_id, nodes, "real")]
@@ -216,7 +184,7 @@ def duration_table(bug_ids: Optional[List[str]] = None,
     """
     bug_ids = bug_ids or ["c3831", "c3881", "c5456"]
     scales = [nodes] if nodes is not None else calibrate.figure3_scales()
-    results = _sweep_points(bug_ids, scales, ["real"])
+    results = _indexed_points(bug_ids, scales, ["real"])
     rows: Dict[str, Dict[str, float]] = {}
     for bug_id in bug_ids:
         durations: List[float] = []

@@ -42,10 +42,11 @@ Commands map one-to-one onto the library's main entry points:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .bench import calibrate
 from .bench.figures import render_figure3
@@ -100,17 +101,24 @@ class _InputError(Exception):
     """A user-supplied file is unusable; ``main`` reports it and exits 2."""
 
 
+@contextlib.contextmanager
+def _loading(what: str, path) -> Iterator[None]:
+    """Turn a failure to load the user's ``what`` file into an _InputError."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers json.JSONDecodeError; the rest is what the
+        # ``from_dict``/``from_payload`` loaders raise on a wrong-shaped
+        # document.
+        raise _InputError(f"cannot load {what} {path}: {exc}") from exc
+
+
 def _load_schedule(path: Optional[str]) -> Optional[FaultSchedule]:
     """Load and announce a ``--load-schedule`` file (None when not given)."""
     if not path:
         return None
-    try:
+    with _loading("fault schedule", path):
         schedule = FaultSchedule.load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        # ValueError covers json.JSONDecodeError; the rest is what
-        # ``FaultSchedule.from_dict`` raises on a wrong-shaped document.
-        raise _InputError(
-            f"cannot load fault schedule {path}: {exc}") from exc
     print(f"loaded {len(schedule)}-event schedule "
           f"{schedule.name!r} from {path}")
     return schedule
@@ -224,12 +232,18 @@ def _cmd_finder(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import run_lint, to_sarif, write_baseline
+    from .analysis import load_baseline, run_lint, to_sarif, write_baseline
     from .obs import record_lint_findings
 
+    # --write-baseline replaces the file, so a damaged one must not block it;
+    # otherwise refuse a damaged baseline before the analysis runs.
+    baseline = None if args.write_baseline else args.baseline
+    if baseline:
+        with _loading("baseline", baseline):
+            load_baseline(baseline)
     report = run_lint(
         targets=args.targets,
-        baseline_path=args.baseline,
+        baseline_path=baseline,
         with_self_check=args.self_check,
     )
     if args.write_baseline:
@@ -447,7 +461,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compare:
         print()
         for name, result in results.items():
-            baseline = load_baseline(args.dir, name)
+            with _loading("baseline", baseline_path(args.dir, name)):
+                baseline = load_baseline(args.dir, name)
             if baseline is None:
                 print(f"{name:<16} MISSING    no baseline at "
                       f"{baseline_path(args.dir, name)}")

@@ -208,37 +208,6 @@ class ScaleCheck:
         os.replace(tmp, path)
         return result
 
-    def check_cached(
-        self,
-        db_path,
-        enforce_order: bool = False,
-        miss_policy: MissPolicy = MissPolicy.MODEL,
-        faults: Optional[FaultSchedule] = None,
-    ) -> ScaleCheckResult:
-        """The scale-check flow with a persistent recording.
-
-        If ``db_path`` exists the one-time basic-colocation recording is
-        *loaded* instead of re-executed -- the whole point of the sweep
-        engine: every replay worker shares one recording.  Otherwise the
-        recording runs here and is persisted for the next caller.
-        """
-        db_path = Path(db_path)
-        if db_path.exists():
-            db = MemoDB.load(db_path)
-            memo_report = RunReport.from_dict(db.meta["memo_report"])
-            result = ScaleCheckResult(
-                bug_id=self.bug_id, nodes=self.nodes,
-                memo_report=memo_report,
-                replay=ReplayResult(report=memo_report, hits=0, misses=0,
-                                    order_enforced=False),
-                db=db,
-            )
-        else:
-            result = self.memoize_to(db_path, faults=faults)
-        result.replay = self.replay(result.db, enforce_order=enforce_order,
-                                    miss_policy=miss_policy, faults=faults)
-        return result
-
     # -- the whole pipeline ----------------------------------------------------------------
 
     def check(

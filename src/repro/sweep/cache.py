@@ -23,6 +23,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from ..core.memoization import MemoDB
+
 #: Bump when the cached result payload changes incompatibly.
 CACHE_SCHEMA = 1
 
@@ -88,7 +90,8 @@ class SweepCache:
         self.memo_dir = self.root / "memo"
         self.hits = 0
         self.misses = 0
-        #: Misses whose entry existed but was truncated or damaged.
+        #: Result entries and recordings that existed but were truncated or
+        #: damaged (each one recomputed and overwritten).
         self.corrupt = 0
 
     # -- results -------------------------------------------------------------
@@ -145,11 +148,29 @@ class SweepCache:
             return None
         return sidecar.read_text().strip()
 
+    def loadable_memo_digest(self, identity_key: str) -> Optional[str]:
+        """:meth:`memo_digest`, or None when the recording does not load.
+
+        Parses the whole database, so it is asked only before a replay that
+        will load it anyway.  A truncated or damaged recording is treated
+        as absent and counted in ``corrupt``: the caller re-records it and
+        the new file overwrites the old one.
+        """
+        digest = self.memo_digest(identity_key)
+        if digest is not None:
+            try:
+                MemoDB.load(self.memo_path(identity_key))
+            except (ValueError, KeyError, TypeError, AttributeError):
+                # undecodable JSON / wrong-shaped document
+                self.corrupt += 1
+                return None
+        return digest
+
     def record_memo_digest(self, identity_key: str, digest: str) -> None:
         """Write the digest sidecar for a just-persisted recording."""
         _atomic_write_text(self.memo_dir / f"{identity_key}.digest", digest)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss counters for reports (``corrupt`` misses included)."""
+        """Hit/miss counters for reports, plus the ``corrupt`` count."""
         return {"hits": self.hits, "misses": self.misses,
                 "corrupt": self.corrupt}

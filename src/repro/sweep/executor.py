@@ -10,7 +10,7 @@ three cost-avoidance layers, in order:
 2. **shared recordings** -- each (bug, scale, seed, chaos) scenario's
    basic-colocation recording is executed at most once, persisted as a
    MemoDB JSON file, and *reloaded* by every PIL replay worker (and every
-   later sweep) that needs it;
+   later sweep) that needs it; one that no longer loads is re-recorded;
 3. **process-parallel fan-out** -- remaining work is dispatched to a
    ``multiprocessing`` pool, largest scenarios first so the stragglers
    start early.
@@ -325,28 +325,39 @@ def run_sweep(
     memo_built = 0
     memo_reused = 0
 
-    # -- wave 0: serve real/colo points straight from the result cache ---------
+    # -- wave 0: serve points straight from the result cache ------------------
+    # A pil point's key needs its recording's digest; with no recording yet
+    # it waits for wave 2.  Keys that missed here are not looked up again.
+    missed: Dict[SweepPoint, str] = {}
     for point in points:
-        if point.mode not in ("real", "colo") or force:
+        digest = (cache.memo_digest(identity_for(point))
+                  if point.mode == "pil" else "")
+        if force or digest is None:
             continue
-        key = key_for(point)
+        key = key_for(point, memo_digest=digest)
         payload = cache.get(key)
-        if payload is not None:
+        if payload is None:
+            missed[point] = key
+        else:
             resolved[point] = PointResult.from_payload(point, key, payload,
                                                        cached=True)
 
     # -- wave 1: recording jobs (colo runs double as MemoDB producers) ---------
+    # An unresolved pil point will replay its recording, so that recording
+    # must load: a damaged one is re-recorded like a missing one.
     recording_jobs: Dict[str, Dict[str, Any]] = {}
     for point in points:
         if point in resolved or point.workload is not None:
             continue  # workload points never record or replay a MemoDB
         identity = identity_for(point)
+        if identity in recording_jobs:
+            continue
         needs_recording = (
             point.mode == "colo"
             or (point.mode == "pil"
-                and (force or cache.memo_digest(identity) is None))
+                and (force or cache.loadable_memo_digest(identity) is None))
         )
-        if needs_recording and identity not in recording_jobs:
+        if needs_recording:
             memo_point = SweepPoint.from_dict(
                 dict(point.to_dict(), mode="colo", enforce_order=False))
             job = base_payload(memo_point, "memo", key_for(memo_point))
@@ -396,7 +407,7 @@ def run_sweep(
             if digest is None:  # pragma: no cover - wave 1 guarantees it
                 raise RuntimeError(f"recording missing for {point.label()}")
             key = key_for(point, memo_digest=digest)
-            if not force:
+            if not force and missed.get(point) != key:
                 payload = cache.get(key)
                 if payload is not None:
                     resolved[point] = PointResult.from_payload(

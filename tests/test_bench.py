@@ -4,13 +4,14 @@ import pytest
 
 from repro.bench import calibrate
 from repro.bench.figures import figure1_timings
-from repro.bench.runner import CACHE, ExperimentCache, make_check, run_point
+from repro.bench.runner import make_check, run_point
 from repro.cassandra.pending_ranges import (
     CalculatorVariant,
     CostConstants,
     calc_cost,
 )
 from repro.cassandra.workloads import ScenarioParams
+from repro.sweep import executor
 
 FAST = ScenarioParams(warmup=8.0, observe=25.0, leaving_duration=6.0,
                       join_duration=6.0, join_stagger=1.0)
@@ -54,35 +55,51 @@ class TestCalibration:
         assert calibrate.expected_symptom_scale("c3881") == 24
 
 
+@pytest.fixture
+def executed_jobs(tmp_path, monkeypatch):
+    """Kinds of the sweep jobs run_point executes, in a fresh sweep cache."""
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
+    kinds = []
+    execute = executor._execute_job
+
+    def counting(payload):
+        kinds.append(payload["kind"])
+        return execute(payload)
+
+    monkeypatch.setattr(executor, "_execute_job", counting)
+    return kinds
+
+
 class TestRunnerCache:
-    def test_same_point_not_recomputed(self):
-        cache = ExperimentCache()
-        check = make_check("c3831-fixed", 6, seed=3, params=FAST)
-        first = cache.report(check, "real")
-        second = cache.report(check, "real")
-        assert first is second
+    def test_same_point_not_recomputed(self, executed_jobs):
+        first = run_point("c3831-fixed", 6, "real", seed=3, params=FAST)
+        second = run_point("c3831-fixed", 6, "real", seed=3, params=FAST)
+        assert executed_jobs == ["real"]
+        assert second.to_dict() == first.to_dict()
 
-    def test_colo_and_pil_share_one_pipeline(self):
-        cache = ExperimentCache()
-        check = make_check("c3831-fixed", 6, seed=3, params=FAST)
-        colo = cache.report(check, "colo")
-        pil = cache.report(check, "pil")
-        result = cache.pipeline(check)
-        assert colo is result.memo_report
-        assert pil is result.replay_report
+    def test_colo_and_pil_share_one_pipeline(self, executed_jobs, tmp_path):
+        run_point("c3831-fixed", 6, "colo", seed=3, params=FAST)
+        run_point("c3831-fixed", 6, "pil", seed=3, params=FAST)
+        assert executed_jobs == ["memo", "replay"]
+        assert len(list((tmp_path / "memo").glob("*.json"))) == 1
 
-    def test_unknown_mode_rejected(self):
-        cache = ExperimentCache()
-        check = make_check("c3831-fixed", 6, seed=3, params=FAST)
+    def test_unknown_mode_rejected(self, executed_jobs):
         with pytest.raises(ValueError):
-            cache.report(check, "warp")
+            run_point("c3831-fixed", 6, "warp", seed=3, params=FAST)
+        assert executed_jobs == []
 
-    def test_run_point_uses_global_cache(self):
-        CACHE.clear()
-        r1 = run_point("c3831-fixed", 6, "real", seed=3, params=FAST)
-        r2 = run_point("c3831-fixed", 6, "real", seed=3, params=FAST)
-        assert r1 is r2
-        CACHE.clear()
+    def test_run_point_uses_global_cache(self, monkeypatch, tmp_path):
+        """A point resolved in the sweep cache equals running ScaleCheck
+        directly, byte for byte."""
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
+        for bug_id in ("c3831", "c5456"):
+            check = make_check(bug_id, 8)
+            result = check.check()
+            direct = {"real": check.run_real(), "colo": result.memo_report,
+                      "pil": result.replay_report}
+            for mode, report in direct.items():
+                served = run_point(bug_id, 8, mode)
+                assert served.canonical_json() == report.canonical_json()
 
 
 class TestFigure1:

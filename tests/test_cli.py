@@ -230,6 +230,33 @@ def test_lint_write_baseline_then_clean(capsys, tmp_path):
     assert "0 finding(s)" in out
 
 
+_BAD_BASELINES = {
+    "truncated": '{"version": 1, "suppressions": [{"fingerprint"',
+    "wrong-shape": "[]",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_BAD_BASELINES))
+@pytest.mark.parametrize("verb", ["bench", "lint"])
+def test_malformed_baseline_is_a_one_line_error(tmp_path, capsys, verb,
+                                                damage):
+    """An unusable baseline exits 2 with `error:`, no traceback."""
+    if verb == "lint":
+        path = tmp_path / "baseline.json"
+        argv = ["lint", "--targets", FIXTURE_PKG, "--baseline", str(path)]
+    else:
+        path = tmp_path / "BENCH_event_churn.json"
+        argv = ["bench", "--quick", "--repeats", "1", "--names",
+                "event_churn", "--compare", "--dir", str(tmp_path)]
+    path.write_text(_BAD_BASELINES[damage])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot load baseline {path}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_lint_self_check_passes_on_shipped_tree(capsys):
     code, out = run_cli(capsys, "lint", "--self-check",
                         "--baseline", REPO_BASELINE)

@@ -1,5 +1,7 @@
 """Tests for the parallel sweep engine, its caches, and the CLI front-end."""
 
+import shutil
+
 import pytest
 
 from repro.cassandra.metrics import RunReport, accuracy_error
@@ -7,7 +9,7 @@ from repro.cli import main
 from repro.core.memoization import MemoDB
 from repro.core.replayer import ReplayResult
 from repro.core.report import render_sweep_summary
-from repro.core.scalecheck import ScaleCheck
+from repro.core.scalecheck import ScaleCheck, ScaleCheckResult
 from repro.obs import SweepCollector
 from repro.sweep import (
     SweepCache,
@@ -70,6 +72,26 @@ def test_corrupt_result_entries_are_recomputed_and_counted(tmp_path):
     assert warm.table() == cold.table()
 
     again = run_sweep(spec, cache_dir=tmp_path)     # put() overwrote them
+    assert again.executed == 0 and again.cache_stats["corrupt"] == 0
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+def test_corrupt_recordings_are_rerecorded_and_counted(tmp_path, damage):
+    """A damaged MemoDB whose digest sidecar survived is re-recorded."""
+    spec = small_spec(modes=["pil"])
+    cold = run_sweep(spec, cache_dir=tmp_path)
+    (db_path,) = (tmp_path / "memo").glob("*.json")
+    raw = db_path.read_text()
+    db_path.write_text(raw[:len(raw) // 2] if damage == "truncated" else "[]")
+    shutil.rmtree(tmp_path / "results")
+
+    warm = run_sweep(spec, cache_dir=tmp_path)
+    assert warm.memo_built == 1 and warm.executed == 1
+    assert warm.cache_stats["corrupt"] == 1
+    assert warm.table() == cold.table()
+    assert db_path.read_text() == raw               # overwritten in place
+
+    again = run_sweep(spec, cache_dir=tmp_path)
     assert again.executed == 0 and again.cache_stats["corrupt"] == 0
 
 
@@ -277,6 +299,10 @@ def test_speedup_guard_on_unknown_memo_cost(tmp_path):
     check = ScaleCheck(bug_id="c3831", nodes=NODES, seed=1)
     db_path = tmp_path / "db.json"
     check.memoize_to(db_path)
-    cached = check.check_cached(db_path)
+    db = MemoDB.load(db_path)
+    cached = ScaleCheckResult(
+        bug_id=check.bug_id, nodes=check.nodes,
+        memo_report=RunReport.from_dict(db.meta["memo_report"]),
+        replay=check.replay(db), db=db)
     assert cached.memo_report.wall_seconds == 0.0
     assert cached.speedup() == 0.0
