@@ -16,6 +16,7 @@ peers (section 2).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -184,12 +185,12 @@ class Gossiper:
         # container's mutation counter / size moves).
         self._live_token = -1
         self._live_sorted: List[str] = []
-        self._noself_token = -1
-        self._noself_sorted: List[str] = []
         self._dead_token = -1
         self._dead_sorted: List[str] = []
         self._esm_len = -1
         self._esm_sorted: List[str] = []
+        self._candidates_key: Tuple[int, int] = (-1, -1)
+        self._candidates = array("q")
         gid = self._shared.gid(node_id)
         self._store.ensure_capacity(gid)
         self._store.insert(node_id, gid, generation, 0,
@@ -247,8 +248,7 @@ class Gossiper:
         """``sorted(live_endpoints)`` cached on the set's mutation counter.
 
         Returns a snapshot list: callers may mutate the set while iterating
-        it (the conviction sweep does), which only schedules a rebuild for
-        the *next* call.
+        it, which only schedules a rebuild for the *next* call.
         """
         live = self.live_endpoints
         token = getattr(live, "mutations", -1)
@@ -294,17 +294,12 @@ class Gossiper:
         self.own_state.heartbeat.beat(self.versions)
         self.own_state.update_timestamp = self._now()
         targets: List[str] = []
-        # Filtering the cached sorted list preserves sorted order, so the
-        # rng.choice draw is identical to the sorted([...]) it replaces;
-        # the filtered view is itself cached on the same mutation token.
-        token = getattr(self.live_endpoints, "mutations", -1)
-        if token >= 0 and token == self._noself_token:
-            live = self._noself_sorted
-        else:
-            live = [e for e in self._sorted_live() if e != self.node_id]
-            if token >= 0:
-                self._noself_token = token
-                self._noself_sorted = live
+        # The cached sorted list is the draw population as it stands: only
+        # a direct writer puts this node in its own live set, and filtering
+        # it out keeps the order, so the rng.choice draw is the same.
+        live = self._sorted_live()
+        if self.node_id in self.live_endpoints:
+            live = [e for e in live if e != self.node_id]
         if live:
             targets.append(self.rng.choice(self._rng_stream, live))
         dead = self._sorted_unreachable()
@@ -417,10 +412,7 @@ class Gossiper:
 
     def _handle_ack(self, payload, src: str) -> int:
         send_states, requests = payload
-        entries = 0
-        for endpoint, blob in send_states.items():
-            entries += blob_entry_count(blob)
-            self._apply_state(endpoint, blob)
+        entries = self._apply_states(send_states)
         reply: Dict[str, tuple] = {}
         for endpoint, newer_than in requests:
             local = self.endpoint_state_map.get(endpoint)
@@ -431,13 +423,52 @@ class Gossiper:
         return entries + len(requests)
 
     def _handle_ack2(self, payload, src: str) -> int:
-        entries = 0
-        for endpoint, blob in payload.items():
-            entries += blob_entry_count(blob)
-            self._apply_state(endpoint, blob)
-        return entries
+        return self._apply_states(payload)
 
     # -- state application -------------------------------------------------------------
+
+    def _apply_states(self, blobs: Dict[str, tuple]) -> int:
+        """Apply one message's state blobs; returns their entry count.
+
+        The steady-state blob -- a newer heartbeat, nothing else, for a
+        known live peer of the same generation -- is applied inline: the
+        same column writes, counter and detector report as
+        :meth:`_apply_state`, whose :meth:`_mark_alive` is a no-op for a
+        peer that is live and not unreachable.  Every other blob goes
+        through :meth:`_apply_state`.  (A wire generation is never the -1
+        of an unknown row, so an equal generation means a known row.)
+        """
+        now = self._now()
+        own_gid = self._own_gid
+        store = self._store
+        registry_get = self._shared.registry.get
+        gen_col = store.generation
+        hb_col = store.hb_version
+        ts_col = store.update_ts
+        digest_cache = store.digest_cache
+        live = self.live_endpoints
+        dead = self.unreachable_endpoints
+        report = self.fd.report
+        entries = len(blobs)    # plus app items below: blob_entry_count
+        for endpoint, blob in blobs.items():
+            generation, hb_version, app_items = blob
+            if not app_items:
+                gid = registry_get(endpoint)
+                if (gid is not None and gid != own_gid
+                        and gid < len(gen_col)
+                        and gen_col[gid] == generation
+                        and hb_version > hb_col[gid]
+                        and endpoint in live and endpoint not in dead):
+                    hb_col[gid] = hb_version
+                    ts_col[gid] = now
+                    digest_cache[gid] = None
+                    self.states_applied += 1
+                    report(endpoint, now)
+                    continue
+            else:
+                entries += len(app_items)
+            self._apply_state(endpoint, blob)
+        return entries
 
     def _apply_state(self, endpoint: str, blob: tuple) -> None:
         if endpoint == self.node_id:
@@ -455,6 +486,7 @@ class Gossiper:
             if restarted:
                 if store.on_access is not None:
                     store.on_access("w")
+                self._candidates_key = (-1, -1)   # the record may drop LEFT
                 store.generation[gid] = generation
                 store.hb_version[gid] = hb_version
                 store.update_ts[gid] = now
@@ -476,6 +508,7 @@ class Gossiper:
             return
         if generation < local_generation:
             return  # stale incarnation
+        # _apply_states inlines this branch for live peers; keep both alike.
         if hb_version > store.hb_version[gid]:
             store.hb_version[gid] = hb_version
             store.update_ts[gid] = now
@@ -510,6 +543,7 @@ class Gossiper:
 
     def _notify_status(self, endpoint: str, status: str,
                        state: EndpointStateView) -> None:
+        self._candidates_key = (-1, -1)   # see check_convictions
         if status == STATUS_LEFT:
             # departed nodes are no longer gossip targets or conviction subjects
             self.live_endpoints.discard(endpoint)
@@ -540,32 +574,59 @@ class Gossiper:
         keeps firing even while the gossip stage is wedged -- convicting
         peers precisely because the stage has not applied their heartbeats.
         Returns the endpoints convicted this sweep.
+
+        The candidates -- live peers minus this node, minus rows the store
+        does not hold, minus LEFT peers, in sorted-name order -- are cached
+        as one gid array and judged in one :meth:`PhiAccrualFailureDetector.
+        sweep` call.  The cache is rebuilt when the live set's mutation
+        counter or the store's row count moves, after a STATUS change or a
+        restart (either can move a peer across the LEFT filter without
+        touching the live set), and on every sweep when ``live_endpoints``
+        is a plain set.
         """
         now = self._now()
+        candidates = self._conviction_candidates()
+        positions = self.fd.sweep(candidates, now)
+        if not positions:
+            return []
         convicted: List[str] = []
         node_id = self.node_id
+        names = self._shared.names
+        alive_col = self._store.alive
+        for position in positions:
+            gid = candidates[position]
+            endpoint = names[gid]
+            self.live_endpoints.discard(endpoint)
+            self.unreachable_endpoints.add(endpoint)
+            alive_col[gid] = 0
+            self.flaps.record_conviction(now, node_id, endpoint)
+            convicted.append(endpoint)
+        return convicted
+
+    def _conviction_candidates(self) -> array:
+        """The gids :meth:`check_convictions` judges, cached (see there)."""
+        live = self.live_endpoints
         store = self._store
+        key = (getattr(live, "mutations", -1), store.present)
+        if key[0] >= 0 and key == self._candidates_key:
+            return self._candidates
         registry_get = self._shared.registry.get
         gen_col = store.generation
         app_col = store.app
-        alive_col = store.alive
         known = len(gen_col)
-        should_convict = self.fd.should_convict
+        own_gid = self._own_gid
+        candidates = array("q")
+        append = candidates.append
         for endpoint in self._sorted_live():
-            if endpoint == node_id:
-                continue
             gid = registry_get(endpoint)
-            if gid is None or gid >= known or gen_col[gid] < 0:
+            if (gid is None or gid == own_gid or gid >= known
+                    or gen_col[gid] < 0
+                    or app_col[gid].status == STATUS_LEFT):
                 continue
-            if app_col[gid].status == STATUS_LEFT:
-                continue
-            if should_convict(endpoint, now):
-                self.live_endpoints.discard(endpoint)
-                self.unreachable_endpoints.add(endpoint)
-                alive_col[gid] = 0
-                self.flaps.record_conviction(now, node_id, endpoint)
-                convicted.append(endpoint)
-        return convicted
+            append(gid)
+        self._candidates_key = key
+        self._candidates = candidates
+        return candidates
 
     # -- introspection ---------------------------------------------------------------------
 

@@ -173,3 +173,63 @@ def test_property_phi_nonnegative_and_monotonic_in_time(intervals):
     phis = [fd.phi("p", t + delta) for delta in (0.0, 1.0, 5.0, 25.0)]
     assert all(p >= 0 for p in phis)
     assert phis == sorted(phis)
+
+
+#: Registered targets; gids up to ``len(POOL) + 2`` are also swept, so some
+#: lie beyond the detector's columns and some beyond the registry itself.
+POOL = [f"p{i}" for i in range(5)]
+
+
+@given(
+    window_size=st.sampled_from([1, 2, 1000]),
+    # 1e-12 makes the bootstrap interval, and with zero gaps the mean,
+    # fall below the 1e-9 floor.
+    expected_interval=st.sampled_from([1.0, 1e-12]),
+    # A negative threshold convicts even the phi-0.0 unknown rows.
+    threshold=st.sampled_from([DEFAULT_PHI_THRESHOLD, 0.5, -1.0]),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["report", "forget", "probe"]),
+                  st.sampled_from(POOL),
+                  st.one_of(st.just(0.0), st.floats(0.0, 30.0))),
+        max_size=60),
+    gids=st.lists(st.integers(0, len(POOL) + 2), max_size=12),
+    tail=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_sweep_equals_a_should_convict_loop(
+        window_size, expected_interval, threshold, steps, gids, tail):
+    """``sweep`` leaves exactly what one ``should_convict`` per gid would."""
+    shared = SharedClusterState()
+    for name in POOL:
+        shared.gid(name)
+    fused, reference = (
+        PhiAccrualFailureDetector(phi_threshold=threshold,
+                                  window_size=window_size,
+                                  expected_interval=expected_interval,
+                                  shared=shared)
+        for __ in range(2))
+    names = [shared.names[gid] if gid < len(shared.names)
+             else f"unregistered-{gid}" for gid in gids]
+
+    def probe(now):
+        got = fused.sweep(gids, now)
+        want = [position for position, name in enumerate(names)
+                if reference.should_convict(name, now)]
+        assert got == want
+        assert fused.stats.convictions == reference.stats.convictions
+        assert (fused.stats.max_phi_seen.hex()
+                == reference.stats.max_phi_seen.hex())
+
+    now = 0.0
+    for kind, target, gap in steps:
+        now += gap
+        if kind == "probe":
+            probe(now)
+        elif kind == "report":
+            fused.report(target, now)
+            reference.report(target, now)
+        else:
+            fused.forget(target)
+            reference.forget(target)
+    for gap in tail:
+        probe(now + gap)

@@ -10,6 +10,7 @@ from repro.cassandra.state import (
     STATUS_LEFT,
     STATUS_NORMAL,
     TOKENS,
+    blob_entry_count,
 )
 from repro.sim.rng import SplittableRng
 
@@ -223,3 +224,156 @@ def test_status_notification_sees_tokens_from_same_blob():
     a.set_app_state(STATUS, "BOOT")
     bus.exchange("a", "b")          # delta carries TOKENS + STATUS together
     assert ("a", "BOOT", (123, 456)) in seen
+
+
+# -- direct writers against the per-peer reference ------------------------------
+
+
+class PerPeerGossiper(Gossiper):
+    """The reference: one ``should_convict`` per live peer per sweep and
+    one ``_apply_state`` per blob, with no cached candidates."""
+
+    def check_convictions(self):
+        now = self._now()
+        convicted = []
+        for endpoint in sorted(self.live_endpoints):
+            state = self.endpoint_state_map.get(endpoint)
+            if (endpoint == self.node_id or state is None
+                    or state.status() == STATUS_LEFT):
+                continue
+            if self.fd.should_convict(endpoint, now):
+                self.live_endpoints.discard(endpoint)
+                self.unreachable_endpoints.add(endpoint)
+                self._store.alive[self._shared.registry[endpoint]] = 0
+                self.flaps.record_conviction(now, self.node_id, endpoint)
+                convicted.append(endpoint)
+        return convicted
+
+    def _apply_states(self, blobs):
+        for endpoint, blob in blobs.items():
+            self._apply_state(endpoint, blob)
+        return sum(blob_entry_count(blob) for blob in blobs.values())
+
+
+class Twins:
+    """The same observer twice -- the real gossiper and the reference --
+    fed identical blobs and direct writes, compared after every step."""
+
+    def __init__(self):
+        self.clock = 0.0
+        self.subject, self.reference = (
+            cls(node_id="o", generation=1, seeds=[], rng=SplittableRng(1),
+                send=lambda *message: None, now=lambda: self.clock,
+                flaps=FlapCounter())
+            for cls in (Gossiper, PerPeerGossiper))
+        self.convictions = 0
+
+    def both(self, act):
+        act(self.subject)
+        act(self.reference)
+
+    def apply(self, blobs):
+        assert (self.subject._apply_states(blobs)
+                == self.reference._apply_states(blobs))
+        self.check()
+
+    def sweep(self):
+        convicted = self.subject.check_convictions()
+        assert convicted == self.reference.check_convictions()
+        self.convictions += len(convicted)
+        self.check()
+
+    def check(self):
+        subject, reference = self.subject, self.reference
+        assert bytes(subject._store.alive) == bytes(reference._store.alive)
+        assert subject.live_endpoints == reference.live_endpoints
+        assert subject.unreachable_endpoints == reference.unreachable_endpoints
+        assert subject.states_applied == reference.states_applied
+        assert subject.flaps.flaps == reference.flaps.flaps
+        assert subject.flaps.recoveries == reference.flaps.recoveries
+        assert subject.fd.stats == reference.fd.stats
+
+
+def _joined(status=STATUS_NORMAL, generation=1, hb=1):
+    return (generation, hb, ((STATUS, status, hb, None),
+                             (TOKENS, "", hb, (hb,))))
+
+
+def test_direct_writers_match_the_per_peer_reference():
+    """Direct writes to the live set leave the cached conviction candidates
+    and the inline heartbeat apply exactly where the per-peer reference
+    is.  Each write is followed by silence from the peer it concerns, with
+    nothing else touching the live set, until the reference convicts it:
+    a stale candidate list would miss that conviction."""
+    twins = Twins()
+    #: What each peer is sending: [generation, heartbeat].
+    sending = {peer: [1, 1] for peer in ("p0", "p1", "p2", "p3", "p4")}
+    twins.apply({peer: _joined() for peer in sending})
+
+    def tick(silent=()):
+        twins.clock += 1.0
+        blobs = {}
+        for peer, incarnation in sending.items():
+            if peer != silent:
+                incarnation[1] += 1
+                blobs[peer] = (incarnation[0], incarnation[1], ())
+        twins.apply(blobs)
+        twins.sweep()
+
+    def silence(peer):
+        before = twins.convictions
+        for __ in range(30):
+            tick(silent=peer)
+            if twins.convictions > before:
+                break
+        assert peer in twins.subject.unreachable_endpoints
+        for __ in range(2):
+            tick()
+
+    def leave_and_put_back(peer):
+        incarnation = sending.pop(peer)
+        twins.apply({peer: _joined(STATUS_LEFT, hb=incarnation[1] + 1)})
+        twins.both(lambda g: g.live_endpoints.add(peer))
+        tick()
+        return incarnation[1] + 2
+
+    for __ in range(5):
+        tick()
+    # An endpoint enters the live set before the store has its row; the
+    # row (no app states, so no STATUS notification) arrives later and
+    # moves no live-set counter.
+    twins.both(lambda g: g.live_endpoints.add("late"))
+    tick()
+    twins.apply({"late": (1, 1, ())})
+    sending["late"] = [1, 1]
+    silence("late")
+    # A live peer leaves the set and heartbeats back in; another is
+    # discarded and re-added by hand.
+    twins.both(lambda g: g.live_endpoints.discard("p1"))
+    tick()
+    twins.both(lambda g: g.live_endpoints.discard("p2"))
+    twins.sweep()
+    twins.both(lambda g: g.live_endpoints.add("p2"))
+    silence("p2")
+    # A LEFT peer put back by hand stops being LEFT with the live set
+    # untouched: by restarting with no app states, or by a STATUS change
+    # in the same generation.
+    leave_and_put_back("p3")
+    twins.apply({"p3": (2, 1, ())})
+    sending["p3"] = [2, 1]
+    silence("p3")
+    hb = leave_and_put_back("p4")
+    twins.apply({"p4": (1, hb, ((STATUS, STATUS_NORMAL, hb, None),))})
+    sending["p4"] = [1, hb]
+    silence("p4")
+    # A plain set instead of the tracked one, and a convicted peer put
+    # back by hand while it is still unreachable.
+    twins.both(lambda g: setattr(g, "live_endpoints", set(g.live_endpoints)))
+    silence("p0")
+    twins.clock += 30.0
+    twins.sweep()                   # all six peers convicted at once
+    twins.both(lambda g: g.live_endpoints.add("p1"))
+    for __ in range(3):
+        tick()
+    assert twins.subject.unreachable_endpoints == set()
+    assert twins.convictions == twins.subject.flaps.recoveries == 5 + 6
