@@ -7,14 +7,16 @@ namenode's global lock starving heartbeat handling -- and checks:
 
 * the symptom (live datanodes declared dead) surfaces only at scale;
 * false-dead nodes recover once the backlog drains (the flapping shape);
-* the memoize-then-PIL-replay pipeline applies unchanged and tracks the
-  real-scale run.
+* the one scale-check pipeline (``ScaleCheck(HDFS_BUG_ID, ...)``) runs
+  memoize-then-PIL-replay on it unchanged and tracks the real-scale run.
 """
 
 import pytest
 
-from repro.hdfs import HdfsCluster, HdfsConfig, HdfsScaleCheck, run_cold_start
 from repro.cassandra.cluster import Mode
+from repro.cassandra.workloads import ScenarioParams
+from repro.core.scalecheck import ScaleCheck
+from repro.hdfs import HDFS_BUG_ID, HdfsCluster, HdfsConfig, run_cold_start
 
 SCALES = [8, 16, 32, 64]
 OBSERVE = 60.0
@@ -51,9 +53,10 @@ def test_hdfs_lock_wait_is_the_mechanism(benchmark, sweep):
 
 
 def test_hdfs_scale_check_pipeline(benchmark):
-    check = HdfsScaleCheck(datanodes=64, observe=OBSERVE, seed=3)
+    check = ScaleCheck(HDFS_BUG_ID, nodes=64, seed=3,
+                       params=ScenarioParams(observe=OBSERVE))
     reports = benchmark.pedantic(check.compare_modes, rounds=1, iterations=1)
-    accuracy = HdfsScaleCheck.accuracy(reports)
+    accuracy = ScaleCheck.accuracy(reports)
     assert reports["real"].flaps > 50
     assert accuracy["pil_error"] < 0.25
     assert accuracy["pil_error"] <= max(accuracy["colo_error"], 0.25)

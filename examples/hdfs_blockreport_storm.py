@@ -8,8 +8,9 @@ datanodes dead.  This script:
 
 1. sweeps cluster sizes to show the symptom surfacing only at scale;
 2. runs the scale-check pipeline (memoize under colocation, PIL replay)
-   against the cold-start storm -- the same machinery used for Cassandra,
-   pointed at a different system (the paper's section 7 goal);
+   against the cold-start storm -- the same ``ScaleCheck`` used for
+   Cassandra, pointed at a different system by its bug id (the paper's
+   section 7 goal);
 3. shows Exalt-style zero-byte data emulation making an I/O-heavy
    colocation fit one host disk.
 
@@ -19,7 +20,9 @@ Run:
 
 from repro.baselines import compare_storage_policies
 from repro.cassandra.cluster import Mode
-from repro.hdfs import HdfsCluster, HdfsConfig, HdfsScaleCheck, run_cold_start
+from repro.cassandra.workloads import ScenarioParams
+from repro.core.scalecheck import ScaleCheck
+from repro.hdfs import HDFS_BUG_ID, HdfsCluster, HdfsConfig, run_cold_start
 from repro.sim.memory import GB, MB
 
 
@@ -35,9 +38,10 @@ def main() -> None:
     print()
 
     print("2) scale-check pipeline at 64 datanodes (memoize -> PIL replay)")
-    check = HdfsScaleCheck(datanodes=64, observe=60.0, seed=3)
+    check = ScaleCheck(HDFS_BUG_ID, nodes=64, seed=3,
+                       params=ScenarioParams(observe=60.0))
     reports = check.compare_modes()
-    accuracy = HdfsScaleCheck.accuracy(reports)
+    accuracy = ScaleCheck.accuracy(reports)
     for mode in ("real", "colo", "pil"):
         report = reports[mode]
         print(f"  {mode:>4}: {report.flaps:4d} false-dead, host CPU "
@@ -46,7 +50,7 @@ def main() -> None:
           f"(colocation: {accuracy['colo_error']:.0%})")
     result = check.check()
     print(f"  memo DB: {len(result.db)} distinct report contents, "
-          f"replay hit rate {result.hit_rate:.0%}")
+          f"replay hit rate {result.replay.hit_rate:.0%}")
     print()
 
     print("3) Exalt data-space emulation (60 datanodes, 64 GB host disk,")

@@ -19,6 +19,7 @@ from typing import List
 from ..cassandra.bugs import get_bug
 from ..cassandra.pending_ranges import CalculatorVariant, CostConstants, calc_cost
 from ..cassandra.workloads import ScenarioParams
+from ..core.target import CASSANDRA, target_for
 
 #: Paper scales (Figure 3 x-axis).
 PAPER_SCALES = [32, 64, 128, 256]
@@ -102,8 +103,12 @@ def ci_cost_constants(bug_id: str, ci_top: int = CI_TOP,
 
 
 def experiment_constants(bug_id: str) -> CostConstants:
-    """The constants a benchmark should use at the current scale setting."""
-    if full_scale():
+    """The constants a benchmark should use at the current scale setting.
+
+    They price Cassandra's calculators only: another target's bug gets the
+    defaults, which it ignores.
+    """
+    if full_scale() or target_for(bug_id) is not CASSANDRA:
         return CostConstants()
     return ci_cost_constants(bug_id)
 

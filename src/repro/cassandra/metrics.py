@@ -10,12 +10,11 @@ used for accuracy comparisons and colocation-bottleneck detection.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from ..canonical import canonical_json, sha256_hex
 from ..obs.doctor import (
     CALC_STAGE_QUEUE,
     CPU_CONTENTION,
@@ -187,12 +186,11 @@ class RunReport:
 
     def canonical_json(self) -> str:
         """Deterministic JSON form (sorted keys, no host-time fields)."""
-        return json.dumps(self.to_dict(canonical=True), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_dict(canonical=True))
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON form (replay-determinism identity)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.canonical_json())
 
     def summary(self) -> str:
         """One-line human-readable summary."""

@@ -39,12 +39,12 @@ byte-determinism the gate's cache reuse depends on.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..canonical import canonical_json, sha256_hex
 from ..core.curves import CurveFit
 
 #: Format tag embedded in serialized reports (bump on incompatible change).
@@ -137,9 +137,7 @@ class ScalingReport:
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form (the report's identity)."""
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256_hex(canonical_json(self.to_json_dict()))
 
     def to_text(self) -> str:
         """Human-readable per-scenario trend table."""

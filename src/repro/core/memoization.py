@@ -13,12 +13,13 @@ database small even though the calculation runs thousands of times.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from ..canonical import canonical_json, sha256_hex
 
 #: Format tag written into serialized databases (bump on incompatible change).
 MEMO_FORMAT = "repro-memo-db-v1"
@@ -209,8 +210,7 @@ class MemoDB:
 
     def canonical_json(self) -> str:
         """Deterministic JSON form (sorted keys, compact separators)."""
-        return json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_payload())
 
     def digest(self) -> str:
         """SHA-256 of the canonical form: the database's content identity.
@@ -220,7 +220,7 @@ class MemoDB:
         result cache folds this into every PIL point's key so a replay
         result is never reused against a recording it did not come from.
         """
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.canonical_json())
 
     def save(self, path) -> None:
         """Serialize to JSON (records, message order, metadata, conflicts)."""

@@ -17,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..cassandra.cluster import Cluster, ClusterConfig, Mode
+from ..cassandra.cluster import Mode
 from ..cassandra.metrics import RunReport
-from ..cassandra.workloads import ScenarioParams, run_workload
+from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
 from ..sim.kernel import Simulator, Timeout
 from ..sim.network import OrderEnforcer
 from .memoization import MemoDB
 from .pil import MissPolicy, PilReplayExecutor
+from .target import CASSANDRA, Target
 
 
 @dataclass
@@ -85,12 +86,16 @@ class ReplayResult:
 
 
 class ReplayHarness:
-    """Runs PIL-infused replays of a recorded scenario."""
+    """Runs PIL-infused replays of a recorded scenario.
+
+    ``config`` is a PIL-mode config of ``target``'s system (a Cassandra
+    :class:`~repro.cassandra.cluster.ClusterConfig` by default).
+    """
 
     def __init__(
         self,
         db: MemoDB,
-        config: ClusterConfig,
+        config,
         params: Optional[ScenarioParams] = None,
         miss_policy: MissPolicy = MissPolicy.MODEL,
         enforce_order: bool = False,
@@ -98,11 +103,13 @@ class ReplayHarness:
         faults: Optional[FaultSchedule] = None,
         tracer=None,
         lru_size: int = 256,
+        target: Target = CASSANDRA,
     ) -> None:
         if config.mode is not Mode.PIL:
             raise ValueError("replay requires a PIL-mode cluster config")
         self.db = db
         self.config = config
+        self.target = target
         self.params = params or ScenarioParams()
         self.miss_policy = miss_policy
         self.enforce_order = enforce_order
@@ -129,18 +136,21 @@ class ReplayHarness:
 
     def replay(self) -> ReplayResult:
         """Run one PIL-infused replay and return the result."""
+        target = self.target
         enforcer = OrderEnforcer(self.db.message_order) if self.enforce_order else None
-        cluster = Cluster(self.config, order_enforcer=enforcer,
-                          tracer=self.tracer)
+        cluster = target.cluster(self.config, order_enforcer=enforcer,
+                                 tracer=self.tracer)
         executor = PilReplayExecutor(self.db, cluster.sim,
                                      miss_policy=self.miss_policy,
+                                     func_id=target.func_id,
+                                     deserialize=target.deserialize,
                                      lru_size=self.lru_size)
         cluster.executor = executor
         install_faults(cluster, self.faults)
         if enforcer is not None:
             cluster.sim.spawn(self._watchdog(cluster.sim, enforcer),
                               name="order-watchdog")
-        report = run_workload(cluster, self.config.bug.workload, self.params)
+        report = target.run(cluster, self.params)
         stats = executor.stats()
         return ReplayResult(
             report=report,

@@ -15,31 +15,35 @@ scenario:
 For the paper's accuracy evaluation (Figure 3), :meth:`ScaleCheck.run_real`
 and :meth:`ScaleCheck.run_colo` produce the "Real" and "Colo" baselines and
 :meth:`ScaleCheck.compare_modes` yields all three series in one call.
+
+Every method goes through the :class:`~repro.core.target.Target` the bug id
+selects, so the same pipeline checks Cassandra's bugs and the HDFS
+block-report storm (``ScaleCheck(HDFS_BUG_ID, ...)``, the paper's section 7).
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .. import annotations as _annotations
 from ..cassandra import legacy_calc
 from ..cassandra.bugs import BugConfig, get_bug
-from ..cassandra.cluster import Cluster, ClusterConfig, MachineSpec, Mode
+from ..cassandra.cluster import MachineSpec, Mode
 from ..cassandra.gossip import GossipConfig
 from ..cassandra.metrics import RunReport, accuracy_error
-from ..cassandra.node import NodeCosts
+from ..cassandra.node import CalcExecutor, NodeCosts
 from ..cassandra.pending_ranges import CostConstants
-from ..cassandra.workloads import ScenarioParams, run_workload
+from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
 from .finder import Finder, FinderReport
 from .memoization import MemoDB
-from .pil import CALC_FUNC_ID, MemoizingExecutor, MissPolicy
+from .pil import MemoizingExecutor, MissPolicy
 from .replayer import ReplayHarness, ReplayResult
+from .target import Target, target_for
 
 
 @dataclass
@@ -73,7 +77,11 @@ class ScaleCheckResult:
 
 @dataclass
 class ScaleCheck:
-    """One scale-check scenario: a bug, a cluster size, and timing knobs."""
+    """One scale-check scenario: a bug, a cluster size, and timing knobs.
+
+    The Cassandra-only knobs (``cost_constants``, ``costs``, ``gossip``,
+    ``rf``) are ignored by other targets.
+    """
 
     bug_id: str
     nodes: int
@@ -86,30 +94,38 @@ class ScaleCheck:
     rf: int = 3
     memo_noise_sigma: float = 0.02
     #: Optional vnode-count override (affordability: large-N sweeps shrink
-    #: the per-node token population the way ``repro doctor --vnodes`` does).
+    #: the per-node token population the way ``repro doctor --vnodes`` does;
+    #: blocks per datanode on HDFS).
     vnodes: Optional[int] = None
 
     @property
+    def target(self) -> Target:
+        """The target system the bug id selects."""
+        return target_for(self.bug_id)
+
+    @property
     def bug(self) -> BugConfig:
-        """The bug configuration under check (vnodes override applied)."""
+        """The Cassandra bug configuration under check (vnodes override
+        applied)."""
         bug = get_bug(self.bug_id)
         if self.vnodes is not None:
             bug = dataclasses.replace(bug, vnodes=self.vnodes)
         return bug
 
-    def config(self, mode: Mode) -> ClusterConfig:
-        """Cluster configuration for the given mode."""
-        return ClusterConfig(
-            bug=self.bug,
-            nodes=self.nodes,
-            mode=mode,
-            rf=self.rf,
-            seed=self.seed,
-            machine=copy.deepcopy(self.machine),
-            gossip=copy.deepcopy(self.gossip),
-            costs=copy.deepcopy(self.costs),
-            cost_constants=copy.deepcopy(self.cost_constants),
-        )
+    def config(self, mode: Mode):
+        """The target's cluster configuration for the given mode."""
+        return self.target.config(self, mode)
+
+    def _run(self, mode: Mode, faults: Optional[FaultSchedule], tracer=None,
+             executor: Optional[CalcExecutor] = None) -> Tuple[Any, RunReport]:
+        """Build the target's cluster for ``mode`` and run its scenario;
+        returns ``(cluster, report)``."""
+        target = self.target
+        cluster = target.cluster(self.config(mode), tracer=tracer)
+        if executor is not None:
+            cluster.executor = executor
+        install_faults(cluster, faults)
+        return cluster, target.run(cluster, self.params)
 
     # -- step (b): program analysis ---------------------------------------------------
 
@@ -122,16 +138,12 @@ class ScaleCheck:
     def run_real(self, faults: Optional[FaultSchedule] = None,
                  tracer=None) -> RunReport:
         """Real-scale testing: every node on its own (simulated) machine."""
-        cluster = Cluster(self.config(Mode.REAL), tracer=tracer)
-        install_faults(cluster, faults)
-        return run_workload(cluster, self.bug.workload, self.params)
+        return self._run(Mode.REAL, faults, tracer)[1]
 
     def run_colo(self, faults: Optional[FaultSchedule] = None,
                  tracer=None) -> RunReport:
         """Basic colocation: all nodes contend on one machine, no PIL."""
-        cluster = Cluster(self.config(Mode.COLO), tracer=tracer)
-        install_faults(cluster, faults)
-        return run_workload(cluster, self.bug.workload, self.params)
+        return self._run(Mode.COLO, faults, tracer)[1]
 
     # -- steps (c)+(d): memoization under basic colocation -------------------------------
 
@@ -139,16 +151,17 @@ class ScaleCheck:
                 faults: Optional[FaultSchedule] = None) -> ScaleCheckResult:
         """One-time recording run; returns result with replay not yet run."""
         db = db if db is not None else MemoDB()
-        cluster = Cluster(self.config(Mode.COLO))
-        cluster.executor = MemoizingExecutor(db, noise_sigma=self.memo_noise_sigma)
-        install_faults(cluster, faults)
-        report = run_workload(cluster, self.bug.workload, self.params)
+        target = self.target
+        executor = MemoizingExecutor(db, noise_sigma=self.memo_noise_sigma,
+                                     func_id=target.func_id,
+                                     serialize=target.serialize)
+        cluster, report = self._run(Mode.COLO, faults, executor=executor)
         db.record_message_order(cluster.network.delivery_log)
         db.meta.update({
             "bug": self.bug_id,
             "nodes": self.nodes,
             "seed": self.seed,
-            "func_id": CALC_FUNC_ID,
+            "func_id": target.func_id,
             "mode": "colo-memoize",
             "virtual_duration": report.duration,
             # Canonical (host-time-free) form so the recording run's report
@@ -185,6 +198,7 @@ class ScaleCheck:
             miss_policy=miss_policy,
             enforce_order=enforce_order,
             faults=faults,
+            target=self.target,
         )
         return harness.replay()
 

@@ -11,12 +11,12 @@ The JSON form is lossless: ``FaultSchedule.from_json(s.to_json()) == s``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence
 
+from ..canonical import canonical_json, sha256_hex
 from .primitives import Fault, fault_from_dict
 
 #: Format tag written into serialized schedules.
@@ -117,7 +117,7 @@ class FaultSchedule:
         """Deterministic compact JSON (sorted keys, events in time order)."""
         data = self.to_dict()
         data["events"] = [e.to_dict() for e in self.sorted_events()]
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return canonical_json(data)
 
     def digest(self) -> str:
         """SHA-256 content identity of the schedule.
@@ -126,7 +126,7 @@ class FaultSchedule:
         ``hash()``), so sweep workers on different machines agree on the
         cache key of a point that enacts this schedule.
         """
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.canonical_json())
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":

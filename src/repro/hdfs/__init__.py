@@ -4,7 +4,10 @@ HDFS contributes 11 of the study's 38 bugs; this model reproduces their
 shared shape -- O(blocks) work under the namenode's global namesystem lock
 starving heartbeat handling, so live datanodes get declared dead -- and
 serves as the substrate for the Exalt data-space-emulation baseline
-(section 4) and for demonstrating scale-check beyond Cassandra (section 7).
+(section 4) and for demonstrating scale-check beyond Cassandra (section 7):
+:data:`HDFS_TARGET` plugs it into the one pipeline, so
+``ScaleCheck(HDFS_BUG_ID, nodes=..., vnodes=..., params=...)`` memoizes,
+replays, injects faults and sweeps it exactly as it does a Cassandra bug.
 """
 
 from .blocks import (
@@ -16,6 +19,7 @@ from .blocks import (
     synthesize_blocks,
 )
 from .cluster import (
+    HDFS_BUG_ID,
     HdfsCluster,
     HdfsConfig,
     datanode_name,
@@ -32,7 +36,7 @@ from .namenode import (
     REGISTER,
     REPORT_FUNC_ID,
 )
-from .scalecheck import HdfsScaleCheck, HdfsScaleCheckResult
+from .target import HDFS_TARGET
 
 __all__ = [
     "BLOCK_REPORT",
@@ -41,12 +45,12 @@ __all__ = [
     "DataNode",
     "DataNodeCosts",
     "DatanodeDescriptor",
+    "HDFS_BUG_ID",
+    "HDFS_TARGET",
     "HEARTBEAT",
     "HdfsCluster",
     "HdfsConfig",
     "HdfsCosts",
-    "HdfsScaleCheck",
-    "HdfsScaleCheckResult",
     "NameNode",
     "REGISTER",
     "REPORT_FUNC_ID",

@@ -24,9 +24,13 @@ from ..sim.cpu import DedicatedCpu, SharedCpu
 from ..sim.disk import DataEmulationPolicy, Disk
 from ..sim.kernel import Simulator
 from ..sim.memory import GB, MB
-from ..sim.network import LatencyModel, Network
+from ..sim.network import LatencyModel, Network, OrderEnforcer
 from .datanode import DataNode, DataNodeCosts
 from .namenode import HdfsCosts, NameNode
+
+#: The bug id of the block-report storm: every HDFS report carries it, and
+#: it selects the HDFS target wherever a bug id is asked for.
+HDFS_BUG_ID = "hdfs-blockreport"
 
 
 def datanode_name(index: int) -> str:
@@ -57,16 +61,23 @@ class HdfsConfig:
 
 
 class HdfsCluster:
-    """A namenode plus N datanodes under one execution mode."""
+    """A namenode plus N datanodes under one execution mode.
+
+    Offers the seams scale-check uses on a Cassandra cluster: a settable
+    :attr:`executor` (the namenode's block-report processing) and an
+    ``order_enforcer`` for the network.
+    """
 
     def __init__(self, config: HdfsConfig,
                  executor: Optional[CalcExecutor] = None,
+                 order_enforcer: Optional[OrderEnforcer] = None,
                  tracer=None) -> None:
         self.config = config
         self.sim = Simulator(seed=config.seed)
         self.sim.tracer = tracer
         self.tracer = tracer
-        self.network = Network(self.sim, latency=LatencyModel())
+        self.network = Network(self.sim, latency=LatencyModel(),
+                               enforcer=order_enforcer)
         self.flaps = FlapCounter()
         self.calc_records: List[CalcRecord] = []
         self._shared_cpu: Optional[SharedCpu] = None
@@ -84,6 +95,15 @@ class HdfsCluster:
             heartbeat_interval=config.heartbeat_interval,
         )
         self.datanodes: Dict[str, DataNode] = {}
+
+    @property
+    def executor(self) -> CalcExecutor:
+        """The executor block-report processing runs through."""
+        return self.namenode.executor
+
+    @executor.setter
+    def executor(self, executor: CalcExecutor) -> None:
+        self.namenode.executor = executor
 
     # -- placement ------------------------------------------------------------------
 
@@ -223,7 +243,7 @@ class HdfsCluster:
                else self.namenode.cpu)
         report = RunReport(
             mode=self.config.mode.value,
-            bug="hdfs-blockreport",
+            bug=HDFS_BUG_ID,
             nodes=self.config.datanodes,
             vnodes=self.config.blocks_per_datanode,
             duration=self.sim.now,

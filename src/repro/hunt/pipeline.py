@@ -4,13 +4,11 @@ The hunt is a thin composition of subsystems that already exist:
 
 * candidates come from :func:`repro.hunt.candidates.find_candidates`
   (the linter's raw findings);
-* Cassandra probes run through :func:`repro.sweep.executor.run_sweep` --
-  one ``real``-mode grid over the N-ladder plus a top-scale ``colo`` grid
-  -- so results land in (and re-hunts are served from) the same
-  content-addressed cache `repro sweep` uses;
-* the HDFS probe runs the cold-start scenario over its own ladder, cached
-  through the same :class:`~repro.sweep.cache.SweepCache` store under
-  hunt-specific content keys;
+* probes run through :func:`repro.sweep.executor.run_sweep` -- one
+  ``real``-mode grid over the N-ladder plus a top-scale ``colo`` grid --
+  so results land in (and re-hunts are served from) the same
+  content-addressed cache `repro sweep` uses.  The HDFS probe is the same
+  sweep over its own ladder, seed and window, chosen by its bug id;
 * verdicts come from :func:`repro.hunt.confirm.confirm_candidate`.
 """
 
@@ -19,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import __version__
 from ..bench import calibrate
-from ..hdfs.scalecheck import HdfsScaleCheck
-from ..sweep.cache import SweepCache, canonical_json, sha256_hex
+from ..cassandra.workloads import ScenarioParams
+from ..hdfs import HDFS_BUG_ID
 from ..sweep.executor import run_sweep
 from ..sweep.spec import SweepSpec
 from .candidates import find_candidates
@@ -33,6 +30,11 @@ from .report import HuntedCandidate, HuntReport
 #: Default HDFS probe ladder (the block-report symptom needs more
 #: datanodes than the Cassandra CI ladder's top scale).
 DEFAULT_HDFS_SCALES = (8, 16, 32, 64)
+
+#: The HDFS scenario's canonical repro seed and cold-start window (the
+#: HDFS tests pin the same values).
+HDFS_SEED = 3
+HDFS_OBSERVE = 60.0
 
 
 @dataclass
@@ -45,10 +47,6 @@ class HuntConfig:
     scales: Optional[Sequence[int]] = None
     hdfs_scales: Sequence[int] = DEFAULT_HDFS_SCALES
     seed: int = 42
-    #: The HDFS scenario's canonical repro seed/window (the tier-1 HDFS
-    #: test pins the same values).
-    hdfs_seed: int = 3
-    hdfs_observe: float = 60.0
     workers: int = 1
     #: Persistent sweep-cache directory; None sweeps uncached.
     cache_dir: Optional[str] = None
@@ -72,24 +70,27 @@ def _symptom(report: Optional[Dict[str, Any]], kind: str) -> float:
     return float(report.get("flaps", 0))
 
 
-def _sweep_cassandra(
-    bug_ids: Sequence[str], scales: Sequence[int], config: HuntConfig,
+def _sweep(
+    bug_ids: Sequence[str], scales: Sequence[int], seed: int,
+    config: HuntConfig, params: Optional[ScenarioParams] = None,
 ) -> Tuple[Dict[str, Dict[int, Dict[str, Any]]], Dict[str, Dict[str, Any]]]:
-    """Real-mode ladder + top-scale colo for every probed Cassandra bug.
+    """Real-mode ladder + top-scale colo for every bug in ``bug_ids``.
 
-    Returns ``(real_reports[bug][scale], colo_top_reports[bug])``.
+    ``params`` None uses the sweep's calibrated scenario timings.  Returns
+    ``(real_reports[bug][scale], colo_top_reports[bug])``, empty when
+    there is no bug to sweep.
     """
+    if not bug_ids:
+        return {}, {}
     top = scales[-1]
     real_spec = SweepSpec(bugs=list(bug_ids), scales=list(scales),
-                          seeds=[config.seed], modes=["real"],
-                          name="hunt-real")
+                          seeds=[seed], modes=["real"], name="hunt-real")
     colo_spec = SweepSpec(bugs=list(bug_ids), scales=[top],
-                          seeds=[config.seed], modes=["colo"],
-                          name="hunt-colo")
+                          seeds=[seed], modes=["colo"], name="hunt-colo")
     real_summary = run_sweep(real_spec, workers=config.workers,
-                             cache_dir=config.cache_dir)
+                             cache_dir=config.cache_dir, params=params)
     colo_summary = run_sweep(colo_spec, workers=config.workers,
-                             cache_dir=config.cache_dir)
+                             cache_dir=config.cache_dir, params=params)
     real_reports: Dict[str, Dict[int, Dict[str, Any]]] = {}
     for result in real_summary.results:
         real_reports.setdefault(result.point.bug_id, {})[
@@ -99,64 +100,23 @@ def _sweep_cassandra(
     return real_reports, colo_reports
 
 
-def _run_hdfs_ladder(config: HuntConfig) -> Dict[str, Dict[int, Dict[str, Any]]]:
-    """HDFS cold-start reports over the ladder, cached like sweep points.
-
-    Returns ``{"real": {datanodes: report}, "colo": {top: report}}``.
-    """
-    cache = SweepCache(config.cache_dir) if config.cache_dir else None
-    scales = [int(n) for n in config.hdfs_scales]
-
-    def point(datanodes: int, mode: str) -> Dict[str, Any]:
-        key = sha256_hex(canonical_json({
-            "hunt-hdfs": {
-                "datanodes": datanodes,
-                "mode": mode,
-                "seed": config.hdfs_seed,
-                "observe": config.hdfs_observe,
-            },
-            "version": __version__,
-        }))
-        if cache is not None:
-            payload = cache.get(key)
-            if payload is not None:
-                return payload["report"]
-        check = HdfsScaleCheck(datanodes=datanodes, seed=config.hdfs_seed,
-                               observe=config.hdfs_observe)
-        report = (check.run_real() if mode == "real" else check.run_colo())
-        # Canonical form (wall clock zeroed): cached payloads must be
-        # byte-identical to freshly computed ones.
-        data = report.to_dict(canonical=True)
-        if cache is not None:
-            cache.put(key, {"report": data})
-        return data
-
-    return {
-        "real": {n: point(n, "real") for n in scales},
-        "colo": {scales[-1]: point(scales[-1], "colo")},
-    }
-
-
 def run_hunt(config: Optional[HuntConfig] = None) -> HuntReport:
     """The whole pipeline: detect -> sweep -> confirm -> ranked report."""
     config = config or HuntConfig()
     scales = config.resolved_scales()
+    hdfs_scales = [int(n) for n in config.hdfs_scales]
     candidates = find_candidates(config.targets)
 
-    cassandra_bugs = sorted({
-        cand.probe.bug_id for cand in candidates
-        if cand.probe is not None and cand.probe.system == "cassandra"})
-    needs_hdfs = any(cand.probe is not None and cand.probe.system == "hdfs"
-                     for cand in candidates)
-
-    real_reports: Dict[str, Dict[int, Dict[str, Any]]] = {}
-    colo_reports: Dict[str, Dict[str, Any]] = {}
-    if cassandra_bugs:
-        real_reports, colo_reports = _sweep_cassandra(
-            cassandra_bugs, scales, config)
-    hdfs_reports: Dict[str, Dict[int, Dict[str, Any]]] = {}
-    if needs_hdfs:
-        hdfs_reports = _run_hdfs_ladder(config)
+    probed = sorted({cand.probe.bug_id for cand in candidates
+                     if cand.probe is not None})
+    real_reports, colo_reports = _sweep(
+        [bug for bug in probed if bug != HDFS_BUG_ID], scales, config.seed,
+        config)
+    hdfs_real, hdfs_colo = _sweep(
+        [bug for bug in probed if bug == HDFS_BUG_ID], hdfs_scales,
+        HDFS_SEED, config, ScenarioParams(observe=HDFS_OBSERVE))
+    real_reports.update(hdfs_real)
+    colo_reports.update(hdfs_colo)
 
     hunted: List[HuntedCandidate] = []
     for cand in candidates:
@@ -164,19 +124,13 @@ def run_hunt(config: Optional[HuntConfig] = None) -> HuntReport:
             hunted.append(HuntedCandidate(candidate=cand, verdict=NO_PROBE))
             continue
         probe = cand.probe
-        if probe.system == "hdfs":
-            ladder = [int(n) for n in config.hdfs_scales]
-            by_scale = hdfs_reports.get("real", {})
-            colo_top = hdfs_reports.get("colo", {}).get(ladder[-1])
-        else:
-            ladder = scales
-            by_scale = real_reports.get(probe.bug_id, {})
-            colo_top = colo_reports.get(probe.bug_id)
+        ladder = hdfs_scales if probe.bug_id == HDFS_BUG_ID else scales
+        by_scale = real_reports.get(probe.bug_id, {})
         values = [_symptom(by_scale.get(n), probe.symptom) for n in ladder]
         confirmation = confirm_candidate(
             ladder, values,
             real_top_report=by_scale.get(ladder[-1]),
-            colo_top_report=colo_top,
+            colo_top_report=colo_reports.get(probe.bug_id),
             min_symptom=config.min_symptom,
         )
         hunted.append(HuntedCandidate(candidate=cand,
@@ -186,7 +140,7 @@ def run_hunt(config: Optional[HuntConfig] = None) -> HuntReport:
     report = HuntReport(
         targets=list(config.targets),
         scales=scales,
-        hdfs_scales=[int(n) for n in config.hdfs_scales],
+        hdfs_scales=hdfs_scales,
         seed=config.seed,
         candidates=hunted,
     ).finalize()

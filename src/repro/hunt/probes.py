@@ -1,11 +1,12 @@
 """Candidate -> runnable-probe mapping.
 
 A *probe* tells the hunt how to test a static candidate dynamically: which
-registered bug config (or HDFS scenario) exercises the flagged function,
-and which report field carries its symptom.  Candidates without a probe --
-taint echoes of a flagged callee, pure helpers, the legacy differential
-corpus -- are still listed in the report (verdict ``no-probe``) so the
-detect stage's full surface stays visible.
+bug id (a registered Cassandra bug, or :data:`~repro.hdfs.HDFS_BUG_ID` for
+the HDFS model) exercises the flagged function, and which report field
+carries its symptom.  Candidates without a probe -- taint echoes of a
+flagged callee, pure helpers, the legacy differential corpus -- are still
+listed in the report (verdict ``no-probe``) so the detect stage's full
+surface stays visible.
 
 The mapping is deliberately explicit rather than inferred: each entry is
 the hunt's ground-truth statement "this finding is exercised by that
@@ -18,20 +19,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..cassandra.ported_faults import BUG_OF
-
-#: The synthetic bug id the HDFS block-report probe reports under (there is
-#: no Cassandra-style registry entry for it; the scenario *is* the bug).
-HDFS_BUG_ID = "hdfs-blockreport"
+from ..hdfs import HDFS_BUG_ID
 
 
 @dataclass(frozen=True)
 class Probe:
     """How to dynamically exercise one static candidate."""
 
-    #: Registered bug id (``repro.cassandra.bugs``) or :data:`HDFS_BUG_ID`.
+    #: Registered bug id (``repro.cassandra.bugs``) or :data:`HDFS_BUG_ID`;
+    #: the id also selects the system that runs it.
     bug_id: str
-    #: Which model runs it: ``cassandra`` | ``hdfs``.
-    system: str = "cassandra"
     #: Report field carrying the symptom: ``flaps`` counts every false
     #: conviction; ``collateral_flaps`` excludes correct detections of
     #: genuinely crashed nodes (failover probes would otherwise count the
@@ -58,8 +55,7 @@ def _cassandra_probes() -> Dict[Tuple[str, str], Probe]:
         # the ring lock across the calculation.
         ("cassandra.node", "_calc_stage"): Probe("c5456"),
         # HDFS: the block report processed under the namesystem lock.
-        ("hdfs.namenode", "_handle_block_report"):
-            Probe(HDFS_BUG_ID, system="hdfs"),
+        ("hdfs.namenode", "_handle_block_report"): Probe(HDFS_BUG_ID),
     }
     for function, bug_id in BUG_OF.items():
         symptom = "collateral_flaps" if bug_id == "retryamp" else "flaps"

@@ -26,10 +26,10 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Tuple
 
 from ..analysis.interproc import Program
+from ..canonical import canonical_json
 from ..analysis.shared import check_dead_annotations, check_shared_state
 from ..sim.kernel import Acquire, Lock, Simulator, Timeout
 from .instrument import TrackedMap, TrackedSeq
@@ -200,10 +200,6 @@ def _static_findings(source: str, rule: str) -> List[Any]:
 # -- the gate ----------------------------------------------------------------------
 
 
-def _canonical(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _scenario_payload(seed: int) -> Dict[str, Any]:
     """Everything the determinism check compares, canonically."""
     return {
@@ -274,8 +270,8 @@ def self_check(seed: int = 42) -> List[Dict[str, Any]]:
         " live control",
     )
 
-    first = _canonical(_scenario_payload(seed))
-    second = _canonical(_scenario_payload(seed))
+    first = canonical_json(_scenario_payload(seed))
+    second = canonical_json(_scenario_payload(seed))
     record(
         "determinism: planted-scenario reports are byte-identical",
         first == second,

@@ -30,8 +30,9 @@ from ..analysis.shared import (
     check_shared_state,
     harvest_shared_state,
 )
+from ..canonical import canonical_json, sha256_hex
 from ..core.curves import fit_metric_curve
-from ..sweep.cache import SweepCache, canonical_json, sha256_hex
+from ..sweep.cache import SweepCache
 from .instrument import instrument_cluster
 from .report import SanitizeReport
 from .selfcheck import self_check

@@ -17,26 +17,16 @@ Two stores live under one cache directory:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from ..canonical import canonical_json, sha256_hex
 from ..core.memoization import MemoDB
 
 #: Bump when the cached result payload changes incompatibly.
 CACHE_SCHEMA = 1
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_hex(text: str) -> str:
-    """SHA-256 hex digest of a string (process-independent, unlike hash())."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

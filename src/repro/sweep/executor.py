@@ -12,8 +12,9 @@ three cost-avoidance layers, in order:
    MemoDB JSON file, and *reloaded* by every PIL replay worker (and every
    later sweep) that needs it; one that no longer loads is re-recorded;
 3. **process-parallel fan-out** -- remaining work is dispatched to a
-   ``multiprocessing`` pool, largest scenarios first so the stragglers
-   start early.
+   process pool, largest scenarios first so the stragglers start early;
+   a worker that dies fails the sweep with the points it left unfinished
+   instead of hanging it.
 
 Execution happens in two waves: recording jobs first (they produce the
 ``colo`` reports and the MemoDB digests the replay keys need), then
@@ -33,11 +34,12 @@ from typing import Any, Dict, List, Optional
 
 from .. import __version__
 from ..bench import calibrate
-from ..cassandra.cluster import MachineSpec, node_name
+from ..cassandra.cluster import MachineSpec
 from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
 from ..core.memoization import MemoDB
 from ..core.scalecheck import ScaleCheck
+from ..core.target import target_for
 from ..faults.chaos import ChaosConfig, generate_schedule
 from ..faults.schedule import FaultSchedule
 from ..obs.collect import SweepCollector
@@ -52,7 +54,7 @@ def _schedule_for(point: SweepPoint,
     """The point's deterministic chaos schedule (None when fault-free)."""
     if point.chaos_seed is None:
         return None
-    population = [node_name(i) for i in range(point.nodes)]
+    population = target_for(point.bug_id).population(point.nodes)
     config = ChaosConfig(events=point.chaos_events,
                          horizon=params.warmup + params.observe)
     return generate_schedule(population, point.chaos_seed, config)
@@ -139,8 +141,10 @@ def _run_jobs(payloads: List[Dict[str, Any]],
     """Execute job payloads, in-process or across a worker pool.
 
     Jobs are dispatched largest-cluster-first (the N^2-ish points dominate
-    wall time; starting them first keeps the pool busy) with chunksize=1 so
-    two heavyweight jobs never serialize onto one worker by chunking.
+    wall time; starting them first keeps the pool busy), one job per task
+    so two heavyweight jobs never serialize onto one worker.  A worker
+    that dies (killed, out of memory) raises ``RuntimeError`` naming every
+    point left unfinished.
     """
     if not payloads:
         return []
@@ -148,9 +152,23 @@ def _run_jobs(payloads: List[Dict[str, Any]],
                      key=lambda p: p["point"]["nodes"], reverse=True)
     if workers <= 1 or len(ordered) == 1:
         return [_execute_job(p) for p in ordered]
-    ctx = fork_context()
-    with ctx.Pool(processes=min(workers, len(ordered))) as pool:
-        return pool.map(_execute_job, ordered, chunksize=1)
+    # Imported here: the pool machinery adds about 1 MB of resident
+    # modules that in-process sweeps never use.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(ordered)),
+                             mp_context=fork_context()) as pool:
+        futures = [pool.submit(_execute_job, p) for p in ordered]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            unfinished = [SweepPoint.from_dict(p["point"]).label()
+                          for p, future in zip(ordered, futures)
+                          if future.exception() is not None]
+            raise RuntimeError(
+                f"a sweep worker died; unfinished points: "
+                f"{', '.join(unfinished)}") from exc
 
 
 @dataclass

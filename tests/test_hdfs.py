@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cassandra.cluster import Mode
+from repro.cassandra.workloads import ScenarioParams
+from repro.core.scalecheck import ScaleCheck
 from repro.hdfs import (
+    HDFS_BUG_ID,
     BlockReport,
     HdfsCluster,
     HdfsConfig,
-    HdfsScaleCheck,
     datanode_name,
     placement_for_block,
     run_cold_start,
@@ -102,7 +104,7 @@ class TestDecommission:
         cluster = HdfsCluster(small_config())
         report = run_decommission(cluster, victims=1, warmup=15.0,
                                   observe=40.0)
-        assert report.bug == "hdfs-blockreport"
+        assert report.bug == HDFS_BUG_ID
         descriptor = cluster.namenode.datanodes[datanode_name(5)]
         # Synthetic blocks are single-replica and never migrate, so the
         # decommission stays pending and the O(B) scan keeps firing --
@@ -152,13 +154,13 @@ class TestStorage:
 class TestScaleCheckIntegration:
     @pytest.fixture(scope="class")
     def pipeline(self):
-        check = HdfsScaleCheck(datanodes=24, blocks_per_datanode=2000,
-                               observe=40.0, seed=5)
+        check = ScaleCheck(HDFS_BUG_ID, nodes=24, vnodes=2000, seed=5,
+                           params=ScenarioParams(observe=40.0))
         return check, check.compare_modes()
 
     def test_three_modes_agree_below_symptom_scale(self, pipeline):
         check, reports = pipeline
-        accuracy = HdfsScaleCheck.accuracy(reports)
+        accuracy = ScaleCheck.accuracy(reports)
         assert reports["real"].flaps == 0
         assert accuracy["pil_error"] <= max(accuracy["colo_error"], 0.1)
 
@@ -168,8 +170,8 @@ class TestScaleCheckIntegration:
         # One record per datanode (each datanode's report content is
         # unique but repeats across periodic re-reports).
         assert len(result.db) == 24
-        assert result.db.meta["system"] == "hdfs"
-        assert result.hit_rate == 1.0
+        assert result.db.meta["bug"] == HDFS_BUG_ID
+        assert result.replay.hit_rate == 1.0
 
     def test_pil_removes_namenode_compute_from_host(self, pipeline):
         check, reports = pipeline

@@ -200,34 +200,24 @@ class TestPipelineStubbed:
     def stubbed(self, monkeypatch):
         from repro.hunt import pipeline
 
-        def fake_sweep(bug_ids, scales, config):
+        def fake_sweep(bug_ids, scales, seed, config, params=None):
             real, colo = {}, {}
             for bug in bug_ids:
                 buggy = not bug.endswith("-fixed")
+                stage = ("namenode-queue" if bug == HDFS_BUG_ID
+                         else "gossip-stage-queue")
                 real[bug] = {
-                    n: _report(
-                        100 if buggy and n == scales[-1] else 0,
-                        {"gossip-stage-queue": 1.0})
+                    n: _report(100 if buggy and n == scales[-1] else 0,
+                               {stage: 1.0})
                     for n in scales}
                 # retryamp's symptom lives in extra.collateral_flaps.
                 for n in scales:
                     real[bug][n]["extra"] = {
                         "collateral_flaps": float(real[bug][n]["flaps"])}
-                colo[bug] = _report(
-                    140 if buggy else 0, {"gossip-stage-queue": 60.0})
+                colo[bug] = _report(140 if buggy else 0, {stage: 60.0})
             return real, colo
 
-        def fake_hdfs(config):
-            scales = list(config.hdfs_scales)
-            return {
-                "real": {n: _report(90 if n == scales[-1] else 0,
-                                    {"namenode-queue": 1.0})
-                         for n in scales},
-                "colo": {scales[-1]: _report(95, {"namenode-queue": 30.0})},
-            }
-
-        monkeypatch.setattr(pipeline, "_sweep_cassandra", fake_sweep)
-        monkeypatch.setattr(pipeline, "_run_hdfs_ladder", fake_hdfs)
+        monkeypatch.setattr(pipeline, "_sweep", fake_sweep)
 
     def test_full_pipeline_over_stub_dynamics(self, stubbed):
         report = run_hunt(HuntConfig(with_self_check=True))

@@ -1,6 +1,10 @@
 """Tests for the parallel sweep engine, its caches, and the CLI front-end."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.sweep import (
 from repro.sweep.executor import PointResult
 
 NODES = 8
+REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def small_spec(**overrides):
@@ -128,6 +133,40 @@ def test_parallel_workers_match_serial_results(tmp_path):
     parallel = run_sweep(spec, workers=2, cache_dir=tmp_path / "par")
     assert serial.table() == parallel.table()
     assert [r.key for r in serial.results] == [r.key for r in parallel.results]
+
+
+KILLED_WORKER_SCRIPT = """
+import os
+from repro.cassandra.workloads import ScenarioParams
+from repro.sweep import SweepSpec, executor
+
+run_job = executor._execute_job
+
+def job(payload):
+    if payload["point"]["nodes"] == 6:
+        os._exit(1)
+    return run_job(payload)
+
+executor._execute_job = job
+spec = SweepSpec(bugs=["c3831"], scales=[4, 6], modes=["real"])
+try:
+    executor.run_sweep(spec, workers=2,
+                       params=ScenarioParams(warmup=1.0, observe=2.0))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_killed_worker_fails_the_sweep_instead_of_hanging():
+    """A worker that dies mid-point raises, naming the point, in seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "a sweep worker died" in proc.stdout
+    assert "c3831/N=6/s42/real" in proc.stdout
 
 
 def test_ephemeral_cache_dir_still_shares_recordings():
