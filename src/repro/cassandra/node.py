@@ -107,11 +107,12 @@ def estimate_entries(kind: str, payload) -> int:
 class CalcRequest:
     """One pending-range calculation to execute.
 
-    ``output`` is the semantically correct result, resolved eagerly at
-    trigger time (the calculation is a pure function of ring content, so the
-    output is fixed the moment the input is).  Executors decide how much
-    virtual time it costs and which output the node observes (the PIL
-    replayer substitutes the memoized output).
+    ``compute_output`` returns the semantically correct result.  It is
+    lazy: the calculation is a pure function of ring content, so the output
+    is fixed the moment the input is, and an executor that substitutes a
+    memoized output (a PIL replay hit) never runs it.  Executors decide how
+    much virtual time the calculation costs and which output the node
+    observes.
     """
 
     node_id: str
@@ -120,11 +121,17 @@ class CalcRequest:
     demand: float
     changes: int
     time: float
-    output: Dict[str, List[TokenRange]]
+    compute_output: Callable[[], Dict[str, List[TokenRange]]]
 
 
 class CalcExecutor:
-    """Strategy interface for running calculations (the PIL seam)."""
+    """Strategy interface for running calculations (the PIL seam).
+
+    An executor that needs the real output calls
+    ``request.compute_output()`` before its first ``yield``: the input is
+    the ring as it stood at trigger time, and once the generator yields,
+    other processes may move it.
+    """
 
     def execute(self, node: "Node", request: CalcRequest):
         """Generator: yields sim effects; returns ``(output, elapsed)``."""
@@ -136,9 +143,10 @@ class DirectExecutor(CalcExecutor):
 
     def execute(self, node: "Node", request: CalcRequest):
         """Execute."""
+        output = request.compute_output()
         elapsed = yield Compute(node.cpu, request.demand,
                                 tag=f"calc:{node.node_id}")
-        return request.output, elapsed
+        return output, elapsed
 
 
 class SharedOutputCache:
@@ -489,12 +497,12 @@ class Node:
         demand = calc_cost(variant, node_count, token_count, changes,
                            self.cost_constants)
         input_key = pending_ranges_input_key(metadata, self.rf, variant)
-        output = self.output_cache.resolve(
-            input_key, lambda: compute_pending_ranges(metadata, self.rf)
-        )
+        ring_hash = metadata.content_hash
         request = CalcRequest(
             node_id=self.node_id, variant=variant, input_key=input_key,
-            demand=demand, changes=changes, time=self.sim.now, output=output,
+            demand=demand, changes=changes, time=self.sim.now,
+            compute_output=lambda: self._calc_output(metadata, ring_hash,
+                                                     input_key),
         )
         self.calc_invocations += 1
         result = yield from self.executor.execute(self, request)
@@ -505,6 +513,18 @@ class Node:
             input_key=input_key, demand=demand, elapsed=elapsed,
             changes=changes,
         ))
+
+    def _calc_output(self, metadata: TokenMetadata, ring_hash: int,
+                     input_key: str) -> Dict[str, List[TokenRange]]:
+        """The real output of a calculation triggered when ``metadata``
+        hashed to ``ring_hash``: computed once per distinct ring, refused if
+        the ring has moved since (its key would name another input)."""
+        if metadata.content_hash != ring_hash:
+            raise RuntimeError(
+                f"{self.node_id}: calculation output resolved after the ring "
+                f"moved (an executor yielded before resolving it)")
+        return self.output_cache.resolve(
+            input_key, lambda: compute_pending_ranges(metadata, self.rf))
 
     # -- diagnostics ----------------------------------------------------------------------
 

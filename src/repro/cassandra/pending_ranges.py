@@ -22,7 +22,8 @@ This module provides one *semantically correct* computation
 (:class:`CalculatorVariant`, :func:`calc_cost`) that charges each historical
 variant's complexity in virtual time.  The simulator executes the efficient
 code for the output (outputs are identical across variants -- that is what
-made the fixes possible) while the CPU model is charged the variant's cost.
+made the fixes possible) while the CPU model is charged the variant's cost;
+a PIL replay hit substitutes the memoized output and does not execute it.
 Literal naive-loop implementations, used as the program-analysis corpus and
 as differential-test oracles, live in :mod:`repro.cassandra.legacy_calc`.
 """
@@ -33,6 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List
 
 from ..annotations import declare_cost
@@ -47,6 +49,10 @@ from .tokens import TokenRange
 # exact formulas lives in :mod:`repro.analysis.drift`.
 declare_cost("calc_cost", M=1, T=2,
              note="modeled pending-range calculation demand (worst variant)")
+
+#: Sort key for pending ranges: plain tuples compare faster than the
+#: dataclass's generated ``__lt__``.
+_range_bounds = attrgetter("left", "right")
 
 
 def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[TokenRange]]:
@@ -64,6 +70,11 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[T
 
     Pure function of ring content: same input content hash => same output,
     which is exactly the memoizability property PIL relies on.
+
+    One merge pass over the sorted union: each ring keeps a forward pointer
+    to the successor of the current boundary, and a ring's replica walk is
+    redone only when that successor changes.  Every ring token is itself a
+    boundary, so a pointer moves at most one step per boundary.
     """
     if rf <= 0:
         raise ValueError("replication factor must be positive")
@@ -73,20 +84,36 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[T
     future = metadata.future_ring()
     if not future:
         return {}
-    boundaries = sorted(set(current.tokens) | set(future.tokens))
+    current_tokens, future_tokens = current.tokens, future.tokens
+    # Two sorted runs merge in linear time; fromkeys drops shared tokens.
+    boundaries = list(dict.fromkeys(sorted(current_tokens + future_tokens)))
+    n_current, n_future = len(current_tokens), len(future_tokens)
     pending: Dict[str, List[TokenRange]] = {}
-    n = len(boundaries)
-    for i in range(n):
-        token = boundaries[i]
-        left = boundaries[(i - 1) % n] if n > 1 else token
-        rng = TokenRange(left, token)
-        future_replicas = future.natural_endpoints(token, rf)
-        current_replicas = set(current.natural_endpoints(token, rf)) if current else set()
-        for endpoint in future_replicas:
-            if endpoint not in current_replicas:
-                pending.setdefault(endpoint, []).append(rng)
+    ci = fi = 0                  # ring tokens below the boundary
+    future_at = -1               # the pointer value the cached walk is for
+    current_at = -1 if n_current else 0   # an empty ring's walk stays []
+    current_replicas: List[str] = []
+    future_replicas: List[str] = []
+    left = boundaries[-1]        # the first range wraps
+    for token in boundaries:
+        if fi < n_future and future_tokens[fi] < token:
+            fi += 1
+        if fi != future_at:
+            future_at = fi
+            future_replicas = future.replicas_from(fi % n_future, rf)
+        if ci < n_current and current_tokens[ci] < token:
+            ci += 1
+        if ci != current_at:
+            current_at = ci
+            current_replicas = current.replicas_from(ci % n_current, rf)
+        if future_replicas != current_replicas:
+            rng = TokenRange(left, token)
+            for endpoint in future_replicas:
+                if endpoint not in current_replicas:
+                    pending.setdefault(endpoint, []).append(rng)
+        left = token
     for ranges in pending.values():
-        ranges.sort()
+        ranges.sort(key=_range_bounds)
     return pending
 
 

@@ -123,12 +123,21 @@ class Ring:
         ``rf`` *distinct* endpoints starting at the owning token."""
         if not self.tokens:
             return []
+        return self.replicas_from(self.successor_index(token), rf)
+
+    def replicas_from(self, index: int, rf: int) -> List[str]:
+        """The SimpleStrategy walk: the first ``rf`` distinct endpoints
+        clockwise from ring position ``index`` (all of them when the ring
+        holds fewer)."""
+        endpoints = self.endpoints
+        head = endpoints[index:index + rf]
+        if len(set(head)) == rf:       # the common case: no repeat, no wrap
+            return head
+        n = len(endpoints)
         result: List[str] = []
         seen = set()
-        start = self.successor_index(token)
-        n = len(self.tokens)
         for step in range(n):
-            endpoint = self.endpoints[(start + step) % n]
+            endpoint = endpoints[(index + step) % n]
             if endpoint not in seen:
                 seen.add(endpoint)
                 result.append(endpoint)
@@ -150,10 +159,8 @@ class Ring:
 
     def range_to_endpoints(self, rf: int) -> List[Tuple[TokenRange, Tuple[str, ...]]]:
         """Each primary range with its replica set under SimpleStrategy."""
-        out = []
-        for i, rng in enumerate(self.ranges()):
-            out.append((rng, tuple(self.natural_endpoints(self.tokens[i], rf))))
-        return out
+        return [(rng, tuple(self.replicas_from(i, rf)))
+                for i, rng in enumerate(self.ranges())]
 
     def ranges_for_endpoint(self, endpoint: str, rf: int) -> List[TokenRange]:
         """All ranges replicated (not just owned) by ``endpoint``."""

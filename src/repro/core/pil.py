@@ -13,7 +13,8 @@ the node's calculation seam:
   accurate even though memoization ran slow.
 * :class:`PilReplayExecutor` -- used during replay.  Replaces the
   calculation with ``sleep(duration)`` on a :class:`~repro.sim.cpu.PilCpu`
-  (consuming no machine capacity) and substitutes the memoized output.
+  (consuming no machine capacity) and substitutes the memoized output; on
+  a hit the replaced function is not run at all, not even on the host.
 
 Cache-miss policy on replay is configurable: fall back to the analytic cost
 model (default), or execute live.
@@ -52,6 +53,7 @@ class MemoizingExecutor(CalcExecutor):
 
     def execute(self, node, request: CalcRequest):
         """Execute."""
+        output = request.compute_output()
         elapsed = yield Compute(node.cpu, request.demand,
                                 tag=f"memoize:{node.node_id}")
         duration = request.demand
@@ -61,13 +63,13 @@ class MemoizingExecutor(CalcExecutor):
         self.db.put(
             func_id=self.func_id,
             input_key=request.input_key,
-            output=self.serialize(request.output),
+            output=self.serialize(output),
             duration=duration,
             node_id=node.node_id,
             time=request.time,
         )
         self.recorded += 1
-        return request.output, elapsed
+        return output, elapsed
 
     def stats(self) -> Dict[str, float]:
         """Executor statistics for reports."""
@@ -130,15 +132,16 @@ class PilReplayExecutor(CalcExecutor):
                 f"no memo record for {request.input_key} "
                 f"(node {node.node_id} at t={request.time:.2f})"
             )
+        output = request.compute_output()
         if self.miss_policy is MissPolicy.LIVE:
             elapsed = yield Compute(node.cpu, request.demand,
                                     tag=f"pil-miss-live:{node.node_id}")
-            return request.output, elapsed
-        # MissPolicy.MODEL: trust the analytic cost model for the duration,
-        # take the live output (it is available in the simulator for free).
+            return output, elapsed
+        # MissPolicy.MODEL: trust the analytic cost model for the duration
+        # and compute the real output on the host (it costs no virtual time).
         elapsed = yield Compute(self.pil_cpu, request.demand,
                                 tag=f"pil-miss-model:{node.node_id}")
-        return request.output, elapsed
+        return output, elapsed
 
     def stats(self) -> Dict[str, float]:
         """Executor statistics for reports."""

@@ -209,7 +209,7 @@ class NameNode:
             demand=demand,
             changes=len(report),
             time=self.sim.now,
-            output=self._report_outcome(report),
+            compute_output=lambda: self._report_outcome(report),
         )
         result = yield from self.executor.execute(self, request)
         outcome, elapsed = result

@@ -18,6 +18,7 @@ from repro.cassandra.workloads import ScenarioParams
 from repro.core.scalecheck import ScaleCheck
 from repro.faults import FaultSchedule, NodeCrash, NodeRestart
 from repro.hdfs import HDFS_BUG_ID
+from repro.hdfs.namenode import NameNode
 from repro.sweep import SweepPoint, SweepSpec, run_sweep
 from repro.sweep.executor import _schedule_for
 
@@ -63,6 +64,24 @@ def test_hdfs_check_under_faults_is_deterministic():
     # seen again after its restart.
     assert first.memo_report.flaps == first.replay_report.flaps == 1
     assert first.replay_report.recoveries == 1
+
+
+def test_hdfs_replay_hit_processes_no_report(monkeypatch):
+    """As on Cassandra, a replay hit never runs the replaced function."""
+    check = ScaleCheck(HDFS_BUG_ID, nodes=6, vnodes=200, seed=5,
+                       params=ScenarioParams(observe=30.0))
+    db = check.memoize().db
+    calls = []
+    original = NameNode._report_outcome
+
+    def counted(self, report):
+        calls.append(report.datanode)
+        return original(self, report)
+
+    monkeypatch.setattr(NameNode, "_report_outcome", counted)
+    replay = check.replay(db)
+    assert replay.hits > 0
+    assert len(calls) == replay.misses
 
 
 def test_hdfs_chaos_points_draw_datanode_names():

@@ -153,6 +153,35 @@ def test_property_legacy_equals_efficient(n_normal, n_boot, n_leaving,
     assert_equivalent(metadata, rf)
 
 
+#: Tokens from a 32-value space: bootstrap tokens land on normal ones and an
+#: endpoint's tokens sit next to each other, which hashed tokens never do.
+tiny_tokens = st.lists(st.integers(min_value=0, max_value=31),
+                       min_size=1, max_size=4)
+
+
+@given(
+    normal=st.dictionaries(st.sampled_from(["n0", "n1", "n2", "n3"]),
+                           tiny_tokens, max_size=4),
+    boot=st.dictionaries(st.sampled_from(["b0", "b1"]), tiny_tokens,
+                         max_size=2),
+    leaving=st.sets(st.sampled_from(["n0", "n1", "n2", "n3"]), max_size=2),
+    wrap_owner_leaves=st.booleans(),
+    rf=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_legacy_equals_efficient_on_colliding_tokens(
+        normal, boot, leaving, wrap_owner_leaves, rf):
+    """The same differential property on adversarial rings: colliding
+    tokens, an empty current ring (``normal`` may be empty), the owner of
+    the range that wraps the origin leaving, and ``rf`` above the number of
+    distinct endpoints."""
+    metadata = metadata_with(normal, boot, leaving)
+    if wrap_owner_leaves and metadata.token_to_endpoint:
+        lowest = min(metadata.token_to_endpoint)
+        metadata.add_leaving_endpoint(metadata.token_to_endpoint[lowest])
+    assert_equivalent(metadata, rf)
+
+
 # -- cost model ----------------------------------------------------------------------------
 
 

@@ -8,7 +8,9 @@ from repro.cassandra import (
     Mode,
     ScenarioParams,
     run_decommission,
+    run_scale_out,
 )
+from repro.cassandra.node import CalcExecutor
 from repro.core.memoization import MemoDB
 from repro.core.pil import (
     CALC_FUNC_ID,
@@ -17,6 +19,7 @@ from repro.core.pil import (
     PilReplayExecutor,
     ReplayMissError,
 )
+from repro.sim.kernel import Timeout
 
 FAST = ScenarioParams(warmup=10.0, observe=40.0, leaving_duration=8.0)
 
@@ -120,3 +123,40 @@ def test_replay_is_deterministic():
     assert r1.flaps == r2.flaps
     assert r1.messages_sent == r2.messages_sent
     assert len(r1.calc_records) == len(r2.calc_records)
+
+
+class _SlowExecutor(CalcExecutor):
+    """Spends a few virtual seconds per calculation, resolving its output
+    either before (correct) or after (stale) that wait."""
+
+    def __init__(self, resolve_first: bool) -> None:
+        self.resolve_first = resolve_first
+
+    def execute(self, node, request):
+        output = request.compute_output() if self.resolve_first else None
+        yield Timeout(3.0)
+        if not self.resolve_first:
+            output = request.compute_output()
+        return output, 3.0
+
+
+def slow_scale_out(resolve_first: bool):
+    # c5456-fixed clones the ring and releases its lock for the calculation,
+    # so gossip keeps moving the ring while the executor waits.
+    config = ClusterConfig.for_bug("c5456-fixed", nodes=6, mode=Mode.REAL,
+                                   seed=5)
+    cluster = Cluster(config)
+    cluster.executor = _SlowExecutor(resolve_first)
+    return run_scale_out(cluster, ScenarioParams(
+        warmup=5.0, observe=20.0, join_count=3, join_stagger=1.0,
+        join_duration=4.0))
+
+
+def test_output_resolved_after_a_yield_is_refused():
+    with pytest.raises(RuntimeError, match="after the ring moved"):
+        slow_scale_out(resolve_first=False)
+
+
+def test_output_resolved_before_the_first_yield_is_accepted():
+    report = slow_scale_out(resolve_first=True)
+    assert report.calc_records

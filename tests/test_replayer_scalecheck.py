@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cassandra import ClusterConfig, Mode, ScenarioParams
+from repro.cassandra import node as node_module
 from repro.cassandra.metrics import accuracy_error
 from repro.core.memoization import MemoDB
 from repro.core.pil import MissPolicy
@@ -83,6 +84,37 @@ def test_order_enforcement_ablation_changes_release_counts(pipeline):
 def test_scale_check_result_speedup_defined(pipeline):
     __, result = pipeline
     assert result.speedup() > 0
+
+
+def counting(monkeypatch, owner, name):
+    """Count calls to ``owner.name`` for the rest of the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_replay_hit_runs_no_calculation(pipeline, monkeypatch):
+    """Step (f) replaces the function: a hit sleeps and substitutes the
+    memoized output, so only misses run the calculation on the host."""
+    check, result = pipeline
+    calls = counting(monkeypatch, node_module, "compute_pending_ranges")
+    replay = check.replay(result.db)
+    assert replay.hits > 0
+    assert len(calls) == replay.misses
+
+
+def test_replay_miss_still_computes_the_output(pipeline, monkeypatch):
+    check, __ = pipeline
+    calls = counting(monkeypatch, node_module, "compute_pending_ranges")
+    replay = check.replay(MemoDB())    # empty: every lookup misses
+    # One calculation per distinct ring; converged nodes share it.
+    assert 0 < len(calls) <= replay.misses
 
 
 def test_replay_strict_policy_via_scalecheck(pipeline):
