@@ -474,11 +474,7 @@ class Node:
             self.calc_queue.put("recalculate")
 
     def _is_fresh_bootstrap(self) -> bool:
-        survivors = [
-            endpoint for endpoint in self.metadata.token_to_endpoint.values()
-            if endpoint not in self.metadata.leaving_endpoints
-        ]
-        return not survivors and bool(self.metadata.bootstrap_tokens)
+        return self.metadata.is_fresh_bootstrap()
 
     def _run_calculation(self):
         """Execute one pending-range calculation through the executor seam."""
@@ -489,12 +485,8 @@ class Node:
             metadata.set_pending_ranges({})
             return
         variant = self.bug.calculator_for(self._is_fresh_bootstrap())
-        node_count = len(
-            set(metadata.token_to_endpoint.values())
-            | set(metadata.bootstrap_tokens.values())
-        )
         token_count = metadata.token_count() + len(metadata.bootstrap_tokens)
-        demand = calc_cost(variant, node_count, token_count, changes,
+        demand = calc_cost(variant, metadata.node_count(), token_count, changes,
                            self.cost_constants)
         input_key = pending_ranges_input_key(metadata, self.rf, variant)
         ring_hash = metadata.content_hash

@@ -14,11 +14,17 @@ bugs under study:
   "deterministic output on a given input" rule): two nodes whose ring tables
   have converged to the same content produce identical pending ranges, so
   one recorded computation serves the whole cluster.
+
+Membership questions (who owns tokens, who is bootstrapping, is this a fresh
+bootstrap) are answered from per-endpoint token counts kept next to the two
+token maps, in O(endpoints) rather than O(tokens): every node asks them on
+every calculation trigger.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from .tokens import Ring, TokenRange, stable_hash64
 
@@ -31,6 +37,20 @@ def _endpoint_hash(kind: str, endpoint: str) -> int:
     return stable_hash64(f"{kind}:{endpoint}")
 
 
+@lru_cache(maxsize=256)
+def _set_hash(kind: str, endpoint: str, tokens: FrozenSet[int]) -> int:
+    """XOR of :func:`_entry_hash` over ``tokens``, computed once per process.
+
+    Every node learns the same token sets from gossip, so without the memo a
+    cluster of N nodes hashes each set N times.  At 256 vnodes a key holds
+    ~8 kB, so a full memo stays near 2 MB.
+    """
+    value = 0
+    for token in tokens:
+        value ^= _entry_hash(kind, token, endpoint)
+    return value
+
+
 class TokenMetadata:
     """Ring table: normal/bootstrapping/leaving membership state."""
 
@@ -41,6 +61,13 @@ class TokenMetadata:
         #: endpoint -> its pending (incoming) ranges; set by the calculator.
         self.pending_ranges: Dict[str, List[TokenRange]] = {}
         self._content_hash = 0
+        #: endpoint -> number of tokens it owns in ``token_to_endpoint`` /
+        #: ``bootstrap_tokens``; only endpoints owning at least one appear.
+        self._normal_counts: Dict[str, int] = {}
+        self._boot_counts: Dict[str, int] = {}
+        #: True while ``_normal_counts`` is shared with the tables of a bulk
+        #: load (:meth:`load_normal_ring`); the first write copies it.
+        self._normal_counts_shared = False
 
     # -- content hash ---------------------------------------------------------
 
@@ -67,14 +94,58 @@ class TokenMetadata:
         """
         self.remove_bootstrap_tokens_for(endpoint)
         self.remove_leaving_endpoint(endpoint)
-        for token in tokens:
-            previous = self.token_to_endpoint.get(token)
+        self._add_tokens("normal", self.token_to_endpoint,
+                         self._own_normal_counts(), endpoint, tokens)
+
+    def _own_normal_counts(self) -> Dict[str, int]:
+        """``_normal_counts``, copied first if a bulk load shares it."""
+        if self._normal_counts_shared:
+            self._normal_counts = dict(self._normal_counts)
+            self._normal_counts_shared = False
+        return self._normal_counts
+
+    def _add_tokens(self, kind: str, owners: Dict[int, str],
+                    counts: Dict[str, int], endpoint: str,
+                    tokens: Iterable[int]) -> None:
+        """Make ``endpoint`` the owner of ``tokens`` in ``owners``.
+
+        A set none of whose tokens has an owner yet (a status learned for
+        the first time) is inserted whole and hashed through the memo;
+        otherwise each token is moved on its own, as ownership transfers
+        need.  XOR is order-independent, so both give the same hash.
+        """
+        added = dict.fromkeys(tokens, endpoint)
+        if not added:
+            return
+        if owners.keys().isdisjoint(added):
+            owners.update(added)
+            counts[endpoint] = counts.get(endpoint, 0) + len(added)
+            self._content_hash ^= _set_hash(kind, endpoint, frozenset(added))
+            return
+        for token in added:
+            previous = owners.get(token)
             if previous == endpoint:
                 continue
             if previous is not None:
-                self._content_hash ^= _entry_hash("normal", token, previous)
-            self.token_to_endpoint[token] = endpoint
-            self._content_hash ^= _entry_hash("normal", token, endpoint)
+                self._content_hash ^= _entry_hash(kind, token, previous)
+                if counts[previous] == 1:
+                    del counts[previous]
+                else:
+                    counts[previous] -= 1
+            owners[token] = endpoint
+            counts[endpoint] = counts.get(endpoint, 0) + 1
+            self._content_hash ^= _entry_hash(kind, token, endpoint)
+
+    def _remove_tokens(self, kind: str, owners: Dict[int, str],
+                       counts: Dict[str, int], endpoint: str) -> None:
+        """Drop every token ``endpoint`` owns in ``owners`` (O(1) if none)."""
+        if endpoint not in counts:
+            return
+        tokens = [t for t, e in owners.items() if e == endpoint]
+        for token in tokens:
+            del owners[token]
+        del counts[endpoint]
+        self._content_hash ^= _set_hash(kind, endpoint, frozenset(tokens))
 
     def load_normal_ring(self, ring: "TokenMetadata") -> None:
         """Adopt the normal ownership of ``ring``, a table holding only that.
@@ -92,23 +163,21 @@ class TokenMetadata:
         if len(self.token_to_endpoint) != len(ring.token_to_endpoint):
             raise ValueError("bulk ring load onto tokens the ring lacks")
         self._content_hash = ring._content_hash
+        # One index for the template and every table loaded from it: N
+        # copies of an N-entry index would cost an established cluster N^2
+        # entries.  Whichever table writes first copies it.
+        self._normal_counts = ring._normal_counts
+        self._normal_counts_shared = ring._normal_counts_shared = True
 
     def add_bootstrap_tokens(self, endpoint: str, tokens: Iterable[int]) -> None:
         """Mark ``tokens`` as being bootstrapped by ``endpoint``."""
-        for token in tokens:
-            previous = self.bootstrap_tokens.get(token)
-            if previous == endpoint:
-                continue
-            if previous is not None:
-                self._content_hash ^= _entry_hash("boot", token, previous)
-            self.bootstrap_tokens[token] = endpoint
-            self._content_hash ^= _entry_hash("boot", token, endpoint)
+        self._add_tokens("boot", self.bootstrap_tokens, self._boot_counts,
+                         endpoint, tokens)
 
     def remove_bootstrap_tokens_for(self, endpoint: str) -> None:
         """Clear all bootstrap tokens owned by ``endpoint``."""
-        for token in [t for t, e in self.bootstrap_tokens.items() if e == endpoint]:
-            self._content_hash ^= _entry_hash("boot", token, endpoint)
-            del self.bootstrap_tokens[token]
+        self._remove_tokens("boot", self.bootstrap_tokens, self._boot_counts,
+                            endpoint)
 
     def add_leaving_endpoint(self, endpoint: str) -> None:
         """Mark ``endpoint`` as leaving the ring."""
@@ -124,16 +193,22 @@ class TokenMetadata:
 
     def remove_endpoint(self, endpoint: str) -> None:
         """Remove all trace of ``endpoint`` (it has LEFT the ring)."""
-        for token in [t for t, e in self.token_to_endpoint.items() if e == endpoint]:
-            self._content_hash ^= _entry_hash("normal", token, endpoint)
-            del self.token_to_endpoint[token]
+        self._remove_tokens("normal", self.token_to_endpoint,
+                            self._own_normal_counts(), endpoint)
         self.remove_bootstrap_tokens_for(endpoint)
         self.remove_leaving_endpoint(endpoint)
-        self.pending_ranges.pop(endpoint, None)
+        if endpoint in self.pending_ranges:
+            # Rebound, not popped: the map may be a calculation output
+            # shared with other nodes and the output cache.
+            self.pending_ranges = {e: ranges for e, ranges
+                                   in self.pending_ranges.items()
+                                   if e != endpoint}
 
     def set_pending_ranges(self, pending: Dict[str, List[TokenRange]]) -> None:
         """Install calculator output (pending ranges are derived state and do
-        not feed the content hash)."""
+        not feed the content hash).  ``pending`` is shared, not copied: the
+        same output is installed on every node with the same ring, so this
+        table never mutates it."""
         self.pending_ranges = pending
 
     # -- queries ----------------------------------------------------------------
@@ -155,14 +230,26 @@ class TokenMetadata:
 
     def normal_endpoints(self) -> List[str]:
         """Sorted endpoints with normal token ownership."""
-        return sorted(set(self.token_to_endpoint.values()))
+        return sorted(self._normal_counts)
 
     def bootstrapping_endpoints(self) -> List[str]:
         """Sorted endpoints currently bootstrapping."""
-        return sorted(set(self.bootstrap_tokens.values()))
+        return sorted(self._boot_counts)
+
+    def node_count(self) -> int:
+        """Distinct endpoints owning a normal or a bootstrap token."""
+        return len(self._normal_counts.keys() | self._boot_counts.keys())
+
+    def is_fresh_bootstrap(self) -> bool:
+        """True when tokens are bootstrapping and every normal owner is
+        leaving: no established ring survives (the CASSANDRA-6127 trigger)."""
+        return (bool(self._boot_counts)
+                and self.leaving_endpoints.issuperset(self._normal_counts))
 
     def endpoint_tokens(self, endpoint: str) -> List[int]:
         """Sorted tokens normally owned by ``endpoint``."""
+        if endpoint not in self._normal_counts:
+            return []
         return sorted(t for t, e in self.token_to_endpoint.items() if e == endpoint)
 
     def has_pending_changes(self) -> bool:
@@ -191,6 +278,8 @@ class TokenMetadata:
         clone.bootstrap_tokens = dict(self.bootstrap_tokens)
         clone.leaving_endpoints = set(self.leaving_endpoints)
         clone._content_hash = self._content_hash
+        clone._normal_counts = dict(self._normal_counts)
+        clone._boot_counts = dict(self._boot_counts)
         return clone
 
     def recomputed_content_hash(self) -> int:
