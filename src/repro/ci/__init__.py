@@ -18,7 +18,7 @@ both ideas into one gate:
 
 The output is a byte-deterministic, schema-versioned
 :class:`~repro.ci.report.ScalingReport` (``repro-scaling-report-v1``)
-suitable for committing alongside ``BENCH_*.json``.
+suitable for committing as a baseline.
 """
 
 from .gate import (

@@ -2,9 +2,9 @@
 
 The paper's core claim is that scalability bugs only manifest past the
 scales developers routinely test; a single-point ">15% drop fails" perf
-gate (``repro bench --compare``) can therefore pass while superlinear
-drift quietly grows under it.  ``repro ci`` closes that hole: it runs a
-small N-ladder of gossip/workload scenarios through the sweep engine
+gate can therefore pass while superlinear drift quietly grows under it.
+``repro ci`` closes that hole: it runs a small N-ladder of
+gossip/workload scenarios through the sweep engine
 (reusing the content-addressed :class:`~repro.sweep.cache.SweepCache`, so
 a warm gate is near-zero cost), fits each metric's log-log scaling slope
 with the shared :mod:`repro.core.curves` machinery, and fails on *trend*

@@ -5,8 +5,8 @@ report contains only virtual-time results and configuration facts -- no
 wall clocks, no cache provenance, no absolute paths -- so gating the same
 tree twice (cache cold or warm, in-process or in a fresh interpreter)
 serializes to byte-identical JSON with an equal SHA-256 digest.  That is
-what makes the report safe to commit next to ``BENCH_*.json`` as the
-``SCALING_BASELINE.json`` trend contract.
+what makes the report safe to commit as the ``SCALING_BASELINE.json``
+trend contract.
 
 Schema (``repro-scaling-report-v1``)::
 

@@ -24,8 +24,6 @@ Commands map one-to-one onto the library's main entry points:
 * ``workload``   -- drive client traffic (up to millions of simulated
                     users) through the data path and report per-request
                     latency percentiles;
-* ``bench``      -- run the perf microbenchmark suite and record or gate
-                    the committed ``BENCH_*.json`` baselines;
 * ``partition``  -- run one gossip scenario through the partitioned
                     lockstep kernel (K shards, optional worker processes)
                     and print the canonical report digest; ``--self-check``
@@ -107,9 +105,9 @@ def _loading(what: str, path) -> Iterator[None]:
     try:
         yield
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        # ValueError covers json.JSONDecodeError; the rest is what the
-        # ``from_dict``/``from_payload`` loaders raise on a wrong-shaped
-        # document.
+        # ValueError covers json.JSONDecodeError; the rest is what
+        # ``FaultSchedule.from_dict`` and the lint baseline loader raise on
+        # a wrong-shaped document.
         raise _InputError(f"cannot load {what} {path}: {exc}") from exc
 
 
@@ -430,51 +428,6 @@ def _cmd_colocation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import (
-        DEFAULT_BASELINE_NAMES,
-        baseline_path,
-        compare,
-        load_baseline,
-        run_suite,
-    )
-
-    names = args.names if args.names else list(DEFAULT_BASELINE_NAMES)
-    mode = "quick " if args.quick else ""
-    print(f"running {mode}benchmarks: {', '.join(names)} "
-          f"(repeats={args.repeats})...")
-    results = run_suite(names=names, quick=args.quick, repeats=args.repeats,
-                        progress=lambda name: print(f"  {name}...",
-                                                    flush=True))
-    print()
-    for name, result in results.items():
-        print(f"{name:<16} {result.wall_seconds:>8.3f}s "
-              f"{result.events_per_sec:>12,.0f} ev/s "
-              f"{result.peak_rss_kb:>9,} KB peak RSS")
-
-    status = 0
-    if args.update:
-        for name, result in results.items():
-            path = baseline_path(args.dir, name)
-            result.save(path)
-            print(f"baseline written: {path}")
-    if args.compare:
-        print()
-        for name, result in results.items():
-            with _loading("baseline", baseline_path(args.dir, name)):
-                baseline = load_baseline(args.dir, name)
-            if baseline is None:
-                print(f"{name:<16} MISSING    no baseline at "
-                      f"{baseline_path(args.dir, name)}")
-                status = 1
-                continue
-            verdict = compare(result, baseline, tolerance=args.tolerance)
-            print(verdict.render())
-            if not verdict.ok:
-                status = 1
-    return status
-
-
 def _partition_self_check(epoch: float) -> int:
     """Cheap K-invariance smoke usable from CI without pytest.
 
@@ -522,7 +475,6 @@ def _partition_self_check(epoch: float) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     import resource
-    import sys as _sys
     from dataclasses import replace
 
     from .cassandra.partition import (
@@ -530,7 +482,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         PartitionSpec,
         run_partitioned,
     )
-    from .perf.bench import peak_rss_kb, reset_peak_rss
 
     if args.self_check:
         print("self-checking shard-merge determinism "
@@ -553,11 +504,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
           f"workers={spec.workers} epoch={spec.epoch} until={spec.until} "
           f"scenario={spec.scenario}...",
           flush=True)
-    reset_peak_rss()
     report = run_partitioned(spec)
-    parent_kb = peak_rss_kb()
+    parent_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    if _sys.platform == "darwin":
+    if sys.platform == "darwin":  # bytes there, KiB on Linux
+        parent_kb //= 1024
         child_kb //= 1024
     print(f"steps     {int(report.extra['steps']):,} kernel events in "
           f"{report.wall_seconds:.1f}s wall "
@@ -567,7 +518,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
           f"{report.messages_delivered:,} delivered, "
           f"{report.messages_dropped:,} dropped")
     print(f"memory    {parent_kb:,} KB peak RSS (coordinator) + "
-          f"{int(child_kb):,} KB (largest worker)")
+          f"{child_kb:,} KB (largest worker)")
     print(f"digest    {report.digest()}")
     return 0
 
@@ -902,27 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     colocation = sub.add_parser("colocation",
                                 help="print colocation limits")
     colocation.set_defaults(func=_cmd_colocation)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run perf microbenchmarks; record or gate BENCH_*.json baselines")
-    bench.add_argument("--names", nargs="*", default=None,
-                       help="benchmarks to run (default: the baseline set)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repetitions per benchmark (median wins)")
-    bench.add_argument("--quick", action="store_true",
-                       help="shrunken workloads for smoke runs (results are "
-                            "not comparable to full baselines)")
-    bench.add_argument("--update", action="store_true",
-                       help="write BENCH_<name>.json baselines")
-    bench.add_argument("--compare", action="store_true",
-                       help="gate against committed baselines (exit 1 on "
-                            "regression)")
-    bench.add_argument("--tolerance", type=float, default=0.15,
-                       help="allowed normalized-throughput drop (default 15%%)")
-    bench.add_argument("--dir", default=".",
-                       help="directory holding BENCH_*.json (default: cwd)")
-    bench.set_defaults(func=_cmd_bench)
 
     partition = sub.add_parser(
         "partition",

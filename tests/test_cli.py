@@ -201,6 +201,24 @@ def test_partition_has_no_backend_flag():
         build_parser().parse_args(["partition", "--backend", "dict"])
 
 
+def test_bench_verb_is_gone():
+    """One timing engine: the micro-scenarios are count-gated in
+    ``tests/test_micro_census.py`` and timed only by ``scalebench``."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench"])
+
+
+def test_partition_run_prints_steps_memory_and_digest(capsys):
+    code, out = run_cli(capsys, "partition", "--nodes", "12", "--shards", "2",
+                        "--until", "1.0")
+    assert code == 0
+    lines = {line.split()[0]: line for line in out.splitlines() if line}
+    assert lines["steps"].endswith("virtual seconds)")
+    assert "KB peak RSS (coordinator)" in lines["memory"]
+    assert int(lines["memory"].split()[1].replace(",", "")) > 0
+    assert len(lines["digest"].split()[1]) == 64
+
+
 # -- lint ----------------------------------------------------------------------------
 
 
@@ -236,20 +254,15 @@ _BAD_BASELINES = {
 }
 
 
+# ``verb`` keeps the ``lint-`` prefix of the test ids.
 @pytest.mark.parametrize("damage", sorted(_BAD_BASELINES))
-@pytest.mark.parametrize("verb", ["bench", "lint"])
+@pytest.mark.parametrize("verb", ["lint"])
 def test_malformed_baseline_is_a_one_line_error(tmp_path, capsys, verb,
                                                 damage):
     """An unusable baseline exits 2 with `error:`, no traceback."""
-    if verb == "lint":
-        path = tmp_path / "baseline.json"
-        argv = ["lint", "--targets", FIXTURE_PKG, "--baseline", str(path)]
-    else:
-        path = tmp_path / "BENCH_event_churn.json"
-        argv = ["bench", "--quick", "--repeats", "1", "--names",
-                "event_churn", "--compare", "--dir", str(tmp_path)]
+    path = tmp_path / "baseline.json"
     path.write_text(_BAD_BASELINES[damage])
-    code = main(argv)
+    code = main([verb, "--targets", FIXTURE_PKG, "--baseline", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: cannot load baseline {path}: ")
