@@ -150,12 +150,17 @@ class DirectExecutor(CalcExecutor):
 
 
 class SharedOutputCache:
-    """Cluster-wide memo of real calculation outputs, keyed by input.
+    """Memo of real calculation outputs, keyed by input, shared by the runs
+    that one :class:`~repro.core.scalecheck.ScaleCheck` builds (a cluster
+    built on its own gets a cache of its own).
 
     Ring tables converge across nodes, so most nodes request the same input
     key; computing the real output once per distinct key keeps host wall
-    time independent of cluster size.  This cache is a simulator-side
-    optimization only -- virtual CPU cost is still charged per invocation.
+    time independent of cluster size.  The key names the ring content and
+    ``rf``, all the output depends on, so runs in different modes can share
+    it.  Outputs are never mutated in place.  This cache is a
+    simulator-side optimization only -- virtual CPU cost is still charged
+    per invocation.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..canonical import canonical_json, sha256_hex
+from ..canonical import atomic_write_text, canonical_json, sha256_hex
 
 #: Format tag written into serialized databases (bump on incompatible change).
 MEMO_FORMAT = "repro-memo-db-v1"
@@ -223,9 +223,13 @@ class MemoDB:
         return sha256_hex(self.canonical_json())
 
     def save(self, path) -> None:
-        """Serialize to JSON (records, message order, metadata, conflicts)."""
-        Path(path).write_text(json.dumps(self.to_payload(), indent=1,
-                                         sort_keys=True))
+        """Serialize to JSON (records, message order, metadata, conflicts).
+
+        The write is atomic: a concurrent reader (another sweep worker
+        warming up) sees the old file or the new one, never a torn one.
+        """
+        atomic_write_text(path, json.dumps(self.to_payload(), indent=1,
+                                           sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "MemoDB":
@@ -258,12 +262,12 @@ class MemoLruFront:
       exactly as a direct ``get`` would, so observability and reports are
       unchanged (the counters are not part of the DB's canonical payload,
       so its content digest is unaffected either way).
-    * Dict outputs are returned as a fresh top-level shallow copy per hit:
-      callers mutate the mapping's top level (``pending_ranges.pop``) but
-      never the inner values, so sharing below the first level is safe
-      while sharing the mapping itself would leak one node's mutations
-      into another's replay.  Non-dict outputs are re-deserialized per
-      call -- byte-for-byte the uncached behaviour.
+    * Callers never mutate an output in place (a ring table rebinds its
+      pending-range map instead of popping from it), so one parsed output
+      could serve every hit.  Dict outputs are still handed out as a fresh
+      top-level shallow copy per hit, which keeps the cached object from
+      escaping; non-dict outputs are re-deserialized per call --
+      byte-for-byte the uncached behaviour.
     """
 
     def __init__(self, db: MemoDB, deserialize: Callable[[Any], Any],
@@ -303,8 +307,8 @@ class MemoLruFront:
         if len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
             self.evictions += 1
-        # The cached object must never escape for dict outputs -- the
-        # caller owns (and mutates) what we hand back.
+        # The cached object never escapes for dict outputs: the caller gets
+        # its own top-level copy.
         return record, (dict(output) if isinstance(output, dict) else output)
 
     def _materialize(self, record: MemoRecord, output: Any):

@@ -23,7 +23,7 @@ model (default), or execute live.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from ..cassandra.node import CalcExecutor, CalcRequest
 from ..cassandra.pending_ranges import deserialize_pending, serialize_pending
@@ -50,6 +50,10 @@ class MemoizingExecutor(CalcExecutor):
         self.func_id = func_id
         self.serialize = serialize
         self.recorded = 0
+        #: ``id(output) -> (output, serialized)``: converged nodes share one
+        #: output object, which is serialized once.  Holding the output
+        #: keeps its id from being reused by another object.
+        self._serialized: Dict[int, Tuple[Any, Any]] = {}
 
     def execute(self, node, request: CalcRequest):
         """Execute."""
@@ -60,10 +64,14 @@ class MemoizingExecutor(CalcExecutor):
         if self.noise_sigma > 0:
             noise = node.sim.rng.gauss(self.rng_stream, 0.0, self.noise_sigma)
             duration = max(request.demand * (1.0 + noise), 0.0)
+        entry = self._serialized.get(id(output))
+        if entry is None:
+            entry = self._serialized[id(output)] = (output,
+                                                    self.serialize(output))
         self.db.put(
             func_id=self.func_id,
             input_key=request.input_key,
-            output=self.serialize(output),
+            output=entry[1],
             duration=duration,
             node_id=node.node_id,
             time=request.time,

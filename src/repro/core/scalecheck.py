@@ -24,17 +24,17 @@ block-report storm (``ScaleCheck(HDFS_BUG_ID, ...)``, the paper's section 7).
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from .. import annotations as _annotations
 from ..cassandra import legacy_calc
 from ..cassandra.bugs import BugConfig, get_bug
-from ..cassandra.cluster import MachineSpec, Mode
+from ..cassandra.cluster import Cluster, MachineSpec, Mode
 from ..cassandra.gossip import GossipConfig
 from ..cassandra.metrics import RunReport, accuracy_error
-from ..cassandra.node import CalcExecutor, NodeCosts
+from ..cassandra.node import CalcExecutor, NodeCosts, SharedOutputCache
 from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
@@ -66,7 +66,8 @@ class ScaleCheckResult:
 
         0.0 when the memoization cost is unknown (e.g. the recording was
         loaded from disk, so no host time was spent); inf when replay was
-        immeasurably fast.
+        immeasurably fast.  The memoization seconds exclude rings an
+        earlier run of the same :class:`ScaleCheck` already computed.
         """
         if self.memo_report.wall_seconds <= 0:
             return 0.0
@@ -81,6 +82,16 @@ class ScaleCheck:
 
     The Cassandra-only knobs (``cost_constants``, ``costs``, ``gossip``,
     ``rf``) are ignored by other targets.
+
+    The runs one check builds (:meth:`run_real`, :meth:`run_colo`,
+    :meth:`memoize`) share one
+    :class:`~repro.cassandra.node.SharedOutputCache`, so each distinct ring
+    is computed once per check, not once per run; replay keeps a cache of
+    its own.  So :meth:`memoize`'s host seconds exclude the rings an
+    earlier run of the same check computed.  Virtual time is charged per
+    invocation as before, so reports do not depend on the sharing.  A
+    check holds one cluster at a time: each run after the first collects
+    the previous run's cluster before building its own.
     """
 
     bug_id: str
@@ -97,6 +108,11 @@ class ScaleCheck:
     #: the per-node token population the way ``repro doctor --vnodes`` does;
     #: blocks per datanode on HDFS).
     vnodes: Optional[int] = None
+    #: Calculation outputs shared by every cluster this check builds.
+    _outputs: SharedOutputCache = field(default_factory=SharedOutputCache,
+                                        init=False, repr=False, compare=False)
+    #: Clusters built so far (the first run has nothing to collect).
+    _runs: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def target(self) -> Target:
@@ -120,12 +136,23 @@ class ScaleCheck:
              executor: Optional[CalcExecutor] = None) -> Tuple[Any, RunReport]:
         """Build the target's cluster for ``mode`` and run its scenario;
         returns ``(cluster, report)``."""
+        self._release_previous_cluster()
         target = self.target
         cluster = target.cluster(self.config(mode), tracer=tracer)
         if executor is not None:
             cluster.executor = executor
+        if isinstance(cluster, Cluster):
+            cluster.output_cache = self._outputs
         install_faults(cluster, faults)
         return cluster, target.run(cluster, self.params)
+
+    def _release_previous_cluster(self) -> None:
+        """Called before each run builds its cluster: the previous run's
+        cluster is cyclic garbage by now, so collect it here and the check
+        holds one cluster at a time."""
+        if self._runs:
+            gc.collect()
+        self._runs += 1
 
     # -- step (b): program analysis ---------------------------------------------------
 
@@ -191,6 +218,7 @@ class ScaleCheck:
         replays the chaos deterministically under PIL: the injector fires
         at identical virtual times in both runs.
         """
+        self._release_previous_cluster()
         harness = ReplayHarness(
             db=db,
             config=self.config(Mode.PIL),
@@ -206,20 +234,10 @@ class ScaleCheck:
 
     def memoize_to(self, path,
                    faults: Optional[FaultSchedule] = None) -> ScaleCheckResult:
-        """Memoize once and persist the database to ``path`` atomically.
-
-        The write goes through a temporary sibling file and ``os.replace``
-        so a concurrent reader (another sweep worker warming up) never sees
-        a torn database.
-        """
-        import os
-
+        """Memoize once and persist the database to ``path`` atomically
+        (:meth:`MemoDB.save`)."""
         result = self.memoize(faults=faults)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        result.db.save(tmp)
-        os.replace(tmp, path)
+        result.db.save(path)
         return result
 
     # -- the whole pipeline ----------------------------------------------------------------

@@ -18,23 +18,14 @@ Two stores live under one cache directory:
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..canonical import canonical_json, sha256_hex
+from ..canonical import atomic_write_text, canonical_json, sha256_hex
 from ..core.memoization import MemoDB
 
 #: Bump when the cached result payload changes incompatibly.
 CACHE_SCHEMA = 1
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write-then-rename so concurrent readers never see a torn file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def memo_identity_key(identity: Dict[str, Any], params: Dict[str, Any],
@@ -113,7 +104,7 @@ class SweepCache:
     def put(self, key: str, result: Dict[str, Any],
             point: Optional[Dict[str, Any]] = None) -> None:
         """Store a result payload under ``key`` (atomic replace)."""
-        _atomic_write_text(self._result_path(key), json.dumps({
+        atomic_write_text(self._result_path(key), json.dumps({
             "schema": CACHE_SCHEMA,
             "point": point,
             "result": result,
@@ -158,7 +149,7 @@ class SweepCache:
 
     def record_memo_digest(self, identity_key: str, digest: str) -> None:
         """Write the digest sidecar for a just-persisted recording."""
-        _atomic_write_text(self.memo_dir / f"{identity_key}.digest", digest)
+        atomic_write_text(self.memo_dir / f"{identity_key}.digest", digest)
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters for reports, plus the ``corrupt`` count."""

@@ -10,8 +10,10 @@ from repro.cassandra import (
     run_decommission,
     run_scale_out,
 )
-from repro.cassandra.node import CalcExecutor
-from repro.core.memoization import MemoDB
+from repro.cassandra.node import CalcExecutor, CalcRequest
+from repro.cassandra.pending_ranges import CalculatorVariant, serialize_pending
+from repro.cassandra.tokens import TokenRange
+from repro.core.memoization import MemoDB, PilViolationError
 from repro.core.pil import (
     CALC_FUNC_ID,
     MemoizingExecutor,
@@ -53,6 +55,74 @@ def test_memoizing_executor_records_every_distinct_input():
     assert db.func_ids() == [CALC_FUNC_ID]
     # Sample count equals total invocations across nodes.
     assert db.total_samples() == len(report.calc_records)
+
+
+class CountingSerialize:
+    """``serialize_pending`` that counts its calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, output):
+        self.calls += 1
+        return serialize_pending(output)
+
+
+def test_memoize_serializes_each_output_once():
+    """Converged nodes share one output object; it is serialized once, while
+    every invocation is still put into the recording."""
+    db = MemoDB()
+    serialize = CountingSerialize()
+    cluster = Cluster(ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.COLO,
+                                            seed=5))
+    cluster.executor = MemoizingExecutor(db, noise_sigma=0.0,
+                                         serialize=serialize)
+    report = run_decommission(cluster, FAST)
+    puts = len(report.calc_records)
+    assert puts > len(cluster.output_cache)       # repeats were recorded
+    assert serialize.calls == len(cluster.output_cache)
+    assert db.total_samples() == puts
+
+
+class _StubNode:
+    """Just enough of a node to drive an executor outside a simulation."""
+
+    node_id = "n0"
+    cpu = None
+
+
+def record_one(executor, output):
+    """Drive ``executor.execute`` for one calculation, always on the same
+    ring, returning ``output``."""
+    request = CalcRequest(node_id="n0", variant=CalculatorVariant.V0_C3831,
+                          input_key="ring-a", demand=0.5, changes=1,
+                          time=0.0, compute_output=lambda: output)
+    steps = executor.execute(_StubNode(), request)
+    next(steps)                                   # the Compute effect
+    with pytest.raises(StopIteration):
+        steps.send(0.5)
+
+
+def test_a_conflicting_output_is_still_recorded():
+    """Serializing once per output object keeps the PIL-safety check: a
+    repeat key with a different output object is serialized afresh and
+    compared against the first record."""
+    first = {"n1": [TokenRange(1, 2)]}
+    other = {"n1": [TokenRange(3, 4)]}
+    db = MemoDB()
+    serialize = CountingSerialize()
+    executor = MemoizingExecutor(db, noise_sigma=0.0, serialize=serialize)
+    record_one(executor, first)
+    record_one(executor, first)
+    assert (serialize.calls, db.conflicts) == (1, 0)
+    record_one(executor, other)
+    assert (serialize.calls, db.conflicts) == (2, 1)
+    assert db.total_samples() == 3
+
+    strict = MemoizingExecutor(MemoDB(strict=True), noise_sigma=0.0)
+    record_one(strict, first)
+    with pytest.raises(PilViolationError):
+        record_one(strict, other)
 
 
 def test_memoized_duration_without_noise_equals_demand():

@@ -1,12 +1,16 @@
 """Tests for the replay harness and the ScaleCheck pipeline orchestrator."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.cassandra import ClusterConfig, Mode, ScenarioParams
+from repro.cassandra import Cluster, ClusterConfig, Mode, ScenarioParams
 from repro.cassandra import node as node_module
 from repro.cassandra.metrics import accuracy_error
+from repro.cassandra.pending_ranges import serialize_pending
 from repro.core.memoization import MemoDB
-from repro.core.pil import MissPolicy
+from repro.core.pil import CALC_FUNC_ID, MissPolicy
 from repro.core.replayer import ReplayHarness
 from repro.core.scalecheck import ScaleCheck
 
@@ -122,6 +126,70 @@ def test_replay_strict_policy_via_scalecheck(pipeline):
     replay = check.replay(result.db, miss_policy=MissPolicy.STRICT)
     # All inputs were memoized, so strict replay succeeds with zero misses.
     assert replay.misses == 0
+
+
+#: A small c5456 scale-out: two joiners into an eight-node ring.
+SCALE_OUT = ScenarioParams(warmup=5.0, observe=20.0, join_count=2,
+                           join_stagger=1.0, join_duration=4.0)
+
+
+def scale_out_check():
+    return ScaleCheck(bug_id="c5456", nodes=8, seed=5, params=SCALE_OUT)
+
+
+def input_keys(report):
+    return {record.input_key for record in report.calc_records}
+
+
+def test_one_check_computes_each_ring_once(monkeypatch):
+    """The real and memoize runs of one check share each output: a ring the
+    real run computed is not recomputed by the memoize run."""
+    calls = counting(monkeypatch, node_module, "compute_pending_ranges")
+    check = scale_out_check()
+    real_keys = input_keys(check.run_real())
+    memo = check.memoize()
+    memo_keys = input_keys(memo.memo_report)
+    assert real_keys & memo_keys, "the runs should meet on some ring"
+    assert len(calls) == len(real_keys | memo_keys)
+
+    # A fresh check shares nothing: its memoize run computes all its keys.
+    calls.clear()
+    assert input_keys(scale_out_check().memoize().memo_report) == memo_keys
+    assert len(calls) == len(memo_keys)
+
+    # Nothing mutated a shared output across runs: each one the check holds
+    # still serializes to what the recording stored for its ring.
+    shared = {key: output for key, output in check._outputs._outputs.items()
+              if key in memo_keys}
+    assert set(shared) == memo_keys
+    for key, output in shared.items():
+        assert serialize_pending(output) == memo.db.get(CALC_FUNC_ID,
+                                                        key).output
+
+
+def test_a_check_holds_one_cluster_at_a_time(monkeypatch):
+    """Each run's cluster is gone by the time the next run builds its own,
+    without waiting for the automatic collector.  The cluster's simulator
+    stands for it: its processes, nodes and network reference each other,
+    so they outlive the ``Cluster`` object until a collection."""
+    built = []
+    alive_at_build = []
+    original = Cluster.__init__
+
+    def tracking(self, *args, **kwargs):
+        alive_at_build.append([ref() is not None for ref in built])
+        original(self, *args, **kwargs)
+        built.append(weakref.ref(self.sim))
+
+    monkeypatch.setattr(Cluster, "__init__", tracking)
+    check = scale_out_check()
+    gc.disable()
+    try:
+        check.run_real()
+        check.check()        # memoize, then replay
+    finally:
+        gc.enable()
+    assert alive_at_build == [[], [False], [False, False]]
 
 
 def test_accuracy_error_helper():

@@ -1,5 +1,6 @@
 """Tests for the parallel sweep engine, its caches, and the CLI front-end."""
 
+import errno
 import os
 import shutil
 import subprocess
@@ -234,6 +235,31 @@ def test_cache_miss_then_hit(tmp_path):
     assert len(cache) == 1
 
 
+def fill_the_disk(monkeypatch):
+    """Make every ``Path.write_text`` write half its text, then fail the
+    way a full disk does."""
+    write_text = Path.write_text
+
+    def write_half(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A write that fails part-way removes its temporary sibling and leaves
+    the entry it was replacing as it was."""
+    cache = SweepCache(tmp_path)
+    cache.put("deadbeef", {"report": {"flaps": 3}})
+    fill_the_disk(monkeypatch)
+    with pytest.raises(OSError):
+        cache.put("deadbeef", {"report": {"flaps": 4}})
+    monkeypatch.undo()
+    assert cache.get("deadbeef") == {"report": {"flaps": 3}}
+    assert [p.name for p in tmp_path.rglob("*.tmp*")] == []
+
+
 def test_memo_digest_requires_both_files(tmp_path):
     cache = SweepCache(tmp_path)
     assert cache.memo_digest("abc") is None
@@ -329,6 +355,15 @@ def test_replay_over_empty_recording_reports_zero_hit_rate():
     assert result.hit_rate == 0.0
     stats_total = result.hits + result.misses
     assert result.hit_rate == pytest.approx(result.hits / stats_total)
+
+
+def test_failed_memoize_to_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "memo" / "db.json"
+    fill_the_disk(monkeypatch)
+    with pytest.raises(OSError):
+        ScaleCheck(bug_id="c3831", nodes=NODES, seed=1).memoize_to(path)
+    assert not path.exists()
+    assert list(path.parent.glob("*.tmp*")) == []
 
 
 def test_speedup_guard_on_unknown_memo_cost(tmp_path):
