@@ -24,43 +24,55 @@ Quickstart::
         print(mode, report.flaps, "flaps")
 """
 
-from .annotations import (
-    REGISTRY,
-    AnnotationRegistry,
-    ScaleDepAnnotation,
-    pil_safe,
-    pil_unsafe,
-    scale_dependent,
-)
-from .cassandra import (
-    Cluster,
-    ClusterConfig,
-    Mode,
-    RunReport,
-    ScenarioParams,
-    all_bugs,
-    get_bug,
-)
-from .core import (
-    ColocationAnalyzer,
-    Finder,
-    FinderReport,
-    Instrumenter,
-    MemoDB,
-    MissPolicy,
-    PilFunction,
-    ReplayHarness,
-    ScaleCheck,
-    ScaleCheckResult,
-    find_offending,
-    pil_wrap,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-# The sweep engine bakes __version__ into its cache keys, so it must be
-# imported after the assignment above.
-from .sweep import SweepPoint, SweepSpec, SweepSummary, run_sweep  # noqa: E402
+#: Public name -> the submodule that defines it.  A name is imported on
+#: first access (PEP 562), so ``import repro.cassandra`` loads neither the
+#: finder nor the sweep engine; ``from repro import ScaleCheck`` still works.
+_EXPORTS = {
+    "REGISTRY": "annotations",
+    "AnnotationRegistry": "annotations",
+    "ScaleDepAnnotation": "annotations",
+    "pil_safe": "annotations",
+    "pil_unsafe": "annotations",
+    "scale_dependent": "annotations",
+    "Cluster": "cassandra",
+    "ClusterConfig": "cassandra",
+    "Mode": "cassandra",
+    "RunReport": "cassandra",
+    "ScenarioParams": "cassandra",
+    "all_bugs": "cassandra",
+    "get_bug": "cassandra",
+    "ColocationAnalyzer": "core",
+    "Finder": "core",
+    "FinderReport": "core",
+    "Instrumenter": "core",
+    "MemoDB": "core",
+    "MissPolicy": "core",
+    "PilFunction": "core",
+    "ReplayHarness": "core",
+    "ScaleCheck": "core",
+    "ScaleCheckResult": "core",
+    "find_offending": "core",
+    "pil_wrap": "core",
+    "SweepPoint": "sweep",
+    "SweepSpec": "sweep",
+    "SweepSummary": "sweep",
+    "run_sweep": "sweep",
+}
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AnnotationRegistry",

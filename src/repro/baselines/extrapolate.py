@@ -13,14 +13,9 @@ the training signal is identically zero, so any regression predicts ~zero
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
-
-import numpy as np
-
-# numpy 2 moved RankWarning into np.exceptions; accept either home.
-_RANK_WARNING = getattr(getattr(np, "exceptions", np), "RankWarning", Warning)
 
 from ..cassandra.metrics import RunReport
 
@@ -55,6 +50,49 @@ class ExtrapolationResult:
                 / max(self.actual_flaps, 1))
 
 
+def _least_squares_predict(xs: List[float], ys: List[float], degree: int,
+                           target: float) -> float:
+    """Value at ``target`` of the least-squares polynomial of ``degree``.
+
+    The fit runs in the centred, scaled variable ``t = (x - centre) /
+    spread``, with ``|t| <= 1`` on the training data, and on values divided
+    by their largest magnitude: the normal equations stay well conditioned
+    and no intermediate sum can overflow.  They are solved by Gaussian
+    elimination with partial pivoting; a zero pivot yields NaN for the
+    caller to reject.
+    """
+    lo, hi = min(xs), max(xs)
+    centre = lo / 2 + hi / 2
+    spread = (hi / 2 - lo / 2) or 1.0
+    ts = [(x - centre) / spread for x in xs]
+    magnitude = max(map(abs, ys)) or 1.0
+    ys = [y / magnitude for y in ys]
+    size = degree + 1
+    powers = [[t ** k for t in ts] for k in range(2 * degree + 1)]
+    # Augmented normal equations: sum t^(i+j) * c_j = sum y * t^i.
+    rows = [[math.fsum(powers[i + j]) for j in range(size)]
+            + [math.fsum(y * p for y, p in zip(ys, powers[i]))]
+            for i in range(size)]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        if rows[col][col] == 0.0:
+            return math.nan
+        for row in rows[col + 1:]:
+            factor = row[col] / rows[col][col]
+            for k in range(col, size + 1):
+                row[k] -= factor * rows[col][k]
+    coeffs = [0.0] * size
+    for i in reversed(range(size)):
+        coeffs[i] = (rows[i][size] - math.fsum(
+            rows[i][k] * coeffs[k] for k in range(i + 1, size))) / rows[i][i]
+    t = (target - centre) / spread
+    value = 0.0
+    for coeff in reversed(coeffs):
+        value = value * t + coeff
+    return value * magnitude
+
+
 def fit_and_predict(train_scales: Sequence[int], train_values: Sequence[float],
                     target_scale: int, degree: int = 2) -> float:
     """Least-squares polynomial extrapolation (clamped at zero).
@@ -68,20 +106,16 @@ def fit_and_predict(train_scales: Sequence[int], train_values: Sequence[float],
     """
     if len(train_scales) != len(train_values) or not train_scales:
         raise ValueError("need matching, non-empty training data")
-    xs = np.array(train_scales, dtype=float)
-    ys = np.array(train_values, dtype=float)
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+    xs = [float(x) for x in train_scales]
+    ys = [float(y) for y in train_values]
+    if not all(map(math.isfinite, xs + ys)):
         raise ValueError("training data must be finite")
     # Duplicate training scales make higher-degree fits rank-deficient;
     # cap the degree at (distinct points - 1) so the system stays
     # determined (a single distinct scale degrades to a constant fit).
-    distinct = np.unique(xs).size
-    degree = max(0, min(degree, distinct - 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _RANK_WARNING)
-        coeffs = np.polyfit(xs, ys, deg=degree)
-    predicted = float(np.polyval(coeffs, float(target_scale)))
-    if not np.isfinite(predicted):
+    degree = max(0, min(degree, len(set(xs)) - 1))
+    predicted = _least_squares_predict(xs, ys, degree, float(target_scale))
+    if not math.isfinite(predicted):
         raise ValueError(
             f"degenerate polynomial fit (scales={list(train_scales)!r}, "
             f"degree={degree}) produced a non-finite prediction")

@@ -86,10 +86,10 @@ class PhiAccrualFailureDetector:
     def _ensure_capacity(self, gid: int) -> None:
         missing = gid + 1 - len(self._count)
         if missing > 0:
-            self._last_arrival.extend([0.0] * missing)
-            self._interval_sum.extend([0.0] * missing)
-            self._count.extend([0] * missing)
-            self._mean_cache.extend([_NAN] * missing)
+            self._last_arrival.extend(array("d", (0.0,)) * missing)
+            self._interval_sum.extend(array("d", (0.0,)) * missing)
+            self._count.extend(array("q", (0,)) * missing)
+            self._mean_cache.extend(array("d", (_NAN,)) * missing)
             self._samples.extend([None] * missing)
 
     def report(self, endpoint: str, now: float) -> None:

@@ -238,9 +238,9 @@ class ColumnarEndpointStore:
         """Grow the columns to cover ``gid`` (registry grew)."""
         missing = gid + 1 - len(self.generation)
         if missing > 0:
-            self.generation.extend([-1] * missing)
-            self.hb_version.extend([0] * missing)
-            self.update_ts.extend([0.0] * missing)
+            self.generation.extend(array("q", (-1,)) * missing)
+            self.hb_version.extend(array("q", (0,)) * missing)
+            self.update_ts.extend(array("d", (0.0,)) * missing)
             self.alive.extend(b"\x00" * missing)
             self.app.extend([None] * missing)
             self.digest_cache.extend([None] * missing)

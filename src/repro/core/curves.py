@@ -16,17 +16,16 @@ Everything else -- ``flat`` (no meaningful symptom anywhere) or
 ``sublinear``/``linear`` growth that a bigger cluster would dilute or
 merely track -- refutes the suspicion.
 
-This module is deliberately dependency-light (numpy only) and fully
-deterministic: exponents are rounded before serialization so fit noise
-across numpy versions can never churn a byte-identical report.
+This module uses the standard library only and is fully deterministic:
+exponents are rounded before serialization so last-digit fit noise can
+never churn a byte-identical report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 #: Classifications that confirm a candidate (or trip a trend gate).
 CONFIRMING = ("threshold", "superlinear")
@@ -70,10 +69,14 @@ def fit_loglog_slope(scales: Sequence[int], values: Sequence[float]
     positive = [(s, v) for s, v in zip(scales, vals) if v > 0]
     if len(positive) < 2:
         return None
-    xs = np.log([s for s, _ in positive])
-    ys = np.log([v for _, v in positive])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
+    xs = [math.log(s) for s, _ in positive]
+    ys = [math.log(v) for _, v in positive]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
+             / math.fsum(dx * dx for dx in dxs))
+    return slope, y_mean - slope * x_mean
 
 
 @dataclass
@@ -94,8 +97,8 @@ class CurveFit:
         return self.classification in CONFIRMING
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (exponent rounded: fit noise must not churn
-        byte-identical report comparisons across numpy versions)."""
+        """JSON-ready form (exponent rounded: last-digit fit noise must not
+        churn byte-identical report comparisons)."""
         return {
             "scales": list(self.scales),
             "values": [float(v) for v in self.values],

@@ -13,6 +13,7 @@ pure function of (suite seed, case index), so a failure prints an index
 that reproduces it exactly.
 """
 
+import math
 import random
 
 import pytest
@@ -167,6 +168,15 @@ def test_input_validation_matches_the_hunt_contract():
         fit_metric_curve([16, 8], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_loglog_slope([], [])
+
+
+def test_loglog_slope_is_exact_on_a_power_law():
+    """3 * N**2 is a straight line of slope 2 and intercept log 3 in
+    log-log space; the fit must recover both to rounding."""
+    scales = [8, 16, 32, 64, 128, 256]
+    slope, intercept = fit_loglog_slope(scales, [3.0 * n * n for n in scales])
+    assert slope == pytest.approx(2.0, abs=1e-12)
+    assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 # -- the resource-metric variant (the CI gate's throughput/memory fits) --------

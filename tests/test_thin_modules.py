@@ -52,6 +52,19 @@ class TestFitAndPredict:
                                     target_scale=64, degree=1)
         assert predicted == 0.0
 
+    def test_quadratic_through_squares_predicts_the_square(self):
+        """Degree 2 through x**2 is x**2: the target's square, to rounding."""
+        scales = [4, 6, 8, 10, 12]
+        predicted = fit_and_predict(scales, [n * n for n in scales],
+                                    target_scale=512, degree=2)
+        assert predicted == pytest.approx(512.0 ** 2, rel=1e-12)
+
+    def test_values_near_the_float_limit_do_not_overflow(self):
+        """A flat series of huge values predicts the same huge value."""
+        predicted = fit_and_predict([4, 6, 8], [1e308] * 3,
+                                    target_scale=64, degree=2)
+        assert predicted == pytest.approx(1e308, rel=1e-12)
+
     def test_zero_training_signal_predicts_zero(self):
         """The paper's latency argument: no small-scale symptom, no signal."""
         predicted = fit_and_predict([4, 6, 8, 10], [0, 0, 0, 0],
