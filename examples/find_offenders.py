@@ -19,7 +19,6 @@ Run:
 import time
 
 import repro.cassandra.legacy_calc as legacy_calc
-from repro.annotations import REGISTRY
 from repro.cassandra.pending_ranges import compute_pending_ranges
 from repro.cassandra.ring import TokenMetadata
 from repro.cassandra.tokens import tokens_for_node
@@ -38,14 +37,13 @@ def build_cluster_state(nodes: int = 40, vnodes: int = 16) -> TokenMetadata:
 
 
 def main() -> None:
-    # Step (a): the annotations the developer wrote.
+    # Step (b) reads the annotations of step (a) from source: the report
+    # carries the registry they were harvested into.
+    report = find_offending(legacy_calc)
     print("scale-dependent structures annotated by the developer:")
-    for name in REGISTRY.scale_dependent_names():
+    for name in report.registry.scale_dependent_names():
         print(f"  - {name}")
     print()
-
-    # Step (b): the finder's report.
-    report = find_offending(legacy_calc)
     print(render_finder_report(report))
     print()
 

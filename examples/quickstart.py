@@ -43,7 +43,7 @@ def main() -> None:
     print("offending functions found by the program analysis:")
     for analysis in finder_report.offenders():
         print(f"  - {analysis.qualname}: {analysis.complexity}, "
-              f"PIL-safe={analysis.pil_safe()}")
+              f"PIL-safe={analysis.pil_safe(finder_report.registry)}")
     print()
 
     # Steps (d)-(f) plus the real-scale baseline.

@@ -32,7 +32,6 @@ __version__ = "1.0.0"
 #: first access (PEP 562), so ``import repro.cassandra`` loads neither the
 #: finder nor the sweep engine; ``from repro import ScaleCheck`` still works.
 _EXPORTS = {
-    "REGISTRY": "annotations",
     "AnnotationRegistry": "annotations",
     "ScaleDepAnnotation": "annotations",
     "pil_safe": "annotations",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "all_bugs": "cassandra",
     "get_bug": "cassandra",
     "ColocationAnalyzer": "core",
-    "Finder": "core",
     "FinderReport": "core",
     "Instrumenter": "core",
     "MemoDB": "core",
@@ -79,14 +77,12 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "ColocationAnalyzer",
-    "Finder",
     "FinderReport",
     "Instrumenter",
     "MemoDB",
     "MissPolicy",
     "Mode",
     "PilFunction",
-    "REGISTRY",
     "ReplayHarness",
     "RunReport",
     "ScaleCheck",

@@ -1,10 +1,10 @@
 """Whole-program static analysis: the scalability linter.
 
-Layered on the per-module finder (:mod:`repro.core.finder`), this package
-provides the paper's "program analysis" workflow as a standalone tool:
+Layered on the finder's :class:`~repro.core.finder.Program` (multi-module
+loading, static annotation harvest, cross-module call linking), this
+package provides the paper's "program analysis" workflow as a standalone
+tool:
 
-* :class:`~repro.analysis.interproc.Program` -- multi-module loading with
-  static annotation harvest and cross-module call linking;
 * :mod:`~repro.analysis.effects` -- complexity / PIL-safety /
   determinism rules;
 * :mod:`~repro.analysis.locks` -- the lock-discipline checker (the
@@ -18,10 +18,10 @@ Exposed through the CLI as ``repro lint``.
 """
 
 from ..core.axes import Term, level_axis, maximal, primary
+from ..core.finder import ModuleUnit, Program, harvest_annotations
 from .drift import check_drift
 from .effects import check_complexity, check_determinism, check_pil_safety
 from .findings import Finding, sort_findings
-from .interproc import ModuleUnit, Program, harvest_annotations
 from .lint import (
     DEFAULT_TARGETS,
     LintReport,

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.axes import Term
+from ..core.finder import Program
 from .findings import Finding
-from .interproc import Program
 
 #: Expected polynomial degrees per corpus function, keyed by module suffix.
 #: These mirror the ``calc_cost`` formulas (CalculatorVariant) and the
@@ -71,7 +71,7 @@ def check_drift(program: Program
                 inferred: List[str] = []
                 ok = False
             else:
-                terms = program.effective_terms(module, function)
+                terms = analysis.effective_terms
                 inferred = [term.render() for term in terms]
                 ok = expected in terms
             verdicts.append({

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.finder import VETO_KINDS
+from ..core.finder import VETO_KINDS, Program
 from .findings import Finding
-from .interproc import Program
 
 #: Determinism-relevant effect kinds reported by the nondeterminism rule.
 _NONDET_KINDS = ("nondeterminism", "iteration-order")
@@ -33,11 +32,10 @@ def check_complexity(program: Program) -> List[Finding]:
     """Flag functions whose program-wide complexity is superlinear."""
     findings: List[Finding] = []
     for module, analysis in program.functions():
-        terms = program.effective_terms(module, analysis.name)
-        degree = max((term.total() for term in terms), default=0)
+        degree = analysis.effective_depth
         if degree < 2:
             continue
-        labels = ", ".join(term.render() for term in terms)
+        labels = ", ".join(term.render() for term in analysis.effective_terms)
         guards = analysis.guard_conditions()
         guard_note = f" [guarded by: {'; '.join(guards)}]" if guards else ""
         findings.append(Finding(
@@ -56,12 +54,10 @@ def check_pil_safety(program: Program) -> List[Finding]:
     """Flag offenders the PIL-safety dataflow refuses to memo-replace."""
     findings: List[Finding] = []
     for module, analysis in program.functions():
-        terms = program.effective_terms(module, analysis.name)
-        degree = max((term.total() for term in terms), default=0)
-        if degree < 2:
+        if not analysis.offending:
             continue
-        kinds = program.transitive_effects(module, analysis.name)
-        vetoes = sorted(kind for kind in kinds if kind in VETO_KINDS)
+        vetoes = sorted(kind for kind in analysis.transitive_effect_kinds
+                        if kind in VETO_KINDS)
         if analysis.is_generator:
             reason = "generator (lazy protocol object, not memoizable)"
             detail = "generator"

@@ -21,10 +21,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..core.finder import Program
 from .drift import check_drift
 from .effects import check_complexity, check_determinism, check_pil_safety
 from .findings import Finding, sort_findings
-from .interproc import Program
 from .locks import check_locks
 from .shared import check_dead_annotations, check_shared_state
 

@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.axes import Term, primary
-from ..core.finder import FunctionAnalysis, _call_name, _root_name
+from ..core.finder import FunctionAnalysis, Program, _call_name, _root_name
 from .findings import Finding
-from .interproc import Program
 
 
 @dataclass
@@ -219,7 +218,7 @@ class _LockWalker:
         if declared:
             work = Term.from_degrees(declared)
         elif resolved is not None:
-            work = primary(self.program.effective_terms(*resolved)) \
+            work = primary(self.program.function(resolved).effective_terms) \
                 or Term(())
         else:
             return

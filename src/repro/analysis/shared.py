@@ -29,9 +29,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.finder import _call_name, _root_name
+from ..core.finder import Program, _call_name, _root_name
 from .findings import Finding, sort_findings
-from .interproc import Program
 from .locks import _LockWalker, _function_nodes
 
 #: Constructor calls that build mutable builtin containers.

@@ -22,11 +22,11 @@ Two annotation surfaces are provided:
   function (e.g. ``calc_cost``), bridging the static analysis to virtual
   CPU demand that is charged arithmetically rather than looped.
 
-Annotations are recorded in a process-global :class:`AnnotationRegistry` so
-the AST-based finder can resolve names to annotations without importing
-target modules' runtime state.  The whole-program analyzer additionally
-harvests these same calls *statically* from module source, so annotation
-registration works even for modules that are never imported.
+In source these calls are markers: :class:`repro.core.finder.Program`
+harvests them *statically* into its own :class:`AnnotationRegistry`, so
+analysis never depends on what the host process imported, and works on
+modules that are never imported at all.  Called with an explicit
+``registry=``, they register into that registry at run time instead.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class CostAnnotation:
 
 
 class AnnotationRegistry:
-    """Process-global store of annotations, consulted by the finder."""
+    """A store of annotations, consulted by the finder."""
 
     def __init__(self) -> None:
         self._scale_dep: Dict[str, ScaleDepAnnotation] = {}
@@ -174,13 +174,9 @@ class AnnotationRegistry:
         self._costs.clear()
 
 
-#: The default process-global registry.
-REGISTRY = AnnotationRegistry()
-
-
 def scale_dependent(*names: str, axis: str = "cluster-size", note: str = "",
                     var: Optional[str] = None,
-                    registry: AnnotationRegistry = REGISTRY):
+                    registry: Optional[AnnotationRegistry] = None):
     """Mark data structures as scale-dependent.
 
     ``var`` optionally names the symbolic scale variable all ``names`` in
@@ -197,6 +193,8 @@ def scale_dependent(*names: str, axis: str = "cluster-size", note: str = "",
         @scale_dependent("tokens")                      # decorator + attrs
         class Ring: ...
     """
+    if registry is None:
+        return lambda obj: obj
     for name in names:
         registry.add_scale_dependent(
             ScaleDepAnnotation(name, axis=axis, note=note, var=var))
@@ -219,18 +217,19 @@ def scale_dependent(*names: str, axis: str = "cluster-size", note: str = "",
 
 
 def lock_protects(lock: str, *structures: str, note: str = "",
-                  registry: AnnotationRegistry = REGISTRY) -> None:
+                  registry: Optional[AnnotationRegistry] = None) -> None:
     """Declare that attribute ``lock`` owns the shared ``structures``.
 
     The lock-discipline checker flags any read/write of a protected
     structure on a code path where the owning lock is not held, and any
     scale-dependent work performed *while* it is held (the C5456 pattern).
     """
-    registry.add_lock(LockAnnotation(lock, tuple(structures), note=note))
+    if registry is not None:
+        registry.add_lock(LockAnnotation(lock, tuple(structures), note=note))
 
 
 def declare_cost(func: str, note: str = "",
-                 registry: AnnotationRegistry = REGISTRY,
+                 registry: Optional[AnnotationRegistry] = None,
                  **degrees: int) -> None:
     """Declare the modeled complexity of cost function ``func``.
 
@@ -239,16 +238,19 @@ def declare_cost(func: str, note: str = "",
     analyzer treats a call to ``func`` as carrying these degrees even
     though the demand is charged arithmetically, not looped.
     """
-    registry.add_cost(CostAnnotation(func, dict(degrees), note=note))
+    if registry is not None:
+        registry.add_cost(CostAnnotation(func, dict(degrees), note=note))
 
 
-def pil_safe(func: F, registry: AnnotationRegistry = REGISTRY) -> F:
+def pil_safe(func: F, registry: Optional[AnnotationRegistry] = None) -> F:
     """Assert that ``func`` may be PIL-replaced (memoizable, side-effect free)."""
-    registry.add_pil_safe(func.__qualname__)
+    if registry is not None:
+        registry.add_pil_safe(func.__qualname__)
     return func
 
 
-def pil_unsafe(func: F, registry: AnnotationRegistry = REGISTRY) -> F:
+def pil_unsafe(func: F, registry: Optional[AnnotationRegistry] = None) -> F:
     """Veto PIL replacement of ``func`` regardless of analysis verdict."""
-    registry.add_pil_unsafe(func.__qualname__)
+    if registry is not None:
+        registry.add_pil_unsafe(func.__qualname__)
     return func

@@ -23,7 +23,7 @@ from ..core.colocation import (
     per_process_footprint,
     single_process_footprint,
 )
-from ..core.finder import Finder, FinderReport
+from ..core.finder import FinderReport, find_offending
 from ..cassandra.pending_ranges import CalculatorVariant
 from ..study import default_study, render_population_table, summarize
 from . import calibrate
@@ -167,7 +167,7 @@ def bug_study_summary():
 
 def finder_table() -> FinderReport:
     """The finder's verdicts over the calculation corpus (section 5/7)."""
-    return Finder().analyze_module(legacy_calc)
+    return find_offending(legacy_calc)
 
 
 # -- T-DUR -------------------------------------------------------------------------------------

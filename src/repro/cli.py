@@ -52,7 +52,7 @@ from .bench.runner import figure3_series, make_check
 from .bench.tables import colocation_limits, render_colocation_limits
 from .cassandra.bugs import all_bugs
 from .cassandra.cluster import node_name
-from .core.finder import Finder
+from .core.finder import find_offending
 from .core.report import (
     render_divergence,
     render_finder_report,
@@ -224,7 +224,7 @@ def _cmd_finder(args: argparse.Namespace) -> int:
         module = importlib.import_module(args.module)
     else:
         from .cassandra import legacy_calc as module  # the default corpus
-    report = Finder().analyze_module(module)
+    report = find_offending(module)
     print(render_finder_report(report))
     return 0
 

@@ -28,7 +28,6 @@ from .statespace import (
 )
 from .finder import (
     CallSite,
-    Finder,
     FinderReport,
     FunctionAnalysis,
     ScaleLoop,
@@ -64,7 +63,6 @@ __all__ = [
     "ColocationProbe",
     "DemandModel",
     "EVENT_LATENESS",
-    "Finder",
     "FinderReport",
     "FunctionAnalysis",
     "InstrumentationError",

@@ -7,10 +7,11 @@ An AST-based program analysis that answers the paper's two questions:
    scale-dependent when they iterate a structure annotated with
    :func:`repro.annotations.scale_dependent` or anything tainted by one
    (assignments, sorted()/list() copies, tainted call arguments flowing
-   into parameters).  Nesting is tracked **across function boundaries**
-   through the intra-module call graph, because real offending nests span
-   many functions (CASSANDRA-6127: 1000+ LOC across 9 functions), and the
-   analysis records the if-branch *guards* on the path to each nest, so
+   into parameters; parameter taint stays within a module).  Nesting is
+   tracked **across function boundaries** through the whole program's
+   call graph, because real offending nests span many functions
+   (CASSANDRA-6127: 1000+ LOC across 9 functions), and the analysis
+   records the if-branch *guards* on the path to each nest, so
    developers know which workload exercises it (6127 again: the O(N^2)
    loop only runs when the cluster bootstraps from scratch).
 
@@ -41,17 +42,27 @@ The paper's footnote 1 split is also computed: offenders are categorized
 as scale-dependent CPU computation (depth >= 2) versus serialized O(N)
 work (depth 1), the "other 53%" the authors note can be caught "by
 slightly extending our program analysis".
+
+:class:`Program` is the one driver: it loads modules from source, harvests
+every annotation from that source into one registry, scans each module,
+and links calls across modules.  :func:`find_offending` is the entry point
+for one imported module.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..annotations import REGISTRY, AnnotationRegistry
+from ..annotations import (
+    AnnotationRegistry,
+    CostAnnotation,
+    LockAnnotation,
+    ScaleDepAnnotation,
+)
 from .axes import Term, maximal, primary
 
 # -- side-effect classification tables -----------------------------------------
@@ -147,8 +158,9 @@ class FunctionAnalysis:
             return "serialized-linear"
         return "scale-independent"
 
-    def pil_safe(self, registry: AnnotationRegistry = REGISTRY) -> bool:
-        """PIL-safety verdict (registry overrides beat analysis).
+    def pil_safe(self, registry: Optional[AnnotationRegistry] = None) -> bool:
+        """PIL-safety verdict (registry overrides beat analysis; with no
+        registry the analysis alone decides).
 
         The generator veto is absolute and precedes overrides: replaying a
         memoized value cannot reproduce lazy-iteration semantics, so a
@@ -156,7 +168,8 @@ class FunctionAnalysis:
         """
         if self.is_generator:
             return False
-        override = registry.pil_safety_override(self.qualname)
+        override = (registry.pil_safety_override(self.qualname)
+                    if registry is not None else None)
         if override is not None:
             return override
         if any(kind in VETO_KINDS for kind in self.transitive_effect_kinds):
@@ -172,10 +185,6 @@ class FunctionAnalysis:
         if self.effective_depth == 0:
             return "O(1)"
         return f"O(N^{self.effective_depth})"
-
-    def complexity_terms(self) -> List[str]:
-        """All Pareto-maximal effective terms, rendered."""
-        return [term.render() for term in self.effective_terms]
 
     def guard_conditions(self) -> List[str]:
         """All distinct branch conditions guarding this function's loops."""
@@ -349,7 +358,7 @@ class _FunctionScanner:
             param: self.analysis.param_axes.get(param, frozenset())
             for param in self.analysis.tainted_params
         }
-        for _round in range(6):
+        while True:
             before = dict(self.tainted)
             self.analysis.scale_loops = []
             self.analysis.side_effects = []
@@ -691,10 +700,11 @@ def _safe_unparse(node: Optional[ast.AST]) -> str:
 
 @dataclass
 class FinderReport:
-    """Whole-module analysis result."""
+    """One module's resolved analyses, with the registry that scored them."""
 
     module: str
     functions: Dict[str, FunctionAnalysis]
+    registry: AnnotationRegistry
 
     def get(self, name: str) -> FunctionAnalysis:
         """Look up by bare name or qualname."""
@@ -712,10 +722,9 @@ class FinderReport:
             key=lambda f: (-f.effective_depth, f.qualname),
         )
 
-    def pil_candidates(self, registry: AnnotationRegistry = REGISTRY
-                       ) -> List[FunctionAnalysis]:
+    def pil_candidates(self) -> List[FunctionAnalysis]:
         """Offending functions that are also PIL-safe: ready for replacement."""
-        return [f for f in self.offenders() if f.pil_safe(registry)]
+        return [f for f in self.offenders() if f.pil_safe(self.registry)]
 
     def serialized_linear(self) -> List[FunctionAnalysis]:
         """Depth-1 offenders: the paper's 'other 53%' O(N) serializations."""
@@ -733,140 +742,401 @@ class FinderReport:
         return counts
 
 
-class Finder:
-    """Interprocedural driver: scan, propagate taint and effects, score."""
+def _collect(body: Sequence[ast.stmt], prefix: str, module: str,
+             registry: AnnotationRegistry,
+             scanners: Dict[str, _FunctionScanner]) -> None:
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scanners[node.name] = _FunctionScanner(
+                node, f"{prefix}{node.name}", module, registry
+            )
+        elif isinstance(node, ast.ClassDef):
+            _collect(node.body, f"{node.name}.", module, registry, scanners)
 
-    def __init__(self, registry: AnnotationRegistry = REGISTRY) -> None:
-        self.registry = registry
 
-    # -- entry points -------------------------------------------------------------
+def _scan_module(tree: ast.Module, module: str,
+                 registry: AnnotationRegistry) -> Dict[str, FunctionAnalysis]:
+    """Scan one module's functions and run its parameter-taint fixpoint.
 
-    def analyze_source(self, source: str, module: str = "<string>") -> FinderReport:
-        """Analyze Python source text; returns a FinderReport."""
-        tree = ast.parse(textwrap.dedent(source))
-        scanners: Dict[str, _FunctionScanner] = {}
-        self._collect(tree.body, prefix="", module=module, scanners=scanners)
-        return self._resolve(module, scanners)
-
-    def analyze_module(self, module) -> FinderReport:
-        """Analyze an imported module's source."""
-        source = inspect.getsource(module)
-        return self.analyze_source(source, module=module.__name__)
-
-    def analyze_modules(self, modules) -> Dict[str, FinderReport]:
-        """Analyze several modules; returns reports by module name."""
-        return {m.__name__: self.analyze_module(m) for m in modules}
-
-    # -- internals -----------------------------------------------------------------
-
-    def _collect(self, body, prefix: str, module: str,
-                 scanners: Dict[str, _FunctionScanner]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{node.name}"
-                scanners[node.name] = _FunctionScanner(
-                    node, qualname, module, self.registry
-                )
-            elif isinstance(node, ast.ClassDef):
-                self._collect(node.body, prefix=f"{node.name}.",
-                              module=module, scanners=scanners)
-
-    def _resolve(self, module: str,
-                 scanners: Dict[str, _FunctionScanner]) -> FinderReport:
-        # Interprocedural taint: re-scan until parameter taints stabilize.
-        analyses = {name: scanner.scan() for name, scanner in scanners.items()}
-        for _round in range(10):
-            changed = False
-            for analysis in analyses.values():
-                for call in analysis.calls:
-                    callee = self._resolve_callee(call.callee, scanners)
-                    if callee is None:
-                        continue
-                    callee_analysis = analyses[callee]
-                    for pos, axes in zip(call.tainted_args,
-                                         call.tainted_arg_axes):
-                        if pos >= len(callee_analysis.params):
-                            continue
-                        param = callee_analysis.params[pos]
-                        new = frozenset(axes)
-                        old = callee_analysis.param_axes.get(param)
-                        if (param not in callee_analysis.tainted_params
-                                or old is None or not new <= old):
-                            callee_analysis.tainted_params.add(param)
-                            callee_analysis.param_axes[param] = (
-                                (old or frozenset()) | new
-                            )
-                            changed = True
-            if not changed:
-                break
-            for name, scanner in scanners.items():
-                analyses[name] = scanner.scan()
-        # Effective terms and transitive effects via memoized DFS.
-        term_memo: Dict[str, Tuple[Term, ...]] = {}
-        effect_memo: Dict[str, Set[str]] = {}
-
-        def effective_terms(name: str, stack: Tuple[str, ...]
-                            ) -> Tuple[Term, ...]:
-            """Pareto-maximal complexity terms, interprocedurally."""
-            if name in term_memo:
-                return term_memo[name]
-            if name in stack:
-                return ()  # recursion: bound conservatively
-            analysis = analyses[name]
-            terms: List[Term] = list(analysis.local_terms)
+    Taint crosses intra-module call edges only.  Each round moves it one
+    call hop; rounds repeat until nothing changes, which terminates
+    because axis sets only grow and there are finitely many of them.
+    """
+    scanners: Dict[str, _FunctionScanner] = {}
+    _collect(tree.body, "", module, registry, scanners)
+    analyses = {name: scanner.scan() for name, scanner in scanners.items()}
+    changed = True
+    while changed:
+        changed = False
+        for analysis in analyses.values():
             for call in analysis.calls:
+                callee = _local_callee(call.callee, analyses)
+                if callee is None:
+                    continue
+                callee_analysis = analyses[callee]
+                for pos, axes in zip(call.tainted_args, call.tainted_arg_axes):
+                    if pos >= len(callee_analysis.params):
+                        continue
+                    param = callee_analysis.params[pos]
+                    new = frozenset(axes)
+                    old = callee_analysis.param_axes.get(param)
+                    if (param not in callee_analysis.tainted_params
+                            or old is None or not new <= old):
+                        callee_analysis.tainted_params.add(param)
+                        callee_analysis.param_axes[param] = (
+                            (old or frozenset()) | new
+                        )
+                        changed = True
+        if changed:
+            for scanner in scanners.values():
+                scanner.scan()
+    return analyses
+
+
+def _local_callee(callee: str, functions: Dict[str, object]) -> Optional[str]:
+    """Resolve a call-site name to a function of the same module."""
+    if callee in functions:
+        return callee
+    parts = callee.split(".")
+    if parts[0] == "self" and len(parts) == 2 and parts[1] in functions:
+        return parts[1]
+    return None
+
+
+# -- the whole program: annotation harvest, module discovery, linking ----------
+
+_ANNOTATION_CALLS = ("scale_dependent", "lock_protects", "declare_cost")
+_OVERRIDES = {"pil_safe": AnnotationRegistry.add_pil_safe,
+              "pil_unsafe": AnnotationRegistry.add_pil_unsafe}
+
+
+@dataclass
+class ModuleUnit:
+    """One analyzed module: source facts plus the finder's report."""
+
+    name: str
+    path: str
+    tree: ast.Module
+    report: FinderReport
+    #: local alias -> (absolute module name, remote function name)
+    imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+
+
+def _const_str(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _tail_name(node: ast.AST) -> str:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def harvest_annotations(tree: ast.Module, registry: AnnotationRegistry) -> int:
+    """Statically register the annotations found in one module's source.
+
+    Handles the call form at module top level
+    (``scale_dependent("ring", var="T")``,
+    ``lock_protects("ring_lock", "metadata")``, ``declare_cost("f", T=2)``),
+    the decorator-call form on top-level classes/functions, and the
+    ``@pil_safe`` / ``@pil_unsafe`` overrides on functions and methods.
+    Returns the number of annotations registered.
+    """
+    count = 0
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            count += _harvest_call(stmt.value, registry, decorated=None)
+        if isinstance(stmt, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            for decorator in stmt.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    count += _harvest_call(decorator, registry,
+                                           decorated=stmt.name)
+    return count + _harvest_overrides(tree.body, "", registry)
+
+
+def _harvest_overrides(body: Sequence[ast.stmt], prefix: str,
+                       registry: AnnotationRegistry) -> int:
+    """Register ``@pil_safe``/``@pil_unsafe`` under the finder's qualname."""
+    count = 0
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            count += _harvest_overrides(node.body, f"{node.name}.", registry)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                add = _OVERRIDES.get(_tail_name(decorator))
+                if add is not None:
+                    add(registry, f"{prefix}{node.name}")
+                    count += 1
+    return count
+
+
+def _harvest_call(call: ast.Call, registry: AnnotationRegistry,
+                  decorated: Optional[str]) -> int:
+    tail = _tail_name(call.func)
+    if tail not in _ANNOTATION_CALLS:
+        return 0
+    keywords: Dict[str, ast.AST] = {
+        kw.arg: kw.value for kw in call.keywords if kw.arg
+    }
+    note = _const_str(keywords.get("note", ast.Constant(value=""))) or ""
+    if tail == "scale_dependent":
+        axis = _const_str(keywords.get("axis",
+                                       ast.Constant(value="cluster-size")))
+        var = _const_str(keywords.get("var", ast.Constant(value=None)))
+        names = [s for s in (_const_str(a) for a in call.args)
+                 if s is not None]
+        if decorated is not None:
+            names.append(decorated)
+        for name in names:
+            registry.add_scale_dependent(ScaleDepAnnotation(
+                name, axis=axis or "cluster-size", note=note, var=var))
+        return len(names)
+    if tail == "lock_protects":
+        names = [s for s in (_const_str(a) for a in call.args)
+                 if s is not None]
+        if not names:
+            return 0
+        registry.add_lock(LockAnnotation(names[0], tuple(names[1:]),
+                                         note=note))
+        return 1
+    # declare_cost
+    funcs = [s for s in (_const_str(a) for a in call.args) if s is not None]
+    if not funcs:
+        return 0
+    degrees = {
+        key: value.value
+        for key, value in keywords.items()
+        if key not in ("note", "registry")
+        and isinstance(value, ast.Constant) and isinstance(value.value, int)
+    }
+    registry.add_cost(CostAnnotation(funcs[0], degrees, note=note))
+    return 1
+
+
+def _collect_imports(tree: ast.Module, module_name: str
+                     ) -> Dict[str, Tuple[str, str]]:
+    """Map local aliases to (absolute module, remote name) for ImportFrom."""
+    imports: Dict[str, Tuple[str, str]] = {}
+    package = module_name.rsplit(".", 1)[0] if "." in module_name else ""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ImportFrom):
+            continue
+        if stmt.level:
+            base_parts = package.split(".") if package else []
+            # level=1 is "current package"; each extra level pops one.
+            base_parts = base_parts[:len(base_parts) - (stmt.level - 1)]
+            base = ".".join(base_parts)
+            target = f"{base}.{stmt.module}" if stmt.module else base
+        else:
+            target = stmt.module or ""
+        for alias in stmt.names:
+            local = alias.asname or alias.name
+            imports[local] = (target, alias.name)
+    return imports
+
+
+def _walk_package(location: str, package: str) -> List[Tuple[str, str]]:
+    """(module name, path) for every source file under a package directory."""
+    pairs: List[Tuple[str, str]] = []
+    for root, dirs, files in os.walk(location):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for fname in sorted(files):
+            if not fname.endswith(".py"):
+                continue
+            rel = os.path.relpath(os.path.join(root, fname), location)
+            parts = [package] + rel.split(os.sep)
+            parts[-1] = parts[-1][:-3]
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            pairs.append((".".join(parts), os.path.join(root, fname)))
+    return pairs
+
+
+def _discover(target: str) -> List[Tuple[str, str]]:
+    """Resolve one target (module/package name or filesystem path) to
+    sorted (module_name, file_path) pairs."""
+    if os.path.exists(target):
+        path = os.path.abspath(target)
+        if os.path.isfile(path):
+            return [(os.path.splitext(os.path.basename(path))[0], path)]
+        return _walk_package(path, os.path.basename(path.rstrip(os.sep)))
+    spec = importlib.util.find_spec(target)
+    if spec is None:
+        raise ModuleNotFoundError(f"lint target not found: {target}")
+    if spec.submodule_search_locations:
+        return [pair for location in spec.submodule_search_locations
+                for pair in _walk_package(location, target)]
+    if spec.origin and spec.origin.endswith(".py"):
+        return [(target, spec.origin)]
+    raise ModuleNotFoundError(f"lint target has no python source: {target}")
+
+
+class Program:
+    """A linked set of analyzed modules with a shared harvested registry.
+
+    The one driver of the static analysis.  Building a program parses
+    each module once, harvests every annotation from source into one
+    registry, scans each module (taint stays intra-module), and then
+    fills every function's effective terms, depth and transitive effect
+    kinds over the cross-module call graph, honoring ``declare_cost``
+    bridges (modeled demand charged arithmetically).
+    """
+
+    def __init__(self, registry: AnnotationRegistry) -> None:
+        self.registry = registry
+        self.modules: Dict[str, ModuleUnit] = {}
+
+    # -- construction ------------------------------------------------------------
+
+    @classmethod
+    def load(cls, targets: Sequence[str],
+             registry: Optional[AnnotationRegistry] = None) -> "Program":
+        """Load and analyze ``targets`` (module names, packages, or paths)."""
+        paths: Dict[str, str] = {}
+        for target in targets:
+            paths.update(_discover(target))
+        sources: Dict[str, str] = {}
+        for name in sorted(paths):
+            with open(paths[name], "r", encoding="utf-8") as handle:
+                sources[name] = handle.read()
+        return cls.from_sources(sources, registry=registry, paths=paths)
+
+    @classmethod
+    def from_sources(cls, sources: Dict[str, str],
+                     registry: Optional[AnnotationRegistry] = None,
+                     paths: Optional[Dict[str, str]] = None) -> "Program":
+        """Build a program from in-memory sources (used heavily by tests)."""
+        registry = registry if registry is not None else AnnotationRegistry()
+        program = cls(registry)
+        trees = {name: ast.parse(sources[name]) for name in sorted(sources)}
+        for tree in trees.values():
+            harvest_annotations(tree, registry)
+        for name, tree in trees.items():
+            program.modules[name] = ModuleUnit(
+                name=name,
+                path=(paths or {}).get(name, f"<{name}>"),
+                tree=tree,
+                report=FinderReport(name, _scan_module(tree, name, registry),
+                                    registry),
+                imports=_collect_imports(tree, name),
+            )
+        program._link()
+        return program
+
+    # -- call resolution -----------------------------------------------------------
+
+    def find_module(self, dotted: str) -> Optional[str]:
+        """Resolve a (possibly relative-suffix) module name to a loaded one."""
+        if dotted in self.modules:
+            return dotted
+        matches = [name for name in self.modules
+                   if name.endswith(f".{dotted}")]
+        if len(matches) == 1:
+            return matches[0]
+        return None
+
+    def resolve_call(self, module: str, callee: str
+                     ) -> Optional[Tuple[str, str]]:
+        """Resolve a call-site name to (module, function) program-wide."""
+        unit = self.modules.get(module)
+        if unit is None:
+            return None
+        local = _local_callee(callee, unit.report.functions)
+        if local is not None:
+            return (module, local)
+        if "." not in callee and callee in unit.imports:
+            remote_module, remote_name = unit.imports[callee]
+            resolved = self.find_module(remote_module)
+            if resolved is not None:
+                remote_unit = self.modules[resolved]
+                if remote_name in remote_unit.report.functions:
+                    return (resolved, remote_name)
+        return None
+
+    def functions(self) -> List[Tuple[str, FunctionAnalysis]]:
+        """Every analyzed function as (module, analysis), sorted."""
+        result: List[Tuple[str, FunctionAnalysis]] = []
+        for name in sorted(self.modules):
+            report = self.modules[name].report
+            for fname in sorted(report.functions):
+                result.append((name, report.functions[fname]))
+        return result
+
+    def function(self, key: Tuple[str, str]) -> FunctionAnalysis:
+        """The analysis of ``(module, function)``."""
+        return self.modules[key[0]].report.functions[key[1]]
+
+    # -- program-wide inference -------------------------------------------------------
+
+    def _link(self) -> None:
+        """Fill effective terms, depth and transitive effect kinds.
+
+        One memoized DFS per quantity, visiting roots in sorted order; a
+        call back into the DFS stack (recursion) contributes nothing.
+        """
+        Key = Tuple[str, str]
+        terms: Dict[Key, Tuple[Term, ...]] = {}
+        kinds: Dict[Key, Set[str]] = {}
+
+        def terms_of(key: Key, stack: Tuple[Key, ...]) -> Tuple[Term, ...]:
+            if key in terms:
+                return terms[key]
+            if key in stack:
+                return ()
+            found: List[Term] = list(self.function(key).local_terms)
+            for call in self.function(key).calls:
                 chain_term = Term.from_chain(call.chain)
                 declared = self.registry.cost_degrees(call.callee)
                 if declared:
                     # Cost-model bridge: the callee charges virtual CPU
                     # demand arithmetically; use its declared degrees
                     # instead of (invisible) loop structure.
-                    terms.append(chain_term.mul(Term.from_degrees(declared)))
+                    found.append(chain_term.mul(Term.from_degrees(declared)))
                     continue
-                callee = self._resolve_callee(call.callee, scanners)
-                if callee is None:
-                    continue
-                for callee_term in effective_terms(callee, stack + (name,)):
-                    terms.append(chain_term.mul(callee_term))
-            result = maximal(terms)
-            term_memo[name] = result
-            return result
+                resolved = self.resolve_call(key[0], call.callee)
+                if resolved is not None:
+                    found.extend(chain_term.mul(term) for term
+                                 in terms_of(resolved, stack + (key,)))
+            terms[key] = maximal(found)
+            return terms[key]
 
-        def transitive_effects(name: str, stack: Tuple[str, ...]) -> Set[str]:
-            """Transitive effects."""
-            if name in effect_memo:
-                return effect_memo[name]
-            if name in stack:
+        def kinds_of(key: Key, stack: Tuple[Key, ...]) -> Set[str]:
+            if key in kinds:
+                return kinds[key]
+            if key in stack:
                 return set()
-            analysis = analyses[name]
-            kinds = {effect.kind for effect in analysis.side_effects}
-            for call in analysis.calls:
-                callee = self._resolve_callee(call.callee, scanners)
-                if callee is not None:
-                    kinds |= transitive_effects(callee, stack + (name,))
-            effect_memo[name] = kinds
-            return kinds
+            found = {effect.kind for effect in self.function(key).side_effects}
+            for call in self.function(key).calls:
+                resolved = self.resolve_call(key[0], call.callee)
+                if resolved is not None:
+                    found |= kinds_of(resolved, stack + (key,))
+            kinds[key] = found
+            return found
 
-        for name, analysis in analyses.items():
-            analysis.effective_terms = effective_terms(name, ())
+        roots = [(module, analysis.name)
+                 for module, analysis in self.functions()]
+        for key in roots:
+            analysis = self.function(key)
+            analysis.effective_terms = terms_of(key, ())
             analysis.effective_depth = max(
                 (term.total() for term in analysis.effective_terms), default=0
             )
-            analysis.transitive_effect_kinds = transitive_effects(name, ())
-        return FinderReport(module=module, functions=analyses)
-
-    @staticmethod
-    def _resolve_callee(callee: str,
-                        scanners: Dict[str, _FunctionScanner]) -> Optional[str]:
-        """Resolve a call-site name to a function in this module."""
-        if callee in scanners:
-            return callee
-        parts = callee.split(".")
-        if parts[0] == "self" and len(parts) == 2 and parts[1] in scanners:
-            return parts[1]
-        return None
+        for key in roots:
+            self.function(key).transitive_effect_kinds = kinds_of(key, ())
 
 
-def find_offending(module, registry: AnnotationRegistry = REGISTRY) -> FinderReport:
-    """Convenience wrapper: analyze one module with the global registry."""
-    return Finder(registry).analyze_module(module)
+def find_offending(module, registry: Optional[AnnotationRegistry] = None
+                   ) -> FinderReport:
+    """Step (b) over one imported module.
+
+    Loads a :class:`Program` over the module's package, so annotations
+    and calls resolve from source, and returns the module's report.  An
+    explicit ``registry`` receives the harvested annotations on top of
+    whatever it already holds.
+    """
+    name = module.__name__
+    package = name if hasattr(module, "__path__") else name.rpartition(".")[0]
+    return Program.load([package or name], registry).modules[name].report

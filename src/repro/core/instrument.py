@@ -13,8 +13,8 @@ from __future__ import annotations
 import types
 from typing import Dict, Iterable, List, Optional
 
-from ..annotations import REGISTRY, AnnotationRegistry
-from .finder import Finder, FinderReport
+from ..annotations import AnnotationRegistry
+from .finder import FinderReport, find_offending
 from .memoization import MemoDB
 from .pilfunc import PilFunction
 
@@ -41,7 +41,7 @@ class Instrumenter:
         self,
         module: types.ModuleType,
         db: MemoDB,
-        registry: AnnotationRegistry = REGISTRY,
+        registry: Optional[AnnotationRegistry] = None,
         time_scale: float = 1.0,
     ) -> None:
         self.module = module
@@ -57,12 +57,12 @@ class Instrumenter:
     def analyze(self) -> FinderReport:
         """Run (and cache) the finder over the target module."""
         if self.report is None:
-            self.report = Finder(self.registry).analyze_module(self.module)
+            self.report = find_offending(self.module, self.registry)
         return self.report
 
     def default_targets(self) -> List[str]:
         """The finder's picks: offending *and* PIL-safe functions."""
-        return [f.name for f in self.analyze().pil_candidates(self.registry)]
+        return [f.name for f in self.analyze().pil_candidates()]
 
     # -- wrapping -------------------------------------------------------------------
 

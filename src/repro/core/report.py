@@ -29,7 +29,8 @@ def render_finder_report(report: FinderReport, max_guards: int = 3) -> str:
     if not offenders:
         lines.append("no offending functions found")
     for analysis in offenders:
-        verdict = "PIL-safe" if analysis.pil_safe() else "NOT PIL-safe"
+        verdict = ("PIL-safe" if analysis.pil_safe(report.registry)
+                   else "NOT PIL-safe")
         lines.append(
             f"- {analysis.qualname} (line {analysis.lineno}): "
             f"{analysis.complexity}, {verdict}"

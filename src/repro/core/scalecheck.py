@@ -28,7 +28,6 @@ import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from .. import annotations as _annotations
 from ..cassandra import legacy_calc
 from ..cassandra.bugs import BugConfig, get_bug
 from ..cassandra.cluster import Cluster, MachineSpec, Mode
@@ -39,7 +38,7 @@ from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
-from .finder import Finder, FinderReport
+from .finder import FinderReport, find_offending
 from .memoization import MemoDB
 from .pil import MemoizingExecutor, MissPolicy
 from .replayer import ReplayHarness, ReplayResult
@@ -158,7 +157,7 @@ class ScaleCheck:
 
     def find_offenders(self) -> FinderReport:
         """Run the finder over the pending-range calculation corpus."""
-        return Finder(_annotations.REGISTRY).analyze_module(legacy_calc)
+        return find_offending(legacy_calc)
 
     # -- baselines ----------------------------------------------------------------------
 

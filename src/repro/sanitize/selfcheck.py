@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..analysis.interproc import Program
-from ..canonical import canonical_json
 from ..analysis.shared import check_dead_annotations, check_shared_state
+from ..canonical import canonical_json
+from ..core.finder import Program
 from ..sim.kernel import Acquire, Lock, Simulator, Timeout
 from .instrument import TrackedMap, TrackedSeq
 from .tracker import RaceTracker

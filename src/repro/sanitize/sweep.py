@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..analysis.findings import sort_findings
-from ..analysis.interproc import Program
 from ..analysis.shared import (
     check_dead_annotations,
     check_shared_state,
@@ -32,6 +31,7 @@ from ..analysis.shared import (
 )
 from ..canonical import canonical_json, sha256_hex
 from ..core.curves import fit_metric_curve
+from ..core.finder import Program
 from ..sweep.cache import SweepCache
 from .instrument import instrument_cluster
 from .report import SanitizeReport

@@ -104,6 +104,33 @@ class TestHarvest:
         assert registry.is_scale_dependent("tokens")
         assert registry.is_scale_dependent("Ring")
 
+    def test_pil_overrides_are_harvested_from_decorators(self):
+        source = (
+            "from repro.annotations import pil_safe, pil_unsafe, "
+            "scale_dependent\n"
+            "scale_dependent('ring', var='T')\n"
+            "@pil_unsafe\n"
+            "def square(ring):\n"
+            "    out = []\n"
+            "    for a in ring:\n"
+            "        for b in ring:\n"
+            "            out.append((a, b))\n"
+            "    return out\n"
+            "class Probe:\n"
+            "    @pil_safe\n"
+            "    def shout(self, ring):\n"
+            "        for a in ring:\n"
+            "            for b in ring:\n"
+            "                print(a, b)\n"
+            "        return 1\n"
+        )
+        program = Program.from_sources({"m": source})
+        registry = program.registry
+        assert registry.pil_safety_override("square") is False
+        assert registry.pil_safety_override("Probe.shout") is True
+        report = program.modules["m"].report
+        assert [f.name for f in report.pil_candidates()] == ["shout"]
+
     def test_lint_never_imports_targets(self, tmp_path):
         victim = tmp_path / "boom.py"
         victim.write_text(
@@ -142,7 +169,7 @@ CROSS_MODULE_SOURCES = {
 class TestProgram:
     def test_terms_cross_module_boundaries(self):
         program = Program.from_sources(CROSS_MODULE_SOURCES)
-        terms = program.effective_terms("pkg.bmod", "per_change")
+        terms = program.function(("pkg.bmod", "per_change")).effective_terms
         assert [t.render() for t in terms] == ["O(M·T^2)"]
 
     def test_resolve_call_through_import_from(self):
@@ -163,7 +190,7 @@ class TestProgram:
                 "    return demand\n"
             ),
         })
-        terms = program.effective_terms("m", "top")
+        terms = program.function(("m", "top")).effective_terms
         assert [t.render() for t in terms] == ["O(M·T^2)"]
 
     def test_load_by_package_name(self):

@@ -1,7 +1,7 @@
 """Tests for the annotation registry (paper step (a))."""
 
+from repro.analysis import Program
 from repro.annotations import (
-    REGISTRY,
     AnnotationRegistry,
     ScaleDepAnnotation,
     scale_dependent,
@@ -67,10 +67,8 @@ def test_clear_resets_everything():
 
 
 def test_global_registry_has_cassandra_annotations():
-    """Importing the Cassandra model installs its step-(a) annotations."""
-    import repro.cassandra.legacy_calc  # noqa: F401  (side effect)
-
-    names = REGISTRY.scale_dependent_names()
+    """The Cassandra model's source carries its step-(a) annotations."""
+    names = Program.load(["repro.cassandra"]).registry.scale_dependent_names()
     assert "token_to_endpoint" in names
     assert "endpoint_state_map" in names
     # The paper's budget: the whole annotation set is tiny.

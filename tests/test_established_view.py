@@ -165,7 +165,7 @@ def test_build_established_does_counted_work_once(monkeypatch):
 def test_sanitizer_wrappers_survive_the_build():
     """Containers wrapped (or wrappable) at ``add_node`` time are filled in
     place: a rebound attribute would silently drop its tracked wrapper."""
-    from repro.analysis.interproc import Program
+    from repro.analysis import Program
     from repro.analysis.shared import harvest_shared_state
     from repro.sanitize import RaceTracker, TrackedMap, instrument_cluster
 

@@ -1,15 +1,18 @@
 """Tests for the offending-function finder (program analysis)."""
 
+import textwrap
+
 import pytest
 
 import repro.cassandra.legacy_calc as legacy_calc
+from repro.analysis import Program
 from repro.annotations import (
     AnnotationRegistry,
     pil_safe,
     pil_unsafe,
     scale_dependent,
 )
-from repro.core.finder import Finder, find_offending
+from repro.core.finder import find_offending
 
 
 def make_registry(*names):
@@ -18,8 +21,14 @@ def make_registry(*names):
     return registry
 
 
+def report_for(registry, source):
+    """The report of a one-module program built from ``source``."""
+    program = Program.from_sources({"m": textwrap.dedent(source)}, registry)
+    return program.modules["m"].report
+
+
 def analyze(source, *scale_names):
-    return Finder(make_registry(*scale_names)).analyze_source(source)
+    return report_for(make_registry(*scale_names), source)
 
 
 # -- basic loop detection ------------------------------------------------------------
@@ -200,6 +209,44 @@ def test_taint_propagates_through_parameters():
     assert report.get("entry").effective_depth == 1
 
 
+def test_taint_reaches_a_nest_twelve_calls_deep():
+    """Each fixpoint round moves taint one call hop, so the rounds run
+    until nothing changes rather than for a fixed count."""
+    hops = "".join(f"def hop{i}(x):\n    return hop{i + 1}(x)\n\n"
+                   for i in range(12))
+    source = (
+        "def entry(ring):\n    return hop0(ring)\n\n" + hops
+        + "def hop12(x):\n"
+          "    total = 0\n"
+          "    for a in x:\n"
+          "        for b in x:\n"
+          "            total += 1\n"
+          "    return total\n"
+    )
+    report = report_for(axis_registry(ring="T"), source)
+    assert report.get("hop12").complexity == "O(T^2)"
+    assert report.get("entry").complexity == "O(T^2)"
+    assert report.get("entry").offending
+
+
+def test_local_taint_reaches_a_loop_seven_assignments_back():
+    """Taint assigned later in a body reaches an earlier loop one
+    assignment per pass, so the passes run until nothing changes."""
+    copies = "".join(f"    x{i} = x{i + 1}\n" for i in range(1, 7))
+    source = (
+        "def f(ring):\n"
+        "    total = 0\n"
+        "    for a in x1:\n"
+        "        for b in x1:\n"
+        "            total += 1\n"
+        + copies
+        + "    x7 = ring\n"
+          "    return total\n"
+    )
+    assert report_for(axis_registry(ring="T"), source).get(
+        "f").complexity == "O(T^2)"
+
+
 def test_recursion_does_not_hang():
     report = analyze(
         """
@@ -368,7 +415,7 @@ def probe(ring):
         print(x)
     return 1
 """
-    report = Finder(registry).analyze_source(source)
+    report = report_for(registry, source)
     assert not report.get("probe").pil_safe(registry)
     registry.add_pil_safe("probe")    # developer asserts the print is benign
     assert report.get("probe").pil_safe(registry)
@@ -441,8 +488,8 @@ def test_finder_refuses_gossiper_message_handling():
     and mutate node state), exactly the verdict the rule demands."""
     import repro.cassandra.gossip as gossip_module
 
-    report = Finder(make_registry("endpoint_state_map")).analyze_module(
-        gossip_module)
+    report = find_offending(gossip_module,
+                            make_registry("endpoint_state_map"))
     handler = report.get("Gossiper._handle_syn")
     assert "network" in handler.transitive_effect_kinds
     assert not handler.pil_safe(make_registry("endpoint_state_map"))
@@ -464,8 +511,8 @@ class TestNamedAxes:
     def test_distinct_axes_yield_distinct_labels(self):
         # An O(N·NP) nest (nodes x vnodes) must not collapse to O(N^2).
         registry = axis_registry(nodes="N", vnodes="NP")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def f(nodes, vnodes):
                 total = 0
                 for n in nodes:
@@ -478,8 +525,8 @@ class TestNamedAxes:
 
     def test_same_axis_twice_squares(self):
         registry = axis_registry(ring="T")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def f(ring):
                 total = 0
                 for a in ring:
@@ -506,8 +553,8 @@ class TestNamedAxes:
 
     def test_scale_loops_carry_axis_vars(self):
         registry = axis_registry(ring="T")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def f(ring):
                 for a in ring:
                     pass
@@ -521,8 +568,8 @@ class TestNamedAxes:
         # One loop over a structure tainted by two axes: the level's factor
         # is the sum M+T, not a product.
         registry = axis_registry(ring="T", changes="M")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def f(ring, changes):
                 merged = list(ring) + list(changes)
                 total = 0
@@ -540,8 +587,8 @@ class TestNamedAxes:
 class TestPilSafetyVerdicts:
     def test_generator_unsafe_even_with_override(self):
         registry = make_registry("ring")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def gen(ring):
                 for a in ring:
                     yield a
@@ -556,8 +603,8 @@ class TestPilSafetyVerdicts:
 
     def test_implicit_none_return_is_unsafe(self):
         registry = make_registry("ring")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def walk(ring):
                 total = 0
                 for a in ring:
@@ -570,8 +617,8 @@ class TestPilSafetyVerdicts:
 
     def test_bare_return_is_unsafe(self):
         registry = make_registry("ring")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def walk(ring):
                 for a in ring:
                     if a is None:
@@ -584,8 +631,8 @@ class TestPilSafetyVerdicts:
 
     def test_real_return_is_safe(self):
         registry = make_registry("ring")
-        report = Finder(registry).analyze_source(
-            """
+        report = report_for(
+            registry, """
             def walk(ring):
                 total = 0
                 for a in ring:

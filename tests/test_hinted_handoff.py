@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.annotations import REGISTRY
+from repro.analysis import Program
 from repro.cassandra import Cluster, ClusterConfig
 from repro.cassandra.cluster import node_name
 from repro.cassandra.storage import ConsistencyLevel, StorageService
@@ -180,6 +180,7 @@ class TestHintDelivery:
 
 class TestLockDiscipline:
     def test_hint_store_is_declared_lock_protected(self):
+        registry = Program.load(["repro.cassandra"]).registry
         owners = {annotation.lock
-                  for annotation in REGISTRY.lock_annotations()}
+                  for annotation in registry.lock_annotations()}
         assert "hints_lock" in owners

@@ -67,7 +67,7 @@ ENTRY_POINTS = [
      ("numpy", "repro.core", "repro.sweep", "repro.study", "repro.bench",
       "repro.faults", "multiprocessing")),
     ("import repro.core.scalecheck",
-     ("numpy", "repro.sweep", "repro.study", "repro.bench",
+     ("numpy", "repro.analysis", "repro.sweep", "repro.study", "repro.bench",
       "multiprocessing")),
     ("import repro.cassandra.partition",
      ("numpy", "repro.core", "repro.sweep", "repro.study", "repro.bench")),

@@ -10,7 +10,7 @@ the replacement up front.
 
 import pytest
 
-from repro.core.finder import Finder
+from repro.analysis import Program
 from repro.core.memoization import MemoDB
 from repro.core.pilfunc import PilFunction
 from repro.annotations import AnnotationRegistry, scale_dependent
@@ -108,7 +108,7 @@ class Holder:
             self.count = self.count + 1
         return self.count
 """
-    report = Finder(registry).analyze_source(source)
+    report = Program.from_sources({"m": source}, registry).modules["m"].report
     assert not report.get("announce_and_sum").pil_safe(registry)   # network
     assert not report.get("pick").pil_safe(registry)               # nondet
     assert not report.get("Holder.bump").pil_safe(registry)        # state

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.analysis import Program
 from repro.cassandra.metrics import CalcRecord, FlapCounter, RunReport
-from repro.core.finder import Finder
 from repro.core.memoization import MemoDB
 from repro.core.report import (
     render_finder_report,
@@ -107,7 +107,7 @@ def entry(ring, fresh, out):
                 out[a] = b
     return out
 """
-    report = Finder(registry).analyze_source(source)
+    report = Program.from_sources({"m": source}, registry).modules["m"].report
     text = render_finder_report(report)
     assert "entry" in text
     assert "O(N^2)" in text
@@ -116,7 +116,24 @@ def entry(ring, fresh, out):
     assert "categories:" in text
 
 
+def test_rendered_verdict_reads_the_reports_registry():
+    """A registry veto keeps the entry point unwrapped, and the rendered
+    report must agree with the instrumenter about it."""
+    import repro.cassandra.legacy_calc as legacy_calc
+    from repro.core.instrument import Instrumenter
+
+    registry = Program.load(["repro.cassandra"]).registry
+    registry.add_pil_unsafe("calculate_pending_ranges_legacy")
+    instrumenter = Instrumenter(legacy_calc, MemoDB(), registry=registry)
+    assert "calculate_pending_ranges_legacy" not in (
+        instrumenter.default_targets())
+    text = render_finder_report(instrumenter.analyze())
+    line, = [row for row in text.splitlines()
+             if row.startswith("- calculate_pending_ranges_legacy ")]
+    assert line.endswith(", NOT PIL-safe")
+
+
 def test_render_finder_report_empty_module():
     registry = AnnotationRegistry()
-    report = Finder(registry).analyze_source("x = 1")
+    report = Program.from_sources({"m": "x = 1"}, registry).modules["m"].report
     assert "no offending functions" in render_finder_report(report)

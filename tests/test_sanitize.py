@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.interproc import Program
+from repro.analysis import Program
 from repro.analysis.shared import (
     check_dead_annotations,
     check_shared_state,
