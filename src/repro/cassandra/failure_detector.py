@@ -95,8 +95,11 @@ class PhiAccrualFailureDetector:
     def report(self, endpoint: str, now: float) -> None:
         """Feed one heartbeat arrival for ``endpoint``."""
         self.stats.reports += 1
-        gid = self.shared.gid(endpoint)
-        self._ensure_capacity(gid)
+        gid = self.shared.registry.get(endpoint)
+        if gid is None:
+            gid = self.shared.gid(endpoint)
+        if gid >= len(self._count):
+            self._ensure_capacity(gid)
         count = self._count[gid]
         if count == 0:
             interval = self._bootstrap

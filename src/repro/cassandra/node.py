@@ -48,7 +48,7 @@ from .state import (
     STATUS_LEFT,
     STATUS_NORMAL,
     TOKENS,
-    blob_entry_count,
+    blob_app_items,
 )
 from .state_columnar import (
     EndpointStateView,
@@ -97,9 +97,11 @@ def estimate_entries(kind: str, payload) -> int:
         return len(payload)
     if kind == ACK:
         send_states, requests = payload
-        return sum(blob_entry_count(b) for b in send_states.values()) + len(requests)
+        return (len(send_states) + len(requests)
+                + sum(map(len, map(blob_app_items, send_states.values()))))
     if kind == ACK2:
-        return sum(blob_entry_count(b) for b in payload.values())
+        return len(payload) + sum(map(len, map(blob_app_items,
+                                               payload.values())))
     return 1
 
 

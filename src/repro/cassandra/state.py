@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional, Tuple
 
 # Application-state keys (subset of Cassandra's ApplicationState enum that
@@ -66,3 +67,9 @@ class GossipDigest(NamedTuple):
 def blob_entry_count(blob: tuple) -> int:
     """Number of app-state entries in a state blob (for CPU cost models)."""
     return 1 + len(blob[2])
+
+
+#: A blob's app items, as a C-speed getter: the hot paths count a message's
+#: entries as ``len(blobs) + sum(map(len, map(blob_app_items,
+#: blobs.values())))``, which is ``blob_entry_count`` summed over ``blobs``.
+blob_app_items = itemgetter(2)

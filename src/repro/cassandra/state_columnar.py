@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .state import STATUS, STATUS_NORMAL, TOKENS, GossipDigest, VersionedValue
 
@@ -229,8 +229,9 @@ class ColumnarEndpointStore:
         self.order_gids = array("q")
         self.present = 0
         #: Sanitizer hook, called with "r" for a read through the
-        #: :class:`ColumnarStateMap` facade and "w" when a row is
-        #: materialized or replaced by a restarted incarnation; the
+        #: :class:`ColumnarStateMap` facade (one per name its
+        #: ``delta_blobs`` looks up, as ``get`` would) and "w" when a row
+        #: is materialized or replaced by a restarted incarnation; the
         #: per-digest and per-heartbeat loops never consult it.
         self.on_access: Optional[Callable[[str], None]] = None
 
@@ -488,3 +489,35 @@ class ColumnarStateMap(Mapping):
                 or store.generation[gid] < 0):
             return default
         return EndpointStateView(store, gid)
+
+    def delta_blobs(self, requests: Iterable[Tuple[str, int]]
+                    ) -> Dict[str, tuple]:
+        """The delta blob of every known name in ``requests``, by name.
+
+        Equals ``{name: self.get(name).delta_blob(newer_than) for name,
+        newer_than in requests if name in self}``, reporting one "r" per
+        request as those ``get`` calls do, but reads the columns instead of
+        building a view per name.  A request at or above the row's max app
+        version gets the empty delta ``()`` without scanning the wire tuple.
+        """
+        store = self._store
+        on_access = store.on_access
+        registry_get = store.shared.registry.get
+        gen_col = store.generation
+        hb_col = store.hb_version
+        app_col = store.app
+        known = len(gen_col)
+        blobs: Dict[str, tuple] = {}
+        for name, newer_than in requests:
+            if on_access is not None:
+                on_access("r")
+            gid = registry_get(name)
+            if gid is None or gid >= known or gen_col[gid] < 0:
+                continue
+            record = app_col[gid]
+            blobs[name] = (
+                gen_col[gid], hb_col[gid],
+                () if newer_than >= record.max_app else
+                tuple(entry for entry in record.wire
+                      if entry[2] > newer_than))
+        return blobs
