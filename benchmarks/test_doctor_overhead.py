@@ -8,9 +8,9 @@ reduced vnodes + CI-mapped cost constants):
    bottleneck is the single-threaded gossip stage queue, and it accounts
    for >= 80% of the run's attributable event lateness -- the scale-doctor
    names the paper's actual scalability bottleneck, not a bystander.
-2. **Zero-cost-when-disabled**: a run with a *disabled* tracer attached
-   takes < 5% longer wall-clock than a run with no tracer at all (the
-   kernel's emission sites cost one guard each when tracing is off).
+2. **Zero-cost-when-disabled**: a run handed a *disabled* tracer takes
+   < 5% longer wall-clock than a run with no tracer at all (a disabled
+   tracer never attaches, so each kernel seam costs one ``is None``).
 
 Deselect with ``-m "not obs"``; this module simulates ~7 cluster runs at
 N=128.
@@ -78,7 +78,7 @@ def diagnosis():
     from repro.cassandra.workloads import run_workload
     from repro.faults import install_faults
 
-    cluster = Cluster(check.config(Mode.COLO), tracer=tracer)
+    cluster = Cluster(check.config(Mode.COLO), observer=tracer)
     install_faults(cluster, chaos_schedule())
     report = run_workload(cluster, check.bug.workload, check.params)
     return {
@@ -123,7 +123,7 @@ def test_disabled_tracing_overhead_under_budget(benchmark, capsys):
         for __ in range(TIMING_ROUNDS):
             check = make_check()
             start = time.perf_counter()
-            check.run_colo(faults=schedule, tracer=tracer_factory())
+            check.run_colo(faults=schedule, observer=tracer_factory())
             best = min(best, time.perf_counter() - start)
         return best
 

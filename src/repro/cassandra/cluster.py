@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from ..sim.cpu import CpuModel, DedicatedCpu, SharedCpu
-from ..sim.kernel import Simulator
+from ..sim.kernel import KernelObserver, Simulator
 from ..sim.memory import GB, MachineMemory, NodeMemoryProfile, OutOfMemoryError, single_process_profile
 from ..sim.network import LatencyModel, Network, OrderEnforcer
 from .bugs import BugConfig, get_bug
@@ -139,19 +139,15 @@ class Cluster:
         config: ClusterConfig,
         executor: Optional[CalcExecutor] = None,
         order_enforcer: Optional[OrderEnforcer] = None,
-        tracer=None,
-        race_tracker=None,
+        observer: Optional[KernelObserver] = None,
         network: Optional[Callable[[Simulator], Network]] = None,
         hosts: Callable[[str], bool] = lambda node_id: True,
     ) -> None:
         self.config = config
         self.shared_state = SharedClusterState()
         self.sim = Simulator(seed=config.seed)
-        self.sim.tracer = tracer
-        self.tracer = tracer
-        self.race_tracker = race_tracker
-        if race_tracker is not None:
-            race_tracker.attach(self.sim)
+        if observer is not None:
+            observer.attach(self.sim)
         self.network = (network(self.sim) if network is not None
                         else Network(self.sim, latency=config.latency,
                                      enforcer=order_enforcer))
@@ -420,6 +416,6 @@ class Cluster:
             else:
                 report.extra["protocol_time"] = self.sim.now - self.op_started_at
                 report.extra["converged"] = 0.0
-        if self.race_tracker is not None:
-            report.extra.update(self.race_tracker.metrics())
+        if self.sim.observer is not None:
+            report.extra.update(self.sim.observer.metrics())
         return report

@@ -199,7 +199,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         config.machine.cores = args.machine_cores
     schedule = _load_schedule(args.load_schedule)
     tracer = None if args.no_trace else SpanTracer(max_spans=args.max_spans)
-    cluster = Cluster(config, tracer=tracer)
+    cluster = Cluster(config, observer=tracer)
     install_faults(cluster, schedule)
     print(f"doctoring {args.bug} at {args.nodes} nodes "
           f"(mode {args.mode}, P={config.bug.vnodes}, seed {args.seed})...")

@@ -22,7 +22,7 @@ from ..cassandra.metrics import RunReport
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
-from ..sim.kernel import Simulator, Timeout
+from ..sim.kernel import KernelObserver, Simulator, Timeout
 from ..sim.network import OrderEnforcer
 from .memoization import MemoDB
 from .pil import MissPolicy, PilReplayExecutor
@@ -101,7 +101,7 @@ class ReplayHarness:
         enforce_order: bool = False,
         watchdog_interval: float = 1.0,
         faults: Optional[FaultSchedule] = None,
-        tracer=None,
+        observer: Optional[KernelObserver] = None,
         lru_size: int = 256,
         target: Target = CASSANDRA,
     ) -> None:
@@ -115,7 +115,7 @@ class ReplayHarness:
         self.enforce_order = enforce_order
         self.watchdog_interval = watchdog_interval
         self.faults = faults
-        self.tracer = tracer
+        self.observer = observer
         #: Capacity of the executor's deserialized-output LRU front
         #: (:class:`~repro.core.memoization.MemoLruFront`).
         self.lru_size = lru_size
@@ -139,7 +139,7 @@ class ReplayHarness:
         target = self.target
         enforcer = OrderEnforcer(self.db.message_order) if self.enforce_order else None
         cluster = target.cluster(self.config, order_enforcer=enforcer,
-                                 tracer=self.tracer)
+                                 observer=self.observer)
         executor = PilReplayExecutor(self.db, cluster.sim,
                                      miss_policy=self.miss_policy,
                                      func_id=target.func_id,

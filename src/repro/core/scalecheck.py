@@ -38,6 +38,7 @@ from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
+from ..sim.kernel import KernelObserver
 from .finder import FinderReport, find_offending
 from .memoization import MemoDB
 from .pil import MemoizingExecutor, MissPolicy
@@ -131,13 +132,14 @@ class ScaleCheck:
         """The target's cluster configuration for the given mode."""
         return self.target.config(self, mode)
 
-    def _run(self, mode: Mode, faults: Optional[FaultSchedule], tracer=None,
+    def _run(self, mode: Mode, faults: Optional[FaultSchedule],
+             observer: Optional[KernelObserver] = None,
              executor: Optional[CalcExecutor] = None) -> Tuple[Any, RunReport]:
         """Build the target's cluster for ``mode`` and run its scenario;
         returns ``(cluster, report)``."""
         self._release_previous_cluster()
         target = self.target
-        cluster = target.cluster(self.config(mode), tracer=tracer)
+        cluster = target.cluster(self.config(mode), observer=observer)
         if executor is not None:
             cluster.executor = executor
         if isinstance(cluster, Cluster):
@@ -162,14 +164,14 @@ class ScaleCheck:
     # -- baselines ----------------------------------------------------------------------
 
     def run_real(self, faults: Optional[FaultSchedule] = None,
-                 tracer=None) -> RunReport:
+                 observer: Optional[KernelObserver] = None) -> RunReport:
         """Real-scale testing: every node on its own (simulated) machine."""
-        return self._run(Mode.REAL, faults, tracer)[1]
+        return self._run(Mode.REAL, faults, observer)[1]
 
     def run_colo(self, faults: Optional[FaultSchedule] = None,
-                 tracer=None) -> RunReport:
+                 observer: Optional[KernelObserver] = None) -> RunReport:
         """Basic colocation: all nodes contend on one machine, no PIL."""
-        return self._run(Mode.COLO, faults, tracer)[1]
+        return self._run(Mode.COLO, faults, observer)[1]
 
     # -- steps (c)+(d): memoization under basic colocation -------------------------------
 

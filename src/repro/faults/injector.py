@@ -266,7 +266,6 @@ class Injector:
                 self.enacted.append(record)
             else:
                 self.skipped.append(record)
-            sim.trace.emit(sim.now, "fault" if applied else "fault-skip", label)
 
     def _start_stress(self, event: CpuStress) -> bool:
         cpu = self.target.cpu_for(event.node)

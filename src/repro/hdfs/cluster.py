@@ -22,7 +22,7 @@ from ..cassandra.node import CalcExecutor
 from ..obs.doctor import stage_lateness
 from ..sim.cpu import DedicatedCpu, SharedCpu
 from ..sim.disk import DataEmulationPolicy, Disk
-from ..sim.kernel import Simulator
+from ..sim.kernel import KernelObserver, Simulator
 from ..sim.memory import GB, MB
 from ..sim.network import LatencyModel, Network, OrderEnforcer
 from .datanode import DataNode, DataNodeCosts
@@ -71,11 +71,11 @@ class HdfsCluster:
     def __init__(self, config: HdfsConfig,
                  executor: Optional[CalcExecutor] = None,
                  order_enforcer: Optional[OrderEnforcer] = None,
-                 tracer=None) -> None:
+                 observer: Optional[KernelObserver] = None) -> None:
         self.config = config
         self.sim = Simulator(seed=config.seed)
-        self.sim.tracer = tracer
-        self.tracer = tracer
+        if observer is not None:
+            observer.attach(self.sim)
         self.network = Network(self.sim, latency=LatencyModel(),
                                enforcer=order_enforcer)
         self.flaps = FlapCounter()

@@ -5,8 +5,9 @@ Four pieces, layered bottom-up:
 * :mod:`repro.obs.registry` -- counters/gauges/histograms with labelled
   names and diffable virtual-time snapshots;
 * :mod:`repro.obs.tracer` -- structured virtual-time spans (queue waits,
-  lock waits/holds, compute, network deliveries) behind a
-  zero-cost-when-disabled simulator flag, exportable as JSON lines;
+  lock waits/holds, compute, network deliveries) built in the kernel's
+  observer seam (``sim.observer``, None when untraced), exportable as
+  JSON lines;
 * :mod:`repro.obs.collect` -- mirrors the existing ad-hoc cluster stats
   into a registry per sampling window;
 * :mod:`repro.obs.doctor` -- the scale-doctor: a ranked bottleneck report

@@ -122,10 +122,9 @@ class ClusterCollector:
             max((g.fd.stats.max_phi_seen for g in gossipers), default=0.0))
 
     def _mirror_races(self) -> None:
-        """Sanitizer counters (present only when a RaceTracker is attached)."""
-        tracker = getattr(getattr(self.cluster, "sim", None),
-                          "race_tracker", None)
-        if tracker is None:
+        """Sanitizer counters (present only when a RaceTracker observes)."""
+        tracker = getattr(getattr(self.cluster, "sim", None), "observer", None)
+        if not hasattr(tracker, "site_races"):
             return
         reg = self.registry
         reg.counter("race.pairs").set_total(tracker.race_pairs)

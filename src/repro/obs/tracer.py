@@ -3,16 +3,16 @@
 A :class:`Span` is an interval of virtual time attributed to a category
 (``queue``, ``lock-wait``, ``lock-hold``, ``compute``, ``net``), a named
 resource (a specific channel, lock, or CPU), and optionally a node and tag.
-The kernel, CPU models, and network emit spans at the points where lateness
-is *created* -- an item leaving a queue, a lock changing hands, a compute
-job completing, a message arriving -- so a trace is a complete account of
-where virtual time was spent waiting.
+:class:`SpanTracer` is a :class:`~repro.sim.kernel.KernelObserver`: it
+builds spans in the kernel seams where lateness is *created* -- an item
+leaving a queue, a lock changing hands, a compute job completing, a message
+arriving -- so a trace is a complete account of where virtual time was
+spent waiting.
 
 Zero-cost-when-disabled is a hard requirement (the paper's whole value
-proposition is cheap large-N runs): every emission site in the hot path is
-guarded by ``tracer is not None and tracer.enabled`` on a simulator
-attribute that defaults to ``None``, so an untraced run pays one attribute
-load per site and allocates nothing.
+proposition is cheap large-N runs): a disabled tracer never attaches, so
+``sim.observer`` stays None and the run pays one ``is None`` test per seam
+and allocates nothing.
 
 Export is JSON lines (one span per line), the format the scale-doctor and
 external tooling consume.
@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from ..sim.kernel import KernelObserver
 
 #: Span categories emitted by the built-in instrumentation.
 CAT_QUEUE = "queue"
@@ -58,15 +60,14 @@ class Span:
         }
 
 
-class SpanTracer:
+class SpanTracer(KernelObserver):
     """Collects spans and point-event counts during a run.
 
     Parameters
     ----------
     enabled:
-        When False, every emit method returns immediately; attach points in
-        the kernel additionally guard on this flag so a disabled tracer
-        costs one boolean check per site.
+        When False, every emit method returns immediately and
+        :meth:`attach` leaves the simulator unobserved.
     max_spans:
         Hard memory bound; spans past it are counted in ``dropped_spans``
         instead of stored (large-N runs can emit millions of net spans).
@@ -80,6 +81,50 @@ class SpanTracer:
         #: Point events (e.g. process resumes) are aggregated as counts --
         #: storing one record per kernel event would dwarf the span data.
         self.point_counts: Dict[Tuple[str, str], int] = {}
+
+    # -- kernel seams ---------------------------------------------------------
+
+    def attach(self, sim: Any) -> "SpanTracer":
+        """Observe ``sim``; a disabled tracer leaves it unobserved."""
+        if self.enabled:
+            super().attach(sim)
+        return self
+
+    def resume(self, process: Any) -> None:
+        """Count the resume."""
+        self.point("resume", process.name)
+
+    def channel_pop(self, channel: Any, process: Any, waited: float) -> None:
+        """A buffered item waited ``waited`` seconds in its queue."""
+        if waited > 0.0:
+            now = self.sim.now
+            self.span(now - waited, now, CAT_QUEUE, channel.name,
+                      node=process.name)
+
+    def lock_grant(self, lock: Any, process: Any, waited: float) -> None:
+        """A contended acquire waited ``waited`` seconds."""
+        if waited > 0.0:
+            now = self.sim.now
+            self.span(now - waited, now, CAT_LOCK_WAIT, lock.name,
+                      node=process.name)
+
+    def lock_release(self, lock: Any, holder: Any,
+                     forced: Optional[bool]) -> None:
+        """The hold, however it ended."""
+        self.span(lock.acquired_at, self.sim.now, CAT_LOCK_HOLD, lock.name,
+                  node=holder.name)
+
+    def compute(self, start: float, end: float, cpu: Any, process: Any,
+                tag: str) -> None:
+        """A compute job ran from ``start`` to ``end``."""
+        self.span(start, end, CAT_COMPUTE, cpu.name, node=process.name,
+                  tag=tag)
+
+    def deliver(self, message: Any) -> None:
+        """A message was in flight since it was sent."""
+        self.span(message.send_time, self.sim.now, CAT_NET,
+                  f"{message.src}>{message.dst}", node=message.dst,
+                  tag=message.kind)
 
     # -- emission -----------------------------------------------------------
 

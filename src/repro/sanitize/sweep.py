@@ -78,7 +78,7 @@ def _sanitized_point(config: SanitizeConfig, nodes: int,
     cluster_config = ClusterConfig.for_bug(config.bug_id, nodes=nodes,
                                            mode=Mode.REAL, seed=config.seed)
     tracker = RaceTracker()
-    cluster = Cluster(cluster_config, race_tracker=tracker)
+    cluster = Cluster(cluster_config, observer=tracker)
     wrapped = instrument_cluster(cluster, sites, tracker)
     run_workload(cluster, cluster_config.bug.workload, _scenario_params())
     return {

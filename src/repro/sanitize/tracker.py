@@ -1,24 +1,27 @@
 """The dynamic half of the sanitizer: vector-clock happens-before tracking.
 
-One :class:`RaceTracker` attaches to a :class:`~repro.sim.kernel.Simulator`
-(``sim.race_tracker = tracker``) *before* the run starts.  The kernel then
-derives every happens-before edge from five hooks:
+One :class:`RaceTracker` is the simulator's
+:class:`~repro.sim.kernel.KernelObserver`, attached (``tracker.attach(sim)``)
+*before* the run starts.  It derives every happens-before edge from the
+kernel seams:
 
 * ``bind`` -- :meth:`Simulator.schedule` wraps each callback so the event
   carries the scheduler's clock; firing it restores that clock as the
   *ambient* causal context.  This single mechanism yields the spawn,
   timeout, network-delivery, join and lock release->grant edges, because
   all of them go through ``schedule`` in the scheduling process's context.
-* ``on_resume`` -- a process joins the ambient clock (plus any staged
+* ``resume`` -- a process joins the ambient clock (plus any staged
   channel-item clock) into its own clock and ticks.
-* ``on_channel_buffer`` / ``on_channel_pop`` + ``stage_join`` -- a
-  buffered item snapshots the putter's clock and the eventual consumer
-  joins it at delivery, however much later that is.
-* ``on_forced_release`` -- deliberately *not* an edge: an interrupted
-  holder's torn critical section leaves the next holder unordered with
-  the victim's accesses, which is exactly the atomicity violation the
-  sanitizer exists to count.
-* ``on_interrupt`` -- drops any staged joins for the dead process.
+* ``channel_buffer`` / ``channel_pop`` + ``handoff`` -- a buffered item
+  snapshots the putter's clock and the eventual consumer joins it at
+  delivery, however much later that is (or the item is put back under
+  that clock when the consumer died first).
+* ``lock_release`` / ``lock_enter`` -- a clean release carries the
+  holder's clock through the lock to the next holder.  A forced release
+  is deliberately *not* an edge: an interrupted holder's torn critical
+  section leaves the next holder unordered with the victim's accesses,
+  which is exactly the atomicity violation the sanitizer exists to count.
+* ``interrupt`` -- drops any staged joins for the dead process.
 
 Conflict detection is FastTrack-flavored: per instrumented site the
 tracker keeps each process's *epoch* (its own clock component) at its
@@ -31,9 +34,9 @@ The race-window metric is the number of distinct unordered conflicting
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..sim.kernel import KernelObserver
 from .vc import VC, join_into
 
 #: Cap on retained per-race example records (counters are never capped).
@@ -50,14 +53,11 @@ class _SiteState:
         self.writes: Dict[int, int] = {}
 
 
-class RaceTracker:
+class RaceTracker(KernelObserver):
     """Happens-before tracking plus race-pair accounting for one run."""
 
     def __init__(self, max_examples: int = DEFAULT_MAX_EXAMPLES) -> None:
-        self.enabled = True
         self.max_examples = max_examples
-        #: Simulator reference (set by :meth:`attach`) for timestamps.
-        self._sim: Optional[Any] = None
         #: process name -> interned small-int pid, in first-resume order.
         self._pids: Dict[str, int] = {}
         self._pid_names: List[str] = []
@@ -89,13 +89,7 @@ class RaceTracker:
         self.forced_release_records: List[Dict[str, Any]] = []
         self.examples: List[Dict[str, Any]] = []
 
-    def attach(self, sim: Any) -> "RaceTracker":
-        """Wire this tracker into ``sim`` (call before the run starts)."""
-        sim.race_tracker = self
-        self._sim = sim
-        return self
-
-    # -- kernel hooks ------------------------------------------------------
+    # -- kernel seams ------------------------------------------------------
 
     def bind(self, callback: Callable[[], None]) -> Callable[[], None]:
         """Wrap a scheduled callback with the current causal context."""
@@ -108,7 +102,7 @@ class RaceTracker:
 
         return fire
 
-    def on_resume(self, process: Any) -> None:
+    def resume(self, process: Any) -> None:
         """A process wakes: join ambient + staged clocks, tick, run."""
         pid = self._pids.get(process.name)
         if pid is None:
@@ -126,7 +120,7 @@ class RaceTracker:
         self._current = pid
         self._ambient = clock
 
-    def on_interrupt(self, process: Any) -> None:
+    def interrupt(self, process: Any) -> None:
         """A process dies: staged joins for it will never be consumed."""
         pid = self._pids.get(process.name)
         if pid is not None:
@@ -144,45 +138,45 @@ class RaceTracker:
             self._clocks[pid] = {pid: 0}
         self._staged.setdefault(pid, []).append(vc)
 
-    def on_channel_buffer(self, channel: Any) -> None:
+    def channel_buffer(self, channel: Any) -> None:
         """A put buffered an item: remember the putter's clock for it."""
         self._chan_vcs.setdefault(id(channel), []).append(dict(self._ambient))
 
-    def on_channel_pop(self, channel: Any) -> Optional[VC]:
+    def channel_pop(self, channel: Any, process: Any,
+                    waited: float) -> Optional[VC]:
         """A getter popped a buffered item: recover its put-time clock."""
         queue = self._chan_vcs.get(id(channel))
         if not queue:
             return None
         return queue.pop(0)
 
-    def on_lock_release(self, lock: Any) -> None:
-        """A holder released cleanly: the lock carries its clock forward."""
-        self._lock_vcs[id(lock)] = dict(self._ambient)
+    def handoff(self, vc: VC, getter: Any) -> None:
+        """A buffered item reaches ``getter``, which joins its put-time
+        clock; if ``getter`` died first, the item is put back under it."""
+        if getter.finished:
+            self._ambient = vc
+        else:
+            self.stage_join(getter, vc)
 
-    def on_lock_enter(self, lock: Any, process: Any) -> None:
+    def lock_release(self, lock: Any, holder: Any,
+                     forced: Optional[bool]) -> None:
+        """A clean release carries the holder's clock forward through the
+        lock, so even an uncontended next acquire is ordered after this
+        critical section; a torn one is recorded and carries nothing."""
+        if forced is False:
+            self._lock_vcs[id(lock)] = dict(self._ambient)
+        elif forced:
+            self.forced_release_records.append({
+                "lock": lock.name,
+                "holder": holder.name,
+                "time": round(float(self.sim.now), 9),
+            })
+
+    def lock_enter(self, lock: Any, process: Any) -> None:
         """A granted process enters: it inherits the last clean release."""
         vc = self._lock_vcs.get(id(lock))
         if vc is not None:
             self.stage_join(process, vc)
-
-    @contextmanager
-    def ambient_as(self, vc: VC):
-        """Temporarily run under ``vc`` (channel re-delivery path)."""
-        prev = self._ambient
-        self._ambient = vc
-        try:
-            yield
-        finally:
-            self._ambient = prev
-
-    def on_forced_release(self, lock_name: str, holder_name: str,
-                          time: float) -> None:
-        """Record a torn critical section (interrupted lock holder)."""
-        self.forced_release_records.append({
-            "lock": lock_name,
-            "holder": holder_name,
-            "time": round(float(time), 9),
-        })
 
     # -- access instrumentation -------------------------------------------
 
@@ -196,7 +190,7 @@ class RaceTracker:
         pid = self._current
         if pid is None:
             return
-        time = self._sim.now if self._sim is not None else 0.0
+        time = self.sim.now if self.sim is not None else 0.0
         self.accesses += 1
         state = self.sites.get(site)
         if state is None:

@@ -6,7 +6,7 @@ Cassandra-like system model (:mod:`repro.cassandra`) and the scale-check
 machinery (:mod:`repro.core`) are built.
 """
 
-from .events import Event, EventQueue, Trace, TraceRecord
+from .events import Event, EventQueue
 from .kernel import (
     Acquire,
     Channel,
@@ -14,6 +14,7 @@ from .kernel import (
     Effect,
     Get,
     Join,
+    KernelObserver,
     Lock,
     Process,
     SimError,
@@ -58,6 +59,7 @@ __all__ = [
     "GB",
     "Get",
     "Join",
+    "KernelObserver",
     "LatencyModel",
     "Lock",
     "MB",
@@ -75,8 +77,6 @@ __all__ = [
     "Simulator",
     "SplittableRng",
     "Timeout",
-    "Trace",
-    "TraceRecord",
     "derive_seed",
     "single_process_profile",
 ]

@@ -166,7 +166,7 @@ class ProcessorSharingCpu(CpuModel):
             job.remaining -= rate * dt
             if job.remaining <= _EPSILON:
                 finished.append(job_id)
-        tracer = self.sim.tracer
+        obs = self.sim.observer
         for job_id in finished:
             job = self._jobs.pop(job_id)
             elapsed = now - job.started
@@ -174,9 +174,8 @@ class ProcessorSharingCpu(CpuModel):
             if job.demand > 0:
                 self.total_stretch += elapsed / job.demand
             self.contention_seconds += max(0.0, elapsed - job.demand / self.speed)
-            if tracer is not None and tracer.enabled:
-                tracer.span(job.started, now, "compute", self.name,
-                            node=job.process.name, tag=job.tag)
+            if obs is not None:
+                obs.compute(job.started, now, self, job.process, job.tag)
             self.sim.schedule(0.0, lambda j=job, e=elapsed: j.process.resume(e))
 
     def _reschedule(self) -> None:
@@ -253,10 +252,9 @@ class PilCpu(CpuModel):
             raise ValueError("negative sleep duration")
         self.slept_seconds += cost
         self.completed_jobs += 1
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.span(self.sim.now, self.sim.now + cost, "compute",
-                        self.name, node=process.name, tag=tag)
+        obs = self.sim.observer
+        if obs is not None:
+            obs.compute(self.sim.now, self.sim.now + cost, self, process, tag)
         full_tag = self._tag_cache.get(tag)
         if full_tag is None:
             full_tag = self._tag_cache[tag] = f"pil-sleep:{tag}"

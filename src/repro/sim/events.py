@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 
 #: Default priority for ordinary events.
@@ -219,45 +218,3 @@ def make_queue() -> EventQueue:
     ``pop_due``.
     """
     return EventQueue()
-
-
-@dataclass
-class TraceRecord:
-    """One entry of a simulation trace.
-
-    Traces serve two purposes: debugging, and the paper's order-determinism
-    mechanism -- the memoization run records message-delivery order as a list
-    of trace records, and the replayer enforces the same order.
-    """
-
-    time: float
-    kind: str
-    subject: str
-    detail: Any = None
-
-    def key(self) -> Tuple[str, str]:
-        """Order-relevant identity (used when enforcing recorded orders)."""
-        return (self.kind, self.subject)
-
-
-class Trace:
-    """An append-only trace of :class:`TraceRecord` entries."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.records: list = []
-
-    def emit(self, time: float, kind: str, subject: str, detail: Any = None) -> None:
-        """Append a record (no-op when the trace is disabled)."""
-        if self.enabled:
-            self.records.append(TraceRecord(time, kind, subject, detail))
-
-    def filter(self, kind: str) -> list:
-        """Records/entries matching the given criterion."""
-        return [r for r in self.records if r.kind == kind]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)

@@ -19,19 +19,91 @@ Example::
 
     sim.spawn(ticker(sim), name="ticker")
     sim.run(until=5.0)
+
+A run is watched through one seam: an optional :class:`KernelObserver` on
+``Simulator.observer`` (a span tracer or a race tracker).  Each watch
+point in the kernel, CPU and network code loads that attribute once and
+tests it against None, so an unobserved run pays nothing more.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
-from .events import Event, Trace, PRIORITY_NORMAL, make_queue
+from .events import Event, PRIORITY_NORMAL, make_queue
 from .rng import SplittableRng
 
 
 class SimError(RuntimeError):
     """Base class for kernel errors."""
+
+
+class KernelObserver:
+    """Watches one simulator run; every seam here is a no-op.
+
+    An observer overrides the seams it needs and is wired in with
+    :meth:`attach` before the first event fires.  It must leave every
+    scheduling decision alone: an observed run fires the same events in
+    the same order as an unobserved one.
+    """
+
+    #: The observed simulator, set by :meth:`attach`.
+    sim: Optional["Simulator"] = None
+
+    def attach(self, sim: "Simulator") -> "KernelObserver":
+        """Become ``sim.observer`` (call before the run starts)."""
+        self.sim = sim
+        sim.observer = self
+        return self
+
+    def bind(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """An event is scheduled; the returned callable is what fires."""
+        return callback
+
+    def resume(self, process: "Process") -> None:
+        """A process is about to run."""
+
+    def interrupt(self, process: "Process") -> None:
+        """A process is being aborted."""
+
+    def channel_buffer(self, channel: "Channel") -> None:
+        """A put found no getter, so the item waits in the channel."""
+
+    def channel_pop(self, channel: "Channel", process: "Process",
+                    waited: float) -> Any:
+        """A getter took a buffered item after ``waited`` seconds.  A
+        non-None return rides with the item to :meth:`handoff`."""
+        return None
+
+    def handoff(self, token: Any, getter: "Process") -> None:
+        """A popped item reaches ``getter``, or is put back into the
+        channel when ``getter`` died first; ``token`` is what
+        :meth:`channel_pop` returned."""
+
+    def lock_grant(self, lock: "Lock", process: "Process",
+                   waited: float) -> None:
+        """``process`` gets ``lock`` after ``waited`` seconds."""
+
+    def lock_enter(self, lock: "Lock", process: "Process") -> None:
+        """The granted holder resumes inside its critical section."""
+
+    def lock_release(self, lock: "Lock", holder: "Process",
+                     forced: Optional[bool]) -> None:
+        """``holder`` gives ``lock`` up: ``forced`` is False for a release,
+        True for a torn critical section, and None when the holder was
+        interrupted before it entered."""
+
+    def compute(self, start: float, end: float, cpu: Any,
+                process: "Process", tag: str) -> None:
+        """A compute job ran from ``start`` to ``end`` on ``cpu``."""
+
+    def deliver(self, message: Any) -> None:
+        """A network message reaches its destination's inbox."""
+
+    def metrics(self) -> Dict[str, float]:
+        """Scalars merged into the run's report."""
+        return {}
 
 
 class Effect:
@@ -132,7 +204,6 @@ class Process:
         #: ``stop()`` called from cleanup); the nested call must no-op.
         self._interrupting = False
         self.result: Any = None
-        self.error: Optional[BaseException] = None
         self.pending_event: Optional[Event] = None
         self._joiners: List["Process"] = []
         #: The Channel/Lock this process is currently parked in, so that
@@ -149,25 +220,17 @@ class Process:
             return
         self.pending_event = None
         self.wait_target = None
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.point("resume", self.name)
-        race = self.sim.race_tracker
-        if race is not None:
-            # Join the ambient clock (whoever caused this resume) and any
-            # staged channel-item clock into this process's vector clock.
-            race.on_resume(self)
+        obs = self.sim.observer
+        if obs is not None:
+            obs.resume(self)
         try:
             effect = self.gen.send(value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        except BaseException as exc:  # surface process crashes loudly
-            self.error = exc
+        except BaseException:  # surface process crashes loudly
             self._finish(None)
-            if self.sim.strict:
-                raise
-            return
+            raise
         if not isinstance(effect, Effect):
             raise SimError(
                 f"process {self.name!r} yielded {effect!r}, expected an Effect"
@@ -192,9 +255,9 @@ class Process:
         if self.wait_target is not None:
             self.wait_target._discard_waiter(self)
             self.wait_target = None
-        race = self.sim.race_tracker
-        if race is not None:
-            race.on_interrupt(self)
+        obs = self.sim.observer
+        if obs is not None:
+            obs.interrupt(self)
         # Close before force-releasing: a well-behaved finally block may
         # release() its own locks, which removes them from held_locks.
         self.gen.close()
@@ -248,32 +311,24 @@ class Channel:
             return
         self._items.append(item)
         self._enqueue_times.append(self.sim.now)
-        race = self.sim.race_tracker
-        if race is not None:
-            # A buffered item carries the putter's clock until some getter
-            # pops it (possibly much later, in a different causal context).
-            race.on_channel_buffer(self)
+        obs = self.sim.observer
+        if obs is not None:
+            obs.channel_buffer(self)
         self.max_depth = max(self.max_depth, len(self._items))
 
-    def _hand_off(self, getter: Process, item: Any, vc: Any = None) -> None:
+    def _hand_off(self, getter: Process, item: Any, token: Any = None) -> None:
         """Schedule delivery; if the getter dies before the event fires,
         the item is re-delivered instead of vanishing with it.
 
-        ``vc`` is the put-time vector clock of a *buffered* item (direct
-        put->getter hand-offs inherit the putter's clock from the event
-        itself); it rides along so the eventual consumer joins it.
+        ``token`` is what the observer's ``channel_pop`` returned for a
+        *buffered* item; it rides along to the observer's ``handoff``.
         """
         def fire() -> None:
-            race = self.sim.race_tracker
+            if token is not None:
+                self.sim.observer.handoff(token, getter)
             if getter.finished:
-                if race is not None and vc is not None:
-                    with race.ambient_as(vc):
-                        self._deliver_or_buffer(item)
-                else:
-                    self._deliver_or_buffer(item)
+                self._deliver_or_buffer(item)
             else:
-                if race is not None and vc is not None:
-                    race.stage_join(getter, vc)
                 getter.resume(item)
         self.sim.schedule(0.0, fire, tag=self._tag)
 
@@ -283,13 +338,10 @@ class Channel:
             waited = self.sim.now - self._enqueue_times.popleft()
             self.total_wait += waited
             self.max_wait = max(self.max_wait, waited)
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.enabled and waited > 0.0:
-                tracer.span(self.sim.now - waited, self.sim.now, "queue",
-                            self.name, node=process.name)
-            race = self.sim.race_tracker
-            vc = race.on_channel_pop(self) if race is not None else None
-            self._hand_off(process, item, vc)
+            obs = self.sim.observer
+            token = (obs.channel_pop(self, process, waited)
+                     if obs is not None else None)
+            self._hand_off(process, item, token)
         else:
             process.wait_target = self
             self._getters.append(process)
@@ -320,7 +372,8 @@ class Lock:
         self.name = name
         self._holder: Optional[Process] = None
         self._waiters: Deque[Process] = deque()
-        self._acquired_at = 0.0
+        #: When the current holder was granted the lock.
+        self.acquired_at = 0.0
         self.total_hold = 0.0
         self.max_hold = 0.0
         self.total_wait = 0.0
@@ -353,15 +406,14 @@ class Lock:
 
     def _grant(self, process: Process, waited: float) -> None:
         self._holder = process
-        self._acquired_at = self.sim.now
+        self.acquired_at = self.sim.now
         self.total_wait += waited
         self.max_wait = max(self.max_wait, waited)
         process.wait_target = None
         process.held_locks.append(self)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled and waited > 0.0:
-            tracer.span(self.sim.now - waited, self.sim.now, "lock-wait",
-                        self.name, node=process.name)
+        obs = self.sim.observer
+        if obs is not None:
+            obs.lock_grant(self, process, waited)
         self._entered = False
         # The grant resume is this process's pending event (like a
         # Timeout's), so interrupting in the grant window cancels it
@@ -373,9 +425,9 @@ class Lock:
         """Fire a granted acquire: the holder enters its critical section."""
         if self._holder is process:
             self._entered = True
-            race = self.sim.race_tracker
-            if race is not None:
-                race.on_lock_enter(self, process)
+            obs = self.sim.observer
+            if obs is not None:
+                obs.lock_enter(self, process)
         process.resume(self)
 
     def _discard_waiter(self, process: Process) -> None:
@@ -386,17 +438,18 @@ class Lock:
             return
         self._wait_started.pop(id(process), None)
 
-    def _record_hold(self, holder: Process) -> None:
-        held_for = self.sim.now - self._acquired_at
+    def _release(self, holder: Process, forced: Optional[bool]) -> None:
+        """Record the hold, free the lock and grant it to the next waiter."""
+        obs = self.sim.observer
+        if obs is not None:
+            obs.lock_release(self, holder, forced)
+        held_for = self.sim.now - self.acquired_at
         self.total_hold += held_for
         self.max_hold = max(self.max_hold, held_for)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.span(self._acquired_at, self.sim.now, "lock-hold",
-                        self.name, node=holder.name)
         if self in holder.held_locks:
             holder.held_locks.remove(self)
         self._holder = None
+        self._grant_next()
 
     def _grant_next(self) -> None:
         """Hand the lock to the longest-waiting *live* process, if any."""
@@ -412,14 +465,7 @@ class Lock:
         """Release the lock; the longest-waiting process acquires next."""
         if self._holder is None:
             raise SimError(f"release of unheld lock {self.name!r}")
-        race = self.sim.race_tracker
-        if race is not None:
-            # A *clean* release carries the holder's clock forward through
-            # the lock, so even an uncontended next acquire is ordered
-            # after this critical section (forced releases do not).
-            race.on_lock_release(self)
-        self._record_hold(self._holder)
-        self._grant_next()
+        self._release(self._holder, False)
 
     def _holder_interrupted(self, process: Process) -> None:
         """Force-release on behalf of an interrupted holder.
@@ -431,17 +477,11 @@ class Lock:
         """
         if self._holder is not process:
             return
+        forced = None  # interrupted in the grant window: never entered
         if self._entered:
             self.forced_releases += 1
-            race = self.sim.race_tracker
-            if race is not None:
-                # Deliberately *no* happens-before edge here: the torn
-                # critical section leaves the next holder causally
-                # unordered with the victim's accesses, which is exactly
-                # the atomicity violation the sanitizer reports.
-                race.on_forced_release(self.name, process.name, self.sim.now)
-        self._record_hold(process)
-        self._grant_next()
+            forced = True
+        self._release(process, forced)
 
 
 class Simulator:
@@ -451,34 +491,20 @@ class Simulator:
     ----------
     seed:
         Root seed for all named random streams (:class:`SplittableRng`).
-    trace:
-        When true, record a :class:`~repro.sim.events.Trace` of message
-        deliveries and other annotated happenings.
-    strict:
-        When true (the default), an exception inside a process propagates
-        out of :meth:`run` instead of silently killing the process.
+
+    An exception inside a process propagates out of :meth:`run`.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False,
-                 strict: bool = True) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.events = make_queue()
         self.rng = SplittableRng(seed)
-        self.trace = Trace(enabled=trace)
-        self.strict = strict
         self.processes: List[Process] = []
         self._steps = 0
-        #: Optional :class:`repro.obs.tracer.SpanTracer`.  Every emission
-        #: site guards on ``tracer is not None and tracer.enabled``, so an
-        #: untraced run pays one attribute load per site and nothing else.
-        self.tracer: Optional[Any] = None
-        #: Optional :class:`repro.sanitize.tracker.RaceTracker`.  Same
-        #: zero-cost contract as ``tracer``: every kernel hook guards on
-        #: ``race_tracker is not None``, so an unsanitized run pays one
-        #: attribute load per site.  Attach before the first event fires
-        #: and leave attached for the whole run (the channel-buffer VC
-        #: bookkeeping assumes symmetric enable/disable).
-        self.race_tracker: Optional[Any] = None
+        #: The run's :class:`KernelObserver`, set by its ``attach``; None
+        #: leaves the run unobserved.  Attach before the first event fires
+        #: and leave it attached for the whole run.
+        self.observer: Optional[KernelObserver] = None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -492,14 +518,9 @@ class Simulator:
         """Run ``callback`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        tracker = self.race_tracker
-        if tracker is not None:
-            # Capture the scheduler's causal context (the ambient vector
-            # clock) into the event, so firing it restores the context of
-            # whoever scheduled it.  This one hook derives the spawn,
-            # timeout, network-delivery, lock-grant and join
-            # happens-before edges without touching any of those sites.
-            callback = tracker.bind(callback)
+        obs = self.observer
+        if obs is not None:
+            callback = obs.bind(callback)
         return self.events.push(self.now + delay, callback, priority, tag)
 
     def spawn(self, gen: Generator, name: str = "proc") -> Process:

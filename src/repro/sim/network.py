@@ -4,8 +4,8 @@ Messages are delivered into per-node inbox :class:`~repro.sim.kernel.Channel`
 objects after a configurable latency.  Two features exist specifically for
 the paper's mechanism:
 
-* every delivery is traced with a *deterministic message key*, which is what
-  the memoization run records as the message ordering;
+* every delivery is logged (``delivery_log``) by a *deterministic message
+  key*, which is what the memoization run records as the message ordering;
 * :class:`OrderEnforcer` lets the replayer hold back deliveries so they are
   released exactly in a previously recorded order ("order determinism",
   section 5) even though PIL-substituted durations shift the raw timing.
@@ -352,10 +352,7 @@ class Network:
             return
         self.delivered += 1
         self.delivery_log.append(message.key)
-        self.sim.trace.emit(self.sim.now, "deliver", message.key)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.span(message.send_time, self.sim.now, "net",
-                        f"{message.src}>{message.dst}", node=message.dst,
-                        tag=message.kind)
+        obs = self.sim.observer
+        if obs is not None:
+            obs.deliver(message)
         inbox.put(message)

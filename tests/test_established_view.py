@@ -172,7 +172,7 @@ def test_sanitizer_wrappers_survive_the_build():
     sites = harvest_shared_state(Program.load(["repro.cassandra"])).shared()
     tracker = RaceTracker()
     cluster = Cluster(ClusterConfig.for_bug("c3831", nodes=8),
-                      race_tracker=tracker)
+                      observer=tracker)
     instrument_cluster(cluster, sites, tracker)
     instrumented_add = cluster.add_node
     held = {}

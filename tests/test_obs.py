@@ -148,7 +148,7 @@ def test_point_counts_aggregate():
 def traced_run():
     check = ScaleCheck("c3831-fixed", 6, seed=42, params=SMALL)
     tracer = SpanTracer()
-    cluster = Cluster(check.config(Mode.COLO), tracer=tracer)
+    cluster = Cluster(check.config(Mode.COLO), observer=tracer)
     report = run_workload(cluster, check.bug.workload, check.params)
     return cluster, tracer, report
 

@@ -23,6 +23,7 @@ from repro.analysis.shared import (
     harvest_shared_state,
 )
 from repro.sanitize import RaceTracker, TrackedMap, TrackedSeq, TrackedSet
+from repro.sim.kernel import KernelObserver
 from repro.sanitize.selfcheck import (
     hint_store_scenario,
     planted_ladders,
@@ -196,7 +197,7 @@ class TestTrackerAccounting:
         config = ClusterConfig.for_bug("c3881", nodes=8, mode=Mode.REAL,
                                        seed=42)
         tracker = RaceTracker()
-        cluster = Cluster(config, race_tracker=tracker)
+        cluster = Cluster(config, observer=tracker)
         wrapped = instrument_cluster(cluster, sites, tracker)
         run_workload(cluster, config.bug.workload,
                      ScenarioParams(warmup=2.0, observe=5.0,
@@ -256,7 +257,7 @@ class TestZeroCostDisabled:
         from repro.sim.kernel import Simulator
 
         sim = Simulator(seed=1)
-        assert sim.race_tracker is None
+        assert sim.observer is None
 
     def test_cluster_report_has_no_race_extras_without_tracker(self):
         from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
@@ -270,6 +271,21 @@ class TestZeroCostDisabled:
                                 join_stagger=0.5)
         report = run_workload(cluster, config.bug.workload, params)
         assert "race_pairs" not in report.extra
+
+
+class _Deliveries(KernelObserver):
+    """Records ``(now, "deliver", key)`` per network delivery."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def deliver(self, message):
+        self.records.append((self.sim.now, "deliver", message.key))
+
+
+class _TrackedDeliveries(_Deliveries, RaceTracker):
+    """A race tracker that records the same delivery tuples."""
 
 
 class TestSanitizerDifferential:
@@ -286,28 +302,23 @@ class TestSanitizerDifferential:
                                 leaving_duration=2.0, join_duration=2.0,
                                 join_stagger=0.5)
 
-        def run(sanitized):
+        def run(observer):
             config = ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.REAL,
                                            seed=seed)
-            tracker = RaceTracker() if sanitized else None
-            cluster = Cluster(config, race_tracker=tracker)
-            cluster.sim.trace.enabled = True
-            if sanitized:
+            cluster = Cluster(config, observer=observer)
+            if isinstance(observer, RaceTracker):
                 program = Program.load(["repro.cassandra", "repro.hdfs",
                                         "repro.workload"])
                 instrument_cluster(
-                    cluster, harvest_shared_state(program).shared(), tracker)
+                    cluster, harvest_shared_state(program).shared(), observer)
             report = run_workload(cluster, config.bug.workload, params)
             return cluster, report
 
-        plain_cluster, plain_report = run(sanitized=False)
-        traced_cluster, traced_report = run(sanitized=True)
-        plain_trace = [(r.time, r.kind, r.subject)
-                       for r in plain_cluster.sim.trace]
-        traced_trace = [(r.time, r.kind, r.subject)
-                        for r in traced_cluster.sim.trace]
-        assert plain_trace == traced_trace
-        assert len(plain_trace) > 0
+        plain, tracking = _Deliveries(), _TrackedDeliveries()
+        plain_cluster, plain_report = run(plain)
+        traced_cluster, traced_report = run(tracking)
+        assert plain.records == tracking.records
+        assert len(plain.records) > 0
         assert plain_cluster.sim.steps == traced_cluster.sim.steps
         assert (plain_cluster.network.delivery_log
                 == traced_cluster.network.delivery_log)
@@ -355,7 +366,7 @@ class TestSanitizePipeline:
         config = ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.REAL,
                                        seed=42)
         tracker = RaceTracker()
-        cluster = Cluster(config, race_tracker=tracker)
+        cluster = Cluster(config, observer=tracker)
         instrument_cluster(cluster, sites, tracker)
         params = ScenarioParams(warmup=2.0, observe=5.0,
                                 leaving_duration=2.0, join_duration=2.0,

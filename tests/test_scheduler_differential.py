@@ -23,6 +23,7 @@ import pytest
 
 from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
 from repro.cassandra.workloads import ScenarioParams, run_workload
+from repro.sim.kernel import KernelObserver
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = json.loads(
@@ -34,12 +35,20 @@ FAST = ScenarioParams(warmup=2.0, observe=5.0, leaving_duration=2.0,
                       join_duration=2.0, join_stagger=0.5)
 
 
-def _run(nodes: int, seed: int, trace: bool = False):
+class _Deliveries(KernelObserver):
+    """Records ``(now, "deliver", key)`` per network delivery."""
+
+    def __init__(self):
+        self.records = []
+
+    def deliver(self, message):
+        self.records.append((self.sim.now, "deliver", message.key))
+
+
+def _run(nodes: int, seed: int, observer=None):
     config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
                                    seed=seed)
-    cluster = Cluster(config)
-    if trace:
-        cluster.sim.trace.enabled = True
+    cluster = Cluster(config, observer=observer)
     report = run_workload(cluster, config.bug.workload, FAST)
     return cluster, report
 
@@ -71,8 +80,9 @@ def test_wheel_and_heap_reports_byte_identical(nodes, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_wheel_and_heap_event_traces_identical(seed):
     """The full event trace -- order included -- is the wheel's."""
-    cluster, _ = _run(8, seed, trace=True)
-    records = [(r.time, r.kind, r.subject) for r in cluster.sim.trace]
+    deliveries = _Deliveries()
+    _run(8, seed, observer=deliveries)
+    records = deliveries.records
     assert {
         "records": len(records),
         "trace_sha256": _sha256(json.dumps(records, separators=(",", ":"))),

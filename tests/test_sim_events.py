@@ -1,4 +1,4 @@
-"""Tests for the event queue and trace primitives."""
+"""Tests for the event queue primitives."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.sim.events import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
-    Trace,
 )
 
 
@@ -76,19 +75,3 @@ def test_event_sort_key_total_order():
     b = Event(1.0, 0, 2, lambda: None)
     assert a.sort_key() < b.sort_key()
 
-
-def test_trace_records_and_filters():
-    trace = Trace(enabled=True)
-    trace.emit(1.0, "deliver", "a>b:syn#1")
-    trace.emit(2.0, "convict", "node-001")
-    trace.emit(3.0, "deliver", "b>a:ack#1")
-    assert len(trace) == 3
-    delivers = trace.filter("deliver")
-    assert [r.subject for r in delivers] == ["a>b:syn#1", "b>a:ack#1"]
-    assert delivers[0].key() == ("deliver", "a>b:syn#1")
-
-
-def test_trace_disabled_records_nothing():
-    trace = Trace(enabled=False)
-    trace.emit(1.0, "deliver", "x")
-    assert len(trace) == 0

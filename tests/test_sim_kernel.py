@@ -1,11 +1,18 @@
 """Tests for the simulation kernel: processes, channels, locks."""
 
+from collections import Counter
+
 import pytest
 
 from repro.sim import (
     Acquire,
+    Compute,
+    DedicatedCpu,
     Get,
     Join,
+    KernelObserver,
+    LatencyModel,
+    Network,
     SimError,
     Simulator,
     Timeout,
@@ -91,7 +98,7 @@ def test_join_already_finished_process():
 
 
 def test_strict_mode_propagates_process_errors():
-    sim = Simulator(seed=1, strict=True)
+    sim = Simulator(seed=1)
 
     def crasher():
         yield Timeout(1.0)
@@ -100,19 +107,6 @@ def test_strict_mode_propagates_process_errors():
     sim.spawn(crasher())
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
-
-
-def test_non_strict_mode_records_error():
-    sim = Simulator(seed=1, strict=False)
-
-    def crasher():
-        yield Timeout(1.0)
-        raise RuntimeError("boom")
-
-    process = sim.spawn(crasher())
-    sim.run()
-    assert process.finished
-    assert isinstance(process.error, RuntimeError)
 
 
 def test_yielding_non_effect_raises():
@@ -505,3 +499,106 @@ def test_determinism_same_seed_same_schedule():
 
     assert run_once(7) == run_once(7)
     assert run_once(7) != run_once(8)
+
+
+# -- the observer seam --------------------------------------------------------
+
+SEAMS = ("bind", "resume", "interrupt", "channel_buffer", "channel_pop",
+         "handoff", "lock_grant", "lock_enter", "lock_release", "compute",
+         "deliver")
+
+
+class _CountingObserver(KernelObserver):
+    """Counts every seam call; ``channel_pop`` hands ``handoff`` a token."""
+
+    def __init__(self):
+        self.calls = Counter()
+        self.forced = []
+        for seam in SEAMS:
+            def counted(*args, _seam=seam, _base=getattr(self, seam)):
+                self.calls[_seam] += 1
+                return _base(*args)
+            setattr(self, seam, counted)
+
+    def channel_pop(self, channel, process, waited):
+        return ("token", waited)
+
+    def lock_release(self, lock, holder, forced):
+        self.forced.append(forced)
+
+
+def _watched_scenario(observer=None):
+    """A buffered channel item, a contended lock whose holder is torn out
+    of its critical section, a compute job and a network delivery."""
+    sim = Simulator(seed=3)
+    if observer is not None:
+        observer.attach(sim)
+    tags = []
+    pop_due = sim.events.pop_due
+
+    def recording_pop_due(limit):
+        event = pop_due(limit)
+        if event is not None:
+            tags.append(event.tag)
+        return event
+
+    sim.events.pop_due = recording_pop_due
+    inbox = sim.channel("inbox:b")
+    lock = sim.lock("ring")
+    cpu = DedicatedCpu(sim, cores=1, name="cpu")
+    network = Network(sim, latency=LatencyModel())
+    network.register("b", inbox)
+    got = []
+
+    def sender():
+        network.send("a", "b", "syn", None)
+        yield Compute(cpu, 0.5, tag="work")
+
+    def receiver():
+        yield Timeout(1.0)  # the message is buffered by now
+        got.append((yield Get(inbox)).key)
+
+    def holder():
+        yield Acquire(lock)
+        yield Timeout(5.0)  # torn here
+        lock.release()
+
+    def contender():
+        yield Acquire(lock)
+        got.append(sim.now)
+        lock.release()
+
+    def killer(victim):
+        yield Timeout(2.0)
+        victim.interrupt()
+
+    sim.spawn(sender(), name="sender")
+    sim.spawn(receiver(), name="receiver")
+    victim = sim.spawn(holder(), name="holder")
+    sim.spawn(contender(), name="contender")
+    sim.spawn(killer(victim), name="killer")
+    sim.run()
+    return sim, tags, got
+
+
+def test_every_seam_fires_and_observing_changes_nothing():
+    plain_sim, plain_tags, plain_got = _watched_scenario()
+    observer = _CountingObserver()
+    sim, tags, got = _watched_scenario(observer)
+    assert sim.observer is observer
+    assert sorted(observer.calls) == sorted(SEAMS)
+    assert observer.forced == [True, False]
+    assert got == plain_got == ["a>b:syn#1", 2.0]
+    assert sim.steps == plain_sim.steps
+    assert tags == plain_tags
+
+
+def test_unobserved_by_default_and_a_disabled_tracer_stays_out():
+    from repro.obs import SpanTracer
+
+    sim = Simulator()
+    assert sim.observer is None
+    SpanTracer(enabled=False).attach(sim)
+    assert sim.observer is None
+    tracer = SpanTracer()
+    assert tracer.attach(sim) is tracer and sim.observer is tracer
