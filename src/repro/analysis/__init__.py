@@ -32,7 +32,7 @@ from .lint import (
     write_baseline,
 )
 from .locks import check_locks
-from .sarif import to_sarif, to_sarif_dict
+from .sarif import to_sarif_dict
 
 __all__ = [
     "DEFAULT_TARGETS",
@@ -55,7 +55,6 @@ __all__ = [
     "run_rules",
     "self_check",
     "sort_findings",
-    "to_sarif",
     "to_sarif_dict",
     "write_baseline",
 ]

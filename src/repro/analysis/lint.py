@@ -21,11 +21,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..checks import Checks, VerbReport, report_json
 from ..core.finder import Program
 from .drift import check_drift
 from .effects import check_complexity, check_determinism, check_pil_safety
 from .findings import Finding, sort_findings
 from .locks import check_locks
+from .sarif import findings_to_sarif_dict
 from .shared import check_dead_annotations, check_shared_state
 
 #: Default lint targets: the two modeled systems.
@@ -35,7 +37,7 @@ BASELINE_VERSION = 1
 
 
 @dataclass
-class LintReport:
+class LintReport(VerbReport):
     """Everything one lint run produced."""
 
     targets: List[str]
@@ -44,20 +46,7 @@ class LintReport:
     drift: List[Dict[str, object]]
     module_count: int
     function_count: int
-    self_check: Optional[List[Dict[str, object]]] = None
     raw_findings: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when nothing unsuppressed remains and self-check passed."""
-        return not self.findings and self.self_check_ok
-
-    @property
-    def self_check_ok(self) -> bool:
-        """True when self-check passed (vacuously true when not run)."""
-        if self.self_check is None:
-            return True
-        return all(check["ok"] for check in self.self_check)
 
     def to_json_dict(self) -> Dict[str, object]:
         """Canonical JSON form (stable ordering, no absolute paths)."""
@@ -76,13 +65,11 @@ class LintReport:
             "findings": [f.to_dict() for f in self.findings],
             "drift": self.drift,
         }
-        if self.self_check is not None:
-            data["self_check"] = self.self_check
-        return data
+        return self._embed_self_check(data)
 
-    def to_json(self) -> str:
-        """Deterministic JSON text (golden-file comparable)."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    def to_sarif(self) -> str:
+        """SARIF 2.1.0 of the unsuppressed findings."""
+        return report_json(findings_to_sarif_dict(self.findings))
 
     def to_text(self) -> str:
         """Human-readable report."""
@@ -99,12 +86,7 @@ class LintReport:
         bad_drift = [v for v in self.drift if not v["ok"]]
         lines.append(f"  drift: {len(self.drift) - len(bad_drift)}"
                      f"/{len(self.drift)} cost classes verified")
-        if self.self_check is not None:
-            for check in self.self_check:
-                status = "ok" if check["ok"] else "FAIL"
-                lines.append(f"  self-check {status}: {check['check']}"
-                             f" -- {check['evidence']}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + self._self_check_lines()) + "\n"
 
 
 # -- baseline ----------------------------------------------------------------------
@@ -155,14 +137,13 @@ def run_rules(program: Program) -> "tuple[List[Finding], List[Dict[str, object]]
 
 
 def run_lint(targets: Sequence[str] = DEFAULT_TARGETS,
-             baseline_path: Optional[str] = None,
-             with_self_check: bool = False) -> LintReport:
+             baseline_path: Optional[str] = None) -> LintReport:
     """Load ``targets``, run every rule, apply the baseline."""
     program = Program.load(list(targets))
     raw, drift_verdicts = run_rules(program)
     baseline = load_baseline(baseline_path) if baseline_path else {}
     unsuppressed = [f for f in raw if f.fingerprint not in baseline]
-    report = LintReport(
+    return LintReport(
         targets=list(targets),
         findings=unsuppressed,
         suppressed=len(raw) - len(unsuppressed),
@@ -172,9 +153,6 @@ def run_lint(targets: Sequence[str] = DEFAULT_TARGETS,
                            for unit in program.modules.values()),
         raw_findings=raw,
     )
-    if with_self_check:
-        report.self_check = self_check(program, raw, unsuppressed)
-    return report
 
 
 # -- self-check --------------------------------------------------------------------
@@ -191,19 +169,15 @@ def _has_finding(findings: Sequence[Finding], rule: str, module_suffix: str,
     return None
 
 
-def self_check(program: Program, raw: Sequence[Finding],
-               unsuppressed: Sequence[Finding]
-               ) -> List[Dict[str, object]]:
-    """Assert the analyzer rediscovers every historical bug path."""
-    checks: List[Dict[str, object]] = []
+def self_check(report: LintReport) -> Checks:
+    """Assert the analyzer rediscovered every historical bug path."""
+    checks = Checks()
+    raw = report.raw_findings
 
     def record(name: str, finding: Optional[Finding], expect: str) -> None:
-        checks.append({
-            "check": name,
-            "ok": finding is not None,
-            "evidence": finding.message if finding is not None
-            else f"MISSING: {expect}",
-        })
+        checks.add(name, finding is not None,
+                   finding.message if finding is not None
+                   else f"MISSING: {expect}")
 
     record(
         "C3831: cubic physical-ring recalculation",
@@ -235,19 +209,14 @@ def self_check(program: Program, raw: Sequence[Finding],
                      "_handle_block_report", contains="fsn_lock"),
         "lock-held-scale-work on _handle_block_report (fsn_lock)",
     )
-    bad_drift = [v for v in check_drift(program)[0] if not v["ok"]]
-    checks.append({
-        "check": "cost-model drift: inferred == declared degrees",
-        "ok": not bad_drift,
-        "evidence": "all declared cost classes match inferred terms"
-        if not bad_drift else
-        f"drift on {', '.join(str(v['function']) for v in bad_drift)}",
-    })
-    checks.append({
-        "check": "baseline: zero unsuppressed findings on the shipped tree",
-        "ok": not unsuppressed,
-        "evidence": "baseline covers every intentional finding"
-        if not unsuppressed else
-        f"{len(unsuppressed)} finding(s) not in baseline",
-    })
+    bad_drift = [v for v in report.drift if not v["ok"]]
+    checks.add(
+        "cost-model drift: inferred == declared degrees", not bad_drift,
+        "all declared cost classes match inferred terms" if not bad_drift
+        else f"drift on {', '.join(str(v['function']) for v in bad_drift)}")
+    checks.add(
+        "baseline: zero unsuppressed findings on the shipped tree",
+        not report.findings,
+        "baseline covers every intentional finding" if not report.findings
+        else f"{len(report.findings)} finding(s) not in baseline")
     return checks

@@ -8,10 +8,7 @@ names, never absolute, so output is machine-independent.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
-
-from .lint import LintReport
 
 _SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
            "Schemata/sarif-schema-2.1.0.json")
@@ -85,11 +82,6 @@ def findings_to_sarif_dict(findings, driver: str = "repro-lint",
     }
 
 
-def to_sarif_dict(report: LintReport) -> Dict[str, object]:
-    """SARIF 2.1.0 document for ``report`` as a plain dict."""
+def to_sarif_dict(report) -> Dict[str, object]:
+    """SARIF 2.1.0 document for a :class:`~repro.analysis.lint.LintReport`."""
     return findings_to_sarif_dict(report.findings)
-
-
-def to_sarif(report: LintReport) -> str:
-    """Deterministic SARIF text."""
-    return json.dumps(to_sarif_dict(report), indent=2, sort_keys=True) + "\n"

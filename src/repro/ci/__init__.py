@@ -27,7 +27,6 @@ from .gate import (
     DEFAULT_TOLERANCE,
     CiConfig,
     CiScenario,
-    GateResult,
     evaluate,
     fit_scenario,
     run_gate,
@@ -51,7 +50,6 @@ __all__ = [
     "DEFAULT_SCALES",
     "DEFAULT_SCENARIOS",
     "DEFAULT_TOLERANCE",
-    "GateResult",
     "METRICS",
     "MetricTrend",
     "SCALING_REPORT_FORMAT",

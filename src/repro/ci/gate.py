@@ -24,10 +24,11 @@ Two kinds of check make up a gate verdict:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bench import calibrate
+from ..checks import Checks
 from ..core.curves import CONFIRMING, fit_flap_curve, fit_metric_curve
 from ..sweep.executor import run_sweep
 from ..sweep.spec import SweepSpec
@@ -175,37 +176,7 @@ def run_gate(config: Optional[CiConfig] = None) -> ScalingReport:
 # -- gate evaluation -----------------------------------------------------------
 
 
-@dataclass
-class GateResult:
-    """The gate's verdict: one record per check, any failure fails it."""
-
-    checks: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every recorded check passed."""
-        return all(check["ok"] for check in self.checks)
-
-    def add(self, check: str, ok: bool, evidence: str) -> None:
-        """Record one named check with its verdict and evidence line."""
-        self.checks.append({"check": check, "ok": bool(ok),
-                            "evidence": evidence})
-
-    def render(self) -> str:
-        """Human-readable per-check lines plus the overall verdict."""
-        lines = []
-        for check in self.checks:
-            status = "ok" if check["ok"] else "FAIL"
-            lines.append(f"  gate {status}: {check['check']} "
-                         f"-- {check['evidence']}")
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(f"gate verdict: {verdict} "
-                     f"({sum(1 for c in self.checks if not c['ok'])} of "
-                     f"{len(self.checks)} checks failed)")
-        return "\n".join(lines)
-
-
-def _drift_checks(result: GateResult, name: str, current: ScenarioTrend,
+def _drift_checks(result: Checks, name: str, current: ScenarioTrend,
                   baseline: ScenarioTrend, tolerance: float) -> None:
     """Per-metric slope-drift and class-escalation checks."""
     for metric in METRICS:
@@ -240,9 +211,9 @@ def _drift_checks(result: GateResult, name: str, current: ScenarioTrend,
 
 def evaluate(current: ScalingReport,
              baseline: Optional[ScalingReport] = None,
-             tolerance: float = DEFAULT_TOLERANCE) -> GateResult:
+             tolerance: float = DEFAULT_TOLERANCE) -> Checks:
     """Judge a gate run: intrinsic trend health plus drift vs baseline."""
-    result = GateResult()
+    result = Checks()
     for name, trend in sorted(current.scenarios.items()):
         flaps = trend.metrics.get("flaps")
         confirming = flaps is not None and flaps.classification in CONFIRMING
@@ -286,7 +257,7 @@ SELF_CHECK_BUG = "c3831"
 SELF_CHECK_CONTROL = "c3831-fixed"
 
 
-def self_check(config: Optional[CiConfig] = None) -> List[Dict[str, Any]]:
+def self_check(config: Optional[CiConfig] = None) -> Checks:
     """Does the gate trip on a known superlinear bug -- and only on it?
 
     Plants ``c3831`` (the paper's decommission calculation bug, whose
@@ -299,7 +270,7 @@ def self_check(config: Optional[CiConfig] = None) -> List[Dict[str, Any]]:
     """
     base = config or CiConfig()
     ladder = list(calibrate.figure3_scales())
-    checks: List[Dict[str, Any]] = []
+    checks = Checks()
 
     def gate_for(bug_id: str) -> ScalingReport:
         scenario = CiScenario(name="selfcheck", bug_id=bug_id)
@@ -313,34 +284,24 @@ def self_check(config: Optional[CiConfig] = None) -> List[Dict[str, Any]]:
     control = gate_for(SELF_CHECK_CONTROL)
 
     planted_fit = planted.scenarios["selfcheck"].metrics["flaps"]
-    planted_verdict = evaluate(planted, tolerance=base.tolerance)
-    checks.append({
-        "check": f"planted {SELF_CHECK_BUG} trips the intrinsic gate",
-        "ok": not planted_verdict.ok,
-        "evidence": (f"flap curve {planted_fit.classification}, "
-                     f"slope {planted_fit.slope}, "
-                     f"values {planted_fit.fit.values}"),
-    })
+    checks.add(f"planted {SELF_CHECK_BUG} trips the intrinsic gate",
+               not evaluate(planted, tolerance=base.tolerance).ok,
+               f"flap curve {planted_fit.classification}, "
+               f"slope {planted_fit.slope}, "
+               f"values {planted_fit.fit.values}")
     control_fit = control.scenarios["selfcheck"].metrics["flaps"]
-    control_verdict = evaluate(control, tolerance=base.tolerance)
-    checks.append({
-        "check": f"fixed control {SELF_CHECK_CONTROL} passes the gate",
-        "ok": control_verdict.ok,
-        "evidence": (f"flap curve {control_fit.classification}, "
-                     f"values {control_fit.fit.values}"),
-    })
+    checks.add(f"fixed control {SELF_CHECK_CONTROL} passes the gate",
+               evaluate(control, tolerance=base.tolerance).ok,
+               f"flap curve {control_fit.classification}, "
+               f"values {control_fit.fit.values}")
     # The drift comparator must flag the planted ladder against a baseline
     # recorded from the control -- the scenario identities differ only in
     # the bug id, so compare the metric trends directly.
-    drift = GateResult()
+    drift = Checks()
     _drift_checks(drift, "selfcheck", planted.scenarios["selfcheck"],
                   control.scenarios["selfcheck"], base.tolerance)
-    checks.append({
-        "check": "drift comparator flags the planted ladder vs the "
-                 "control baseline",
-        "ok": not drift.ok,
-        "evidence": "; ".join(
-            c["evidence"] for c in drift.checks if not c["ok"]) or
-            "no drift detected (MISSING)",
-    })
+    checks.add("drift comparator flags the planted ladder vs the "
+               "control baseline", not drift.ok,
+               "; ".join(c["evidence"] for c in drift if not c["ok"])
+               or "no drift detected (MISSING)")
     return checks

@@ -23,8 +23,7 @@ Schema (``repro-scaling-report-v1``)::
             "peak_mem_bytes": {scales, values, slope, classification}
           }
         }, ...
-      },
-      "self_check": [...]               # only when --self-check ran
+      }
     }
 
 ``slope`` is the fitted log-log growth exponent over the ladder (None when
@@ -45,6 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..canonical import canonical_json, sha256_hex
+from ..checks import VerbReport
 from ..core.curves import CurveFit
 
 #: Format tag embedded in serialized reports (bump on incompatible change).
@@ -103,37 +103,22 @@ class ScenarioTrend:
 
 
 @dataclass
-class ScalingReport:
+class ScalingReport(VerbReport):
     """Everything one ``repro ci`` run produced."""
 
     scales: List[int]
     seed: int
     scenarios: Dict[str, ScenarioTrend] = field(default_factory=dict)
-    self_check: Optional[List[Dict[str, Any]]] = None
-
-    @property
-    def self_check_ok(self) -> bool:
-        """True when no self-check ran, or every check passed."""
-        if self.self_check is None:
-            return True
-        return all(check["ok"] for check in self.self_check)
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The full machine-readable report (schema in the module doc)."""
-        data: Dict[str, Any] = {
+        return {
             "format": SCALING_REPORT_FORMAT,
             "scales": list(self.scales),
             "seed": self.seed,
             "scenarios": {name: trend.to_dict()
                           for name, trend in sorted(self.scenarios.items())},
         }
-        if self.self_check is not None:
-            data["self_check"] = self.self_check
-        return data
-
-    def to_json(self) -> str:
-        """Deterministic JSON text (byte-comparable across runs)."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form (the report's identity)."""
@@ -157,11 +142,6 @@ class ScalingReport:
                 values = ", ".join(f"{v:g}" for v in mt.fit.values)
                 lines.append(f"    {metric:<16} slope {slope:>8}  "
                              f"{mt.classification:<11} [{values}]")
-        if self.self_check is not None:
-            for check in self.self_check:
-                status = "ok" if check["ok"] else "FAIL"
-                lines.append(f"  self-check {status}: {check['check']}"
-                             f" -- {check['evidence']}")
         return "\n".join(lines) + "\n"
 
     # -- parsing (the baseline loader's half of the round trip) ----------------
@@ -188,14 +168,11 @@ class ScalingReport:
             scenarios[name] = ScenarioTrend(
                 name=name, scenario=dict(raw.get("scenario", {})),
                 metrics=metrics)
-        report = cls(
+        return cls(
             scales=[int(s) for s in data.get("scales", [])],
             seed=int(data.get("seed", 0)),
             scenarios=scenarios,
         )
-        if "self_check" in data:
-            report.self_check = data["self_check"]
-        return report
 
 
 # -- the committed baseline file -----------------------------------------------

@@ -52,6 +52,7 @@ from .bench.runner import figure3_series, make_check
 from .bench.tables import colocation_limits, render_colocation_limits
 from .cassandra.bugs import all_bugs
 from .cassandra.cluster import node_name
+from .checks import Checks
 from .core.finder import find_offending
 from .core.report import (
     render_divergence,
@@ -83,15 +84,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _with_window(args: argparse.Namespace, params):
+    """``params`` with the ``--warmup``/``--observe`` overrides applied."""
+    overrides = {name: getattr(args, name) for name in ("warmup", "observe")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(params, **overrides)
+
+
 def _chaos_scale_check(args: argparse.Namespace) -> ScaleCheck:
     check = make_check(args.bug, args.nodes, seed=args.seed)
-    overrides = {}
-    if args.warmup is not None:
-        overrides["warmup"] = args.warmup
-    if args.observe is not None:
-        overrides["observe"] = args.observe
-    if overrides:
-        check.params = dataclasses.replace(check.params, **overrides)
+    check.params = _with_window(args, check.params)
     return check
 
 
@@ -120,6 +122,28 @@ def _load_schedule(path: Optional[str]) -> Optional[FaultSchedule]:
     print(f"loaded {len(schedule)}-event schedule "
           f"{schedule.name!r} from {path}")
     return schedule
+
+
+def _emit(args: argparse.Namespace, report) -> int:
+    """Write ``report`` as ``--format`` to ``--out`` (else stdout).
+
+    Returns 2 if the report carries a failed self-check, else 0.
+    """
+    output = getattr(report, f"to_{args.format}")()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(output)
+        print(f"{args.format} report written to {args.out}")
+    else:
+        print(output, end="")
+    return 0 if report.self_check_ok else 2
+
+
+def _checked(checks: Checks) -> int:
+    """Print a self-check's lines; 2 if any check failed, else 0."""
+    for line in checks.lines("self-check"):
+        print(line)
+    return 0 if checks.ok else 2
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -230,7 +254,7 @@ def _cmd_finder(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import load_baseline, run_lint, to_sarif, write_baseline
+    from .analysis import load_baseline, run_lint, self_check, write_baseline
     from .obs import record_lint_findings
 
     # --write-baseline replaces the file, so a damaged one must not block it;
@@ -239,36 +263,20 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if baseline:
         with _loading("baseline", baseline):
             load_baseline(baseline)
-    report = run_lint(
-        targets=args.targets,
-        baseline_path=baseline,
-        with_self_check=args.self_check,
-    )
+    report = run_lint(targets=args.targets, baseline_path=baseline)
     if args.write_baseline:
         write_baseline(args.baseline, report.raw_findings)
         print(f"baseline with {len(report.raw_findings)} suppression(s) "
               f"written to {args.baseline}")
         return 0
     record_lint_findings(report.findings, suppressed=report.suppressed)
-    if args.format == "json":
-        output = report.to_json()
-    elif args.format == "sarif":
-        output = to_sarif(report)
-    else:
-        output = report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-        print(f"{args.format} report written to {args.out}")
-    else:
-        print(output, end="")
-    if args.self_check and not report.self_check_ok:
-        return 2
-    return 1 if report.findings else 0
+    if args.self_check:
+        report.self_check = self_check(report)
+    return _emit(args, report) or (1 if report.findings else 0)
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from .sanitize import SanitizeConfig, run_sanitize
+    from .sanitize import SanitizeConfig, run_sanitize, self_check
 
     config = SanitizeConfig(
         targets=tuple(args.targets),
@@ -277,28 +285,15 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         bug_id=args.bug,
         cache_dir=args.cache_dir,
         static_only=args.static_only,
-        with_self_check=args.self_check,
     )
     report = run_sanitize(config)
-    if args.format == "json":
-        output = report.to_json()
-    elif args.format == "sarif":
-        output = report.to_sarif()
-    else:
-        output = report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-        print(f"{args.format} report written to {args.out}")
-    else:
-        print(output, end="")
-    if args.self_check and not report.ok:
-        return 2
-    return 0
+    if args.self_check:
+        report.self_check = self_check(seed=args.seed)
+    return _emit(args, report)
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    from .hunt import HuntConfig, run_hunt
+    from .hunt import HuntConfig, run_hunt, self_check
 
     config = HuntConfig(
         targets=tuple(args.targets),
@@ -308,19 +303,11 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         min_symptom=args.min_symptom,
-        with_self_check=args.self_check,
     )
     report = run_hunt(config)
-    output = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-        print(f"{args.format} report written to {args.out}")
-    else:
-        print(output, end="")
-    if args.self_check and not report.self_check_ok:
-        return 2
-    return 0
+    if args.self_check:
+        report.self_check = self_check(report)
+    return _emit(args, report)
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
@@ -338,7 +325,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import SweepSpec, run_sweep
 
     if args.spec:
-        spec = SweepSpec.load(args.spec)
+        with _loading("sweep spec", args.spec):
+            spec = SweepSpec.load(args.spec)
         print(f"loaded sweep spec {spec.name or args.spec!r} "
               f"({len(spec)} points)")
     else:
@@ -379,14 +367,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
     spec = preset_spec(args.preset, users=args.users,
                        consistency=args.consistency)
-    params = calibrate.scenario_params()
-    overrides = {}
-    if args.warmup is not None:
-        overrides["warmup"] = args.warmup
-    if args.observe is not None:
-        overrides["observe"] = args.observe
-    if overrides:
-        params = dataclasses.replace(params, **overrides)
+    params = _with_window(args, calibrate.scenario_params())
     faults = _load_schedule(args.load_schedule)
     print(f"driving {spec.users:,} users ({args.preset}, "
           f"{spec.loop} loop) over {args.bug} at {args.nodes} nodes "
@@ -428,12 +409,12 @@ def _cmd_colocation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _partition_self_check(epoch: float) -> int:
+def _partition_self_check(epoch: float) -> Checks:
     """Cheap K-invariance smoke usable from CI without pytest.
 
     Re-runs a small scenario serially, sharded, under chaos, and with
-    forked workers, and asserts every canonical report digest matches the
-    serial baseline.  Exit 2 on any mismatch (the self-check convention).
+    forked workers, and checks every canonical report digest matches the
+    serial baseline.
     """
     from .cassandra.partition import PartitionSpec, run_partitioned
     from .faults import FaultSchedule, NodeCrash, NodeRestart, PartitionCut
@@ -450,27 +431,21 @@ def _partition_self_check(epoch: float) -> int:
 
     serial = run(shards=1)
     chaos_serial = run(shards=1, faults=chaos)
-    checks = [(name, report.canonical_json() == reference.canonical_json(),
-               f"digest {report.digest()[:12]}")
-              for name, report, reference in (
-                  ("steady K=2 == K=1", run(shards=2), serial),
-                  ("steady K=4 == K=1", run(shards=4), serial),
-                  ("chaos K=4 == K=1", run(shards=4, faults=chaos),
-                   chaos_serial),
-                  ("forked workers == in-process",
-                   run(shards=2, workers=2), serial))]
-    checks.append(("chaos schedule was live",
-                   chaos_serial.dropped_down > 0
-                   and chaos_serial.dropped_cut > 0,
-                   f"dropped_down={chaos_serial.dropped_down} "
-                   f"dropped_cut={chaos_serial.dropped_cut}"))
-
-    ok = True
-    for name, passed, evidence in checks:
-        status = "ok" if passed else "FAIL"
-        print(f"  self-check {status}: {name} -- {evidence}")
-        ok = ok and passed
-    return 0 if ok else 2
+    checks = Checks()
+    for name, report, reference in (
+            ("steady K=2 == K=1", run(shards=2), serial),
+            ("steady K=4 == K=1", run(shards=4), serial),
+            ("chaos K=4 == K=1", run(shards=4, faults=chaos), chaos_serial),
+            ("forked workers == in-process", run(shards=2, workers=2),
+             serial)):
+        checks.add(name,
+                   report.canonical_json() == reference.canonical_json(),
+                   f"digest {report.digest()[:12]}")
+    checks.add("chaos schedule was live",
+               chaos_serial.dropped_down > 0 and chaos_serial.dropped_cut > 0,
+               f"dropped_down={chaos_serial.dropped_down} "
+               f"dropped_cut={chaos_serial.dropped_cut}")
+    return checks
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -486,7 +461,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.self_check:
         print("self-checking shard-merge determinism "
               "(serial vs sharded vs forked)...")
-        return _partition_self_check(epoch=0.05)
+        return _checked(_partition_self_check(epoch=0.05))
 
     spec = PartitionSpec(
         nodes=args.nodes,
@@ -555,24 +530,13 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     if args.self_check:
         print(f"self-checking the gate on the calibrated ladder "
               f"(cache: {args.cache_dir})...")
-        checks = self_check(config)
-        for check in checks:
-            status = "ok" if check["ok"] else "FAIL"
-            print(f"  self-check {status}: {check['check']} "
-                  f"-- {check['evidence']}")
-        return 0 if all(check["ok"] for check in checks) else 2
+        return _checked(self_check(config))
 
     print(f"gating ladder {list(config.scales)} over "
           f"{', '.join(s.name for s in scenarios)} "
           f"(seed {config.seed}, cache: {args.cache_dir})...")
     report = run_gate(config)
-    output = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-        print(f"{args.format} report written to {args.out}")
-    else:
-        print(output, end="")
+    _emit(args, report)
 
     if args.update:
         save_baseline(args.baseline, report)
@@ -643,15 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--observe", type=float, default=None)
     chaos.add_argument("--min-flap-ratio", type=float, default=2.0,
                        help="amplification target vs the fault-free baseline")
-    chaos.add_argument("--shrink", action="store_true", default=True,
-                       help="delta-debug the schedule down (default)")
-    chaos.add_argument("--no-shrink", dest="shrink", action="store_false")
+    chaos.add_argument("--shrink", action=argparse.BooleanOptionalAction,
+                       default=True,
+                       help="delta-debug the schedule down")
     chaos.add_argument("--max-evals", type=int, default=50,
                        help="shrink evaluation budget (each is one run)")
-    chaos.add_argument("--pil", action="store_true", default=True,
-                       help="verify the PIL replay under the schedule "
-                            "(default)")
-    chaos.add_argument("--no-pil", dest="pil", action="store_false")
+    chaos.add_argument("--pil", action=argparse.BooleanOptionalAction,
+                       default=True,
+                       help="verify the PIL replay under the schedule")
     chaos.add_argument("--save-schedule", default=None,
                        help="write the final schedule to this JSON file")
     chaos.add_argument("--load-schedule", default=None,

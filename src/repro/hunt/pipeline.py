@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bench import calibrate
 from ..cassandra.workloads import ScenarioParams
+from ..checks import Checks
 from ..hdfs import HDFS_BUG_ID
 from ..sweep.executor import run_sweep
 from ..sweep.spec import SweepSpec
@@ -52,7 +53,6 @@ class HuntConfig:
     cache_dir: Optional[str] = None
     #: Smallest top-scale symptom that can confirm a candidate.
     min_symptom: float = 20.0
-    with_self_check: bool = False
 
     def resolved_scales(self) -> List[int]:
         """The Cassandra N-ladder: explicit scales, else the calibrated one."""
@@ -137,26 +137,23 @@ def run_hunt(config: Optional[HuntConfig] = None) -> HuntReport:
                                       verdict=confirmation.verdict,
                                       confirmation=confirmation))
 
-    report = HuntReport(
+    return HuntReport(
         targets=list(config.targets),
         scales=scales,
         hdfs_scales=hdfs_scales,
         seed=config.seed,
         candidates=hunted,
     ).finalize()
-    if config.with_self_check:
-        report.self_check = self_check(report)
-    return report
 
 
-def self_check(report: HuntReport) -> List[Dict[str, Any]]:
+def self_check(report: HuntReport) -> Checks:
     """Did the hunt rediscover the whole planted corpus?
 
     One check per planted bug (must be confirmed), one per negative
     control (the fixed code path must be refuted), and one structural
     check that every probed candidate received a verdict.
     """
-    checks: List[Dict[str, Any]] = []
+    checks = Checks()
     confirmed = {
         hc.candidate.probe.bug_id: hc
         for hc in report.by_verdict("confirmed")
@@ -169,28 +166,19 @@ def self_check(report: HuntReport) -> List[Dict[str, Any]]:
     }
     for bug_id, label in sorted(PLANTED_BUG_CHECKS.items()):
         hit = confirmed.get(bug_id)
-        checks.append({
-            "check": f"confirm {bug_id}: {label}",
-            "ok": hit is not None,
-            "evidence": (
-                f"{hit.candidate.location} "
-                f"{hit.confirmation.curve.classification}, "
-                f"symptom {hit.top_symptom:g}" if hit is not None
-                else f"MISSING: {bug_id} not confirmed"),
-        })
+        checks.add(f"confirm {bug_id}: {label}", hit is not None,
+                   f"{hit.candidate.location} "
+                   f"{hit.confirmation.curve.classification}, "
+                   f"symptom {hit.top_symptom:g}" if hit is not None
+                   else f"MISSING: {bug_id} not confirmed")
     for bug_id in EXPECTED_REFUTED:
-        checks.append({
-            "check": f"refute {bug_id}: fixed code path stays symptom-free",
-            "ok": bug_id in refuted,
-            "evidence": ("refuted as expected" if bug_id in refuted
-                         else f"MISSING: {bug_id} not refuted"),
-        })
+        checks.add(f"refute {bug_id}: fixed code path stays symptom-free",
+                   bug_id in refuted,
+                   "refuted as expected" if bug_id in refuted
+                   else f"MISSING: {bug_id} not refuted")
     undecided = [hc.candidate.location for hc in report.candidates
                  if hc.verdict not in ("confirmed", "refuted", "no-probe")]
-    checks.append({
-        "check": "every candidate received a verdict",
-        "ok": not undecided,
-        "evidence": ("all candidates decided" if not undecided
-                     else f"undecided: {', '.join(undecided)}"),
-    })
+    checks.add("every candidate received a verdict", not undecided,
+               "all candidates decided" if not undecided
+               else f"undecided: {', '.join(undecided)}")
     return checks

@@ -9,10 +9,10 @@ asserts exactly that.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..checks import VerbReport
 from .candidates import Candidate
 from .confirm import CONFIRMED, NO_PROBE, REFUTED, Confirmation
 
@@ -57,7 +57,7 @@ class HuntedCandidate:
 
 
 @dataclass
-class HuntReport:
+class HuntReport(VerbReport):
     """Everything one hunt produced."""
 
     targets: List[str]
@@ -65,7 +65,6 @@ class HuntReport:
     hdfs_scales: List[int]
     seed: int
     candidates: List[HuntedCandidate] = field(default_factory=list)
-    self_check: Optional[List[Dict[str, Any]]] = None
 
     def finalize(self) -> "HuntReport":
         """Rank candidates (confirmed first, biggest symptom first)."""
@@ -84,13 +83,6 @@ class HuntReport:
         return [hc.candidate.probe.bug_id for hc in self.by_verdict(CONFIRMED)
                 if hc.candidate.probe is not None]
 
-    @property
-    def self_check_ok(self) -> bool:
-        """True when no self-check ran, or every check passed."""
-        if self.self_check is None:
-            return True
-        return all(check["ok"] for check in self.self_check)
-
     def to_json_dict(self) -> Dict[str, Any]:
         """The full machine-readable report (see DESIGN.md for the schema)."""
         data: Dict[str, Any] = {
@@ -107,13 +99,7 @@ class HuntReport:
             },
             "candidates": [hc.to_dict() for hc in self.candidates],
         }
-        if self.self_check is not None:
-            data["self_check"] = self.self_check
-        return data
-
-    def to_json(self) -> str:
-        """Deterministic JSON text (byte-comparable across hunts)."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return self._embed_self_check(data)
 
     def to_text(self) -> str:
         """Human-readable ranked table."""
@@ -145,9 +131,4 @@ class HuntReport:
                 if stage:
                     line += f", colo diverges at {stage}"
             lines.append(line)
-        if self.self_check is not None:
-            for check in self.self_check:
-                status = "ok" if check["ok"] else "FAIL"
-                lines.append(f"  self-check {status}: {check['check']}"
-                             f" -- {check['evidence']}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + self._self_check_lines()) + "\n"

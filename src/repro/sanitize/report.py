@@ -9,19 +9,19 @@ to a cold one, and the self-check asserts exactly that.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.findings import Finding
 from ..analysis.sarif import findings_to_sarif_dict
+from ..checks import VerbReport, report_json
 
 #: Schema tag embedded in every JSON report.
 SANITIZE_REPORT_FORMAT = "repro-sanitize-report-v1"
 
 
 @dataclass
-class SanitizeReport:
+class SanitizeReport(VerbReport):
     """Everything one sanitizer run produced."""
 
     targets: List[str]
@@ -37,15 +37,6 @@ class SanitizeReport:
     curves: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Top-scale :meth:`repro.sanitize.tracker.RaceTracker.to_dict` detail.
     detail: Dict[str, Any] = field(default_factory=dict)
-    #: Planted-race rediscovery checks (``--self-check`` only).
-    self_check: Optional[List[Dict[str, Any]]] = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the self-check (if run) found nothing wrong."""
-        if self.self_check is None:
-            return True
-        return all(check["ok"] for check in self.self_check)
 
     def classification_counts(self) -> Dict[str, int]:
         """Site count per static classification, sorted by name."""
@@ -75,19 +66,13 @@ class SanitizeReport:
             "curves": self.curves,
             "detail": self.detail,
         }
-        if self.self_check is not None:
-            data["self_check"] = self.self_check
-        return data
-
-    def to_json(self) -> str:
-        """Deterministic JSON text (byte-comparable warm vs cold)."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return self._embed_self_check(data)
 
     def to_sarif(self) -> str:
         """SARIF 2.1.0 of the static findings under the sanitize driver."""
-        doc = findings_to_sarif_dict(self.findings, driver="repro-sanitize",
-                                     fingerprint_key="reproSanitize/v1")
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return report_json(findings_to_sarif_dict(
+            self.findings, driver="repro-sanitize",
+            fingerprint_key="reproSanitize/v1"))
 
     def to_text(self) -> str:
         """Human-readable report."""
@@ -122,9 +107,4 @@ class SanitizeReport:
                 lines.append(f"  curve {metric}:"
                              f" {curve.get('classification')}"
                              f" (exponent {shown})")
-        if self.self_check is not None:
-            for check in self.self_check:
-                status = "ok" if check["ok"] else "FAIL"
-                lines.append(f"  self-check {status}: {check['check']}"
-                             f" -- {check['evidence']}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + self._self_check_lines()) + "\n"

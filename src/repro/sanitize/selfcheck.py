@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..analysis.shared import check_dead_annotations, check_shared_state
 from ..canonical import canonical_json
+from ..checks import Checks
 from ..core.finder import Program
 from ..sim.kernel import Acquire, Lock, Simulator, Timeout
 from .instrument import TrackedMap, TrackedSeq
@@ -212,15 +213,12 @@ def _scenario_payload(seed: int) -> Dict[str, Any]:
     }
 
 
-def self_check(seed: int = 42) -> List[Dict[str, Any]]:
+def self_check(seed: int = 42) -> Checks:
     """Assert both planted races are rediscovered and controls are clean."""
-    checks: List[Dict[str, Any]] = []
-
-    def record(name: str, ok: bool, evidence: str) -> None:
-        checks.append({"check": name, "ok": bool(ok), "evidence": evidence})
+    checks = Checks()
 
     torn = hint_store_scenario(seed=seed)
-    record(
+    checks.add(
         "atomicity: interrupt-forced-release on the hint store rediscovered",
         (torn.race_pairs > 0
          and len(torn.forced_release_records) > 0
@@ -230,7 +228,7 @@ def self_check(seed: int = 42) -> List[Dict[str, Any]]:
         f" on {HINT_SITE}",
     )
     torn_control = hint_store_scenario(seed=seed, interrupt=False)
-    record(
+    checks.add(
         "atomicity control: lock-serialized writers are race-free",
         torn_control.race_pairs == 0,
         f"{torn_control.race_pairs} race pair(s)"
@@ -239,14 +237,14 @@ def self_check(seed: int = 42) -> List[Dict[str, Any]]:
 
     ring = ring_mutation_scenario(seed=seed)
     expected_pairs = 8 * 7 // 2    # every mutator pair, counted once
-    record(
+    checks.add(
         "undeclared-shared: unlocked ring mutation rediscovered",
         ring.race_pairs == expected_pairs and RING_SITE in ring.site_races,
         f"{ring.race_pairs}/{expected_pairs} mutator pair(s) unordered"
         f" on {RING_SITE}",
     )
     ring_control = ring_mutation_scenario(seed=seed, locked=True)
-    record(
+    checks.add(
         "undeclared-shared control: ring_lock serializes the same mutators",
         ring_control.race_pairs == 0,
         f"{ring_control.race_pairs} race pair(s)"
@@ -255,7 +253,7 @@ def self_check(seed: int = 42) -> List[Dict[str, Any]]:
 
     planted = _static_findings(_PLANTED_STATIC, "undeclared-shared-state")
     control = _static_findings(_CONTROL_STATIC, "undeclared-shared-state")
-    record(
+    checks.add(
         "static: undeclared-shared-state fires on the planted ring fixture",
         len(planted) == 1 and not control,
         f"{len(planted)} finding(s) planted, {len(control)} on the"
@@ -263,7 +261,7 @@ def self_check(seed: int = 42) -> List[Dict[str, Any]]:
     )
     dead = _static_findings(_DEAD_ANNOTATION_STATIC, "dead-lock-annotation")
     dead_control = _static_findings(_CONTROL_STATIC, "dead-lock-annotation")
-    record(
+    checks.add(
         "static: dead-lock-annotation fires on the stale_lock fixture",
         len(dead) == 1 and not dead_control,
         f"{len(dead)} stale annotation(s) found, {len(dead_control)} on the"
@@ -272,7 +270,7 @@ def self_check(seed: int = 42) -> List[Dict[str, Any]]:
 
     first = canonical_json(_scenario_payload(seed))
     second = canonical_json(_scenario_payload(seed))
-    record(
+    checks.add(
         "determinism: planted-scenario reports are byte-identical",
         first == second,
         f"{len(first)} canonical byte(s), two runs compared",

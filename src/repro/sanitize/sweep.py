@@ -35,7 +35,6 @@ from ..core.finder import Program
 from ..sweep.cache import SweepCache
 from .instrument import instrument_cluster
 from .report import SanitizeReport
-from .selfcheck import self_check
 from .tracker import RaceTracker
 
 #: Default sanitize ladder (matches the hunt's HDFS probe ladder).
@@ -57,8 +56,6 @@ class SanitizeConfig:
     cache_dir: Optional[str] = None
     #: Skip the dynamic ladder entirely (static report only).
     static_only: bool = False
-    #: Run the planted-race rediscovery gate and embed its verdicts.
-    with_self_check: bool = False
 
 
 def _scenario_params():
@@ -100,8 +97,6 @@ def run_sanitize(config: Optional[SanitizeConfig] = None) -> SanitizeReport:
         static=static.to_dict(),
         findings=findings,
     )
-    if config.with_self_check:
-        report.self_check = self_check(seed=config.seed)
     if config.static_only:
         return report
 

@@ -19,6 +19,7 @@ from repro.analysis import (
     primary,
     run_lint,
     run_rules,
+    self_check,
     to_sarif_dict,
     write_baseline,
 )
@@ -339,7 +340,9 @@ class TestLockChecker:
 class TestRealTree:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_lint(baseline_path=str(BASELINE), with_self_check=True)
+        report = run_lint(baseline_path=str(BASELINE))
+        report.self_check = self_check(report)
+        return report
 
     def test_self_check_rediscovers_all_bug_paths(self, report):
         assert report.self_check is not None

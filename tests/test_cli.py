@@ -303,3 +303,95 @@ def test_lint_sarif_to_file(capsys, tmp_path):
     sarif = json.loads(out_path.read_text())
     assert sarif["version"] == "2.1.0"
     assert sarif["runs"][0]["results"]
+
+
+_BAD_SWEEP_SPECS = {
+    "missing": None,
+    "not-json": '{"format": "repro-sweep-spec-v1", "bugs": [',
+    "wrong-format": '{"format": "repro-sweep-spec-v0", "bugs": ["c3831"], '
+                    '"scales": [8]}',
+    "no-bugs": '{"format": "repro-sweep-spec-v1", "scales": [8]}',
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_BAD_SWEEP_SPECS))
+def test_malformed_sweep_spec_is_a_one_line_error(tmp_path, capsys, damage):
+    """An unusable --spec file exits 2 with `error:`, no traceback."""
+    path = tmp_path / "grid.json"
+    if _BAD_SWEEP_SPECS[damage] is not None:
+        path.write_text(_BAD_SWEEP_SPECS[damage])
+    code = main(["sweep", "--spec", str(path),
+                 "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot load sweep spec {path}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _failing_checks(*_args, **_kwargs):
+    from repro.checks import Checks
+
+    checks = Checks()
+    checks.add("planted bug rediscovered", False, "MISSING: planted")
+    return checks
+
+
+def _stub_lint(monkeypatch, tmp_path):
+    import repro.analysis
+
+    monkeypatch.setattr(repro.analysis, "self_check", _failing_checks)
+    return ["lint", "--targets", FIXTURE_PKG,
+            "--baseline", str(tmp_path / "absent.json")]
+
+
+def _stub_sanitize(monkeypatch, tmp_path):
+    import repro.sanitize
+
+    monkeypatch.setattr(repro.sanitize, "self_check", _failing_checks)
+    return ["sanitize", "--static-only", "--targets", FIXTURE_PKG]
+
+
+def _stub_hunt(monkeypatch, tmp_path):
+    import repro.hunt
+    from repro.hunt import HuntReport
+
+    monkeypatch.setattr(repro.hunt, "run_hunt", lambda config: HuntReport(
+        targets=list(config.targets), scales=[8], hdfs_scales=[8], seed=42))
+    monkeypatch.setattr(repro.hunt, "self_check", _failing_checks)
+    return ["hunt"]
+
+
+def _stub_ci(monkeypatch, tmp_path):
+    import repro.ci
+
+    monkeypatch.setattr(repro.ci, "self_check", _failing_checks)
+    return ["ci", "--cache-dir", str(tmp_path / "cache")]
+
+
+def _stub_partition(monkeypatch, tmp_path):
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "_partition_self_check", _failing_checks)
+    return ["partition"]
+
+
+_SELF_CHECK_VERBS = {
+    "lint": _stub_lint,
+    "sanitize": _stub_sanitize,
+    "hunt": _stub_hunt,
+    "ci": _stub_ci,
+    "partition": _stub_partition,
+}
+
+
+@pytest.mark.parametrize("verb", list(_SELF_CHECK_VERBS))
+def test_a_failing_self_check_exits_2(tmp_path, capsys, monkeypatch, verb):
+    """Every gating verb exits 2 and prints one FAIL line for a failed check."""
+    argv = _SELF_CHECK_VERBS[verb](monkeypatch, tmp_path)
+    code, out = run_cli(capsys, *argv, "--self-check")
+    assert code == 2
+    fails = [line for line in out.splitlines()
+             if line.startswith("  self-check FAIL: ")]
+    assert fails == ["  self-check FAIL: planted bug rediscovered "
+                     "-- MISSING: planted"]

@@ -220,7 +220,8 @@ class TestPipelineStubbed:
         monkeypatch.setattr(pipeline, "_sweep", fake_sweep)
 
     def test_full_pipeline_over_stub_dynamics(self, stubbed):
-        report = run_hunt(HuntConfig(with_self_check=True))
+        report = run_hunt(HuntConfig())
+        report.self_check = self_check(report)
         assert report.self_check_ok, report.to_text()
         confirmed = set(report.confirmed_bug_ids)
         assert set(PLANTED_BUG_CHECKS) <= confirmed
@@ -270,9 +271,9 @@ class TestHuntEndToEnd:
         cache_dir = os.environ.get("REPRO_HUNT_CACHE",
                                    str(tmp_path / "hunt-cache"))
         config = HuntConfig(cache_dir=cache_dir,
-                            workers=min(4, os.cpu_count() or 1),
-                            with_self_check=True)
+                            workers=min(4, os.cpu_count() or 1))
         first = run_hunt(config)
+        first.self_check = self_check(first)
         assert first.self_check_ok, first.to_text()
         assert set(PLANTED_BUG_CHECKS) <= set(first.confirmed_bug_ids)
         refuted = {hc.candidate.probe.bug_id
@@ -282,4 +283,5 @@ class TestHuntEndToEnd:
         # A re-hunt is served warm from the sweep cache and serializes to
         # the byte-identical report.
         second = run_hunt(config)
+        second.self_check = self_check(second)
         assert second.to_json() == first.to_json()
