@@ -25,7 +25,6 @@ from repro.core.colocation import (
     single_process_footprint,
 )
 from repro.core.memoization import MemoDB
-from repro.core.pil import MissPolicy
 
 BUG = "c3831"
 
@@ -40,7 +39,7 @@ def test_in_situ_durations_beat_static_misprediction(benchmark, pipeline):
     check, result, real = pipeline
 
     def ablate():
-        # Static-prediction stand-in: empty DB forces the MODEL fallback,
+        # Static-prediction stand-in: empty DB forces the cost-model fallback,
         # and the replay cluster's cost model underestimates 4x.
         mispredicted = dataclasses.replace(
             check.cost_constants,
@@ -48,7 +47,7 @@ def test_in_situ_durations_beat_static_misprediction(benchmark, pipeline):
         )
         static_check = dataclasses.replace(check,
                                            cost_constants=mispredicted)
-        return static_check.replay(MemoDB(), miss_policy=MissPolicy.MODEL)
+        return static_check.replay(MemoDB())
 
     static_replay = benchmark.pedantic(ablate, rounds=1, iterations=1)
     in_situ_error = accuracy_error(real, result.replay_report)

@@ -46,15 +46,11 @@ _EXPORTS = {
     "get_bug": "cassandra",
     "ColocationAnalyzer": "core",
     "FinderReport": "core",
-    "Instrumenter": "core",
     "MemoDB": "core",
-    "MissPolicy": "core",
-    "PilFunction": "core",
     "ReplayHarness": "core",
     "ScaleCheck": "core",
     "ScaleCheckResult": "core",
     "find_offending": "core",
-    "pil_wrap": "core",
     "SweepPoint": "sweep",
     "SweepSpec": "sweep",
     "SweepSummary": "sweep",
@@ -78,11 +74,8 @@ __all__ = [
     "ClusterConfig",
     "ColocationAnalyzer",
     "FinderReport",
-    "Instrumenter",
     "MemoDB",
-    "MissPolicy",
     "Mode",
-    "PilFunction",
     "ReplayHarness",
     "RunReport",
     "ScaleCheck",
@@ -98,7 +91,6 @@ __all__ = [
     "get_bug",
     "pil_safe",
     "pil_unsafe",
-    "pil_wrap",
     "scale_dependent",
     "__version__",
 ]

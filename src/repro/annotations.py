@@ -3,7 +3,7 @@
 The paper's workflow starts with developers *lightly* annotating (< 30 LOC)
 the data structures whose size depends on cluster scale -- in Cassandra, the
 ring table and endpoint-state map.  Everything downstream (the offending-
-function finder, the auto-instrumenter) keys off these annotations.
+function finder and the PIL candidates it names) keys off these annotations.
 
 Two annotation surfaces are provided:
 

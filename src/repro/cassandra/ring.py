@@ -80,10 +80,6 @@ class TokenMetadata:
         """
         return self._content_hash
 
-    def __memo_key__(self) -> str:
-        """Content key used by PIL instrumentation (:mod:`repro.core.pilfunc`)."""
-        return f"ring:{self._content_hash:016x}"
-
     # -- mutation --------------------------------------------------------------
 
     def update_normal_tokens(self, endpoint: str, tokens: Iterable[int]) -> None:

@@ -1,9 +1,9 @@
 """scale-check: the paper's primary contribution.
 
 Single-machine scale checking of distributed systems: the offending-function
-finder (program analysis), auto-instrumentation, memoization under basic
-colocation, the processing illusion (PIL), deterministic replay, and
-colocation bottleneck analysis.
+finder (program analysis), memoization under basic colocation, the
+processing illusion (PIL), deterministic replay, and colocation bottleneck
+analysis.
 """
 
 from .colocation import (
@@ -34,16 +34,8 @@ from .finder import (
     SideEffect,
     find_offending,
 )
-from .instrument import InstrumentationError, Instrumenter
 from .memoization import MemoDB, MemoRecord, PilViolationError
-from .pil import (
-    CALC_FUNC_ID,
-    MemoizingExecutor,
-    MissPolicy,
-    PilReplayExecutor,
-    ReplayMissError,
-)
-from .pilfunc import PilFunction, default_input_key, pil_wrap
+from .pil import CALC_FUNC_ID, MemoizingExecutor, PilReplayExecutor
 from .probes import ProbeLogEntry, ProbeSet
 from .replayer import ReplayHarness, ReplayResult
 from .report import (
@@ -65,21 +57,16 @@ __all__ = [
     "EVENT_LATENESS",
     "FinderReport",
     "FunctionAnalysis",
-    "InstrumentationError",
-    "Instrumenter",
     "MEMORY_EXHAUSTION",
     "MemoDB",
     "MemoRecord",
     "MemoizingExecutor",
-    "MissPolicy",
     "NodeFootprint",
-    "PilFunction",
     "PilReplayExecutor",
     "PilViolationError",
     "ProbeLogEntry",
     "ProbeSet",
     "ReplayHarness",
-    "ReplayMissError",
     "ReplayResult",
     "ScaleCheck",
     "ScaleCheckResult",
@@ -87,14 +74,12 @@ __all__ = [
     "SideEffect",
     "SpaceObliviousFootprint",
     "StateSpaceReduction",
-    "default_input_key",
     "observed_reduction",
     "offline_input_space_log10",
     "per_run_upper_bound",
     "space_oblivious_footprint",
     "find_offending",
     "per_process_footprint",
-    "pil_wrap",
     "probe_colocation_sim",
     "render_divergence",
     "render_finder_report",

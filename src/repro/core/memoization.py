@@ -236,16 +236,6 @@ class MemoDB:
         """Read a database previously written with :meth:`save`."""
         return cls.from_payload(json.loads(Path(path).read_text()))
 
-    def merge(self, other: "MemoDB") -> int:
-        """Fold another DB's records in (multi-run memoization); returns the
-        number of newly added records."""
-        added = 0
-        for record in other.records():
-            if record.key() not in self._records:
-                self._records[record.key()] = record
-                added += 1
-        return added
-
 
 class MemoLruFront:
     """A small LRU in front of :meth:`MemoDB.get` caching parsed outputs.

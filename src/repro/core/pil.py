@@ -14,15 +14,13 @@ the node's calculation seam:
 * :class:`PilReplayExecutor` -- used during replay.  Replaces the
   calculation with ``sleep(duration)`` on a :class:`~repro.sim.cpu.PilCpu`
   (consuming no machine capacity) and substitutes the memoized output; on
-  a hit the replaced function is not run at all, not even on the host.
-
-Cache-miss policy on replay is configurable: fall back to the analytic cost
-model (default), or execute live.
+  a hit the replaced function is not run at all, not even on the host.  On
+  a miss it sleeps the analytic cost model's estimate on the same
+  :class:`~repro.sim.cpu.PilCpu` and computes the output on the host.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Any, Callable, Dict, Tuple
 
 from ..cassandra.node import CalcExecutor, CalcRequest
@@ -41,12 +39,10 @@ class MemoizingExecutor(CalcExecutor):
     """Record (input, output, duration) while running live (step d)."""
 
     def __init__(self, db, noise_sigma: float = 0.02,
-                 rng_stream: str = "memo-noise",
                  func_id: str = CALC_FUNC_ID,
                  serialize: Callable = serialize_pending) -> None:
         self.db = db
         self.noise_sigma = noise_sigma
-        self.rng_stream = rng_stream
         self.func_id = func_id
         self.serialize = serialize
         self.recorded = 0
@@ -62,7 +58,7 @@ class MemoizingExecutor(CalcExecutor):
                                 tag=f"memoize:{node.node_id}")
         duration = request.demand
         if self.noise_sigma > 0:
-            noise = node.sim.rng.gauss(self.rng_stream, 0.0, self.noise_sigma)
+            noise = node.sim.rng.gauss("memo-noise", 0.0, self.noise_sigma)
             duration = max(request.demand * (1.0 + noise), 0.0)
         entry = self._serialized.get(id(output))
         if entry is None:
@@ -88,37 +84,18 @@ class MemoizingExecutor(CalcExecutor):
         }
 
 
-class MissPolicy(str, Enum):
-    """What PIL replay does when an input was never memoized."""
-
-    #: Sleep the analytic cost-model estimate and use the live output.
-    MODEL = "model"
-    #: Execute the computation live on the node's CPU (slow but exact).
-    LIVE = "live"
-    #: Raise -- strict replay for debugging determinism issues.
-    STRICT = "strict"
-
-
-class ReplayMissError(RuntimeError):
-    """Raised under :attr:`MissPolicy.STRICT` when a lookup misses."""
-
-
 class PilReplayExecutor(CalcExecutor):
     """Substitute sleep(t) + memoized output for the calculation (step f)."""
 
     def __init__(self, db, sim: Simulator,
-                 miss_policy: MissPolicy = MissPolicy.MODEL,
                  func_id: str = CALC_FUNC_ID,
-                 deserialize: Callable = deserialize_pending,
-                 lru_size: int = 256) -> None:
+                 deserialize: Callable = deserialize_pending) -> None:
         self.db = db
         self.pil_cpu = PilCpu(sim, name="pil")
-        self.miss_policy = miss_policy
         self.func_id = func_id
-        self.deserialize = deserialize
         #: Content keys repeat heavily across converged nodes; the LRU
         #: front serves them without re-deserializing the recorded output.
-        self.lru = MemoLruFront(db, deserialize, capacity=lru_size)
+        self.lru = MemoLruFront(db, deserialize)
         self._pil_tags: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
@@ -135,18 +112,9 @@ class PilReplayExecutor(CalcExecutor):
             elapsed = yield Compute(self.pil_cpu, record.duration, tag=tag)
             return output, elapsed
         self.misses += 1
-        if self.miss_policy is MissPolicy.STRICT:
-            raise ReplayMissError(
-                f"no memo record for {request.input_key} "
-                f"(node {node.node_id} at t={request.time:.2f})"
-            )
+        # Trust the analytic cost model for the duration and compute the
+        # real output on the host (it costs no virtual time).
         output = request.compute_output()
-        if self.miss_policy is MissPolicy.LIVE:
-            elapsed = yield Compute(node.cpu, request.demand,
-                                    tag=f"pil-miss-live:{node.node_id}")
-            return output, elapsed
-        # MissPolicy.MODEL: trust the analytic cost model for the duration
-        # and compute the real output on the host (it costs no virtual time).
         elapsed = yield Compute(self.pil_cpu, request.demand,
                                 tag=f"pil-miss-model:{node.node_id}")
         return output, elapsed

@@ -22,10 +22,10 @@ from ..cassandra.metrics import RunReport
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
-from ..sim.kernel import KernelObserver, Simulator, Timeout
+from ..sim.kernel import Timeout
 from ..sim.network import OrderEnforcer
 from .memoization import MemoDB
-from .pil import MissPolicy, PilReplayExecutor
+from .pil import PilReplayExecutor
 from .target import CASSANDRA, Target
 
 
@@ -97,12 +97,8 @@ class ReplayHarness:
         db: MemoDB,
         config,
         params: Optional[ScenarioParams] = None,
-        miss_policy: MissPolicy = MissPolicy.MODEL,
         enforce_order: bool = False,
-        watchdog_interval: float = 1.0,
         faults: Optional[FaultSchedule] = None,
-        observer: Optional[KernelObserver] = None,
-        lru_size: int = 256,
         target: Target = CASSANDRA,
     ) -> None:
         if config.mode is not Mode.PIL:
@@ -111,17 +107,13 @@ class ReplayHarness:
         self.config = config
         self.target = target
         self.params = params or ScenarioParams()
-        self.miss_policy = miss_policy
         self.enforce_order = enforce_order
-        self.watchdog_interval = watchdog_interval
         self.faults = faults
-        self.observer = observer
-        #: Capacity of the executor's deserialized-output LRU front
-        #: (:class:`~repro.core.memoization.MemoLruFront`).
-        self.lru_size = lru_size
 
-    def _watchdog(self, sim: Simulator, enforcer: OrderEnforcer):
-        """Skip past recorded-but-missing messages when replay stalls.
+    @staticmethod
+    def _watchdog(enforcer: OrderEnforcer):
+        """Skip past recorded-but-missing messages when replay stalls
+        (checked once per virtual second).
 
         A replay that diverges from the recording (changed code, different
         timing) keeps producing messages the recording never saw while
@@ -130,7 +122,7 @@ class ReplayHarness:
         head-of-line blockage.
         """
         while True:
-            yield Timeout(self.watchdog_interval)
+            yield Timeout(1.0)
             if enforcer.stalled:
                 enforcer.skip_stalled()
 
@@ -138,17 +130,14 @@ class ReplayHarness:
         """Run one PIL-infused replay and return the result."""
         target = self.target
         enforcer = OrderEnforcer(self.db.message_order) if self.enforce_order else None
-        cluster = target.cluster(self.config, order_enforcer=enforcer,
-                                 observer=self.observer)
+        cluster = target.cluster(self.config, order_enforcer=enforcer)
         executor = PilReplayExecutor(self.db, cluster.sim,
-                                     miss_policy=self.miss_policy,
                                      func_id=target.func_id,
-                                     deserialize=target.deserialize,
-                                     lru_size=self.lru_size)
+                                     deserialize=target.deserialize)
         cluster.executor = executor
         install_faults(cluster, self.faults)
         if enforcer is not None:
-            cluster.sim.spawn(self._watchdog(cluster.sim, enforcer),
+            cluster.sim.spawn(self._watchdog(enforcer),
                               name="order-watchdog")
         report = target.run(cluster, self.params)
         stats = executor.stats()

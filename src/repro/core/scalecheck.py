@@ -41,7 +41,7 @@ from ..faults.schedule import FaultSchedule
 from ..sim.kernel import KernelObserver
 from .finder import FinderReport, find_offending
 from .memoization import MemoDB
-from .pil import MemoizingExecutor, MissPolicy
+from .pil import MemoizingExecutor
 from .replayer import ReplayHarness, ReplayResult
 from .target import Target, target_for
 
@@ -103,7 +103,6 @@ class ScaleCheck:
     machine: MachineSpec = field(default_factory=MachineSpec)
     gossip: GossipConfig = field(default_factory=GossipConfig)
     rf: int = 3
-    memo_noise_sigma: float = 0.02
     #: Optional vnode-count override (affordability: large-N sweeps shrink
     #: the per-node token population the way ``repro doctor --vnodes`` does;
     #: blocks per datanode on HDFS).
@@ -175,13 +174,12 @@ class ScaleCheck:
 
     # -- steps (c)+(d): memoization under basic colocation -------------------------------
 
-    def memoize(self, db: Optional[MemoDB] = None,
+    def memoize(self,
                 faults: Optional[FaultSchedule] = None) -> ScaleCheckResult:
         """One-time recording run; returns result with replay not yet run."""
-        db = db if db is not None else MemoDB()
+        db = MemoDB()
         target = self.target
-        executor = MemoizingExecutor(db, noise_sigma=self.memo_noise_sigma,
-                                     func_id=target.func_id,
+        executor = MemoizingExecutor(db, func_id=target.func_id,
                                      serialize=target.serialize)
         cluster, report = self._run(Mode.COLO, faults, executor=executor)
         db.record_message_order(cluster.network.delivery_log)
@@ -210,7 +208,6 @@ class ScaleCheck:
         self,
         db: MemoDB,
         enforce_order: bool = False,
-        miss_policy: MissPolicy = MissPolicy.MODEL,
         faults: Optional[FaultSchedule] = None,
     ) -> ReplayResult:
         """Switch to replay mode / perform a replay.
@@ -224,7 +221,6 @@ class ScaleCheck:
             db=db,
             config=self.config(Mode.PIL),
             params=self.params,
-            miss_policy=miss_policy,
             enforce_order=enforce_order,
             faults=faults,
             target=self.target,
@@ -243,12 +239,8 @@ class ScaleCheck:
 
     # -- the whole pipeline ----------------------------------------------------------------
 
-    def check(
-        self,
-        enforce_order: bool = False,
-        miss_policy: MissPolicy = MissPolicy.MODEL,
-        faults: Optional[FaultSchedule] = None,
-    ) -> ScaleCheckResult:
+    def check(self,
+              faults: Optional[FaultSchedule] = None) -> ScaleCheckResult:
         """Memoize once, replay once: the paper's scale-check flow.
 
         ``faults`` subjects *both* runs to the same chaos schedule, so the
@@ -256,8 +248,7 @@ class ScaleCheck:
         under identical cluster weather.
         """
         result = self.memoize(faults=faults)
-        result.replay = self.replay(result.db, enforce_order=enforce_order,
-                                    miss_policy=miss_policy, faults=faults)
+        result.replay = self.replay(result.db, faults=faults)
         return result
 
     # -- evaluation helper --------------------------------------------------------------------

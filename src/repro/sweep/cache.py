@@ -130,19 +130,22 @@ class SweepCache:
         return sidecar.read_text().strip()
 
     def loadable_memo_digest(self, identity_key: str) -> Optional[str]:
-        """:meth:`memo_digest`, or None when the recording does not load.
+        """:meth:`memo_digest`, or None when the recording does not load or
+        its content does not match the digest sidecar.
 
         Parses the whole database, so it is asked only before a replay that
-        will load it anyway.  A truncated or damaged recording is treated
-        as absent and counted in ``corrupt``: the caller re-records it and
-        the new file overwrites the old one.
+        will load it anyway.  A truncated, damaged or replaced recording is
+        treated as absent and counted in ``corrupt``: the caller re-records
+        it and the new file overwrites the old one.
         """
         digest = self.memo_digest(identity_key)
         if digest is not None:
             try:
-                MemoDB.load(self.memo_path(identity_key))
+                loaded = MemoDB.load(self.memo_path(identity_key)).digest()
             except (ValueError, KeyError, TypeError, AttributeError):
                 # undecodable JSON / wrong-shaped document
+                loaded = None
+            if loaded != digest:
                 self.corrupt += 1
                 return None
         return digest

@@ -109,18 +109,6 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.meta["bug"] == "c3831"
 
 
-def test_merge_adds_only_new_records():
-    db1 = MemoDB()
-    db1.put("f", "a", 1, 0.1)
-    db2 = MemoDB()
-    db2.put("f", "a", 999, 9.9)   # duplicate key: ignored
-    db2.put("f", "b", 2, 0.2)     # new: merged
-    added = db1.merge(db2)
-    assert added == 1
-    assert db1.get("f", "a").output == 1
-    assert db1.get("f", "b").output == 2
-
-
 def test_total_samples_counts_repeats():
     db = MemoDB()
     for __ in range(5):

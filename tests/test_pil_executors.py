@@ -14,13 +14,7 @@ from repro.cassandra.node import CalcExecutor, CalcRequest
 from repro.cassandra.pending_ranges import CalculatorVariant, serialize_pending
 from repro.cassandra.tokens import TokenRange
 from repro.core.memoization import MemoDB, PilViolationError
-from repro.core.pil import (
-    CALC_FUNC_ID,
-    MemoizingExecutor,
-    MissPolicy,
-    PilReplayExecutor,
-    ReplayMissError,
-)
+from repro.core.pil import CALC_FUNC_ID, MemoizingExecutor, PilReplayExecutor
 from repro.sim.kernel import Timeout
 
 FAST = ScenarioParams(warmup=10.0, observe=40.0, leaving_duration=8.0)
@@ -37,12 +31,11 @@ def memoized_run(bug_id="c3831", nodes=8, seed=5, noise=0.0):
     return db, report, cluster
 
 
-def replay_run(db, bug_id="c3831", nodes=8, seed=5,
-               miss_policy=MissPolicy.MODEL):
+def replay_run(db, bug_id="c3831", nodes=8, seed=5):
     config = ClusterConfig.for_bug(bug_id, nodes=nodes, mode=Mode.PIL,
                                    seed=seed)
     cluster = Cluster(config)
-    executor = PilReplayExecutor(db, cluster.sim, miss_policy=miss_policy)
+    executor = PilReplayExecutor(db, cluster.sim)
     cluster.executor = executor
     report = run_decommission(cluster, FAST)
     return report, executor
@@ -155,24 +148,11 @@ def test_replay_hits_and_substitutes_outputs():
 
 def test_replay_miss_model_policy_uses_cost_model():
     db = MemoDB()  # empty: every lookup misses
-    report, executor = replay_run(db, miss_policy=MissPolicy.MODEL)
+    report, executor = replay_run(db)
     stats = executor.stats()
     assert stats["hits"] == 0
     assert stats["misses"] > 0
     assert len(report.calc_records) == stats["misses"]
-
-
-def test_replay_miss_live_policy_computes_on_node_cpu():
-    db = MemoDB()
-    report, executor = replay_run(db, miss_policy=MissPolicy.LIVE)
-    assert executor.stats()["misses"] > 0
-    assert executor.pil_cpu.completed_jobs == 0   # nothing slept
-
-
-def test_replay_miss_strict_policy_raises():
-    db = MemoDB()
-    with pytest.raises(ReplayMissError):
-        replay_run(db, miss_policy=MissPolicy.STRICT)
 
 
 def test_replay_flaps_match_real_scale_at_small_n():

@@ -10,7 +10,7 @@ from repro.cassandra import node as node_module
 from repro.cassandra.metrics import accuracy_error
 from repro.cassandra.pending_ranges import serialize_pending
 from repro.core.memoization import MemoDB
-from repro.core.pil import CALC_FUNC_ID, MissPolicy
+from repro.core.pil import CALC_FUNC_ID
 from repro.core.replayer import ReplayHarness
 from repro.core.scalecheck import ScaleCheck
 
@@ -123,8 +123,9 @@ def test_replay_miss_still_computes_the_output(pipeline, monkeypatch):
 
 def test_replay_strict_policy_via_scalecheck(pipeline):
     check, result = pipeline
-    replay = check.replay(result.db, miss_policy=MissPolicy.STRICT)
-    # All inputs were memoized, so strict replay succeeds with zero misses.
+    replay = check.replay(result.db)
+    # Every input was memoized, so the replay never falls back to the cost
+    # model.
     assert replay.misses == 0
 
 

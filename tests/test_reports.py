@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import Program
 from repro.cassandra.metrics import CalcRecord, FlapCounter, RunReport
+from repro.core.finder import find_offending
 from repro.core.memoization import MemoDB
 from repro.core.report import (
     render_finder_report,
@@ -117,17 +118,16 @@ def entry(ring, fresh, out):
 
 
 def test_rendered_verdict_reads_the_reports_registry():
-    """A registry veto keeps the entry point unwrapped, and the rendered
-    report must agree with the instrumenter about it."""
+    """A registry veto takes the entry point out of the PIL candidates, and
+    the rendered report must agree with the candidate list about it."""
     import repro.cassandra.legacy_calc as legacy_calc
-    from repro.core.instrument import Instrumenter
 
     registry = Program.load(["repro.cassandra"]).registry
     registry.add_pil_unsafe("calculate_pending_ranges_legacy")
-    instrumenter = Instrumenter(legacy_calc, MemoDB(), registry=registry)
-    assert "calculate_pending_ranges_legacy" not in (
-        instrumenter.default_targets())
-    text = render_finder_report(instrumenter.analyze())
+    report = find_offending(legacy_calc, registry)
+    assert "calculate_pending_ranges_legacy" not in [
+        f.name for f in report.pil_candidates()]
+    text = render_finder_report(report)
     line, = [row for row in text.splitlines()
              if row.startswith("- calculate_pending_ranges_legacy ")]
     assert line.endswith(", NOT PIL-safe")

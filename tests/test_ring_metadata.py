@@ -140,14 +140,6 @@ def test_idempotent_mutations_keep_hash_consistent():
     assert metadata.content_hash == h
 
 
-def test_memo_key_reflects_content():
-    m1 = build_metadata(normal={"a": [10]})
-    m2 = build_metadata(normal={"a": [10]})
-    assert m1.__memo_key__() == m2.__memo_key__()
-    m2.add_leaving_endpoint("a")
-    assert m1.__memo_key__() != m2.__memo_key__()
-
-
 def test_removing_an_endpoint_leaves_a_shared_calculation_output_alone():
     """Nodes with the same ring install one cached output object, so one
     node learning LEFT must not edit the others' pending ranges or the

@@ -81,14 +81,31 @@ def test_corrupt_result_entries_are_recomputed_and_counted(tmp_path):
     assert again.executed == 0 and again.cache_stats["corrupt"] == 0
 
 
-@pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+def damage_recording(db_path, damage):
+    """Overwrite a saved recording so it no longer matches its sidecar."""
+    raw = db_path.read_text()
+    if damage == "truncated":
+        db_path.write_text(raw[:len(raw) // 2])
+    elif damage == "wrong-shape":
+        db_path.write_text("[]")
+    elif damage == "empty":
+        db_path.write_text("{}")            # loads as an empty MemoDB
+    else:                                   # a valid recording, other content
+        db = MemoDB.load(db_path)
+        db.put("other.func", "other-key", 1, 0.5)
+        db.save(db_path)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "empty",
+                                    "other-content"])
 def test_corrupt_recordings_are_rerecorded_and_counted(tmp_path, damage):
-    """A damaged MemoDB whose digest sidecar survived is re-recorded."""
+    """A MemoDB that fails to load, or whose content no longer matches the
+    digest sidecar that survived it, is re-recorded."""
     spec = small_spec(modes=["pil"])
     cold = run_sweep(spec, cache_dir=tmp_path)
     (db_path,) = (tmp_path / "memo").glob("*.json")
     raw = db_path.read_text()
-    db_path.write_text(raw[:len(raw) // 2] if damage == "truncated" else "[]")
+    damage_recording(db_path, damage)
     shutil.rmtree(tmp_path / "results")
 
     warm = run_sweep(spec, cache_dir=tmp_path)
