@@ -274,7 +274,7 @@ class Cluster:
             for name in names
         }
         view = EstablishedView(self.shared_state, blobs)
-        ring = TokenMetadata()
+        ring = TokenMetadata(self.shared_state.token_tables)
         for name in names:
             ring.update_normal_tokens(name, view.tokens(name))
         for name in local:

@@ -222,7 +222,8 @@ class Node:
         self.inbox: Channel = sim.channel(f"inbox:{node_id}")
         self.calc_queue: Channel = sim.channel(f"calcq:{node_id}")
         self.ring_lock = sim.lock(f"ring:{node_id}")
-        self.metadata = TokenMetadata()
+        self.metadata = TokenMetadata(
+            None if shared_state is None else shared_state.token_tables)
         self.gossiper = Gossiper(
             node_id=node_id,
             generation=generation,

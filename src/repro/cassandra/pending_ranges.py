@@ -50,8 +50,8 @@ from .tokens import TokenRange
 declare_cost("calc_cost", M=1, T=2,
              note="modeled pending-range calculation demand (worst variant)")
 
-#: Sort key for pending ranges: plain tuples compare faster than the
-#: dataclass's generated ``__lt__``.
+#: Sort key for pending ranges: plain tuples compare faster than
+#: ``TokenRange.__lt__``.
 _range_bounds = attrgetter("left", "right")
 
 

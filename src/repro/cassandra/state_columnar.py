@@ -11,7 +11,9 @@ machine.  The gossip state is therefore kept columnarly:
   its precomputed wire tuple, max version, STATUS and TOKENS), and the
   shared digest table (one :class:`~repro.cassandra.state.GossipDigest`
   per distinct ``(endpoint, generation, max_version)``, shared by every
-  observer instead of N copies; two generations bound it).
+  observer instead of N copies; two generations bound it).  It also
+  carries the pool of ring token tables
+  (:class:`~repro.cassandra.ring.TokenTable`) its nodes share by content.
 * :class:`EstablishedView` -- one per established cluster: what every
   observer of an all-NORMAL membership knows about every member, built
   once and bulk-loaded into each store instead of applied pair by pair.
@@ -36,6 +38,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from .ring import TablePool, new_table_pool
 from .state import STATUS, STATUS_NORMAL, TOKENS, GossipDigest, VersionedValue
 
 
@@ -75,7 +78,7 @@ class SharedClusterState:
     """Cluster-wide shared tables behind every columnar observer."""
 
     __slots__ = ("registry", "names", "_app_table", "_digest_table",
-                 "_digest_old", "empty_app")
+                 "_digest_old", "empty_app", "token_tables")
 
     def __init__(self) -> None:
         #: endpoint name -> dense gid (registration order, append-only).
@@ -89,6 +92,8 @@ class SharedClusterState:
         self._digest_table: Dict[tuple, GossipDigest] = {}
         self._digest_old: Dict[tuple, GossipDigest] = {}
         self.empty_app = self.intern_items(())
+        #: The ring token maps of this cluster's nodes, one per content.
+        self.token_tables: TablePool = new_table_pool()
 
     def gid(self, name: str) -> int:
         """The dense id for ``name``, registering it on first use."""

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import total_ordering
 from typing import Iterable, List, Sequence, Tuple
 
 #: Tokens live on a ring modulo 2**63 (mirrors Murmur3Partitioner's range
@@ -47,12 +48,50 @@ def tokens_for_node(node_id: str, vnodes: int) -> List[int]:
     return sorted(stable_hash64(f"token:{node_id}:{i}") for i in range(vnodes))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class TokenRange:
-    """A half-open ring range ``(left, right]``; wraps when left >= right."""
+    """A half-open ring range ``(left, right]``; wraps when left >= right.
+
+    An immutable record with slots and no per-instance ``__dict__``: a
+    pending-range output holds one per range, and a scale check keeps every
+    output it computed or replayed.  Equality, ordering, hash and ``repr``
+    are the frozen dataclass's it replaced: by ``(left, right)``, and only
+    against another ``TokenRange``.
+    """
+
+    __slots__ = ("left", "right")
 
     left: int
     right: int
+
+    def __init__(self, left: int, right: int) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TokenRange, (self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"TokenRange(left={self.left!r}, right={self.right!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __eq__(self, other):
+        if other.__class__ is not TokenRange:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __lt__(self, other):
+        if other.__class__ is not TokenRange:
+            return NotImplemented
+        return (self.left, self.right) < (other.left, other.right)
 
     @property
     def wraps(self) -> bool:
@@ -87,7 +126,8 @@ class Ring:
 
     Pure data structure: no membership semantics, no pending state.  Those
     live in :class:`repro.cassandra.ring.TokenMetadata`, which produces
-    ``Ring`` snapshots for range math.
+    ``Ring`` snapshots for range math.  A snapshot is shared by every table
+    holding the same token map, so no caller writes to one.
     """
 
     def __init__(self, token_to_endpoint: Iterable[Tuple[int, str]]) -> None:

@@ -21,6 +21,7 @@ from repro.cassandra.gossip import Gossiper
 from repro.cassandra.ring import TokenMetadata
 from repro.cassandra.state import STATUS, STATUS_LEAVING, STATUS_NORMAL, TOKENS
 from repro.cassandra.state_columnar import EstablishedView, SharedClusterState
+from repro.cassandra.workloads import ScenarioParams, run_scale_out
 from repro.sim.kernel import Simulator
 
 
@@ -115,17 +116,56 @@ def test_bulk_load_equals_per_pair_population(nodes, hosts):
 
 
 def test_bulk_load_equals_per_pair_population_with_vnodes():
-    """256 tokens a member: own tokens lead the ring table, in both."""
+    """256 tokens a member: the same ring table content in both.  Tables
+    are shared by content, so insertion order is not compared (it reaches
+    no output: test_token_table_insertion_order_reaches_no_output)."""
     bulk = _cluster(6, bug="c3881")
     bulk.build_established()
     twin = _cluster(6, bug="c3881")
     _build_per_pair(twin)
     for name, node in bulk.nodes.items():
-        ring = list(node.metadata.token_to_endpoint.items())
-        assert ring == list(twin.nodes[name].metadata.token_to_endpoint.items())
-        assert [owner for __, owner in ring[:256]] == [name] * 256
+        ring = node.metadata.token_to_endpoint
+        assert len(ring) == 6 * 256
+        assert ring == twin.nodes[name].metadata.token_to_endpoint
         assert node.metadata.content_hash == (
             twin.nodes[name].metadata.content_hash)
+
+
+def _reverse_token_tables(cluster: Cluster) -> int:
+    """Rebuild every distinct token map of ``cluster`` in reversed insertion
+    order, in place; returns how many maps changed order."""
+    seen, changed = set(), 0
+    for node in cluster.nodes.values():
+        metadata = node.metadata
+        for table in (metadata.token_to_endpoint, metadata.bootstrap_tokens):
+            if id(table) in seen:
+                continue
+            seen.add(id(table))
+            items = list(table.items())
+            table.clear()
+            table.update(reversed(items))
+            changed += len(items) > 1
+    return changed
+
+
+def test_token_table_insertion_order_reaches_no_output():
+    """A map's insertion order is not part of its content: a scale-out run
+    whose every token table starts reversed runs step for step like the
+    original and reports the same bytes."""
+    params = ScenarioParams(warmup=2.0, observe=6.0, join_duration=2.0,
+                            join_stagger=0.5, join_count=2)
+    runs, changed = [], []
+    for reverse in (False, True):
+        cluster = _cluster(6, bug="c3881")
+        if reverse:
+            def build(cluster=cluster):
+                Cluster.build_established(cluster)
+                changed.append(_reverse_token_tables(cluster))
+            cluster.build_established = build
+        report = run_scale_out(cluster, params)
+        runs.append((cluster.sim.steps, report.digest()))
+    assert changed and changed[0] >= 1
+    assert runs[0] == runs[1]
 
 
 def test_bulk_and_per_pair_clusters_run_identically():

@@ -146,7 +146,7 @@ def test_replay_hits_and_substitutes_outputs():
     assert replay_report.bug == "c3831"
 
 
-def test_replay_miss_model_policy_uses_cost_model():
+def test_replay_of_an_empty_recording_misses_every_calculation():
     db = MemoDB()  # empty: every lookup misses
     report, executor = replay_run(db)
     stats = executor.stats()

@@ -121,7 +121,7 @@ def test_replay_miss_still_computes_the_output(pipeline, monkeypatch):
     assert 0 < len(calls) <= replay.misses
 
 
-def test_replay_strict_policy_via_scalecheck(pipeline):
+def test_scalecheck_replay_of_its_own_recording_never_misses(pipeline):
     check, result = pipeline
     replay = check.replay(result.db)
     # Every input was memoized, so the replay never falls back to the cost

@@ -1,5 +1,10 @@
 """Tests for tokens, ranges, and ring placement (incl. property tests)."""
 
+import copy
+import operator
+import pickle
+from dataclasses import FrozenInstanceError, dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +91,63 @@ class TestTokenRange:
         assert all(not p.wraps for p in parts)
         for token in (TOKEN_SPACE - 5, 5):
             assert any(p.contains(token) for p in parts)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassRange:
+    """``TokenRange`` as it was: the behaviour the slotted record keeps."""
+
+    left: int
+    right: int
+
+
+range_pairs = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+
+
+class TestTokenRangeRecord:
+    """The slotted ``TokenRange`` against the frozen dataclass it replaced."""
+
+    @given(a=range_pairs, b=range_pairs)
+    @settings(max_examples=200)
+    def test_compares_and_hashes_like_the_dataclass(self, a, b):
+        ours, theirs = (TokenRange(*a), TokenRange(*b)), (
+            DataclassRange(*a), DataclassRange(*b))
+        for compare in (operator.eq, operator.ne, operator.lt, operator.le,
+                        operator.gt, operator.ge):
+            assert compare(*ours) == compare(*theirs)
+        assert hash(ours[0]) == hash(theirs[0])
+        assert repr(ours[0]) == repr(theirs[0]).replace(
+            "DataclassRange", "TokenRange")
+        assert [(r.left, r.right) for r in sorted(ours)] == [
+            (r.left, r.right) for r in sorted(theirs)]
+
+    def test_other_types_compare_like_the_dataclass(self):
+        for value in ((1, 2), DataclassRange(1, 2), None):
+            assert TokenRange(1, 2) != value
+            with pytest.raises(TypeError):
+                TokenRange(1, 2) < value  # noqa: B015
+        assert {TokenRange(1, 2): "x"}[TokenRange(1, 2)] == "x"
+
+    def test_is_frozen_and_has_no_instance_dict(self):
+        rng = TokenRange(1, 2)
+        assert not hasattr(rng, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            rng.left = 5
+        with pytest.raises(FrozenInstanceError):
+            del rng.right
+        assert (rng.left, rng.right) == (1, 2)
+
+    def test_pickle_and_copy_round_trips(self):
+        output = {"a": [TokenRange(-1, 5), TokenRange(TOKEN_SPACE - 3, 2)],
+                  "b": []}
+        copies = [pickle.loads(pickle.dumps(output, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.deepcopy(output), copy.copy(output)]
+        for other in copies:
+            assert other == output
+            assert all(type(rng) is TokenRange for rng in other["a"])
+        rng = pickle.loads(pickle.dumps(TokenRange(3, 4)))
+        assert rng.contains(4) and not rng.contains(3)
 
 
 class TestRing:
