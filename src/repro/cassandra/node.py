@@ -36,6 +36,7 @@ from .pending_ranges import (
     CalculatorVariant,
     CostConstants,
     DEFAULT_COSTS,
+    PendingRanges,
     calc_cost,
     compute_pending_ranges,
     pending_ranges_input_key,
@@ -55,7 +56,6 @@ from .state_columnar import (
     EstablishedView,
     SharedClusterState,
 )
-from .tokens import TokenRange
 
 # Lock-discipline declaration (input to the repro.analysis checker): the
 # ring lock owns the node's ring table.  The C5456 coarse-lock bug is
@@ -123,7 +123,7 @@ class CalcRequest:
     demand: float
     changes: int
     time: float
-    compute_output: Callable[[], Dict[str, List[TokenRange]]]
+    compute_output: Callable[[], PendingRanges]
 
 
 class CalcExecutor:
@@ -166,11 +166,11 @@ class SharedOutputCache:
     """
 
     def __init__(self) -> None:
-        self._outputs: Dict[str, Dict[str, List[TokenRange]]] = {}
+        self._outputs: Dict[str, PendingRanges] = {}
         self.hits = 0
         self.misses = 0
 
-    def resolve(self, key: str, compute: Callable[[], Dict[str, List[TokenRange]]]):
+    def resolve(self, key: str, compute: Callable[[], PendingRanges]):
         """Return the cached output for ``key``, computing it on first use."""
         if key in self._outputs:
             self.hits += 1
@@ -515,7 +515,7 @@ class Node:
         ))
 
     def _calc_output(self, metadata: TokenMetadata, ring_hash: int,
-                     input_key: str) -> Dict[str, List[TokenRange]]:
+                     input_key: str) -> PendingRanges:
         """The real output of a calculation triggered when ``metadata``
         hashed to ``ring_hash``: computed once per distinct ring, refused if
         the ring has moved since (its key would name another input)."""

@@ -24,6 +24,8 @@ variant's complexity in virtual time.  The simulator executes the efficient
 code for the output (outputs are identical across variants -- that is what
 made the fixes possible) while the CPU model is charged the variant's cost;
 a PIL replay hit substitutes the memoized output and does not execute it.
+An output is held in one compact form (:data:`PendingRanges`) from the
+calculation to the replay; its JSON codec is used only on disk.
 Literal naive-loop implementations, used as the program-analysis corpus and
 as differential-test oracles, live in :mod:`repro.cassandra.legacy_calc`.
 """
@@ -31,11 +33,13 @@ as differential-test oracles, live in :mod:`repro.cassandra.legacy_calc`.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
-from typing import Dict, List
+from itertools import chain
+from typing import Dict, Iterator, List, Tuple
 
 from ..annotations import declare_cost
 from .ring import TokenMetadata
@@ -50,12 +54,14 @@ from .tokens import TokenRange
 declare_cost("calc_cost", M=1, T=2,
              note="modeled pending-range calculation demand (worst variant)")
 
-#: Sort key for pending ranges: plain tuples compare faster than
-#: ``TokenRange.__lt__``.
-_range_bounds = attrgetter("left", "right")
+#: A calculation output: per endpoint, its pending ``(left, right]`` ranges
+#: sorted by ``(left, right)`` and flattened into one ``array('q')``,
+#: ``[left0, right0, left1, right1, ...]`` (16 bytes a range).  The ranges
+#: of one endpoint are disjoint, so only the last can wrap the origin.
+PendingRanges = Dict[str, array]
 
 
-def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[TokenRange]]:
+def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> PendingRanges:
     """Correct pending-range computation (reference implementation).
 
     Replica sets are piecewise-constant between ring-token boundaries, but
@@ -74,7 +80,9 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[T
     One merge pass over the sorted union: each ring keeps a forward pointer
     to the successor of the current boundary, and a ring's replica walk is
     redone only when that successor changes.  Every ring token is itself a
-    boundary, so a pointer moves at most one step per boundary.
+    boundary, so a pointer moves at most one step per boundary.  Each
+    endpoint's ranges are sorted once and packed into one array
+    (:data:`PendingRanges`), the only form the output takes in memory.
     """
     if rf <= 0:
         raise ValueError("replication factor must be positive")
@@ -88,7 +96,7 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[T
     # Two sorted runs merge in linear time; fromkeys drops shared tokens.
     boundaries = list(dict.fromkeys(sorted(current_tokens + future_tokens)))
     n_current, n_future = len(current_tokens), len(future_tokens)
-    pending: Dict[str, List[TokenRange]] = {}
+    pending: Dict[str, List[Tuple[int, int]]] = {}
     ci = fi = 0                  # ring tokens below the boundary
     future_at = -1               # the pointer value the cached walk is for
     current_at = -1 if n_current else 0   # an empty ring's walk stays []
@@ -107,14 +115,16 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> Dict[str, List[T
             current_at = ci
             current_replicas = current.replicas_from(ci % n_current, rf)
         if future_replicas != current_replicas:
-            rng = TokenRange(left, token)
+            bounds = (left, token)
             for endpoint in future_replicas:
                 if endpoint not in current_replicas:
-                    pending.setdefault(endpoint, []).append(rng)
+                    pending.setdefault(endpoint, []).append(bounds)
         left = token
-    for ranges in pending.values():
-        ranges.sort(key=_range_bounds)
-    return pending
+    compact = {}
+    for endpoint, ranges in pending.items():
+        ranges.sort()
+        compact[endpoint] = array("q", chain.from_iterable(ranges))
+    return compact
 
 
 class CalculatorVariant(str, Enum):
@@ -215,17 +225,51 @@ def _intern_input_key(variant_value: str, rf: int, ring_hash: int) -> str:
     return f"pending-ranges:{variant_value}:rf={rf}:ring={ring_hash:016x}"
 
 
-def serialize_pending(pending: Dict[str, List[TokenRange]]) -> Dict[str, List[List[int]]]:
-    """JSON-friendly form of a pending-ranges map (for the memo DB)."""
-    return {
-        endpoint: [[rng.left, rng.right] for rng in ranges]
-        for endpoint, ranges in pending.items()
-    }
+def bounds_contain(bounds: array, token: int) -> bool:
+    """True when ``token`` lies in one of the ``(left, right]`` ranges of
+    an endpoint's ``bounds`` (see :data:`PendingRanges`): a binary search
+    that builds no object per range.
+
+    Apart from a wrapping last range, the bounds are a non-decreasing run,
+    and ``token`` lies inside a range exactly when an odd number of them
+    are below it.
+    """
+    end = len(bounds)
+    if end and bounds[end - 2] >= bounds[end - 1]:
+        end -= 2
+        if token > bounds[end] or token <= bounds[end + 1]:
+            return True
+    return bisect_left(bounds, token, 0, end) % 2 == 1
 
 
-def deserialize_pending(data: Dict[str, List[List[int]]]) -> Dict[str, List[TokenRange]]:
+def _pairs(bounds: array) -> Iterator[Tuple[int, int]]:
+    it = iter(bounds)
+    return zip(it, it)
+
+
+def token_ranges(pending: PendingRanges) -> Dict[str, List[TokenRange]]:
+    """The ``TokenRange`` form of a calculation output, the form the
+    literal calculators of :mod:`repro.cassandra.legacy_calc` return."""
+    return {endpoint: [TokenRange(left, right)
+                       for left, right in _pairs(bounds)]
+            for endpoint, bounds in pending.items()}
+
+
+# The disk boundary: a recording stores an output as
+# ``{endpoint: [[left, right], ...]}`` JSON, and a memo DB converts it with
+# this codec when it saves or loads, never per replay hit.
+
+def serialize_pending(pending: PendingRanges) -> Dict[str, List[List[int]]]:
+    """The JSON form of a calculation output (how a recording stores it)."""
+    return {endpoint: [[left, right] for left, right in _pairs(bounds)]
+            for endpoint, bounds in pending.items()}
+
+
+def deserialize_pending(data: Dict[str, List[List[int]]]) -> PendingRanges:
     """Inverse of :func:`serialize_pending`."""
-    return {
-        endpoint: [TokenRange(int(left), int(right)) for left, right in ranges]
-        for endpoint, ranges in data.items()
-    }
+    return {endpoint: array("q", chain.from_iterable(ranges))
+            for endpoint, ranges in data.items()}
+
+
+#: ``(serialize, deserialize)`` of a pending-range output.
+PENDING_CODEC = (serialize_pending, deserialize_pending)

@@ -30,12 +30,13 @@ every calculation trigger.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import (Dict, FrozenSet, Iterable, List, MutableMapping, Optional,
                     Set, Tuple)
 from weakref import WeakValueDictionary
 
-from .tokens import Ring, TokenRange, stable_hash64
+from .tokens import Ring, stable_hash64
 
 
 def _entry_hash(kind: str, token: int, endpoint: str) -> int:
@@ -101,8 +102,10 @@ class TokenMetadata:
         self.token_to_endpoint: Dict[int, str] = {}
         self.bootstrap_tokens: Dict[int, str] = {}
         self.leaving_endpoints: Set[str] = set()
-        #: endpoint -> its pending (incoming) ranges; set by the calculator.
-        self.pending_ranges: Dict[str, List[TokenRange]] = {}
+        #: endpoint -> its pending (incoming) ranges, as sorted
+        #: ``(left, right]`` bounds in one ``array('q')``; set by the
+        #: calculator (``repro.cassandra.pending_ranges.PendingRanges``).
+        self.pending_ranges: Dict[str, array] = {}
         #: endpoint -> number of tokens it owns in ``token_to_endpoint`` /
         #: ``bootstrap_tokens``; only endpoints owning at least one appear.
         self._normal_counts: Dict[str, int] = {}
@@ -314,7 +317,7 @@ class TokenMetadata:
                                    in self.pending_ranges.items()
                                    if e != endpoint}
 
-    def set_pending_ranges(self, pending: Dict[str, List[TokenRange]]) -> None:
+    def set_pending_ranges(self, pending: Dict[str, array]) -> None:
         """Install calculator output (pending ranges are derived state and do
         not feed the content hash).  ``pending`` is shared, not copied: the
         same output is installed on every node with the same ring, so this
@@ -373,10 +376,6 @@ class TokenMetadata:
     def token_count(self) -> int:
         """Number of normal tokens in the ring."""
         return len(self.token_to_endpoint)
-
-    def pending_range_count(self) -> int:
-        """Total pending ranges across all endpoints."""
-        return sum(len(r) for r in self.pending_ranges.values())
 
     # -- cloning (the C5456 fix) -------------------------------------------------
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..annotations import lock_protects
 from ..sim.kernel import Acquire, Compute, Get, Timeout
+from .pending_ranges import bounds_contain
 from .state import STATUS_LEFT
 from .tokens import token_for_key
 
@@ -152,8 +153,8 @@ class StorageService:
         natural = ring.natural_endpoints(token, self.node.rf)
         pending = [
             endpoint
-            for endpoint, ranges in metadata.pending_ranges.items()
-            if any(rng.contains(token) for rng in ranges)
+            for endpoint, bounds in metadata.pending_ranges.items()
+            if bounds_contain(bounds, token)
         ]
         return natural + [e for e in pending if e not in natural]
 

@@ -9,13 +9,21 @@ determinism").  PIL-infused replay then substitutes each invocation with
 Keys are *content* keys (e.g. the ring table's stable hash), so records are
 shared across nodes whose state has converged -- this is what keeps the
 database small even though the calculation runs thousands of times.
+
+A record holds its output as the function returned it (a pending-range
+output is compact arrays, shared with the run that computed it); a
+function's ``(serialize, deserialize)`` codec, registered by the executor
+that records or replays it, makes the JSON form only at the disk boundary:
+:meth:`MemoDB.to_payload` (and so ``save`` and ``digest``) writes it, and a
+loaded recording is converted back once, when an executor adopts it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -24,6 +32,9 @@ from ..canonical import atomic_write_text, canonical_json, sha256_hex
 #: Format tag written into serialized databases (bump on incompatible change).
 MEMO_FORMAT = "repro-memo-db-v1"
 
+#: ``(serialize, deserialize)``: an output's JSON form and back.
+Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
+
 
 @dataclass
 class MemoRecord:
@@ -31,7 +42,7 @@ class MemoRecord:
 
     func_id: str
     input_key: str
-    output: Any              # JSON-serializable form of the return value
+    output: Any              # the return value (JSON form without a codec)
     duration: float          # in-situ recorded compute time (seconds)
     node_id: str = ""        # which node recorded it (diagnostics)
     time: float = 0.0        # virtual time of the recording
@@ -73,6 +84,24 @@ class MemoDB:
         self.strict = strict
         self.conflicts = 0
         self.conflict_keys: List[Tuple[str, str]] = []
+        #: ``func_id -> serialize`` for the functions whose records hold
+        #: their in-memory output; the others hold the JSON form.
+        self._serializers: Dict[str, Callable[[Any], Any]] = {}
+
+    def hold_outputs(self, func_id: str, codec: Codec) -> None:
+        """Hold ``func_id``'s outputs in memory form from now on.
+
+        Records read from disk in JSON form are converted now, once per
+        record; :meth:`to_payload` serializes them back.  Registering the
+        function again changes nothing.
+        """
+        if func_id in self._serializers:
+            return
+        serialize, deserialize = codec
+        self._serializers[func_id] = serialize
+        for record in self._records.values():
+            if record.func_id == func_id:
+                record.output = deserialize(record.output)
 
     # -- recording ----------------------------------------------------------------
 
@@ -178,17 +207,29 @@ class MemoDB:
     # PIL-safety verdict the recording run saw.
 
     def to_payload(self) -> Dict[str, Any]:
-        """Canonical JSON-ready form (records sorted by key)."""
+        """Canonical JSON-ready form (records sorted by key).
+
+        Each output is written by its function's codec, or deep-copied when
+        it is held in JSON form already, so the payload shares nothing
+        mutable with the records.
+        """
         return {
             "format": MEMO_FORMAT,
             "meta": self.meta,
             "message_order": self.message_order,
-            "records": [asdict(self._records[key])
+            "records": [self._record_payload(self._records[key])
                         for key in sorted(self._records)],
             "strict": self.strict,
             "conflicts": self.conflicts,
             "conflict_keys": [list(key) for key in self.conflict_keys],
         }
+
+    def _record_payload(self, record: MemoRecord) -> Dict[str, Any]:
+        item = {field.name: getattr(record, field.name)
+                for field in fields(record)}
+        item["output"] = self._serializers.get(
+            record.func_id, copy.deepcopy)(record.output)
+        return item
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "MemoDB":
@@ -238,37 +279,27 @@ class MemoDB:
 
 
 class MemoLruFront:
-    """A small LRU in front of :meth:`MemoDB.get` caching parsed outputs.
+    """A small LRU of records in front of :meth:`MemoDB.get`.
 
     Replay resolves the *same* content keys over and over (every node whose
-    ring view has converged hits the identical record), and each hit used
-    to re-deserialize the recorded output from its JSON-ready form.  The
-    front caches ``(record, deserialized_output)`` per ``(func_id,
-    input_key)`` and serves repeats without touching the deserializer.
+    ring view has converged hits the identical record).  The front serves
+    repeats from its own map and counts them, so a report tells how often
+    replay met a ring it had already seen.  A hit returns the record's
+    output object itself: callers never mutate an output in place (a ring
+    table rebinds its pending-range map instead of popping from it).
 
-    Correctness notes:
-
-    * The underlying DB's ``lookups``/``hits`` counters advance on LRU hits
-      exactly as a direct ``get`` would, so observability and reports are
-      unchanged (the counters are not part of the DB's canonical payload,
-      so its content digest is unaffected either way).
-    * Callers never mutate an output in place (a ring table rebinds its
-      pending-range map instead of popping from it), so one parsed output
-      could serve every hit.  Dict outputs are still handed out as a fresh
-      top-level shallow copy per hit, which keeps the cached object from
-      escaping; non-dict outputs are re-deserialized per call --
-      byte-for-byte the uncached behaviour.
+    The underlying DB's ``lookups``/``hits`` counters advance on LRU hits
+    exactly as a direct ``get`` would, so observability and reports are
+    unchanged (the counters are not part of the DB's canonical payload, so
+    its content digest is unaffected either way).
     """
 
-    def __init__(self, db: MemoDB, deserialize: Callable[[Any], Any],
-                 capacity: int = 256) -> None:
+    def __init__(self, db: MemoDB, capacity: int = 256) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.db = db
-        self.deserialize = deserialize
         self.capacity = capacity
-        self._cache: "OrderedDict[Tuple[str, str], Tuple[MemoRecord, Any]]" = (
-            OrderedDict())
+        self._cache: "OrderedDict[Tuple[str, str], MemoRecord]" = OrderedDict()
         self.lru_hits = 0
         self.lru_misses = 0
         self.evictions = 0
@@ -277,37 +308,28 @@ class MemoLruFront:
         return len(self._cache)
 
     def get(self, func_id: str, input_key: str):
-        """``(record, deserialized_output)``; ``(None, None)`` on DB miss."""
+        """``(record, output)``; ``(None, None)`` on DB miss."""
         key = (func_id, input_key)
-        cached = self._cache.get(key)
-        if cached is not None:
+        record = self._cache.get(key)
+        if record is not None:
             self._cache.move_to_end(key)
             self.lru_hits += 1
             db = self.db
             db.lookups += 1
             db.hits += 1
-            record, output = cached
-            return record, self._materialize(record, output)
+            return record, record.output
         self.lru_misses += 1
         record = self.db.get(func_id, input_key)
         if record is None:
             return None, None
-        output = self.deserialize(record.output)
-        self._cache[key] = (record, output)
+        self._cache[key] = record
         if len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
             self.evictions += 1
-        # The cached object never escapes for dict outputs: the caller gets
-        # its own top-level copy.
-        return record, (dict(output) if isinstance(output, dict) else output)
-
-    def _materialize(self, record: MemoRecord, output: Any):
-        if isinstance(output, dict):
-            return dict(output)
-        return self.deserialize(record.output)
+        return record, record.output
 
     def hit_rate(self) -> float:
-        """Fraction of front lookups served without deserializing."""
+        """Fraction of front lookups served from the front."""
         total = self.lru_hits + self.lru_misses
         return self.lru_hits / total if total else 0.0
 

@@ -10,24 +10,27 @@ the node's calculation seam:
   *intrinsic* CPU demand (what per-thread CPU-time accounting measures on a
   real machine) perturbed by configurable measurement noise -- not the
   contention-stretched wall time, which is exactly why PIL replay can be
-  accurate even though memoization ran slow.
+  accurate even though memoization ran slow.  The record holds the output
+  object the run computed; its JSON form is made only when the database is
+  saved.
 * :class:`PilReplayExecutor` -- used during replay.  Replaces the
   calculation with ``sleep(duration)`` on a :class:`~repro.sim.cpu.PilCpu`
-  (consuming no machine capacity) and substitutes the memoized output; on
-  a hit the replaced function is not run at all, not even on the host.  On
-  a miss it sleeps the analytic cost model's estimate on the same
+  (consuming no machine capacity) and substitutes the memoized output
+  object; on a hit the replaced function is not run at all, not even on
+  the host, and nothing is deserialized.  On a miss it sleeps the
+  analytic cost model's estimate on the same
   :class:`~repro.sim.cpu.PilCpu` and computes the output on the host.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Dict
 
 from ..cassandra.node import CalcExecutor, CalcRequest
-from ..cassandra.pending_ranges import deserialize_pending, serialize_pending
+from ..cassandra.pending_ranges import PENDING_CODEC
 from ..sim.cpu import PilCpu
 from ..sim.kernel import Compute, Simulator
-from .memoization import MemoLruFront
+from .memoization import Codec, MemoLruFront
 
 #: The function identity under which pending-range calculations are
 #: memoized.  Integrating another target system supplies its own func_id
@@ -40,16 +43,12 @@ class MemoizingExecutor(CalcExecutor):
 
     def __init__(self, db, noise_sigma: float = 0.02,
                  func_id: str = CALC_FUNC_ID,
-                 serialize: Callable = serialize_pending) -> None:
+                 codec: Codec = PENDING_CODEC) -> None:
         self.db = db
         self.noise_sigma = noise_sigma
         self.func_id = func_id
-        self.serialize = serialize
         self.recorded = 0
-        #: ``id(output) -> (output, serialized)``: converged nodes share one
-        #: output object, which is serialized once.  Holding the output
-        #: keeps its id from being reused by another object.
-        self._serialized: Dict[int, Tuple[Any, Any]] = {}
+        db.hold_outputs(func_id, codec)
 
     def execute(self, node, request: CalcRequest):
         """Execute."""
@@ -60,14 +59,10 @@ class MemoizingExecutor(CalcExecutor):
         if self.noise_sigma > 0:
             noise = node.sim.rng.gauss("memo-noise", 0.0, self.noise_sigma)
             duration = max(request.demand * (1.0 + noise), 0.0)
-        entry = self._serialized.get(id(output))
-        if entry is None:
-            entry = self._serialized[id(output)] = (output,
-                                                    self.serialize(output))
         self.db.put(
             func_id=self.func_id,
             input_key=request.input_key,
-            output=entry[1],
+            output=output,
             duration=duration,
             node_id=node.node_id,
             time=request.time,
@@ -89,13 +84,15 @@ class PilReplayExecutor(CalcExecutor):
 
     def __init__(self, db, sim: Simulator,
                  func_id: str = CALC_FUNC_ID,
-                 deserialize: Callable = deserialize_pending) -> None:
+                 codec: Codec = PENDING_CODEC) -> None:
         self.db = db
         self.pil_cpu = PilCpu(sim, name="pil")
         self.func_id = func_id
+        #: A recording loaded from disk is converted here, once.
+        db.hold_outputs(func_id, codec)
         #: Content keys repeat heavily across converged nodes; the LRU
-        #: front serves them without re-deserializing the recorded output.
-        self.lru = MemoLruFront(db, deserialize)
+        #: front serves them and counts the repeats.
+        self.lru = MemoLruFront(db)
         self._pil_tags: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0

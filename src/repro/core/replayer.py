@@ -133,7 +133,7 @@ class ReplayHarness:
         cluster = target.cluster(self.config, order_enforcer=enforcer)
         executor = PilReplayExecutor(self.db, cluster.sim,
                                      func_id=target.func_id,
-                                     deserialize=target.deserialize)
+                                     codec=target.codec)
         cluster.executor = executor
         install_faults(cluster, self.faults)
         if enforcer is not None:

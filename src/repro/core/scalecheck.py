@@ -180,7 +180,7 @@ class ScaleCheck:
         db = MemoDB()
         target = self.target
         executor = MemoizingExecutor(db, func_id=target.func_id,
-                                     serialize=target.serialize)
+                                     codec=target.codec)
         cluster, report = self._run(Mode.COLO, faults, executor=executor)
         db.record_message_order(cluster.network.delivery_log)
         db.meta.update({

@@ -22,8 +22,9 @@ from typing import Any, Callable, List
 from ..cassandra.bugs import get_bug
 from ..cassandra.cluster import Cluster, ClusterConfig, Mode, node_name
 from ..cassandra.metrics import RunReport
-from ..cassandra.pending_ranges import deserialize_pending, serialize_pending
+from ..cassandra.pending_ranges import PENDING_CODEC
 from ..cassandra.workloads import ScenarioParams, run_workload
+from .memoization import Codec
 from .pil import CALC_FUNC_ID
 
 
@@ -39,10 +40,11 @@ class Target:
     cluster: Callable[..., Any]
     #: ``(cluster, params) -> RunReport``: the scenario under test.
     run: Callable[[Any, ScenarioParams], RunReport]
-    #: Identity and output codec of the memoized (PIL-replaced) function.
+    #: Identity of the memoized (PIL-replaced) function, and the
+    #: ``(serialize, deserialize)`` codec a recording stores its outputs
+    #: with on disk.
     func_id: str
-    serialize: Callable[[Any], Any]
-    deserialize: Callable[[Any], Any]
+    codec: Codec
     #: ``nodes -> names`` a chaos schedule may hit.
     population: Callable[[int], List[str]]
 
@@ -67,8 +69,7 @@ CASSANDRA = Target(
     run=lambda cluster, params: run_workload(
         cluster, cluster.config.bug.workload, params),
     func_id=CALC_FUNC_ID,
-    serialize=serialize_pending,
-    deserialize=deserialize_pending,
+    codec=PENDING_CODEC,
     population=lambda nodes: [node_name(i) for i in range(nodes)],
 )
 

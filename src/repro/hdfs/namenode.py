@@ -58,14 +58,9 @@ BLOCK_REPORT = "dn-block-report"
 REPORT_FUNC_ID = "hdfs.processBlockReport"
 
 
-def serialize_report_outcome(outcome: dict) -> dict:
-    """Report-processing outputs are already JSON-safe."""
-    return dict(outcome)
-
-
-def deserialize_report_outcome(data: dict) -> dict:
-    """Inverse of :func:`serialize_report_outcome`."""
-    return dict(data)
+#: ``(serialize, deserialize)`` of a report outcome: the outcome is a
+#: JSON-safe dict already, so a recording copies it both ways.
+REPORT_CODEC = (dict, dict)
 
 
 @dataclass

@@ -17,11 +17,7 @@ import copy
 from ..cassandra.cluster import Mode
 from ..core.target import Target
 from .cluster import HdfsCluster, HdfsConfig, datanode_name, run_cold_start
-from .namenode import (
-    REPORT_FUNC_ID,
-    deserialize_report_outcome,
-    serialize_report_outcome,
-)
+from .namenode import REPORT_CODEC, REPORT_FUNC_ID
 
 
 def _config(check, mode: Mode) -> HdfsConfig:
@@ -38,7 +34,6 @@ HDFS_TARGET = Target(
     run=lambda cluster, params: run_cold_start(cluster,
                                                observe=params.observe),
     func_id=REPORT_FUNC_ID,
-    serialize=serialize_report_outcome,
-    deserialize=deserialize_report_outcome,
+    codec=REPORT_CODEC,
     population=lambda nodes: [datanode_name(i) for i in range(nodes)],
 )

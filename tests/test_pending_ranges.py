@@ -14,6 +14,7 @@ from repro.cassandra.pending_ranges import (
     deserialize_pending,
     pending_ranges_input_key,
     serialize_pending,
+    token_ranges,
 )
 from repro.cassandra.ring import TokenMetadata
 from repro.cassandra.tokens import TOKEN_SPACE, tokens_for_node
@@ -86,7 +87,7 @@ def test_fresh_bootstrap_all_ranges_pending():
 def test_pending_ranges_are_sorted_lists():
     metadata = metadata_with(spaced_cluster(["a", "b", "c"]),
                              leaving=["c"])
-    pending = compute_pending_ranges(metadata, rf=3)
+    pending = token_ranges(compute_pending_ranges(metadata, rf=3))
     for ranges in pending.values():
         assert ranges == sorted(ranges)
 
@@ -95,7 +96,7 @@ def test_pending_ranges_are_sorted_lists():
 
 
 def assert_equivalent(metadata, rf):
-    expected = compute_pending_ranges(metadata, rf)
+    expected = token_ranges(compute_pending_ranges(metadata, rf))
     actual = calculate_pending_ranges_legacy(metadata, rf)
     assert actual == expected
 
@@ -248,11 +249,17 @@ def test_input_key_depends_on_content_rf_and_variant():
 
 
 def test_serialize_roundtrip():
+    """The disk form round-trips to equal compact bounds, and it is the
+    ``[[left, right], ...]`` list of every range."""
     metadata = metadata_with(spaced_cluster(["a", "b", "c"]), leaving=["b"])
     pending = compute_pending_ranges(metadata, rf=2)
     assert pending  # meaningful payload
-    restored = deserialize_pending(serialize_pending(pending))
+    data = serialize_pending(pending)
+    assert data == {endpoint: [[rng.left, rng.right] for rng in ranges]
+                    for endpoint, ranges in token_ranges(pending).items()}
+    restored = deserialize_pending(data)
     assert restored == pending
+    assert token_ranges(restored) == token_ranges(pending)
 
 
 def test_serialize_empty():

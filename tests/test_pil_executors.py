@@ -11,8 +11,11 @@ from repro.cassandra import (
     run_scale_out,
 )
 from repro.cassandra.node import CalcExecutor, CalcRequest
-from repro.cassandra.pending_ranges import CalculatorVariant, serialize_pending
-from repro.cassandra.tokens import TokenRange
+from repro.cassandra.pending_ranges import (
+    CalculatorVariant,
+    deserialize_pending,
+    serialize_pending,
+)
 from repro.core.memoization import MemoDB, PilViolationError
 from repro.core.pil import CALC_FUNC_ID, MemoizingExecutor, PilReplayExecutor
 from repro.sim.kernel import Timeout
@@ -61,18 +64,25 @@ class CountingSerialize:
         return serialize_pending(output)
 
 
-def test_memoize_serializes_each_output_once():
-    """Converged nodes share one output object; it is serialized once, while
-    every invocation is still put into the recording."""
+def test_memoize_serializes_each_output_once(tmp_path):
+    """Converged nodes share one output object; the recording holds that
+    object, nothing is serialized while recording, and a save serializes
+    each record's output once, while every invocation is still put into the
+    recording."""
     db = MemoDB()
     serialize = CountingSerialize()
     cluster = Cluster(ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.COLO,
                                             seed=5))
-    cluster.executor = MemoizingExecutor(db, noise_sigma=0.0,
-                                         serialize=serialize)
+    cluster.executor = MemoizingExecutor(
+        db, noise_sigma=0.0, codec=(serialize, deserialize_pending))
     report = run_decommission(cluster, FAST)
     puts = len(report.calc_records)
     assert puts > len(cluster.output_cache)       # repeats were recorded
+    assert serialize.calls == 0
+    assert len(db) == len(cluster.output_cache)
+    for record in db.records():
+        assert record.output is cluster.output_cache._outputs[record.input_key]
+    db.save(tmp_path / "memo.json")
     assert serialize.calls == len(cluster.output_cache)
     assert db.total_samples() == puts
 
@@ -97,20 +107,24 @@ def record_one(executor, output):
 
 
 def test_a_conflicting_output_is_still_recorded():
-    """Serializing once per output object keeps the PIL-safety check: a
-    repeat key with a different output object is serialized afresh and
-    compared against the first record."""
-    first = {"n1": [TokenRange(1, 2)]}
-    other = {"n1": [TokenRange(3, 4)]}
+    """Recording the output object keeps the PIL-safety check: a repeat key
+    with a different output object is compared against the first record,
+    and a save serializes the one record once."""
+    first = deserialize_pending({"n1": [[1, 2]]})
+    other = deserialize_pending({"n1": [[3, 4]]})
     db = MemoDB()
     serialize = CountingSerialize()
-    executor = MemoizingExecutor(db, noise_sigma=0.0, serialize=serialize)
+    executor = MemoizingExecutor(db, noise_sigma=0.0,
+                                 codec=(serialize, deserialize_pending))
     record_one(executor, first)
     record_one(executor, first)
-    assert (serialize.calls, db.conflicts) == (1, 0)
+    assert (serialize.calls, db.conflicts) == (0, 0)
+    assert db.get(CALC_FUNC_ID, "ring-a").output is first
     record_one(executor, other)
-    assert (serialize.calls, db.conflicts) == (2, 1)
+    assert (serialize.calls, db.conflicts) == (0, 1)
     assert db.total_samples() == 3
+    assert db.to_payload()["records"][0]["output"] == {"n1": [[1, 2]]}
+    assert serialize.calls == 1
 
     strict = MemoizingExecutor(MemoDB(strict=True), noise_sigma=0.0)
     record_one(strict, first)

@@ -150,6 +150,9 @@ def test_one_check_computes_each_ring_once(monkeypatch):
     real_keys = input_keys(check.run_real())
     memo = check.memoize()
     memo_keys = input_keys(memo.memo_report)
+    # The disk form of each output, as the recording stores it now.
+    recorded = {item["input_key"]: item["output"]
+                for item in memo.db.to_payload()["records"]}
     assert real_keys & memo_keys, "the runs should meet on some ring"
     assert len(calls) == len(real_keys | memo_keys)
 
@@ -158,14 +161,15 @@ def test_one_check_computes_each_ring_once(monkeypatch):
     assert input_keys(scale_out_check().memoize().memo_report) == memo_keys
     assert len(calls) == len(memo_keys)
 
-    # Nothing mutated a shared output across runs: each one the check holds
-    # still serializes to what the recording stored for its ring.
+    # Nothing mutated a shared output across runs: the recording holds the
+    # very object the check holds for each ring, and that object still
+    # serializes to what the recording stored for the ring.
     shared = {key: output for key, output in check._outputs._outputs.items()
               if key in memo_keys}
     assert set(shared) == memo_keys
     for key, output in shared.items():
-        assert serialize_pending(output) == memo.db.get(CALC_FUNC_ID,
-                                                        key).output
+        assert memo.db.get(CALC_FUNC_ID, key).output is output
+        assert serialize_pending(output) == recorded[key]
 
 
 def test_a_check_holds_one_cluster_at_a_time(monkeypatch):
