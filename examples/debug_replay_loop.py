@@ -29,7 +29,7 @@ from repro.core.pil import PilReplayExecutor
 def _instrumented_replay(check: ScaleCheck, db) -> None:
     """One replay with 'more logs added' (step f): probes + a timeline."""
     cluster = Cluster(check.config(Mode.PIL))
-    executor = PilReplayExecutor(db, cluster.sim)
+    executor = PilReplayExecutor(db)
     cluster.executor = executor
     probes = (ProbeSet()
               .log_calcs_over(threshold=0.25)

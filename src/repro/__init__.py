@@ -47,7 +47,6 @@ _EXPORTS = {
     "ColocationAnalyzer": "core",
     "FinderReport": "core",
     "MemoDB": "core",
-    "ReplayHarness": "core",
     "ScaleCheck": "core",
     "ScaleCheckResult": "core",
     "find_offending": "core",
@@ -76,7 +75,6 @@ __all__ = [
     "FinderReport",
     "MemoDB",
     "Mode",
-    "ReplayHarness",
     "RunReport",
     "ScaleCheck",
     "ScaleCheckResult",

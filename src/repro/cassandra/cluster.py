@@ -378,7 +378,7 @@ class Cluster:
                 ring_max_wait=node.ring_lock.max_wait,
             )
         network = self.network
-        memo = getattr(self.executor, "stats", dict)()
+        executor = self.executor
         counts = {
             "recoveries": self.flaps.recoveries,
             "messages_sent": network.sent,
@@ -389,9 +389,9 @@ class Cluster:
             "dropped_degraded": network.dropped_degraded,
             "memory_peak_bytes": self.memory.peak if self.memory else 0,
             "oom_count": len(self.crashed_for_oom),
-            "memo_hits": int(memo.get("hits", 0)),
-            "memo_misses": int(memo.get("misses", 0)),
-            "memo_conflicts": int(memo.get("conflicts", 0)),
+            "memo_hits": getattr(executor, "hits", 0),
+            "memo_misses": getattr(executor, "misses", 0),
+            "memo_conflicts": getattr(executor, "conflicts", 0),
         }
         return RunParts(self.sim.now, self.sim.steps, counts,
                         list(self.flaps.flaps), list(self.calc_records), rows)

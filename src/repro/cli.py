@@ -255,7 +255,6 @@ def _cmd_finder(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import load_baseline, run_lint, self_check, write_baseline
-    from .obs import record_lint_findings
 
     # --write-baseline replaces the file, so a damaged one must not block it;
     # otherwise refuse a damaged baseline before the analysis runs.
@@ -269,7 +268,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"baseline with {len(report.raw_findings)} suppression(s) "
               f"written to {args.baseline}")
         return 0
-    record_lint_findings(report.findings, suppressed=report.suppressed)
     if args.self_check:
         report.self_check = self_check(report)
     return _emit(args, report) or (1 if report.findings else 0)

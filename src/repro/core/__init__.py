@@ -34,10 +34,9 @@ from .finder import (
     SideEffect,
     find_offending,
 )
-from .memoization import MemoDB, MemoRecord, PilViolationError
+from .memoization import MemoDB, MemoRecord
 from .pil import CALC_FUNC_ID, MemoizingExecutor, PilReplayExecutor
 from .probes import ProbeLogEntry, ProbeSet
-from .replayer import ReplayHarness, ReplayResult
 from .report import (
     render_divergence,
     render_finder_report,
@@ -45,7 +44,7 @@ from .report import (
     render_mode_comparison,
     render_series,
 )
-from .scalecheck import ScaleCheck, ScaleCheckResult
+from .scalecheck import ReplayResult, ScaleCheck, ScaleCheckResult
 
 __all__ = [
     "CALC_FUNC_ID",
@@ -63,10 +62,8 @@ __all__ = [
     "MemoizingExecutor",
     "NodeFootprint",
     "PilReplayExecutor",
-    "PilViolationError",
     "ProbeLogEntry",
     "ProbeSet",
-    "ReplayHarness",
     "ReplayResult",
     "ScaleCheck",
     "ScaleCheckResult",

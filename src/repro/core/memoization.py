@@ -53,35 +53,25 @@ class MemoRecord:
         return (self.func_id, self.input_key)
 
 
-class PilViolationError(ValueError):
-    """A PIL-replaced function returned different outputs for one input.
-
-    The processing illusion is only safe for *input-deterministic*
-    functions (the paper's PIL-safety rule): substituting a recorded
-    output is wrong if the live function could have produced another one.
-    """
-
-
 class MemoDB:
     """Input-keyed store of memo records plus the recorded message order.
 
-    ``strict=True`` raises :class:`PilViolationError` the moment a repeat
-    invocation disagrees with the recorded output; the default keeps the
-    historical first-write-wins behaviour but counts every disagreement in
-    ``conflicts`` / ``conflict_keys`` so violations are visible instead of
-    silently masked.
+    The processing illusion is only safe for *input-deterministic*
+    functions (the paper's PIL-safety rule): a repeat invocation whose
+    output disagrees with the recorded one keeps the first output but is
+    counted in ``conflicts`` / ``conflict_keys``, so violations are visible
+    instead of silently masked.
     """
 
     #: Cap on remembered conflicting keys (diagnostics, not a full log).
     MAX_CONFLICT_KEYS = 32
 
-    def __init__(self, strict: bool = False) -> None:
+    def __init__(self) -> None:
         self._records: Dict[Tuple[str, str], MemoRecord] = {}
         self.message_order: List[str] = []
         self.meta: Dict[str, Any] = {}
         self.lookups = 0
         self.hits = 0
-        self.strict = strict
         self.conflicts = 0
         self.conflict_keys: List[Tuple[str, str]] = []
         #: ``func_id -> serialize`` for the functions whose records hold
@@ -120,7 +110,7 @@ class MemoDB:
         by the PIL-safety rule); durations of repeat observations are folded
         into a running mean, which smooths measurement noise exactly the way
         repeated in-situ samples would.  A repeat whose output *disagrees*
-        is a PIL-safety violation: counted always, fatal when ``strict``.
+        is a PIL-safety violation, counted.
         """
         key = (func_id, input_key)
         existing = self._records.get(key)
@@ -135,12 +125,6 @@ class MemoDB:
             self.conflicts += 1
             if len(self.conflict_keys) < self.MAX_CONFLICT_KEYS:
                 self.conflict_keys.append(key)
-            if self.strict:
-                raise PilViolationError(
-                    f"PIL-safety violation: {func_id}({input_key!r}) "
-                    f"returned {output!r}, previously {existing.output!r} "
-                    f"(recorded by {existing.node_id or '?'})"
-                )
         total = existing.duration * existing.samples + duration
         existing.samples += 1
         existing.duration = total / existing.samples
@@ -202,9 +186,9 @@ class MemoDB:
     # The payload is *canonical*: records are sorted by (func_id, input_key)
     # so that two processes recording the same run serialize byte-identical
     # databases -- the property the sweep engine's content-addressed result
-    # cache is keyed on.  Strict-mode state and the conflict diagnostics are
-    # carried through the round trip so a reloaded database reports the same
-    # PIL-safety verdict the recording run saw.
+    # cache is keyed on.  The conflict diagnostics are carried through the
+    # round trip so a reloaded database reports the same PIL-safety verdict
+    # the recording run saw.
 
     def to_payload(self) -> Dict[str, Any]:
         """Canonical JSON-ready form (records sorted by key).
@@ -219,7 +203,6 @@ class MemoDB:
             "message_order": self.message_order,
             "records": [self._record_payload(self._records[key])
                         for key in sorted(self._records)],
-            "strict": self.strict,
             "conflicts": self.conflicts,
             "conflict_keys": [list(key) for key in self.conflict_keys],
         }
@@ -238,7 +221,7 @@ class MemoDB:
         if fmt != MEMO_FORMAT:
             raise ValueError(f"unknown memo-db format {fmt!r} "
                              f"(expected {MEMO_FORMAT!r})")
-        db = cls(strict=bool(payload.get("strict", False)))
+        db = cls()
         db.meta = dict(payload.get("meta", {}))
         db.message_order = list(payload.get("message_order", []))
         for item in payload.get("records", []):
@@ -249,10 +232,6 @@ class MemoDB:
                             for key in payload.get("conflict_keys", [])]
         return db
 
-    def canonical_json(self) -> str:
-        """Deterministic JSON form (sorted keys, compact separators)."""
-        return canonical_json(self.to_payload())
-
     def digest(self) -> str:
         """SHA-256 of the canonical form: the database's content identity.
 
@@ -261,16 +240,19 @@ class MemoDB:
         result cache folds this into every PIL point's key so a replay
         result is never reused against a recording it did not come from.
         """
-        return sha256_hex(self.canonical_json())
+        return sha256_hex(canonical_json(self.to_payload()))
 
-    def save(self, path) -> None:
-        """Serialize to JSON (records, message order, metadata, conflicts).
+    def save(self, path) -> str:
+        """Serialize to JSON (records, message order, metadata, conflicts)
+        and return the :meth:`digest` of what was written, both made from
+        one payload.
 
         The write is atomic: a concurrent reader (another sweep worker
         warming up) sees the old file or the new one, never a torn one.
         """
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=1,
-                                           sort_keys=True))
+        payload = self.to_payload()
+        atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
+        return sha256_hex(canonical_json(payload))
 
     @classmethod
     def load(cls, path) -> "MemoDB":
@@ -294,11 +276,11 @@ class MemoLruFront:
     its content digest is unaffected either way).
     """
 
-    def __init__(self, db: MemoDB, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive: {capacity}")
+    #: Records held; the least recently used one is evicted beyond it.
+    CAPACITY = 256
+
+    def __init__(self, db: MemoDB) -> None:
         self.db = db
-        self.capacity = capacity
         self._cache: "OrderedDict[Tuple[str, str], MemoRecord]" = OrderedDict()
         self.lru_hits = 0
         self.lru_misses = 0
@@ -323,7 +305,7 @@ class MemoLruFront:
         if record is None:
             return None, None
         self._cache[key] = record
-        if len(self._cache) > self.capacity:
+        if len(self._cache) > self.CAPACITY:
             self._cache.popitem(last=False)
             self.evictions += 1
         return record, record.output
@@ -332,13 +314,3 @@ class MemoLruFront:
         """Fraction of front lookups served from the front."""
         total = self.lru_hits + self.lru_misses
         return self.lru_hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Counters for the metrics collector."""
-        return {
-            "lru_hits": self.lru_hits,
-            "lru_misses": self.lru_misses,
-            "lru_evictions": self.evictions,
-            "lru_size": len(self._cache),
-            "lru_hit_rate": self.hit_rate(),
-        }

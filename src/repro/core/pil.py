@@ -8,28 +8,32 @@ the node's calculation seam:
   while recording ``(input, output, duration)`` into a
   :class:`~repro.core.memoization.MemoDB`.  The recorded duration is the
   *intrinsic* CPU demand (what per-thread CPU-time accounting measures on a
-  real machine) perturbed by configurable measurement noise -- not the
+  real machine) perturbed by :data:`NOISE_SIGMA` measurement noise -- not the
   contention-stretched wall time, which is exactly why PIL replay can be
   accurate even though memoization ran slow.  The record holds the output
   object the run computed; its JSON form is made only when the database is
   saved.
 * :class:`PilReplayExecutor` -- used during replay.  Replaces the
   calculation with ``sleep(duration)`` on a :class:`~repro.sim.cpu.PilCpu`
-  (consuming no machine capacity) and substitutes the memoized output
-  object; on a hit the replaced function is not run at all, not even on
-  the host, and nothing is deserialized.  On a miss it sleeps the
-  analytic cost model's estimate on the same
-  :class:`~repro.sim.cpu.PilCpu` and computes the output on the host.
+  (consuming no machine capacity; bound to the simulator of the first node
+  it serves) and substitutes the memoized output object; on a hit the
+  replaced function is not run at all, not even on the host, and nothing
+  is deserialized.  On a miss it sleeps the analytic cost model's estimate
+  on the same :class:`~repro.sim.cpu.PilCpu` and computes the output on the
+  host.
+
+Both count what they did in plain attributes (``hits``/``misses`` on
+replay, ``conflicts`` on recording) that the cluster's report reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from ..cassandra.node import CalcExecutor, CalcRequest
 from ..cassandra.pending_ranges import PENDING_CODEC
 from ..sim.cpu import PilCpu
-from ..sim.kernel import Compute, Simulator
+from ..sim.kernel import Compute
 from .memoization import Codec, MemoLruFront
 
 #: The function identity under which pending-range calculations are
@@ -37,56 +41,49 @@ from .memoization import Codec, MemoLruFront
 #: and output codec (the HDFS model does exactly this).
 CALC_FUNC_ID = "cassandra.calculatePendingRanges"
 
+#: Relative standard deviation of the measurement noise a recorded duration
+#: carries (drawn from the ``memo-noise`` stream).
+NOISE_SIGMA = 0.02
+
 
 class MemoizingExecutor(CalcExecutor):
     """Record (input, output, duration) while running live (step d)."""
 
-    def __init__(self, db, noise_sigma: float = 0.02,
-                 func_id: str = CALC_FUNC_ID,
+    def __init__(self, db, *, func_id: str = CALC_FUNC_ID,
                  codec: Codec = PENDING_CODEC) -> None:
         self.db = db
-        self.noise_sigma = noise_sigma
         self.func_id = func_id
-        self.recorded = 0
         db.hold_outputs(func_id, codec)
+
+    @property
+    def conflicts(self) -> int:
+        """PIL-safety violations the recording has counted so far."""
+        return self.db.conflicts
 
     def execute(self, node, request: CalcRequest):
         """Execute."""
         output = request.compute_output()
         elapsed = yield Compute(node.cpu, request.demand,
                                 tag=f"memoize:{node.node_id}")
-        duration = request.demand
-        if self.noise_sigma > 0:
-            noise = node.sim.rng.gauss("memo-noise", 0.0, self.noise_sigma)
-            duration = max(request.demand * (1.0 + noise), 0.0)
+        noise = node.sim.rng.gauss("memo-noise", 0.0, NOISE_SIGMA)
         self.db.put(
             func_id=self.func_id,
             input_key=request.input_key,
             output=output,
-            duration=duration,
+            duration=max(request.demand * (1.0 + noise), 0.0),
             node_id=node.node_id,
             time=request.time,
         )
-        self.recorded += 1
         return output, elapsed
-
-    def stats(self) -> Dict[str, float]:
-        """Executor statistics for reports."""
-        return {
-            "recorded": self.recorded,
-            "distinct": len(self.db),
-            "conflicts": getattr(self.db, "conflicts", 0),
-        }
 
 
 class PilReplayExecutor(CalcExecutor):
     """Substitute sleep(t) + memoized output for the calculation (step f)."""
 
-    def __init__(self, db, sim: Simulator,
-                 func_id: str = CALC_FUNC_ID,
+    def __init__(self, db, *, func_id: str = CALC_FUNC_ID,
                  codec: Codec = PENDING_CODEC) -> None:
         self.db = db
-        self.pil_cpu = PilCpu(sim, name="pil")
+        self.pil_cpu: Optional[PilCpu] = None
         self.func_id = func_id
         #: A recording loaded from disk is converted here, once.
         db.hold_outputs(func_id, codec)
@@ -99,6 +96,8 @@ class PilReplayExecutor(CalcExecutor):
 
     def execute(self, node, request: CalcRequest):
         """Execute."""
+        if self.pil_cpu is None:
+            self.pil_cpu = PilCpu(node.sim, name="pil")
         record, output = self.lru.get(self.func_id, request.input_key)
         if record is not None:
             self.hits += 1
@@ -115,15 +114,3 @@ class PilReplayExecutor(CalcExecutor):
         elapsed = yield Compute(self.pil_cpu, request.demand,
                                 tag=f"pil-miss-model:{node.node_id}")
         return output, elapsed
-
-    def stats(self) -> Dict[str, float]:
-        """Executor statistics for reports."""
-        total = self.hits + self.misses
-        stats = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-            "slept_seconds": self.pil_cpu.slept_seconds,
-        }
-        stats.update(self.lru.stats())
-        return stats

@@ -122,9 +122,9 @@ class _ProbedExecutor(CalcExecutor):
             probe(record)
         return output, elapsed
 
-    def stats(self):
-        """Executor statistics for reports."""
-        return getattr(self.inner, "stats", lambda: {})()
+    def __getattr__(self, name: str):
+        """The wrapped executor's counters (``hits``, ``conflicts``, ...)."""
+        return getattr(self.inner, name)
 
 
 def _instrument_flaps(flaps: FlapCounter, probes: ProbeSet) -> None:

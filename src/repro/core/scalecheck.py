@@ -10,11 +10,15 @@ scenario:
 * steps (c)+(d) -- :meth:`ScaleCheck.memoize` executes the protocol once
   under basic colocation with recording executors, producing a
   :class:`~repro.core.memoization.MemoDB` (including the message order);
-* steps (e)+(f) -- :meth:`ScaleCheck.replay` runs fast PIL-infused replays.
+* steps (e)+(f) -- :meth:`ScaleCheck.replay` runs fast PIL-infused replays:
+  offending calculations become contention-free sleeps with memoized
+  outputs, and (optionally) message deliveries are released in the recorded
+  global order ("order determinism").
 
 For the paper's accuracy evaluation (Figure 3), :meth:`ScaleCheck.run_real`
 and :meth:`ScaleCheck.run_colo` produce the "Real" and "Colo" baselines and
-:meth:`ScaleCheck.compare_modes` yields all three series in one call.
+:meth:`ScaleCheck.compare_modes` yields all three series in one call.  Every
+run, replay included, is built by one method, ``ScaleCheck._run``.
 
 Every method goes through the :class:`~repro.core.target.Target` the bug id
 selects, so the same pipeline checks Cassandra's bugs and the HDFS
@@ -39,11 +43,47 @@ from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
 from ..sim.kernel import KernelObserver
+from ..sim.network import OrderEnforcer
 from .finder import FinderReport, find_offending
 from .memoization import MemoDB
-from .pil import MemoizingExecutor
-from .replayer import ReplayHarness, ReplayResult
+from .pil import MemoizingExecutor, PilReplayExecutor
 from .target import Target, target_for
+
+
+@dataclass
+class ReplayResult:
+    """A completed replay with its determinism diagnostics.
+
+    ``hit_rate`` is derived from ``hits``/``misses`` rather than stored, so
+    it can never disagree with the counts and never divides by zero: a
+    replay over an empty recording (zero lookups) reports a rate of 0.0.
+    """
+
+    report: RunReport
+    hits: int
+    misses: int
+    order_enforced: bool
+    order_released: int = 0
+    order_skipped: int = 0
+    order_parked_at_end: int = 0
+    hit_rate: float = field(init=False, default=0.0)
+
+    def __post_init__(self) -> None:
+        total = self.hits + self.misses
+        self.hit_rate = self.hits / total if total else 0.0
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Dict form without the report (sweep workers ship the report
+        next to it)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate,
+            "order_enforced": self.order_enforced,
+            "order_released": self.order_released,
+            "order_skipped": self.order_skipped,
+            "order_parked_at_end": self.order_parked_at_end,
+        }
 
 
 @dataclass
@@ -84,14 +124,15 @@ class ScaleCheck:
     ``rf``) are ignored by other targets.
 
     The runs one check builds (:meth:`run_real`, :meth:`run_colo`,
-    :meth:`memoize`) share one
+    :meth:`memoize`, :meth:`replay`) share one
     :class:`~repro.cassandra.node.SharedOutputCache`, so each distinct ring
-    is computed once per check, not once per run; replay keeps a cache of
-    its own.  So :meth:`memoize`'s host seconds exclude the rings an
-    earlier run of the same check computed.  Virtual time is charged per
-    invocation as before, so reports do not depend on the sharing.  A
-    check holds one cluster at a time: each run after the first collects
-    the previous run's cluster before building its own.
+    is computed once per check, not once per run, and a replay miss on a
+    ring an earlier run met computes nothing.  So :meth:`memoize`'s host
+    seconds exclude the rings an earlier run of the same check computed.
+    Virtual time is charged per invocation as before, so reports do not
+    depend on the sharing.  A check holds one cluster at a time: each run
+    after the first collects the previous run's cluster before building
+    its own.
     """
 
     bug_id: str
@@ -133,17 +174,27 @@ class ScaleCheck:
 
     def _run(self, mode: Mode, faults: Optional[FaultSchedule],
              observer: Optional[KernelObserver] = None,
-             executor: Optional[CalcExecutor] = None) -> Tuple[Any, RunReport]:
+             executor: Optional[CalcExecutor] = None,
+             enforcer: Optional[OrderEnforcer] = None
+             ) -> Tuple[Any, RunReport]:
         """Build the target's cluster for ``mode`` and run its scenario;
-        returns ``(cluster, report)``."""
+        returns ``(cluster, report)``.
+
+        An ``enforcer`` releases deliveries in its recorded order, with its
+        watchdog running alongside so a replay that diverges from the
+        recording skips the messages that never come instead of stalling.
+        """
         self._release_previous_cluster()
         target = self.target
-        cluster = target.cluster(self.config(mode), observer=observer)
+        cluster = target.cluster(self.config(mode), observer=observer,
+                                 order_enforcer=enforcer)
         if executor is not None:
             cluster.executor = executor
         if isinstance(cluster, Cluster):
             cluster.output_cache = self._outputs
         install_faults(cluster, faults)
+        if enforcer is not None:
+            cluster.sim.spawn(enforcer.watchdog(), name="order-watchdog")
         return cluster, target.run(cluster, self.params)
 
     def _release_previous_cluster(self) -> None:
@@ -214,28 +265,22 @@ class ScaleCheck:
 
         Passing the same ``faults`` schedule used for the memoization run
         replays the chaos deterministically under PIL: the injector fires
-        at identical virtual times in both runs.
+        at identical virtual times in both runs.  ``enforce_order`` releases
+        message deliveries in the order ``db`` recorded.
         """
-        self._release_previous_cluster()
-        harness = ReplayHarness(
-            db=db,
-            config=self.config(Mode.PIL),
-            params=self.params,
-            enforce_order=enforce_order,
-            faults=faults,
-            target=self.target,
+        target = self.target
+        executor = PilReplayExecutor(db, func_id=target.func_id,
+                                     codec=target.codec)
+        enforcer = OrderEnforcer(db.message_order) if enforce_order else None
+        report = self._run(Mode.PIL, faults, executor=executor,
+                           enforcer=enforcer)[1]
+        return ReplayResult(
+            report=report, hits=executor.hits, misses=executor.misses,
+            order_enforced=enforce_order,
+            order_released=enforcer.released_in_order if enforcer else 0,
+            order_skipped=enforcer.skips if enforcer else 0,
+            order_parked_at_end=enforcer.parked_count if enforcer else 0,
         )
-        return harness.replay()
-
-    # -- persistent-recording pipeline (the sweep engine's unit of work) ---------------
-
-    def memoize_to(self, path,
-                   faults: Optional[FaultSchedule] = None) -> ScaleCheckResult:
-        """Memoize once and persist the database to ``path`` atomically
-        (:meth:`MemoDB.save`)."""
-        result = self.memoize(faults=faults)
-        result.db.save(path)
-        return result
 
     # -- the whole pipeline ----------------------------------------------------------------
 

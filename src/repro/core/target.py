@@ -4,10 +4,9 @@ The paper's section 7 asks to "integrate the process to other distributed
 systems beyond Cassandra".  Memoizing under colocation, PIL replay, order
 enforcement, fault injection and sweeping are the same for every system;
 what differs fits in one :class:`Target` record, and
-:class:`~repro.core.scalecheck.ScaleCheck`,
-:class:`~repro.core.replayer.ReplayHarness` and the sweep engine go
-through it.  There are two values: :data:`CASSANDRA` here and
-``repro.hdfs.HDFS_TARGET``.
+:class:`~repro.core.scalecheck.ScaleCheck` (every run, PIL replay
+included) and the sweep engine go through it.  There are two values:
+:data:`CASSANDRA` here and ``repro.hdfs.HDFS_TARGET``.
 
 The bug id selects the target (:func:`target_for`).  HDFS is resolved
 lazily, so a Cassandra run never imports :mod:`repro.hdfs`.

@@ -270,10 +270,10 @@ class HdfsCluster:
             wall_seconds=(_time.perf_counter() - self._wall_started
                           if self._wall_started else 0.0),
         )
-        memo_stats = getattr(self.namenode.executor, "stats", lambda: {})()
-        report.memo_hits = int(memo_stats.get("hits", 0))
-        report.memo_misses = int(memo_stats.get("misses", 0))
-        report.memo_conflicts = int(memo_stats.get("conflicts", 0))
+        executor = self.namenode.executor
+        report.memo_hits = getattr(executor, "hits", 0)
+        report.memo_misses = getattr(executor, "misses", 0)
+        report.memo_conflicts = getattr(executor, "conflicts", 0)
         report.stage_lateness = stage_lateness(self)
         report.extra["reports_processed"] = float(
             self.namenode.reports_processed)

@@ -16,7 +16,7 @@ Four pieces, layered bottom-up:
   attribution for ``ScaleCheck.compare_modes``.
 """
 
-from .collect import ClusterCollector, SweepCollector, record_lint_findings
+from .collect import ClusterCollector, SweepCollector
 from .doctor import (
     Bottleneck,
     DoctorReport,
@@ -62,6 +62,5 @@ __all__ = [
     "SweepCollector",
     "attribute_divergence",
     "diagnose",
-    "record_lint_findings",
     "stage_lateness",
 ]

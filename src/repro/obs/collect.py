@@ -207,23 +207,6 @@ class ClusterCollector:
         return _run()
 
 
-def record_lint_findings(findings, suppressed: int = 0,
-                         registry: Optional[MetricsRegistry] = None
-                         ) -> MetricsRegistry:
-    """Mirror ``repro lint`` findings into a metrics registry.
-
-    One ``lint.findings{rule,severity}`` counter per finding plus a
-    ``lint.suppressed`` total, so CI dashboards track finding drift with
-    the same instrument vocabulary as the run-time collectors.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    for finding in findings:
-        registry.counter("lint.findings", rule=finding.rule,
-                         severity=finding.severity).inc()
-    registry.counter("lint.suppressed").set_total(suppressed)
-    return registry
-
-
 class SweepCollector:
     """Mirrors sweep-engine progress into a metrics registry.
 

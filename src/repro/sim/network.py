@@ -6,7 +6,7 @@ the paper's mechanism:
 
 * every delivery is logged (``delivery_log``) by a *deterministic message
   key*, which is what the memoization run records as the message ordering;
-* :class:`OrderEnforcer` lets the replayer hold back deliveries so they are
+* :class:`OrderEnforcer` lets a PIL replay hold back deliveries so they are
   released exactly in a previously recorded order ("order determinism",
   section 5) even though PIL-substituted durations shift the raw timing.
 """
@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .kernel import Channel, Simulator
+from .kernel import Channel, Simulator, Timeout
 
 
 @dataclass
@@ -119,6 +119,21 @@ class OrderEnforcer:
         if skipped:
             self._drain()
         return skipped
+
+    def watchdog(self):
+        """Kernel process: skip past recorded-but-missing messages whenever
+        the replay stalls (checked once per virtual second).
+
+        A replay that diverges from the recording (changed code, different
+        timing) keeps producing messages the recording never saw while
+        some recorded keys never materialize; skipping eagerly on every
+        stalled tick keeps gossip live instead of strangling it behind a
+        head-of-line blockage.
+        """
+        while True:
+            yield Timeout(1.0)
+            if self.stalled:
+                self.skip_stalled()
 
     @property
     def parked_count(self) -> int:

@@ -110,11 +110,11 @@ def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
             vnodes=point.vnodes)
         out["report"] = report.to_dict()
     elif kind == "memo":
-        result = check.memoize_to(payload["memo_path"], faults=faults)
+        result = check.memoize(faults=faults)
         db = result.db
         low, high = db.duration_range()
         out["report"] = result.memo_report.to_dict()
-        out["memo_digest"] = db.digest()
+        out["memo_digest"] = db.save(payload["memo_path"])
         out["db_stats"] = {
             "distinct": len(db),
             "samples": db.total_samples(),
@@ -128,7 +128,7 @@ def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         replay = check.replay(db, enforce_order=point.enforce_order,
                               faults=faults)
         out["report"] = replay.report.to_dict()
-        out["replay"] = replay.to_dict(with_report=False)
+        out["replay"] = replay.to_dict()
         out["memo_digest"] = payload.get("memo_digest", "")
     else:  # pragma: no cover - payloads are built by run_sweep
         raise ValueError(f"unknown sweep job kind {kind!r}")

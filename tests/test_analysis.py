@@ -24,7 +24,6 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.annotations import AnnotationRegistry
-from repro.obs import record_lint_findings
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_PKG = Path(__file__).parent / "fixtures" / "lintpkg"
@@ -488,15 +487,3 @@ class TestFormats:
         text = fixture_report().to_text()
         assert "repro lint" in text
         assert "lock-held-scale-work" in text
-
-
-# -- obs bridge ---------------------------------------------------------------------
-
-
-def test_record_lint_findings_counters():
-    registry = record_lint_findings(fixture_report().findings, suppressed=3)
-    snapshot = registry.snapshot()
-    errors = snapshot.get(
-        "lint.findings{rule=scale-complexity,severity=error}")
-    assert errors and errors > 0
-    assert snapshot.get("lint.suppressed") == 3

@@ -8,11 +8,14 @@ recording had before the compact form, count the objects a scale check
 holds, and check the replica lookup that reads the bounds directly.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
 from array import array
 from pathlib import Path
+
+import pytest
 
 from repro.cassandra import (
     Cluster,
@@ -20,11 +23,13 @@ from repro.cassandra import (
     CostConstants,
     ScenarioParams,
 )
-from repro.cassandra.pending_ranges import bounds_contain
+from repro.cassandra.pending_ranges import bounds_contain, serialize_pending
 from repro.cassandra.tokens import TOKEN_SPACE, TokenRange, token_for_key
-from repro.core import replayer
+from repro.core import scalecheck, target
 from repro.core.memoization import MemoDB
 from repro.core.scalecheck import ScaleCheck
+from repro.sweep.executor import _execute_job
+from repro.sweep.spec import SweepPoint
 
 PIN = json.loads((Path(__file__).parent / "fixtures"
                   / "memo_c5456_pin.json").read_text())
@@ -45,11 +50,12 @@ def test_a_recording_writes_the_pinned_bytes(tmp_path):
     those a recording had when outputs were held in their JSON form."""
     check = pinned_check(PIN["nodes"], PIN["params"], PIN["cost_constants"])
     path = tmp_path / "memo.json"
-    result = check.memoize_to(path)
+    result = check.memoize()
+    saved_digest = result.db.save(path)
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
         PIN["file_bytes"], PIN["file_sha256"])
-    assert result.db.digest() == PIN["memo_digest"]
+    assert saved_digest == result.db.digest() == PIN["memo_digest"]
     loaded = MemoDB.load(path)
     assert len(loaded) == PIN["records"]
     assert loaded.digest() == PIN["memo_digest"]
@@ -58,20 +64,48 @@ def test_a_recording_writes_the_pinned_bytes(tmp_path):
     assert loaded.digest() == PIN["memo_digest"]
 
 
+def test_a_memo_job_serializes_each_output_once(tmp_path, monkeypatch):
+    """A sweep memo job writes the recording and reports its digest from
+    one payload: each output is serialized once, and the file and digest
+    are the pinned ones."""
+    calls = []
+
+    def serialize(output):
+        calls.append(output)
+        return serialize_pending(output)
+
+    codec = (serialize, target.CASSANDRA.codec[1])
+    monkeypatch.setattr(target, "CASSANDRA",
+                        dataclasses.replace(target.CASSANDRA, codec=codec))
+    path = tmp_path / "memo.json"
+    point = SweepPoint(bug_id=PIN["bug"], nodes=PIN["nodes"],
+                       seed=PIN["seed"], mode="colo")
+    out = _execute_job({"kind": "memo", "point": point.to_dict(),
+                        "params": PIN["params"],
+                        "constants": PIN["cost_constants"],
+                        "memo_path": str(path)})
+    assert out["db_stats"]["distinct"] == PIN["records"]
+    assert len(calls) == PIN["records"]
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
+        PIN["file_bytes"], PIN["file_sha256"])
+    assert out["memo_digest"] == PIN["memo_digest"]
+
+
 def test_one_output_object_per_distinct_input(monkeypatch):
     """After the ``scalecheck_c5456`` flow (real, memoize, replay), the
     output cache, the recording and the replay's LRU front hold one object
     per distinct input key, each endpoint's bounds a sorted ``array('q')``
     of pairs."""
     fronts = []
-    original = replayer.PilReplayExecutor
+    original = scalecheck.PilReplayExecutor
 
     def capturing(*args, **kwargs):
         executor = original(*args, **kwargs)
         fronts.append(executor.lru)
         return executor
 
-    monkeypatch.setattr(replayer, "PilReplayExecutor", capturing)
+    monkeypatch.setattr(scalecheck, "PilReplayExecutor", capturing)
     check = pinned_check(24, C5456_PARAMS, PIN["cost_constants"])
     check.run_real()
     memo = check.memoize()
@@ -94,6 +128,27 @@ def test_one_output_object_per_distinct_input(monkeypatch):
             assert len(bounds) % 2 == 0
             pairs = list(zip(bounds[::2], bounds[1::2]))
             assert pairs == sorted(pairs)
+
+
+def test_a_replay_shares_the_check_output_cache():
+    """The replay is built like the check's other runs, so its one miss in
+    the ``scalecheck_c5456`` flow is a ring the real or memoize run met:
+    served from the check's output cache, not computed again."""
+    check = pinned_check(24, C5456_PARAMS, PIN["cost_constants"])
+    check.run_real()
+    memo = check.memoize()
+    outputs = check._outputs
+    keys, served = set(outputs._outputs), outputs.hits
+    replay = check.replay(memo.db)
+    assert (len(keys), replay.hits, replay.misses) == (21, 532, 1)
+    assert set(outputs._outputs) == keys
+    assert outputs.hits == served + replay.misses
+
+    ordered = check.replay(memo.db, enforce_order=True)
+    assert ordered.order_enforced and ordered.order_released > 0
+    assert ordered.report.duration == pytest.approx(
+        C5456_PARAMS["warmup"] + C5456_PARAMS["observe"])
+    assert set(outputs._outputs) == keys
 
 
 def ranges_of(bounds):

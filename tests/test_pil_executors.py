@@ -1,5 +1,7 @@
 """Tests for the simulator-integrated PIL executors (memoize + replay)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cassandra import (
@@ -16,19 +18,25 @@ from repro.cassandra.pending_ranges import (
     deserialize_pending,
     serialize_pending,
 )
-from repro.core.memoization import MemoDB, PilViolationError
-from repro.core.pil import CALC_FUNC_ID, MemoizingExecutor, PilReplayExecutor
+from repro.core.memoization import MemoDB
+from repro.core.pil import (
+    CALC_FUNC_ID,
+    NOISE_SIGMA,
+    MemoizingExecutor,
+    PilReplayExecutor,
+)
 from repro.sim.kernel import Timeout
+from repro.sim.rng import SplittableRng
 
 FAST = ScenarioParams(warmup=10.0, observe=40.0, leaving_duration=8.0)
 
 
-def memoized_run(bug_id="c3831", nodes=8, seed=5, noise=0.0):
+def memoized_run(bug_id="c3831", nodes=8, seed=5):
     db = MemoDB()
     config = ClusterConfig.for_bug(bug_id, nodes=nodes, mode=Mode.COLO,
                                    seed=seed)
     cluster = Cluster(config)
-    cluster.executor = MemoizingExecutor(db, noise_sigma=noise)
+    cluster.executor = MemoizingExecutor(db)
     report = run_decommission(cluster, FAST)
     db.record_message_order(cluster.network.delivery_log)
     return db, report, cluster
@@ -38,7 +46,7 @@ def replay_run(db, bug_id="c3831", nodes=8, seed=5):
     config = ClusterConfig.for_bug(bug_id, nodes=nodes, mode=Mode.PIL,
                                    seed=seed)
     cluster = Cluster(config)
-    executor = PilReplayExecutor(db, cluster.sim)
+    executor = PilReplayExecutor(db)
     cluster.executor = executor
     report = run_decommission(cluster, FAST)
     return report, executor
@@ -74,7 +82,7 @@ def test_memoize_serializes_each_output_once(tmp_path):
     cluster = Cluster(ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.COLO,
                                             seed=5))
     cluster.executor = MemoizingExecutor(
-        db, noise_sigma=0.0, codec=(serialize, deserialize_pending))
+        db, codec=(serialize, deserialize_pending))
     report = run_decommission(cluster, FAST)
     puts = len(report.calc_records)
     assert puts > len(cluster.output_cache)       # repeats were recorded
@@ -92,6 +100,7 @@ class _StubNode:
 
     node_id = "n0"
     cpu = None
+    sim = SimpleNamespace(rng=SplittableRng(0))
 
 
 def record_one(executor, output):
@@ -114,8 +123,7 @@ def test_a_conflicting_output_is_still_recorded():
     other = deserialize_pending({"n1": [[3, 4]]})
     db = MemoDB()
     serialize = CountingSerialize()
-    executor = MemoizingExecutor(db, noise_sigma=0.0,
-                                 codec=(serialize, deserialize_pending))
+    executor = MemoizingExecutor(db, codec=(serialize, deserialize_pending))
     record_one(executor, first)
     record_one(executor, first)
     assert (serialize.calls, db.conflicts) == (0, 0)
@@ -126,36 +134,57 @@ def test_a_conflicting_output_is_still_recorded():
     assert db.to_payload()["records"][0]["output"] == {"n1": [[1, 2]]}
     assert serialize.calls == 1
 
-    strict = MemoizingExecutor(MemoDB(strict=True), noise_sigma=0.0)
-    record_one(strict, first)
-    with pytest.raises(PilViolationError):
-        record_one(strict, other)
+
+def folded_durations(report, noise=lambda: 0.0):
+    """Each input key's duration as ``MemoDB.put`` folds it: the running
+    mean of ``demand * (1 + noise())`` over the key's invocations, in the
+    order the run made them."""
+    folded = {}
+    for calc in report.calc_records:
+        duration = max(calc.demand * (1.0 + noise()), 0.0)
+        if calc.input_key not in folded:
+            folded[calc.input_key] = (duration, 1)
+        else:
+            mean, samples = folded[calc.input_key]
+            folded[calc.input_key] = ((mean * samples + duration)
+                                      / (samples + 1), samples + 1)
+    return {key: mean for key, (mean, __) in folded.items()}
+
+
+def seeded_noise(seed=5):
+    """The ``memo-noise`` draws a run seeded ``seed`` makes, in order."""
+    rng = SplittableRng(seed)
+    return lambda: rng.gauss("memo-noise", 0.0, NOISE_SIGMA)
 
 
 def test_memoized_duration_without_noise_equals_demand():
-    db, report, __ = memoized_run(noise=0.0)
-    demands = {round(r.demand, 12) for r in report.calc_records}
-    for record in db.records():
-        assert round(record.duration, 12) in demands
+    """A recorded duration is the demand times the seeded noise draw, and
+    nothing else: recomputing ``demand * (1 + g)`` from the same
+    ``memo-noise`` stream gives every record's duration exactly."""
+    db, report, __ = memoized_run()
+    expected = folded_durations(report, seeded_noise())
+    assert {record.input_key: record.duration
+            for record in db.records()} == expected
 
 
 def test_memoized_duration_noise_is_bounded_and_deterministic():
-    db1, __, ___ = memoized_run(noise=0.05)
-    db2, __, ___ = memoized_run(noise=0.05)
+    db1, report, ___ = memoized_run()
+    db2, __, ___ = memoized_run()
     for r1, r2 in zip(db1.records(), db2.records()):
         assert r1.duration == r2.duration   # same seed -> same noise
-    db0, __, ___ = memoized_run(noise=0.0)
-    for noisy, clean in zip(db1.records(), db0.records()):
-        assert noisy.duration == pytest.approx(clean.duration, rel=0.3)
+    clean = folded_durations(report)
+    assert clean != folded_durations(report, seeded_noise())
+    for noisy in db1.records():
+        assert noisy.duration == pytest.approx(clean[noisy.input_key],
+                                               rel=0.3)
 
 
 def test_replay_hits_and_substitutes_outputs():
     db, memo_report, __ = memoized_run()
     replay_report, executor = replay_run(db)
-    stats = executor.stats()
-    assert stats["hits"] > 0
-    assert stats["hit_rate"] > 0.9
-    assert stats["slept_seconds"] > 0
+    assert executor.hits > 0
+    assert executor.hits / (executor.hits + executor.misses) > 0.9
+    assert executor.pil_cpu.slept_seconds > 0
     # Replayed clusters still converge: victim removed everywhere.
     assert replay_report.bug == "c3831"
 
@@ -163,10 +192,9 @@ def test_replay_hits_and_substitutes_outputs():
 def test_replay_of_an_empty_recording_misses_every_calculation():
     db = MemoDB()  # empty: every lookup misses
     report, executor = replay_run(db)
-    stats = executor.stats()
-    assert stats["hits"] == 0
-    assert stats["misses"] > 0
-    assert len(report.calc_records) == stats["misses"]
+    assert executor.hits == 0
+    assert executor.misses > 0
+    assert len(report.calc_records) == executor.misses
 
 
 def test_replay_flaps_match_real_scale_at_small_n():

@@ -1,17 +1,16 @@
-"""Tests for the replay harness and the ScaleCheck pipeline orchestrator."""
+"""Tests for PIL replay and the ScaleCheck pipeline orchestrator."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.cassandra import Cluster, ClusterConfig, Mode, ScenarioParams
+from repro.cassandra import Cluster, ScenarioParams
 from repro.cassandra import node as node_module
 from repro.cassandra.metrics import accuracy_error
 from repro.cassandra.pending_ranges import serialize_pending
 from repro.core.memoization import MemoDB
 from repro.core.pil import CALC_FUNC_ID
-from repro.core.replayer import ReplayHarness
 from repro.core.scalecheck import ScaleCheck
 
 FAST = ScenarioParams(warmup=10.0, observe=40.0, leaving_duration=8.0,
@@ -61,12 +60,6 @@ def test_find_offenders_runs_the_program_analysis(pipeline):
     assert report.pil_candidates()
 
 
-def test_replay_harness_requires_pil_config():
-    config = ClusterConfig.for_bug("c3831", nodes=4, mode=Mode.REAL)
-    with pytest.raises(ValueError):
-        ReplayHarness(MemoDB(), config)
-
-
 def test_replay_with_order_enforcement_completes(pipeline):
     check, result = pipeline
     replay = check.replay(result.db, enforce_order=True)
@@ -114,11 +107,19 @@ def test_replay_hit_runs_no_calculation(pipeline, monkeypatch):
 
 
 def test_replay_miss_still_computes_the_output(pipeline, monkeypatch):
+    """A miss computes the output on the host, once per ring the check has
+    not met yet: a fresh check computes, the pipeline's check (whose runs
+    met every ring) reuses what they computed."""
     check, __ = pipeline
+    fresh = ScaleCheck(bug_id=check.bug_id, nodes=check.nodes,
+                       seed=check.seed, params=check.params)
     calls = counting(monkeypatch, node_module, "compute_pending_ranges")
-    replay = check.replay(MemoDB())    # empty: every lookup misses
+    replay = fresh.replay(MemoDB())    # empty: every lookup misses
     # One calculation per distinct ring; converged nodes share it.
     assert 0 < len(calls) <= replay.misses
+    calls.clear()
+    assert check.replay(MemoDB()).misses == replay.misses
+    assert calls == []
 
 
 def test_scalecheck_replay_of_its_own_recording_never_misses(pipeline):

@@ -151,9 +151,11 @@ class TestProbes:
         config = ClusterConfig.for_bug("c3831-fixed", nodes=6, seed=3,
                                        mode=Mode.COLO)
         cluster = Cluster(config)
-        cluster.executor = MemoizingExecutor(db, noise_sigma=0.0)
+        cluster.executor = MemoizingExecutor(db)
         probes.attach(cluster)
-        run_decommission(cluster, FAST)
-        stats = cluster.executor.stats()
-        assert stats["recorded"] > 0
+        report = run_decommission(cluster, FAST)
+        # The probed executor reads through to the wrapped one's counters.
+        assert cluster.executor.db is db
+        assert cluster.executor.conflicts == report.memo_conflicts == 0
+        assert db.total_samples() == len(report.calc_records) > 0
         assert len(db) >= 1

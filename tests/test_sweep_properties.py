@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.core.memoization import MemoDB, PilViolationError
+from repro.core.memoization import MemoDB
 from repro.sim.rng import SplittableRng
 from repro.sweep import SweepPoint, SweepSpec
 
@@ -97,7 +97,6 @@ def assert_dbs_equal(db, back):
         assert twin.time == record.time
     assert back.message_order == db.message_order
     assert back.meta == db.meta
-    assert back.strict == db.strict
     assert back.conflicts == db.conflicts
     assert back.conflict_keys == db.conflict_keys
 
@@ -132,9 +131,8 @@ def test_memo_db_file_round_trip(case, tmp_path):
 
 @pytest.mark.parametrize("case", range(10))
 def test_strict_mode_conflicts_round_trip(case):
-    """Strict DBs raise on the conflict; loose DBs count it; both carry
-
-    their verdict through serialization."""
+    """A conflict is counted, and the count and key survive
+    serialization."""
     rng = case_rng(1000 + case)
     func = rng.choice("f", ["calc", "scan"])
     key = f"k{rng.randint('k', 0, 3)}"
@@ -147,14 +145,6 @@ def test_strict_mode_conflicts_round_trip(case):
     assert loose.conflicts == 1
     back = MemoDB.from_payload(loose.to_payload())
     assert back.conflicts == 1 and back.conflict_keys == [(func, key)]
-    assert not back.strict
-
-    strict = MemoDB(strict=True)
-    strict.put(func, key, first, duration=1.0)
-    with pytest.raises(PilViolationError):
-        strict.put(func, key, second, duration=2.0)
-    back = MemoDB.from_payload(strict.to_payload())
-    assert back.strict and back.conflicts == 1
 
 
 # -- SweepSpec grid properties ------------------------------------------------
