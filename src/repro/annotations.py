@@ -31,7 +31,7 @@ modules that are never imported at all.  Called with an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, TypeVar
 
 F = TypeVar("F", bound=Callable)

@@ -53,11 +53,19 @@ class PhiAccrualFailureDetector:
     private registry when none is given).  Each row keeps its last
     arrival, interval sum and count; the mean is memoized as the exact
     division result -- never a rescaled form -- so cached and uncached
-    phi are bit-identical.  The per-target interval window is a lazily
-    created ``array('d')`` -- the window contents are only ever *read*
-    when the window slides (the 1001st arrival for one target), so the
-    4.2M bootstrap-only pairs of a large established cluster cost 32
-    bytes of columns each and no buffer.
+    phi are bit-identical.
+
+    The interval windows share one sample pool per detector: ``_pool``
+    holds the samples and ``_next`` links each slot to the next newer
+    one of its window (-1 ends a chain); ``_head``/``_tail`` give each
+    row's oldest and newest slot (-1: no chain).  A row's first sample is
+    always the bootstrap interval and stays implicit until a second one
+    arrives, so the 4.2M bootstrap-only pairs of a large established
+    cluster cost 40 bytes of columns each and no pool slot.  A full
+    window slides by overwriting its head slot and relinking it as the
+    tail; :meth:`forget` returns a chain to the free list (``_free``,
+    linked through ``_next``), so the pool never holds more slots than
+    the live windows' samples and the free ones.
     """
 
     def __init__(
@@ -77,8 +85,11 @@ class PhiAccrualFailureDetector:
         self._interval_sum = array("d")
         self._count = array("q")
         self._mean_cache = array("d")      # NaN == recompute
-        self._samples: List[Optional[array]] = []
-        self._ring_heads: Dict[int, int] = {}
+        self._head = array("i")
+        self._tail = array("i")
+        self._pool = array("d")
+        self._next = array("i")
+        self._free = -1
         #: First-report order of currently known targets (the order
         #: ``phis`` reports them in).
         self._order: List[str] = []
@@ -90,7 +101,8 @@ class PhiAccrualFailureDetector:
             self._interval_sum.extend(array("d", (0.0,)) * missing)
             self._count.extend(array("q", (0,)) * missing)
             self._mean_cache.extend(array("d", (_NAN,)) * missing)
-            self._samples.extend([None] * missing)
+            self._head.extend(array("i", (-1,)) * missing)
+            self._tail.extend(array("i", (-1,)) * missing)
 
     def report(self, endpoint: str, now: float) -> None:
         """Feed one heartbeat arrival for ``endpoint``."""
@@ -111,26 +123,51 @@ class PhiAccrualFailureDetector:
         self._last_arrival[gid] = now
         if count < self.window_size:
             if count >= 1:
-                buffer = self._samples[gid]
-                if buffer is None:
-                    # The deferred first sample is always the bootstrap
-                    # interval (targets start -- and restart after
-                    # forget -- with it).
-                    buffer = self._samples[gid] = array(
-                        "d", (self._bootstrap,))
-                buffer.append(interval)
+                links = self._next
+                tail = self._tail[gid]
+                if tail < 0:
+                    tail = self._head[gid] = self._slot(self._bootstrap)
+                if self._free < 0:     # the common case, inlined: a new slot
+                    slot = len(links)
+                    self._pool.append(interval)
+                    links.append(-1)
+                else:
+                    slot = self._slot(interval)
+                links[tail] = slot
+                self._tail[gid] = slot
             self._count[gid] = count + 1
             self._interval_sum[gid] += interval
         else:
-            buffer = self._samples[gid]
-            if buffer is None:     # window_size == 1: only the deferred sample
-                buffer = self._samples[gid] = array("d", (self._bootstrap,))
-            head = self._ring_heads.get(gid, 0)
-            self._interval_sum[gid] -= buffer[head]
-            buffer[head] = interval
-            self._ring_heads[gid] = (head + 1) % self.window_size
+            slot = self._head[gid]
+            if slot < 0:           # window_size == 1: only the deferred sample
+                slot = self._head[gid] = self._tail[gid] = self._slot(
+                    self._bootstrap)
+            pool = self._pool
+            self._interval_sum[gid] -= pool[slot]
+            pool[slot] = interval
+            tail = self._tail[gid]
+            if slot != tail:       # the oldest slot becomes the newest
+                links = self._next
+                self._head[gid] = links[slot]
+                links[slot] = -1
+                links[tail] = slot
+                self._tail[gid] = slot
             self._interval_sum[gid] += interval
         self._mean_cache[gid] = _NAN
+
+    def _slot(self, sample: float) -> int:
+        """A pool slot holding ``sample`` and linked to nothing: a free
+        one when there is one, else a new one at the pool's end."""
+        links = self._next
+        slot = self._free
+        if slot < 0:
+            self._pool.append(sample)
+            links.append(-1)
+            return len(links) - 1
+        self._free = links[slot]
+        self._pool[slot] = sample
+        links[slot] = -1
+        return slot
 
     def report_first_arrivals(self, endpoints: Sequence[str], own_gid: int,
                               now: float) -> None:
@@ -254,8 +291,11 @@ class PhiAccrualFailureDetector:
         self._count[gid] = 0
         self._interval_sum[gid] = 0.0
         self._mean_cache[gid] = _NAN
-        self._samples[gid] = None
-        self._ring_heads.pop(gid, None)
+        head = self._head[gid]
+        if head >= 0:
+            self._next[self._tail[gid]] = self._free
+            self._free = head
+            self._head[gid] = self._tail[gid] = -1
         self._order.remove(endpoint)
 
     def known_endpoints(self) -> List[str]:

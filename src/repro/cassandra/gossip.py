@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.rng import SplittableRng
 from .failure_detector import PhiAccrualFailureDetector
@@ -33,10 +33,13 @@ from .state import (
     blob_app_items,
 )
 from .state_columnar import (
+    LIVE,
+    UNREACHABLE,
     ColumnarEndpointStore,
     ColumnarStateMap,
     EndpointStateView,
     EstablishedView,
+    LivenessView,
     SharedClusterState,
 )
 
@@ -52,75 +55,6 @@ DEAD_GOSSIP_PROBABILITY = 0.1
 
 #: A digest's endpoint, as a C-speed getter.
 _ENDPOINT = itemgetter(0)
-
-
-class TrackedSet(set):
-    """A set that counts its own mutations.
-
-    The gossiper sorts its live/unreachable views every round and every
-    conviction sweep; the counter lets those sorted lists be cached and
-    rebuilt only when membership actually changed.  Tracking at the
-    container level keeps external writers (tests and the storage layer
-    mutate these sets directly) correct without any invalidation calls.
-    """
-
-    __slots__ = ("mutations",)
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.mutations = 0
-
-    def add(self, element) -> None:
-        super().add(element)
-        self.mutations += 1
-
-    def discard(self, element) -> None:
-        super().discard(element)
-        self.mutations += 1
-
-    def remove(self, element) -> None:
-        super().remove(element)
-        self.mutations += 1
-
-    def pop(self):
-        self.mutations += 1
-        return super().pop()
-
-    def clear(self) -> None:
-        self.mutations += 1
-        super().clear()
-
-    def update(self, *others) -> None:
-        self.mutations += 1
-        super().update(*others)
-
-    def difference_update(self, *others) -> None:
-        self.mutations += 1
-        super().difference_update(*others)
-
-    def intersection_update(self, *others) -> None:
-        self.mutations += 1
-        super().intersection_update(*others)
-
-    def symmetric_difference_update(self, other) -> None:
-        self.mutations += 1
-        super().symmetric_difference_update(other)
-
-    def __ior__(self, other):
-        self.mutations += 1
-        return super().__ior__(other)
-
-    def __iand__(self, other):
-        self.mutations += 1
-        return super().__iand__(other)
-
-    def __isub__(self, other):
-        self.mutations += 1
-        return super().__isub__(other)
-
-    def __ixor__(self, other):
-        self.mutations += 1
-        return super().__ixor__(other)
 
 
 @dataclass
@@ -143,7 +77,10 @@ class Gossiper:
     ColumnarEndpointStore`; ``shared`` is the cluster's interning tables
     (a private set when none is given).  The per-digest and per-heartbeat
     loops read the columns directly; everything else goes through
-    ``endpoint_state_map`` views.
+    ``endpoint_state_map`` views.  So do the live and unreachable sets:
+    two bits of the store's liveness column, which the hot paths read and
+    write by gid and ``live_endpoints``/``unreachable_endpoints`` expose
+    as set views.
     """
 
     def __init__(
@@ -180,13 +117,13 @@ class Gossiper:
             shared=self._shared,
         )
         self.endpoint_state_map = ColumnarStateMap(self._store)
-        self.live_endpoints: Set[str] = TrackedSet()
-        self.unreachable_endpoints: Set[str] = TrackedSet()
+        self._live_view = LivenessView(self._store, LIVE)
+        self._unreachable_view = LivenessView(self._store, UNREACHABLE)
         self._rng_stream = f"gossip:{node_id}"
         self.rounds = 0
         self.states_applied = 0
-        # Cached sorted views (snapshots; rebuilt when the backing
-        # container's mutation counter / size moves).
+        # Cached sorted views (snapshots; rebuilt when the store's liveness
+        # mutation counter / the map's size moves).
         self._live_token = -1
         self._live_sorted: List[str] = []
         self._dead_token = -1
@@ -201,6 +138,16 @@ class Gossiper:
                            self._shared.empty_app, self._now())
         self._own_gid = gid
         self._own_view = EndpointStateView(self._store, gid)
+
+    @property
+    def live_endpoints(self) -> LivenessView:
+        """The peers this node believes alive (a view of the store)."""
+        return self._live_view
+
+    @property
+    def unreachable_endpoints(self) -> LivenessView:
+        """The peers this node has convicted (a view of the store)."""
+        return self._unreachable_view
 
     # -- local state ------------------------------------------------------------
 
@@ -243,35 +190,29 @@ class Gossiper:
         now = self._now()
         peers = self._store.load_established(view, now)
         self.states_applied += len(peers)
-        self.live_endpoints.update(peers)
+        self._store.mark_all(LIVE, but=self._own_gid)
         self.fd.report_first_arrivals(peers, self._own_gid, now)
 
     # -- cached sorted views ------------------------------------------------------
 
     def _sorted_live(self) -> List[str]:
-        """``sorted(live_endpoints)`` cached on the set's mutation counter.
+        """``sorted(live_endpoints)`` cached on the liveness mutation count.
 
         Returns a snapshot list: callers may mutate the set while iterating
         it, which only schedules a rebuild for the *next* call.
         """
-        live = self.live_endpoints
-        token = getattr(live, "mutations", -1)
-        if token < 0:
-            return sorted(live)
-        if token != self._live_token:
-            self._live_sorted = sorted(live)
-            self._live_token = token
+        store = self._store
+        if store.liveness_mutations != self._live_token:
+            self._live_sorted = sorted(store.holding(LIVE))
+            self._live_token = store.liveness_mutations
         return self._live_sorted
 
     def _sorted_unreachable(self) -> List[str]:
         """``sorted(unreachable_endpoints)``, cached like :meth:`_sorted_live`."""
-        dead = self.unreachable_endpoints
-        token = getattr(dead, "mutations", -1)
-        if token < 0:
-            return sorted(dead)
-        if token != self._dead_token:
-            self._dead_sorted = sorted(dead)
-            self._dead_token = token
+        store = self._store
+        if store.liveness_mutations != self._dead_token:
+            self._dead_sorted = sorted(store.holding(UNREACHABLE))
+            self._dead_token = store.liveness_mutations
         return self._dead_sorted
 
     def _sorted_endpoints(self) -> List[str]:
@@ -302,7 +243,7 @@ class Gossiper:
         # a direct writer puts this node in its own live set, and filtering
         # it out keeps the order, so the rng.choice draw is the same.
         live = self._sorted_live()
-        if self.node_id in self.live_endpoints:
+        if self._store.liveness[self._own_gid] & LIVE:
             live = [e for e in live if e != self.node_id]
         if live:
             targets.append(self.rng.choice(self._rng_stream, live))
@@ -445,8 +386,7 @@ class Gossiper:
         hb_col = store.hb_version
         ts_col = store.update_ts
         digest_cache = store.digest_cache
-        live = self.live_endpoints
-        dead = self.unreachable_endpoints
+        liveness = store.liveness
         report = self.fd.report
         entries = len(blobs)    # plus app items below: blob_entry_count
         for endpoint, blob in blobs.items():
@@ -457,7 +397,7 @@ class Gossiper:
                         and gid < len(gen_col)
                         and gen_col[gid] == generation
                         and hb_version > hb_col[gid]
-                        and endpoint in live and endpoint not in dead):
+                        and liveness[gid] == LIVE):
                     hb_col[gid] = hb_version
                     ts_col[gid] = now
                     digest_cache[gid] = None
@@ -545,8 +485,9 @@ class Gossiper:
         self._candidates_key = (-1, -1)   # see check_convictions
         if status == STATUS_LEFT:
             # departed nodes are no longer gossip targets or conviction subjects
-            self.live_endpoints.discard(endpoint)
-            self.unreachable_endpoints.discard(endpoint)
+            gid = self._shared.registry[endpoint]
+            self._store.unmark(gid, LIVE)
+            self._store.unmark(gid, UNREACHABLE)
             self.fd.forget(endpoint)
         if self.on_status_change is not None:
             self.on_status_change(endpoint, status, state)
@@ -557,13 +498,14 @@ class Gossiper:
         store = self._store
         if store.app[gid].status == STATUS_LEFT:
             return
-        if endpoint in self.unreachable_endpoints:
-            self.unreachable_endpoints.discard(endpoint)
-            self.live_endpoints.add(endpoint)
+        bits = store.liveness[gid]
+        if bits & UNREACHABLE:
+            store.unmark(gid, UNREACHABLE)
+            store.mark(gid, LIVE)
             store.alive[gid] = 1
             self.flaps.record_recovery(self._now(), self.node_id, endpoint)
-        elif endpoint not in self.live_endpoints:
-            self.live_endpoints.add(endpoint)
+        elif not bits & LIVE:
+            store.mark(gid, LIVE)
             store.alive[gid] = 1
 
     def check_convictions(self) -> List[str]:
@@ -577,11 +519,10 @@ class Gossiper:
         The candidates -- live peers minus this node, minus rows the store
         does not hold, minus LEFT peers, in sorted-name order -- are cached
         as one gid array and judged in one :meth:`PhiAccrualFailureDetector.
-        sweep` call.  The cache is rebuilt when the live set's mutation
-        counter or the store's row count moves, after a STATUS change or a
-        restart (either can move a peer across the LEFT filter without
-        touching the live set), and on every sweep when ``live_endpoints``
-        is a plain set.
+        sweep` call.  The cache is rebuilt when the store's liveness
+        mutation count or its row count moves, and after a STATUS
+        change or a restart (either can move a peer across the LEFT filter
+        without touching the live set).
         """
         now = self._now()
         candidates = self._conviction_candidates()
@@ -591,23 +532,22 @@ class Gossiper:
         convicted: List[str] = []
         node_id = self.node_id
         names = self._shared.names
-        alive_col = self._store.alive
+        store = self._store
         for position in positions:
             gid = candidates[position]
             endpoint = names[gid]
-            self.live_endpoints.discard(endpoint)
-            self.unreachable_endpoints.add(endpoint)
-            alive_col[gid] = 0
+            store.unmark(gid, LIVE)
+            store.mark(gid, UNREACHABLE)
+            store.alive[gid] = 0
             self.flaps.record_conviction(now, node_id, endpoint)
             convicted.append(endpoint)
         return convicted
 
     def _conviction_candidates(self) -> array:
         """The gids :meth:`check_convictions` judges, cached (see there)."""
-        live = self.live_endpoints
         store = self._store
-        key = (getattr(live, "mutations", -1), store.present)
-        if key[0] >= 0 and key == self._candidates_key:
+        key = (store.liveness_mutations, store.present)
+        if key == self._candidates_key:
             return self._candidates
         registry_get = self._shared.registry.get
         gen_col = store.generation

@@ -22,7 +22,7 @@ real output; the memoizing and PIL-replay executors live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..annotations import lock_protects

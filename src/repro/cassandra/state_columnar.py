@@ -19,11 +19,13 @@ machine.  The gossip state is therefore kept columnarly:
   once and bulk-loaded into each store instead of applied pair by pair.
 * :class:`ColumnarEndpointStore` -- one per observer: dense arrays
   indexed by gid (generation, heartbeat version, update timestamp,
-  alive flag) plus one reference per row into the interned app table.
-  An absent endpoint is ``generation == -1``; rows are never removed.
-* :class:`EndpointStateView` / :class:`ColumnarStateMap` -- on-demand
-  proxies giving cold paths (cluster assembly, storage liveness checks,
-  tests) a per-endpoint object and a mapping of them.  The hot gossip
+  alive flag, liveness bits) plus one reference per row into the interned
+  app table.  An absent endpoint is ``generation == -1``; rows are never
+  removed.
+* :class:`EndpointStateView` / :class:`ColumnarStateMap` /
+  :class:`LivenessView` -- on-demand proxies giving cold paths (cluster
+  assembly, storage liveness checks, tests) a per-endpoint object, a
+  mapping of them, and the live and unreachable sets.  The hot gossip
   loops in :mod:`repro.cassandra.gossip` read the columns directly.
 
 Interning exploits what gossip converges *to*: across 4.2M pairs there
@@ -34,12 +36,25 @@ collapses to ~40 bytes of columns plus two shared references.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, MutableSet
+from itertools import compress
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .ring import TablePool, new_table_pool
 from .state import STATUS, STATUS_NORMAL, TOKENS, GossipDigest, VersionedValue
+
+#: A row's bits in :attr:`ColumnarEndpointStore.liveness`: the observer
+#: believes the endpoint alive, and has convicted it.
+LIVE = 1
+UNREACHABLE = 2
+
+#: ``column.translate(_HAS[bit])`` is 1 where a row has ``bit``, else 0;
+#: ``column.translate(_WITH[bit])`` is every row with ``bit`` set.
+_HAS = {bit: bytes(1 if byte & bit else 0 for byte in range(256))
+        for bit in (LIVE, UNREACHABLE)}
+_WITH = {bit: bytes(byte | bit for byte in range(256))
+         for bit in (LIVE, UNREACHABLE)}
 
 
 class InternedAppStates:
@@ -214,6 +229,7 @@ class ColumnarEndpointStore:
     """One observer's per-endpoint state, as dense gid-indexed columns."""
 
     __slots__ = ("shared", "generation", "hb_version", "update_ts", "alive",
+                 "liveness", "liveness_sizes", "liveness_mutations",
                  "app", "digest_cache", "order_names", "order_gids",
                  "present", "on_access")
 
@@ -224,6 +240,14 @@ class ColumnarEndpointStore:
         self.hb_version = array("q")
         self.update_ts = array("d")
         self.alive = bytearray()
+        #: The gossiper's live and unreachable sets as :data:`LIVE` and
+        #: :data:`UNREACHABLE` bits per row (a direct writer can set both).
+        #: ``liveness_sizes[bit]`` is each set's size, and
+        #: ``liveness_mutations`` counts every change to either, so sorted
+        #: views of the sets are cached on it.
+        self.liveness = bytearray()
+        self.liveness_sizes = array("q", (0, 0, 0))
+        self.liveness_mutations = 0
         #: gid -> InternedAppStates (None while absent).
         self.app: List[Optional[InternedAppStates]] = []
         #: gid -> memoized shared digest (None == recompute).
@@ -248,6 +272,7 @@ class ColumnarEndpointStore:
             self.hb_version.extend(array("q", (0,)) * missing)
             self.update_ts.extend(array("d", (0.0,)) * missing)
             self.alive.extend(b"\x00" * missing)
+            self.liveness.extend(bytes(missing))
             self.app.extend([None] * missing)
             self.digest_cache.extend([None] * missing)
 
@@ -295,6 +320,7 @@ class ColumnarEndpointStore:
         self.update_ts = array("d", (now,)) * size
         self.update_ts[own_gid] = own_update_ts
         self.alive = bytearray(b"\x01") * size
+        self.liveness.extend(bytes(size - len(self.liveness)))
         self.app = list(view.app)
         self.digest_cache = [None] * size
         peers = names[:index] + names[index + 1:]
@@ -303,6 +329,77 @@ class ColumnarEndpointStore:
         self.order_gids.extend(view.gids[index + 1:])
         self.present = size
         return peers
+
+
+    def mark(self, gid: int, bit: int) -> None:
+        """Set liveness ``bit`` on row ``gid``."""
+        liveness = self.liveness
+        if not liveness[gid] & bit:
+            liveness[gid] |= bit
+            self.liveness_sizes[bit] += 1
+            self.liveness_mutations += 1
+
+    def unmark(self, gid: int, bit: int) -> None:
+        """Clear liveness ``bit`` on row ``gid``."""
+        liveness = self.liveness
+        if liveness[gid] & bit:
+            liveness[gid] &= ~bit
+            self.liveness_sizes[bit] -= 1
+            self.liveness_mutations += 1
+
+    def mark_all(self, bit: int, but: int) -> None:
+        """Set liveness ``bit`` on every row except gid ``but``."""
+        liveness = self.liveness
+        kept = liveness[but]
+        liveness[:] = liveness.translate(_WITH[bit])
+        liveness[but] = kept
+        self.liveness_sizes[bit] = (
+            len(liveness) - liveness.translate(_HAS[bit]).count(0))
+        self.liveness_mutations += 1
+
+    def holding(self, bit: int) -> List[str]:
+        """The names of the rows with liveness ``bit``, in gid order."""
+        return list(compress(self.shared.names,
+                             self.liveness.translate(_HAS[bit])))
+
+
+class LivenessView(MutableSet):
+    """One liveness bit of a store as a set of endpoint names.
+
+    The gossiper's ``live_endpoints`` and ``unreachable_endpoints``:
+    iterates in gid order, and adding an unregistered name registers it.
+    """
+
+    __slots__ = ("_store", "_bit")
+
+    def __init__(self, store: ColumnarEndpointStore, bit: int) -> None:
+        self._store = store
+        self._bit = bit
+
+    def __contains__(self, name: object) -> bool:
+        liveness = self._store.liveness
+        gid = self._store.shared.registry.get(name)
+        return (gid is not None and gid < len(liveness)
+                and bool(liveness[gid] & self._bit))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._store.holding(self._bit))
+
+    def __len__(self) -> int:
+        return self._store.liveness_sizes[self._bit]
+
+    def add(self, name: str) -> None:
+        gid = self._store.shared.gid(name)
+        self._store.ensure_capacity(gid)
+        self._store.mark(gid, self._bit)
+
+    def discard(self, name: str) -> None:
+        gid = self._store.shared.registry.get(name)
+        if gid is not None and gid < len(self._store.liveness):
+            self._store.unmark(gid, self._bit)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 class HeartBeatView:

@@ -14,7 +14,7 @@ import bisect
 import hashlib
 from dataclasses import FrozenInstanceError
 from functools import total_ordering
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 #: Tokens live on a ring modulo 2**63 (mirrors Murmur3Partitioner's range
 #: magnitude without negative values, which keeps arithmetic simple).

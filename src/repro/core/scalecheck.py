@@ -175,14 +175,15 @@ class ScaleCheck:
     def _run(self, mode: Mode, faults: Optional[FaultSchedule],
              observer: Optional[KernelObserver] = None,
              executor: Optional[CalcExecutor] = None,
-             enforcer: Optional[OrderEnforcer] = None
-             ) -> Tuple[Any, RunReport]:
+             enforcer: Optional[OrderEnforcer] = None,
+             log_deliveries: bool = False) -> Tuple[Any, RunReport]:
         """Build the target's cluster for ``mode`` and run its scenario;
         returns ``(cluster, report)``.
 
         An ``enforcer`` releases deliveries in its recorded order, with its
         watchdog running alongside so a replay that diverges from the
         recording skips the messages that never come instead of stalling.
+        ``log_deliveries`` keeps the network's delivery log.
         """
         self._release_previous_cluster()
         target = self.target
@@ -190,6 +191,8 @@ class ScaleCheck:
                                  order_enforcer=enforcer)
         if executor is not None:
             cluster.executor = executor
+        if log_deliveries:
+            cluster.network.delivery_log = []
         if isinstance(cluster, Cluster):
             cluster.output_cache = self._outputs
         install_faults(cluster, faults)
@@ -232,7 +235,8 @@ class ScaleCheck:
         target = self.target
         executor = MemoizingExecutor(db, func_id=target.func_id,
                                      codec=target.codec)
-        cluster, report = self._run(Mode.COLO, faults, executor=executor)
+        cluster, report = self._run(Mode.COLO, faults, executor=executor,
+                                    log_deliveries=True)
         db.record_message_order(cluster.network.delivery_log)
         db.meta.update({
             "bug": self.bug_id,

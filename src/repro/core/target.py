@@ -34,7 +34,7 @@ class Target:
     #: ``(check, mode) -> config`` of one :class:`ScaleCheck` run.
     config: Callable[[Any, Mode], Any]
     #: ``(config, order_enforcer=, observer=) -> cluster``.  The cluster has
-    #: ``sim``, a ``network`` with a ``delivery_log``, a settable
+    #: ``sim``, a ``network`` with a settable ``delivery_log``, a settable
     #: ``executor`` and the fault-injection hooks.
     cluster: Callable[..., Any]
     #: ``(cluster, params) -> RunReport``: the scenario under test.

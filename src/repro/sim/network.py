@@ -4,8 +4,10 @@ Messages are delivered into per-node inbox :class:`~repro.sim.kernel.Channel`
 objects after a configurable latency.  Two features exist specifically for
 the paper's mechanism:
 
-* every delivery is logged (``delivery_log``) by a *deterministic message
-  key*, which is what the memoization run records as the message ordering;
+* every message has a *deterministic message key*; a run that sets
+  ``delivery_log`` to a list (the memoization run does) has each delivery's
+  key appended to it, which is what the recording keeps as the message
+  ordering;
 * :class:`OrderEnforcer` lets a PIL replay hold back deliveries so they are
   released exactly in a previously recorded order ("order determinism",
   section 5) even though PIL-substituted durations shift the raw timing.
@@ -195,7 +197,9 @@ class Network:
         #: Batch events fired / largest batch seen (diagnostics).
         self.batch_deliveries = 0
         self.max_batch = 0
-        self.delivery_log: List[str] = []
+        #: Delivered message keys, in order, when set to a list before the
+        #: run; None (the default) keeps no log.
+        self.delivery_log: Optional[List[str]] = None
 
     @property
     def dropped(self) -> int:
@@ -366,7 +370,8 @@ class Network:
             self.dropped_unknown_dst += 1
             return
         self.delivered += 1
-        self.delivery_log.append(message.key)
+        if self.delivery_log is not None:
+            self.delivery_log.append(message.key)
         obs = self.sim.observer
         if obs is not None:
             obs.deliver(message)

@@ -29,7 +29,6 @@ import dataclasses
 import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .. import __version__

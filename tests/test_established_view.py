@@ -77,12 +77,17 @@ def _node_state(node) -> dict:
         "fd_count": fd._count,
         # NaN != NaN: compare the memo column by representation.
         "fd_mean_cache": repr(fd._mean_cache),
-        "fd_samples": fd._samples,
-        "fd_ring_heads": fd._ring_heads,
+        "fd_head": fd._head,
+        "fd_tail": fd._tail,
+        "fd_pool": fd._pool,
+        "fd_next": fd._next,
+        "fd_free": fd._free,
         "fd_order": fd._order,
         "fd_reports": fd.stats.reports,
         "live": set(gossiper.live_endpoints),
         "unreachable": set(gossiper.unreachable_endpoints),
+        "liveness": store.liveness,
+        "liveness_sizes": store.liveness_sizes,
         "states_applied": gossiper.states_applied,
         "ring": list(node.metadata.token_to_endpoint.items()),
         "content_hash": node.metadata.content_hash,
@@ -220,20 +225,21 @@ def test_sanitizer_wrappers_survive_the_build():
     def remembering_add(node_id, generation=1):
         node = instrumented_add(node_id, generation)
         held[node_id] = (node.metadata.token_to_endpoint,
-                         node.gossiper.fd._order, node.gossiper.fd._samples)
+                         node.gossiper.fd._order, node.gossiper._store.liveness)
         return node
 
     cluster.add_node = remembering_add
     cluster.build_established()
     assert len(held) == 8
     for name, node in cluster.nodes.items():
-        ring, order, samples = held[name]
+        ring, order, liveness = held[name]
         assert type(node.metadata.token_to_endpoint) is TrackedMap
         assert node.metadata.token_to_endpoint is ring
         assert len(ring) == 8
         assert node.gossiper.fd._order is order
         assert len(order) == 7
-        assert node.gossiper.fd._samples is samples
+        assert node.gossiper._store.liveness is liveness
+        assert len(liveness) == 8
 
 
 def _normal_blob(*tokens: int) -> tuple:

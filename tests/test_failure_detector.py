@@ -1,5 +1,7 @@
 """Tests for the phi accrual failure detector."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +235,137 @@ def test_property_sweep_equals_a_should_convict_loop(
             reference.forget(target)
     for gap in tail:
         probe(now + gap)
+
+
+# -- the sample pool against per-target deques --------------------------------
+
+
+class DequeDetector:
+    """The reference: one ``deque`` window per target, slid with the same
+    ``sum -= oldest; sum += new`` order, and phi computed afresh."""
+
+    def __init__(self, threshold, window_size, expected_interval):
+        self.threshold = threshold
+        self.window_size = window_size
+        self.bootstrap = expected_interval / 2.0
+        self.windows, self.sums, self.last = {}, {}, {}
+        self.reports = self.convictions = 0
+        self.max_phi_seen = 0.0
+
+    def report(self, name, now):
+        self.reports += 1
+        if name in self.windows:
+            interval = now - self.last[name]
+        else:
+            interval = self.bootstrap
+            self.windows[name] = deque()
+            self.sums[name] = 0.0
+        self.last[name] = now
+        window = self.windows[name]
+        if len(window) == self.window_size:
+            self.sums[name] -= window.popleft()
+        window.append(interval)
+        self.sums[name] += interval
+
+    def forget(self, name):
+        self.windows.pop(name, None)
+
+    def mean_interval(self, name):
+        if name not in self.windows:
+            return float("nan")
+        return self.sums[name] / len(self.windows[name])
+
+    def phi(self, name, now):
+        if name not in self.windows:
+            value = 0.0
+        else:
+            value = (PHI_FACTOR * (now - self.last[name])
+                     / max(self.mean_interval(name), 1e-9))
+        self.max_phi_seen = max(self.max_phi_seen, value)
+        return value
+
+    def should_convict(self, name, now):
+        convict = self.phi(name, now) > self.threshold
+        self.convictions += convict
+        return convict
+
+
+def _chain(fd, gid):
+    """``gid``'s window, oldest first, read off the pool's links."""
+    samples, slot = [], fd._head[gid] if gid < len(fd._head) else -1
+    while slot >= 0:
+        samples.append(fd._pool[slot])
+        slot = fd._next[slot]
+    return samples
+
+
+def _free_slots(fd):
+    count, slot = 0, fd._free
+    while slot >= 0:
+        count, slot = count + 1, fd._next[slot]
+    return count
+
+
+@given(
+    targets=st.integers(1, 6),
+    window_size=st.sampled_from([1, 2, 3, 5]),
+    threshold=st.sampled_from([DEFAULT_PHI_THRESHOLD, 0.5]),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["report", "report", "forget", "probe"]),
+                  st.integers(0, 5),
+                  st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+        max_size=80),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_pool_equals_per_target_deques(targets, window_size,
+                                                threshold, steps):
+    """The pooled windows read bit-equal to one deque per target, through
+    arrivals, slides, forgets and re-reports; the pool holds no slot that
+    is neither a window's sample nor free."""
+    names = [f"p{i}" for i in range(targets)]
+    shared = SharedClusterState()
+    fd = PhiAccrualFailureDetector(phi_threshold=threshold,
+                                   window_size=window_size, shared=shared)
+    reference = DequeDetector(threshold, window_size, 1.0)
+
+    def compare(now):
+        for name in names:
+            assert (fd.mean_interval(name).hex()
+                    == reference.mean_interval(name).hex())
+            assert fd.phi(name, now).hex() == reference.phi(name, now).hex()
+        gids = [shared.gid(name) for name in names]
+        assert fd.sweep(gids, now) == [
+            position for position, name in enumerate(names)
+            if reference.should_convict(name, now)]
+        for name in names:
+            assert (fd.should_convict(name, now)
+                    == reference.should_convict(name, now))
+        assert fd.stats.reports == reference.reports
+        assert fd.stats.convictions == reference.convictions
+        assert fd.stats.max_phi_seen.hex() == reference.max_phi_seen.hex()
+        held = 0
+        for name in names:
+            window = reference.windows.get(name)
+            chain = _chain(fd, shared.gid(name))
+            if window is not None and chain == []:
+                # The deferred bootstrap sample: no pool slot yet.
+                assert list(window) == [reference.bootstrap]
+            else:
+                assert chain == list(window or ())
+            held += min(len(window or ()), window_size)
+        assert len(fd._pool) == len(fd._next)
+        assert len(fd._pool) <= held + _free_slots(fd)
+
+    now = 0.0
+    for kind, index, gap in steps:
+        name = names[index % targets]
+        now += gap
+        if kind == "report":
+            fd.report(name, now)
+            reference.report(name, now)
+        elif kind == "forget":
+            fd.forget(name)
+            reference.forget(name)
+        else:
+            compare(now)
+    compare(now + 1.0)

@@ -403,6 +403,7 @@ SMALL = ScenarioParams(warmup=10.0, observe=40.0)
 def _colo_run(schedule):
     check = ScaleCheck("c3831-fixed", 6, seed=42, params=SMALL)
     cluster = Cluster(check.config(Mode.COLO))
+    cluster.network.delivery_log = []
     injector = install_faults(cluster, schedule)
     report = run_workload(cluster, check.bug.workload, check.params)
     return cluster, injector, report
@@ -425,6 +426,7 @@ def test_same_seed_same_schedule_identical_runs():
     cluster_a, _, report_a = _colo_run(chaos_mix_schedule())
     cluster_b, _, report_b = _colo_run(chaos_mix_schedule())
     assert cluster_a.network.delivery_log == cluster_b.network.delivery_log
+    assert len(cluster_a.network.delivery_log) > 0
     assert report_a.flaps == report_b.flaps
     assert report_a.dropped_degraded == report_b.dropped_degraded
     assert report_a.duration == report_b.duration

@@ -366,9 +366,7 @@ def test_direct_writers_match_the_per_peer_reference():
     twins.apply({"p4": (1, hb, ((STATUS, STATUS_NORMAL, hb, None),))})
     sending["p4"] = [1, hb]
     silence("p4")
-    # A plain set instead of the tracked one, and a convicted peer put
-    # back by hand while it is still unreachable.
-    twins.both(lambda g: setattr(g, "live_endpoints", set(g.live_endpoints)))
+    # A convicted peer put back by hand while it is still unreachable.
     silence("p0")
     twins.clock += 30.0
     twins.sweep()                   # all six peers convicted at once

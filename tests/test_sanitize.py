@@ -306,6 +306,7 @@ class TestSanitizerDifferential:
             config = ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.REAL,
                                            seed=seed)
             cluster = Cluster(config, observer=observer)
+            cluster.network.delivery_log = []
             if isinstance(observer, RaceTracker):
                 program = Program.load(["repro.cassandra", "repro.hdfs",
                                         "repro.workload"])
@@ -322,6 +323,7 @@ class TestSanitizerDifferential:
         assert plain_cluster.sim.steps == traced_cluster.sim.steps
         assert (plain_cluster.network.delivery_log
                 == traced_cluster.network.delivery_log)
+        assert len(plain_cluster.network.delivery_log) > 0
         plain = plain_report.to_dict()
         traced = traced_report.to_dict()
         for data in (plain, traced):

@@ -49,6 +49,7 @@ def _run(nodes: int, seed: int, observer=None):
     config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
                                    seed=seed)
     cluster = Cluster(config, observer=observer)
+    cluster.network.delivery_log = []
     report = run_workload(cluster, config.bug.workload, FAST)
     return cluster, report
 

@@ -101,6 +101,8 @@ def test_negative_latency_rejected():
 
 def test_delivery_log_records_order():
     sim, net = make_net()
+    assert net.delivery_log is None         # no log unless a run asks
+    net.delivery_log = []
     got = []
     collect_inbox(sim, net, "b", got)
     net.send("a", "b", "x", None)

@@ -53,6 +53,7 @@ def _run(nodes: int, seed: int):
     config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
                                    seed=seed)
     cluster = Cluster(config)
+    cluster.network.delivery_log = []
     report = run_workload(cluster, config.bug.workload, FAST)
     return cluster, report
 
