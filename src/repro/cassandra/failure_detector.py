@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence
 
 from .state_columnar import SharedClusterState
@@ -51,9 +52,13 @@ class PhiAccrualFailureDetector:
 
     Targets are rows indexed by the cluster-wide gid of ``shared`` (a
     private registry when none is given).  Each row keeps its last
-    arrival, interval sum and count; the mean is memoized as the exact
-    division result -- never a rescaled form -- so cached and uncached
-    phi are bit-identical.
+    arrival, interval sum and window count; a row is known while its
+    count is nonzero, and the mean is the division ``interval_sum /
+    count`` wherever it is read.  The last arrival is ``arrivals``, a
+    column the owner may hand in: a gossiper passes its store's row
+    timestamps, so the two are one column, and :meth:`report` is the only
+    writer of a peer's row -- it reads the previous arrival before it
+    writes the new one.
 
     The interval windows share one sample pool per detector: ``_pool``
     holds the samples and ``_next`` links each slot to the next newer
@@ -61,11 +66,12 @@ class PhiAccrualFailureDetector:
     row's oldest and newest slot (-1: no chain).  A row's first sample is
     always the bootstrap interval and stays implicit until a second one
     arrives, so the 4.2M bootstrap-only pairs of a large established
-    cluster cost 40 bytes of columns each and no pool slot.  A full
-    window slides by overwriting its head slot and relinking it as the
-    tail; :meth:`forget` returns a chain to the free list (``_free``,
-    linked through ``_next``), so the pool never holds more slots than
-    the live windows' samples and the free ones.
+    cluster cost 20 bytes of detector columns each (plus the shared
+    arrival) and no pool slot.  A full window slides by overwriting its
+    head slot and relinking it as the tail; :meth:`forget` returns a
+    chain to the free list (``_free``, linked through ``_next``), so the
+    pool never holds more slots than the live windows' samples and the
+    free ones.
     """
 
     def __init__(
@@ -74,6 +80,7 @@ class PhiAccrualFailureDetector:
         window_size: int = DEFAULT_WINDOW_SIZE,
         expected_interval: float = 1.0,
         shared: Optional[SharedClusterState] = None,
+        arrivals: Optional[array] = None,
     ) -> None:
         self.shared = shared if shared is not None else SharedClusterState()
         self.phi_threshold = phi_threshold
@@ -81,28 +88,26 @@ class PhiAccrualFailureDetector:
         self.expected_interval = expected_interval
         self.stats = FailureDetectorStats()
         self._bootstrap = expected_interval / 2.0
-        self._last_arrival = array("d")
+        #: Grown in place, never rebound: it may be the owner's column.
+        self._arrivals = arrivals if arrivals is not None else array("d")
         self._interval_sum = array("d")
-        self._count = array("q")
-        self._mean_cache = array("d")      # NaN == recompute
+        self._count = array("i")
         self._head = array("i")
         self._tail = array("i")
         self._pool = array("d")
         self._next = array("i")
         self._free = -1
-        #: First-report order of currently known targets (the order
-        #: ``phis`` reports them in).
-        self._order: List[str] = []
 
     def _ensure_capacity(self, gid: int) -> None:
         missing = gid + 1 - len(self._count)
         if missing > 0:
-            self._last_arrival.extend(array("d", (0.0,)) * missing)
             self._interval_sum.extend(array("d", (0.0,)) * missing)
-            self._count.extend(array("q", (0,)) * missing)
-            self._mean_cache.extend(array("d", (_NAN,)) * missing)
+            self._count.extend(array("i", (0,)) * missing)
             self._head.extend(array("i", (-1,)) * missing)
             self._tail.extend(array("i", (-1,)) * missing)
+        missing = gid + 1 - len(self._arrivals)
+        if missing > 0:
+            self._arrivals.extend(array("d", (0.0,)) * missing)
 
     def report(self, endpoint: str, now: float) -> None:
         """Feed one heartbeat arrival for ``endpoint``."""
@@ -115,12 +120,11 @@ class PhiAccrualFailureDetector:
         count = self._count[gid]
         if count == 0:
             interval = self._bootstrap
-            self._order.append(endpoint)
         else:
-            interval = now - self._last_arrival[gid]
+            interval = now - self._arrivals[gid]
             if interval < 0:
                 raise ValueError("arrival time went backwards")
-        self._last_arrival[gid] = now
+        self._arrivals[gid] = now
         if count < self.window_size:
             if count >= 1:
                 links = self._next
@@ -153,7 +157,6 @@ class PhiAccrualFailureDetector:
                 links[tail] = slot
                 self._tail[gid] = slot
             self._interval_sum[gid] += interval
-        self._mean_cache[gid] = _NAN
 
     def _slot(self, sample: float) -> int:
         """A pool slot holding ``sample`` and linked to nothing: a free
@@ -169,31 +172,31 @@ class PhiAccrualFailureDetector:
         links[slot] = -1
         return slot
 
-    def report_first_arrivals(self, endpoints: Sequence[str], own_gid: int,
+    def report_first_arrivals(self, members: int, own_gid: int,
                               now: float) -> None:
         """Feed the first arrival, at ``now``, of a whole membership at once.
 
-        Leaves an empty detector exactly as one :meth:`report` per endpoint
+        Leaves an empty detector exactly as one :meth:`report` per member
         would, filling the columns by repetition instead of row by row.
-        ``endpoints`` (in the order :meth:`phis` should list them) must be
-        the names of gid rows ``0..len(endpoints)`` minus ``own_gid``, the
-        observer's own row, which stays unknown.
+        The members are gid rows ``0..members - 1`` minus ``own_gid``, the
+        observer's own row, which stays unknown and keeps its arrival.
         """
-        rows = len(endpoints) + 1
-        if self._order:
+        rows = members
+        if self._count.count(0) != len(self._count):
             raise ValueError("bulk first arrivals need an empty detector")
         if own_gid == rows - 1:      # row-by-row would never have grown to it
             rows -= 1
         self._ensure_capacity(rows - 1)
-        self._last_arrival[:rows] = array("d", (now,)) * rows
+        arrivals = self._arrivals
+        own_arrival = arrivals[own_gid] if own_gid < rows else 0.0
+        arrivals[:rows] = array("d", (now,)) * rows
         self._interval_sum[:rows] = array("d", (self._bootstrap,)) * rows
-        self._count[:rows] = array("q", (1,)) * rows
+        self._count[:rows] = array("i", (1,)) * rows
         if own_gid < rows:
-            self._last_arrival[own_gid] = 0.0
+            arrivals[own_gid] = own_arrival
             self._interval_sum[own_gid] = 0.0
             self._count[own_gid] = 0
-        self._order.extend(endpoints)
-        self.stats.reports += len(endpoints)
+        self.stats.reports += members - 1
 
     def _known_gid(self, endpoint: str) -> int:
         """The gid of a currently known target, or -1."""
@@ -202,22 +205,15 @@ class PhiAccrualFailureDetector:
             return -1
         return gid
 
-    def _mean(self, gid: int) -> float:
-        mean = self._mean_cache[gid]
-        if mean != mean:               # NaN: recompute the exact division
-            mean = self._interval_sum[gid] / self._count[gid]
-            self._mean_cache[gid] = mean
-        return mean
-
     def phi(self, endpoint: str, now: float) -> float:
         """Current suspicion level for ``endpoint`` at time ``now``."""
         gid = self._known_gid(endpoint)
         if gid < 0:
             return 0.0
-        mean = self._mean(gid)
+        mean = self._interval_sum[gid] / self._count[gid]
         if mean < 1e-9:
             mean = 1e-9
-        value = PHI_FACTOR * (now - self._last_arrival[gid]) / mean
+        value = PHI_FACTOR * (now - self._arrivals[gid]) / mean
         self.stats.max_phi_seen = max(self.stats.max_phi_seen, value)
         return value
 
@@ -233,12 +229,10 @@ class PhiAccrualFailureDetector:
         if gid < 0:
             value = 0.0
         else:
-            mean = self._mean_cache[gid]
-            if mean != mean:
-                mean = self._mean(gid)
+            mean = self._interval_sum[gid] / self._count[gid]
             if mean < 1e-9:
                 mean = 1e-9
-            value = PHI_FACTOR * (now - self._last_arrival[gid]) / mean
+            value = PHI_FACTOR * (now - self._arrivals[gid]) / mean
         stats = self.stats
         if value > stats.max_phi_seen:
             stats.max_phi_seen = value
@@ -251,15 +245,14 @@ class PhiAccrualFailureDetector:
         """The positions in ``gids`` whose phi exceeds the threshold.
 
         One :meth:`should_convict` per gid, fused: the same arithmetic in
-        the same order (an unknown or forgotten row reads phi 0.0), the
-        same mean-cache fill, and ``max_phi_seen`` and ``convictions``
-        left exactly as the per-gid calls would leave them -- but one
-        Python call per sweep instead of one per peer.
+        the same order (an unknown or forgotten row reads phi 0.0), and
+        ``max_phi_seen`` and ``convictions`` left exactly as the per-gid
+        calls would leave them -- but one Python call per sweep instead of
+        one per peer.
         """
         count = self._count
-        last_arrival = self._last_arrival
+        arrivals = self._arrivals
         interval_sum = self._interval_sum
-        mean_cache = self._mean_cache
         rows = len(count)
         threshold = self.phi_threshold
         stats = self.stats
@@ -267,12 +260,10 @@ class PhiAccrualFailureDetector:
         convicted: List[int] = []
         for position, gid in enumerate(gids):
             if gid < rows and count[gid]:
-                mean = mean_cache[gid]
-                if mean != mean:
-                    mean = mean_cache[gid] = interval_sum[gid] / count[gid]
+                mean = interval_sum[gid] / count[gid]
                 if mean < 1e-9:
                     mean = 1e-9
-                value = PHI_FACTOR * (now - last_arrival[gid]) / mean
+                value = PHI_FACTOR * (now - arrivals[gid]) / mean
             else:
                 value = 0.0
             if value > highest:
@@ -290,34 +281,38 @@ class PhiAccrualFailureDetector:
             return
         self._count[gid] = 0
         self._interval_sum[gid] = 0.0
-        self._mean_cache[gid] = _NAN
         head = self._head[gid]
         if head >= 0:
             self._next[self._tail[gid]] = self._free
             self._free = head
             self._head[gid] = self._tail[gid] = -1
-        self._order.remove(endpoint)
 
     def known_endpoints(self) -> List[str]:
         """All endpoints with recorded state, sorted."""
-        return sorted(self._order)
+        return sorted(compress(self.shared.names, self._count))
 
     def mean_interval(self, endpoint: str) -> float:
         """Mean heartbeat inter-arrival for ``endpoint`` (NaN if unknown)."""
         gid = self._known_gid(endpoint)
-        return self._mean(gid) if gid >= 0 else _NAN
+        if gid < 0:
+            return _NAN
+        return self._interval_sum[gid] / self._count[gid]
 
     def phis(self, now: float) -> Dict[str, float]:
-        """Suspicion levels for every known endpoint at ``now``.
+        """Suspicion levels for every known endpoint at ``now``, in gid
+        (registration) order.
 
         A read-only snapshot for observability: unlike :meth:`phi` it does
         not touch ``stats.max_phi_seen``, so sampling a run for metrics
         cannot perturb what the run itself would have recorded.
         """
+        names = self.shared.names
+        arrivals = self._arrivals
+        interval_sum = self._interval_sum
         result = {}
-        for endpoint in self._order:
-            gid = self._known_gid(endpoint)
-            mean = max(self._mean(gid), 1e-9)
-            result[endpoint] = (
-                PHI_FACTOR * (now - self._last_arrival[gid]) / mean)
+        for gid, count in enumerate(self._count):
+            if count:
+                mean = max(interval_sum[gid] / count, 1e-9)
+                result[names[gid]] = (
+                    PHI_FACTOR * (now - arrivals[gid]) / mean)
         return result

@@ -40,6 +40,7 @@ from .state_columnar import (
     EndpointStateView,
     EstablishedView,
     LivenessView,
+    PeerNames,
     SharedClusterState,
 )
 
@@ -80,7 +81,9 @@ class Gossiper:
     ``endpoint_state_map`` views.  So do the live and unreachable sets:
     two bits of the store's liveness column, which the hot paths read and
     write by gid and ``live_endpoints``/``unreachable_endpoints`` expose
-    as set views.
+    as set views.  The store's timestamp column is the failure detector's
+    last-arrival column: a peer's row is stamped by ``fd.report`` alone,
+    which reads the previous arrival first, so no path here writes it.
     """
 
     def __init__(
@@ -115,6 +118,7 @@ class Gossiper:
             window_size=self.config.fd_window,
             expected_interval=self.config.interval,
             shared=self._shared,
+            arrivals=self._store.update_ts,
         )
         self.endpoint_state_map = ColumnarStateMap(self._store)
         self._live_view = LivenessView(self._store, LIVE)
@@ -125,17 +129,18 @@ class Gossiper:
         # Cached sorted views (snapshots; rebuilt when the store's liveness
         # mutation counter / the map's size moves).
         self._live_token = -1
-        self._live_sorted: List[str] = []
+        self._live_sorted: Sequence[str] = []
         self._dead_token = -1
         self._dead_sorted: List[str] = []
         self._esm_len = -1
         self._esm_sorted: List[str] = []
         self._candidates_key: Tuple[int, int] = (-1, -1)
-        self._candidates = array("q")
+        self._candidates = array("i")
         gid = self._shared.gid(node_id)
         self._store.ensure_capacity(gid)
         self._store.insert(node_id, gid, generation, 0,
-                           self._shared.empty_app, self._now())
+                           self._shared.empty_app)
+        self._store.update_ts[gid] = self._now()
         self._own_gid = gid
         self._own_view = EndpointStateView(self._store, gid)
 
@@ -187,23 +192,32 @@ class Gossiper:
         every member is NORMAL, and the owner loads the matching ring
         (:meth:`repro.cassandra.node.Node.load_established`).
         """
-        now = self._now()
-        peers = self._store.load_established(view, now)
+        peers = self._store.load_established(view)
         self.states_applied += len(peers)
         self._store.mark_all(LIVE, but=self._own_gid)
-        self.fd.report_first_arrivals(peers, self._own_gid, now)
+        self.fd.report_first_arrivals(len(view.names), self._own_gid,
+                                      self._now())
 
     # -- cached sorted views ------------------------------------------------------
 
-    def _sorted_live(self) -> List[str]:
+    def _sorted_live(self) -> Sequence[str]:
         """``sorted(live_endpoints)`` cached on the liveness mutation count.
 
-        Returns a snapshot list: callers may mutate the set while iterating
-        it, which only schedules a rebuild for the *next* call.
+        Returns a snapshot: callers may mutate the set while iterating it,
+        which only schedules a rebuild for the *next* call.  While every
+        registered endpoint but this node is live, the snapshot is the
+        cluster's shared sorted name list without this node's name.
         """
         store = self._store
         if store.liveness_mutations != self._live_token:
-            self._live_sorted = sorted(store.holding(LIVE))
+            liveness = store.liveness
+            if (store.liveness_sizes[LIVE] == len(liveness) - 1
+                    == len(self._shared.names) - 1
+                    and not liveness[self._own_gid] & LIVE):
+                self._live_sorted = PeerNames(self._shared.sorted_names(),
+                                              self.node_id)
+            else:
+                self._live_sorted = sorted(store.holding(LIVE))
             self._live_token = store.liveness_mutations
         return self._live_sorted
 
@@ -220,12 +234,16 @@ class Gossiper:
 
         Size is a sufficient validity token because the gossiper only ever
         adds endpoints or replaces the state behind an existing key -- it
-        never deletes one.
+        never deletes one.  A store holding every registered endpoint reads
+        the cluster's shared sorted name list instead.
         """
         esm = self.endpoint_state_map
-        if len(esm) != self._esm_len:
+        size = len(esm)
+        if size == len(self._shared.names):
+            return self._shared.sorted_names()
+        if size != self._esm_len:
             self._esm_sorted = sorted(esm)
-            self._esm_len = len(esm)
+            self._esm_len = size
         return self._esm_sorted
 
     # -- gossip round -------------------------------------------------------------
@@ -384,7 +402,6 @@ class Gossiper:
         registry_get = self._shared.registry.get
         gen_col = store.generation
         hb_col = store.hb_version
-        ts_col = store.update_ts
         digest_cache = store.digest_cache
         liveness = store.liveness
         report = self.fd.report
@@ -399,7 +416,6 @@ class Gossiper:
                         and hb_version > hb_col[gid]
                         and liveness[gid] == LIVE):
                     hb_col[gid] = hb_version
-                    ts_col[gid] = now
                     digest_cache[gid] = None
                     self.states_applied += 1
                     report(endpoint, now)
@@ -428,13 +444,11 @@ class Gossiper:
                 self._candidates_key = (-1, -1)   # the record may drop LEFT
                 store.generation[gid] = generation
                 store.hb_version[gid] = hb_version
-                store.update_ts[gid] = now
                 store.alive[gid] = 1
                 store.app[gid] = record
                 store.digest_cache[gid] = None
             else:
-                store.insert(endpoint, gid, generation, hb_version,
-                             record, now)
+                store.insert(endpoint, gid, generation, hb_version, record)
             self.states_applied += 1
             self.fd.report(endpoint, now)
             self._mark_alive(endpoint, gid)
@@ -450,7 +464,6 @@ class Gossiper:
         # _apply_states inlines this branch for live peers; keep both alike.
         if hb_version > store.hb_version[gid]:
             store.hb_version[gid] = hb_version
-            store.update_ts[gid] = now
             store.digest_cache[gid] = None
             self.states_applied += 1
             self.fd.report(endpoint, now)
@@ -554,7 +567,7 @@ class Gossiper:
         app_col = store.app
         known = len(gen_col)
         own_gid = self._own_gid
-        candidates = array("q")
+        candidates = array("i")
         append = candidates.append
         for endpoint in self._sorted_live():
             gid = registry_get(endpoint)

@@ -385,7 +385,7 @@ class Node:
     def _gossip_task(self):
         interval = self.gossiper.config.interval
         # Deterministic phase stagger so all nodes do not tick in lockstep.
-        yield Timeout(self.sim.rng.uniform(f"stagger:{self.node_id}", 0.0, interval))
+        yield Timeout(self.sim.rng.uniform_once(f"stagger:{self.node_id}", 0.0, interval))
         intended = self.sim.now
         while self.running:
             cost = (self.costs.gossip_round_base
@@ -434,7 +434,7 @@ class Node:
 
     def _fd_task(self):
         interval = self.gossiper.config.interval
-        yield Timeout(self.sim.rng.uniform(f"fd-stagger:{self.node_id}", 0.0, interval))
+        yield Timeout(self.sim.rng.uniform_once(f"fd-stagger:{self.node_id}", 0.0, interval))
         while self.running:
             live = len(self.gossiper.live_endpoints)
             cost = self.costs.check_base + self.costs.per_liveness_check * live

@@ -13,7 +13,9 @@ machine.  The gossip state is therefore kept columnarly:
   per distinct ``(endpoint, generation, max_version)``, shared by every
   observer instead of N copies; two generations bound it).  It also
   carries the pool of ring token tables
-  (:class:`~repro.cassandra.ring.TokenTable`) its nodes share by content.
+  (:class:`~repro.cassandra.ring.TokenTable`) its nodes share by content,
+  and the sorted name list every observer that knows the whole registry
+  gossips its digests in.
 * :class:`EstablishedView` -- one per established cluster: what every
   observer of an all-NORMAL membership knows about every member, built
   once and bulk-loaded into each store instead of applied pair by pair.
@@ -21,7 +23,9 @@ machine.  The gossip state is therefore kept columnarly:
   indexed by gid (generation, heartbeat version, update timestamp,
   alive flag, liveness bits) plus one reference per row into the interned
   app table.  An absent endpoint is ``generation == -1``; rows are never
-  removed.
+  removed.  The update timestamp of a peer's row is also its failure
+  detector's last arrival: one column, written by the detector's
+  ``report``.
 * :class:`EndpointStateView` / :class:`ColumnarStateMap` /
   :class:`LivenessView` -- on-demand proxies giving cold paths (cluster
   assembly, storage liveness checks, tests) a per-endpoint object, a
@@ -29,15 +33,17 @@ machine.  The gossip state is therefore kept columnarly:
   loops in :mod:`repro.cassandra.gossip` read the columns directly.
 
 Interning exploits what gossip converges *to*: across 4.2M pairs there
-are only about N distinct app-state sets in flight, so per-row cost
-collapses to ~40 bytes of columns plus two shared references.
+are only about N distinct app-state sets in flight, so a row costs 54
+bytes of store columns (three 8-byte numeric columns, two flag bytes, two
+references, the discovery order's name reference and 4-byte gid).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, MutableSet
-from itertools import compress
+from bisect import bisect_left
+from collections.abc import Mapping, MutableSet, Sequence
+from itertools import chain, compress, islice
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -92,14 +98,15 @@ class InternedAppStates:
 class SharedClusterState:
     """Cluster-wide shared tables behind every columnar observer."""
 
-    __slots__ = ("registry", "names", "_app_table", "_digest_table",
-                 "_digest_old", "empty_app", "token_tables")
+    __slots__ = ("registry", "names", "_sorted_names", "_app_table",
+                 "_digest_table", "_digest_old", "empty_app", "token_tables")
 
     def __init__(self) -> None:
         #: endpoint name -> dense gid (registration order, append-only).
         self.registry: Dict[str, int] = {}
         #: gid -> endpoint name.
         self.names: List[str] = []
+        self._sorted_names: List[str] = []
         self._app_table: Dict[tuple, InternedAppStates] = {}
         #: Digests interned lately, and the generation before them: every
         #: heartbeat makes a new key and nothing retires one, so the young
@@ -117,6 +124,16 @@ class SharedClusterState:
             gid = self.registry[name] = len(self.names)
             self.names.append(name)
         return gid
+
+    def sorted_names(self) -> List[str]:
+        """``sorted(names)``, shared by every caller: never mutate it.
+
+        A registration makes a new list, so one handed out earlier stays
+        the snapshot it was.
+        """
+        if len(self._sorted_names) != len(self.names):
+            self._sorted_names = sorted(self.names)
+        return self._sorted_names
 
     def intern_items(
         self, items: Tuple[Tuple[str, VersionedValue], ...]
@@ -194,7 +211,7 @@ class EstablishedView:
         self.shared = shared
         #: Members in ``blobs`` order, and their gids in the same order.
         self.names: List[str] = list(blobs)
-        self.gids = array("q", [shared.gid(name) for name in self.names])
+        self.gids = array("i", [shared.gid(name) for name in self.names])
         size = len(shared.names)
         if size != len(self.names):
             raise ValueError(
@@ -238,6 +255,9 @@ class ColumnarEndpointStore:
         #: -1 == endpoint unknown to this observer.
         self.generation = array("q")
         self.hb_version = array("q")
+        #: Row timestamps.  A gossiper hands this column to its failure
+        #: detector as the last-arrival column, so it is grown in place and
+        #: never rebound; the detector's ``report`` writes peer rows.
         self.update_ts = array("d")
         self.alive = bytearray()
         #: The gossiper's live and unreachable sets as :data:`LIVE` and
@@ -255,7 +275,7 @@ class ColumnarEndpointStore:
         #: Discovery order (it leaks into ACK payload ordering and hence
         #: flap ordering).
         self.order_names: List[str] = []
-        self.order_gids = array("q")
+        self.order_gids = array("i")
         self.present = 0
         #: Sanitizer hook, called with "r" for a read through the
         #: :class:`ColumnarStateMap` facade (one per name its
@@ -277,13 +297,13 @@ class ColumnarEndpointStore:
             self.digest_cache.extend([None] * missing)
 
     def insert(self, name: str, gid: int, generation: int, hb_version: int,
-               record: InternedAppStates, now: float) -> None:
-        """Materialize a previously absent endpoint row."""
+               record: InternedAppStates) -> None:
+        """Materialize a previously absent endpoint row (its timestamp is
+        the caller's to write)."""
         if self.on_access is not None:
             self.on_access("w")
         self.generation[gid] = generation
         self.hb_version[gid] = hb_version
-        self.update_ts[gid] = now
         self.alive[gid] = 1
         self.app[gid] = record
         self.digest_cache[gid] = None
@@ -291,14 +311,14 @@ class ColumnarEndpointStore:
         self.order_gids.append(gid)
         self.present += 1
 
-    def load_established(self, view: EstablishedView,
-                         now: float) -> List[str]:
-        """Materialize every member of ``view`` at once, at time ``now``.
+    def load_established(self, view: EstablishedView) -> List[str]:
+        """Materialize every member of ``view`` at once.
 
         The store must hold one row, its owner's, and that row must be what
-        ``view`` says about the owner; it keeps its update timestamp.
-        Leaves the store as one :meth:`insert` per other member in
-        ``view.names`` order would, and returns those members.
+        ``view`` says about the owner.  Leaves the store as one
+        :meth:`insert` per other member in ``view.names`` order would (the
+        timestamp column grown to cover them, its rows untouched), and
+        returns those members.
         """
         if view.shared is not self.shared or self.present != 1:
             raise ValueError("bulk load needs a store holding one row of "
@@ -314,11 +334,10 @@ class ColumnarEndpointStore:
         if self.on_access is not None:
             self.on_access("w")
         size = len(names)
-        own_update_ts = self.update_ts[own_gid]
         self.generation = array("q", view.generation)
         self.hb_version = array("q", view.hb_version)
-        self.update_ts = array("d", (now,)) * size
-        self.update_ts[own_gid] = own_update_ts
+        stamps = self.update_ts
+        stamps.extend(array("d", (0.0,)) * (size - len(stamps)))
         self.alive = bytearray(b"\x01") * size
         self.liveness.extend(bytes(size - len(self.liveness)))
         self.app = list(view.app)
@@ -532,6 +551,38 @@ class EndpointStateView:
         name = store.shared.names[gid] if gid < len(store.shared.names) else "?"
         return (f"EndpointStateView({name!r}, gen={store.generation[gid]}, "
                 f"version={store.hb_version[gid]})")
+
+
+class PeerNames(Sequence):
+    """A sorted name list without one of its names, read-only and uncopied.
+
+    What an observer that believes every other registered endpoint alive
+    draws its gossip target from: ``names`` is
+    :meth:`SharedClusterState.sorted_names` and ``name`` the observer's
+    own.  ``random.choice`` indexes it as it would the list without that
+    name, so it picks the same peer.
+    """
+
+    __slots__ = ("_names", "_skip")
+
+    def __init__(self, names: List[str], name: str) -> None:
+        self._names = names
+        self._skip = bisect_left(names, name)
+
+    def __len__(self) -> int:
+        return len(self._names) - 1
+
+    def __getitem__(self, index: int) -> str:
+        if index < 0:
+            index += len(self._names) - 1
+        if not 0 <= index < len(self._names) - 1:
+            raise IndexError(index)
+        return self._names[index if index < self._skip else index + 1]
+
+    def __iter__(self) -> Iterator[str]:
+        names = self._names
+        return chain(islice(names, self._skip),
+                     islice(names, self._skip + 1, None))
 
 
 class ColumnarStateMap(Mapping):

@@ -254,7 +254,8 @@ def _cmd_finder(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import load_baseline, run_lint, self_check, write_baseline
+    from .analysis import (DEFAULT_TARGETS, load_baseline, run_lint,
+                           self_check, write_baseline)
 
     # --write-baseline replaces the file, so a damaged one must not block it;
     # otherwise refuse a damaged baseline before the analysis runs.
@@ -262,7 +263,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if baseline:
         with _loading("baseline", baseline):
             load_baseline(baseline)
-    report = run_lint(targets=args.targets, baseline_path=baseline)
+    report = run_lint(targets=args.targets or DEFAULT_TARGETS,
+                      baseline_path=baseline)
     if args.write_baseline:
         write_baseline(args.baseline, report.raw_findings)
         print(f"baseline with {len(report.raw_findings)} suppression(s) "
@@ -656,9 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the whole-program scalability linter over annotated "
              "packages (complexity, PIL-safety, lock discipline, drift)")
     lint.add_argument("--targets", nargs="+",
-                      default=["repro.cassandra", "repro.hdfs",
-                               "repro.workload"],
-                      help="module/package names or source paths to analyze")
+                      help="module/package names or source paths to analyze "
+                           "(default: repro.cassandra repro.hdfs "
+                           "repro.workload)")
     lint.add_argument("--format", default="text",
                       choices=["text", "json", "sarif"])
     lint.add_argument("--out", default=None,

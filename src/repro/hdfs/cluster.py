@@ -163,7 +163,7 @@ class HdfsCluster:
     def start_all(self) -> None:
         """Start every datanode with a staggered initial report."""
         for i, node in enumerate(self.datanodes.values()):
-            delay = self.sim.rng.uniform(
+            delay = self.sim.rng.uniform_once(
                 f"report-stagger:{node.node_id}", 0.0,
                 self.config.report_stagger)
             node.start(initial_report_delay=delay)

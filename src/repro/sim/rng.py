@@ -33,16 +33,40 @@ class SplittableRng:
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self._streams: Dict[str, random.Random] = {}
+        #: Draws taken so far from each :meth:`uniform_once` stream.
+        self._drawn: Dict[str, int] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return (creating if needed) the stream for ``name``."""
-        if name not in self._streams:
-            self._streams[name] = random.Random(derive_seed(self.seed, name))
-        return self._streams[name]
+        stream = self._streams.get(name)
+        if stream is None:
+            if name in self._drawn:
+                raise ValueError(f"stream {name!r} is drawn by uniform_once")
+            stream = self._streams[name] = random.Random(
+                derive_seed(self.seed, name))
+        return stream
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Uniform draw from the named stream."""
         return self.stream(name).uniform(low, high)
+
+    def uniform_once(self, name: str, low: float, high: float) -> float:
+        """:meth:`uniform` for a stream drawn once or twice per run.
+
+        Keeps a draw count instead of a generator (a ``random.Random`` is
+        about 2.5 KB): each call re-derives the stream and replays the
+        earlier draws, one ``random()`` each as ``uniform`` takes, so the
+        values are the ones :meth:`uniform` would return.  A name belongs
+        to one of the two: mixing them raises ``ValueError``.
+        """
+        if name in self._streams:
+            raise ValueError(f"stream {name!r} is drawn by stream()")
+        drawn = self._drawn.get(name, 0)
+        stream = random.Random(derive_seed(self.seed, name))
+        for __ in range(drawn):
+            stream.random()
+        self._drawn[name] = drawn + 1
+        return stream.uniform(low, high)
 
     def expovariate(self, name: str, rate: float) -> float:
         """Exponential draw from the named stream."""

@@ -413,6 +413,31 @@ class TestBaseline:
     def test_missing_baseline_is_empty(self, tmp_path):
         assert load_baseline(str(tmp_path / "nope.json")) == {}
 
+    def test_a_stale_entry_fails_the_self_check_by_name(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        report = run_lint(targets=[str(FIXTURE_PKG)], baseline_path=None)
+        gone = Finding(rule="undeclared-shared-state", severity="warning",
+                       module="lintpkg.gone", function="Gone", lineno=1,
+                       message="Gone.table (dict)", detail="d")
+        name = "baseline: every suppression matches a finding"
+
+        def verdict(baseline):
+            write_baseline(str(path), baseline)
+            lint = run_lint(targets=[str(FIXTURE_PKG)],
+                            baseline_path=str(path))
+            assert lint.findings == []
+            [check] = [c for c in self_check(lint) if c["check"] == name]
+            return lint.stale, check
+
+        assert verdict(report.raw_findings) == (
+            [], {"check": name, "ok": True,
+                 "evidence": "no stale baseline entry"})
+        stale, check = verdict(report.raw_findings + [gone])
+        assert [entry["fingerprint"] for entry in stale] == [gone.fingerprint]
+        assert check == {"check": name, "ok": False, "evidence": (
+            f"stale: lintpkg.gone.Gone [undeclared-shared-state] "
+            f"{gone.fingerprint}")}
+
 
 # -- golden output (S4) -------------------------------------------------------------
 

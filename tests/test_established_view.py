@@ -72,17 +72,16 @@ def _node_state(node) -> dict:
         "present": store.present,
         "order_names": store.order_names,
         "order_gids": store.order_gids,
-        "fd_last_arrival": fd._last_arrival,
+        # The detector's last arrivals are the store's timestamps.
+        "fd_arrivals_are_update_ts": fd._arrivals is store.update_ts,
         "fd_interval_sum": fd._interval_sum,
         "fd_count": fd._count,
-        # NaN != NaN: compare the memo column by representation.
-        "fd_mean_cache": repr(fd._mean_cache),
         "fd_head": fd._head,
         "fd_tail": fd._tail,
         "fd_pool": fd._pool,
         "fd_next": fd._next,
         "fd_free": fd._free,
-        "fd_order": fd._order,
+        "fd_known": fd.known_endpoints(),
         "fd_reports": fd.stats.reports,
         "live": set(gossiper.live_endpoints),
         "unreachable": set(gossiper.unreachable_endpoints),
@@ -225,19 +224,21 @@ def test_sanitizer_wrappers_survive_the_build():
     def remembering_add(node_id, generation=1):
         node = instrumented_add(node_id, generation)
         held[node_id] = (node.metadata.token_to_endpoint,
-                         node.gossiper.fd._order, node.gossiper._store.liveness)
+                         node.gossiper._store.update_ts,
+                         node.gossiper._store.liveness)
         return node
 
     cluster.add_node = remembering_add
     cluster.build_established()
     assert len(held) == 8
     for name, node in cluster.nodes.items():
-        ring, order, liveness = held[name]
+        ring, stamps, liveness = held[name]
         assert type(node.metadata.token_to_endpoint) is TrackedMap
         assert node.metadata.token_to_endpoint is ring
         assert len(ring) == 8
-        assert node.gossiper.fd._order is order
-        assert len(order) == 7
+        assert node.gossiper._store.update_ts is stamps
+        assert node.gossiper.fd._arrivals is stamps
+        assert len(stamps) == 8
         assert node.gossiper._store.liveness is liveness
         assert len(liveness) == 8
 

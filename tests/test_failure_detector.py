@@ -154,7 +154,7 @@ class TestPhiAccrualFailureDetector:
         fd.forget("b")
         fd.report("b", 3.0)
         snapshot = fd.phis(50.0)
-        assert list(snapshot) == ["a", "b"]      # first-report order
+        assert list(snapshot) == ["b", "a"]      # gid (registration) order
         assert snapshot["a"] == fd.phi("a", 50.0)
         assert PhiAccrualFailureDetector().phis(1.0) == {}
         quiet = PhiAccrualFailureDetector()

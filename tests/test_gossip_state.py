@@ -1,6 +1,10 @@
 """Tests for gossip endpoint-state wire formats, views and digests."""
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cassandra.gossip import Gossiper
 from repro.cassandra.metrics import FlapCounter
@@ -13,7 +17,7 @@ from repro.cassandra.state import (
     VersionedValue,
     blob_entry_count,
 )
-from repro.cassandra.state_columnar import SharedClusterState
+from repro.cassandra.state_columnar import PeerNames, SharedClusterState
 from repro.sim.rng import SplittableRng
 
 
@@ -207,3 +211,43 @@ def test_store_reports_row_writes_and_facade_reads():
     next(iter(observer.endpoint_state_map))
     len(observer.endpoint_state_map)
     assert seen == ["r"] * 5
+
+
+@given(names=st.sets(st.text(alphabet="abcxyz", min_size=1, max_size=3),
+                     min_size=1, max_size=12),
+       data=st.data())
+def test_peer_names_is_the_list_without_the_name(names, data):
+    ordered = sorted(names)
+    name = data.draw(st.sampled_from(ordered))
+    expected = [other for other in ordered if other != name]
+    peers = PeerNames(ordered, name)
+    assert len(peers) == len(expected)
+    assert list(peers) == expected
+    assert [peers[i] for i in range(-len(expected), len(expected))] == (
+        expected + expected)
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            peers[index]
+    if expected:
+        seed = data.draw(st.integers(0, 2**16))
+        assert (random.Random(seed).choice(peers)
+                == random.Random(seed).choice(expected))
+
+
+def test_a_full_view_shares_the_cluster_sorted_names():
+    shared = SharedClusterState()
+    gossipers = [make_gossiper(name, shared=shared) for name in "mbz"]
+    for gossiper in gossipers:
+        for other in gossipers:
+            if other is not gossiper:
+                gossiper.populate(other.node_id, other.own_state.to_blob())
+    m = gossipers[0]
+    assert m._sorted_endpoints() is shared.sorted_names() == ["b", "m", "z"]
+    live = m._sorted_live()
+    assert type(live) is PeerNames and list(live) == ["b", "z"]
+    assert m._sorted_unreachable() == []
+    m.live_endpoints.discard("z")
+    assert m._sorted_live() == ["b"]
+    shared.gid("late")            # registered elsewhere, unknown here
+    assert m._sorted_endpoints() == ["b", "m", "z"]
+    assert m._sorted_endpoints() is not shared.sorted_names()

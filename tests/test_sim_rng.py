@@ -1,5 +1,7 @@
 """Tests for deterministic stream-split randomness."""
 
+import pytest
+
 from repro.sim import SplittableRng, derive_seed
 
 
@@ -74,3 +76,23 @@ def test_gauss_and_expovariate_smoke():
     assert abs(sum(values) / len(values)) < 0.3
     exp_values = [rng.expovariate("e", 2.0) for __ in range(200)]
     assert all(v >= 0 for v in exp_values)
+
+
+def test_uniform_once_draws_what_uniform_draws_and_keeps_no_stream():
+    kept = SplittableRng(7)
+    once = SplittableRng(7)
+    for name in ("stagger:node-000", "fd-stagger:node-001"):
+        assert [once.uniform_once(name, 0.0, 1.5) for __ in range(3)] == [
+            kept.uniform(name, 0.0, 1.5) for __ in range(3)]
+    assert once._streams == {}
+    assert once._drawn == {"stagger:node-000": 3, "fd-stagger:node-001": 3}
+
+
+def test_a_name_is_drawn_one_way_only():
+    rng = SplittableRng(7)
+    rng.uniform_once("once", 0.0, 1.0)
+    rng.random("kept")
+    with pytest.raises(ValueError, match="'once'"):
+        rng.stream("once")
+    with pytest.raises(ValueError, match="'kept'"):
+        rng.uniform_once("kept", 0.0, 1.0)
