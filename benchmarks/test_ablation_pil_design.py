@@ -5,9 +5,6 @@
   the real run; replaying against a 4x-wrong analytic prediction distorts
   flap counts.  "It is almost impossible to predict compute time with a
   prediction/static-analysis approach" (section 5).
-* **Order determinism** -- enforcing the recorded message order vs free
-  running: both complete; enforcement releases messages in recorded order
-  and reports divergence diagnostics.
 * **Single-process redesign (SEDA)** -- per-process vs single-process
   deployment changes the max colocation factor dramatically (section 6).
 """
@@ -55,39 +52,6 @@ def test_in_situ_durations_beat_static_misprediction(benchmark, pipeline):
     assert in_situ_error < static_error
     # The 4x underestimate suppresses the symptom substantially.
     assert static_replay.report.flaps < real.flaps
-
-
-def test_order_enforcement_diagnostics(benchmark, pipeline):
-    check, result, __ = pipeline
-    enforced = benchmark.pedantic(
-        lambda: check.replay(result.db, enforce_order=True),
-        rounds=1, iterations=1)
-    assert enforced.order_enforced
-    assert enforced.order_released > 0
-    # The watchdog kept the replay live: the leftover parked backlog
-    # (messages in flight at the window cutoff plus divergence residue)
-    # stays small relative to what was released.
-    assert enforced.order_parked_at_end < enforced.order_released
-    params = check.params
-    assert enforced.report.duration == pytest.approx(
-        params.warmup + params.observe)
-
-
-def test_order_enforcement_trades_timing_for_determinism(benchmark, pipeline):
-    """Ablation finding: enforcing the colocation-recorded *global* message
-    order onto a PIL-timed replay holds messages back and perturbs gossip
-    timing, so flap accuracy degrades relative to the free (content-keyed)
-    replay.  This is why the default replay relies on content-keyed
-    memoization for input determinism rather than strict delivery-order
-    enforcement -- the recording bounds the input space either way."""
-    check, result, real = pipeline
-    enforced = benchmark.pedantic(
-        lambda: check.replay(result.db, enforce_order=True),
-        rounds=1, iterations=1)
-    free_error = accuracy_error(real, result.replay_report)
-    enforced_error = accuracy_error(real, enforced.report)
-    assert free_error <= enforced_error     # the design choice, quantified
-    assert enforced_error < 1.0             # still the same regime, not garbage
 
 
 def test_seda_redesign_multiplies_colocation_factor(benchmark):

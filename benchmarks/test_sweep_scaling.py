@@ -20,6 +20,7 @@ Deselect with ``-m "not sweep"``.
 """
 
 import os
+import shutil
 
 import pytest
 
@@ -115,14 +116,16 @@ def test_warm_cache_executes_zero_points(benchmark, runs):
 def test_recordings_built_once_and_reused(benchmark, tmp_path_factory):
     """A colo+pil grid shares one MemoDB per scenario; a follow-up
 
-    pil-only sweep against the same cache re-records nothing."""
+    pil-only sweep against the same cache, its results cleared, replays
+    the recordings and re-records nothing."""
     cache_dir = tmp_path_factory.mktemp("recordings")
     spec = grid_spec(scales=SCALES[:2], seeds=[1], modes=["colo", "pil"])
 
     def record_then_replay():
         first = sweep(spec, 2, cache_dir)
-        again = sweep(grid_spec(scales=SCALES[:2], seeds=[1], modes=["pil"],
-                                enforce_order=True), 2, cache_dir)
+        shutil.rmtree(cache_dir / "results")
+        again = sweep(grid_spec(scales=SCALES[:2], seeds=[1], modes=["pil"]),
+                      2, cache_dir)
         return first, again
 
     first, again = benchmark.pedantic(record_then_replay,
@@ -131,8 +134,8 @@ def test_recordings_built_once_and_reused(benchmark, tmp_path_factory):
     assert first.executed == 4              # 2 colo + 2 pil points
     assert again.memo_built == 0            # recordings reloaded from disk
     assert again.memo_reused == 2
+    assert again.executed == 2              # fresh replays, old recordings
     for result in again.results:
-        assert result.replay["order_enforced"]
         assert result.replay["hit_rate"] > 0.65
 
 

@@ -7,8 +7,7 @@ basic colocation is slow but happens once; every PIL-infused replay after
 that is fast and accurate, so the whole debug loop fits one machine.
 
 This script memoizes the CASSANDRA-3881 scale-out scenario once, then
-replays it several times -- including a replay with recorded-message-order
-enforcement -- and prints the cost of each stage.
+replays it several times, and prints the cost of each stage.
 
 Run:
     python examples/debug_replay_loop.py [nodes] [replays]
@@ -73,16 +72,12 @@ def main() -> None:
     print(f"recorded durations: {low * 1e3:.1f} ms .. {high * 1e3:.1f} ms\n")
 
     for iteration in range(1, replays + 1):
-        enforce = iteration == replays   # last one: order determinism on
         started = time.perf_counter()
-        replay = check.replay(result.db, enforce_order=enforce)
+        replay = check.replay(result.db)
         wall = time.perf_counter() - started
-        label = "ordered" if enforce else "free   "
-        print(f"replay #{iteration} ({label}): {wall:6.1f}s host wall, "
+        print(f"replay #{iteration}: {wall:6.1f}s host wall, "
               f"{replay.report.flaps} flaps, hit rate "
-              f"{replay.hit_rate:.0%}"
-              + (f", {replay.order_released} deliveries in recorded order"
-                 if enforce else ""))
+              f"{replay.hit_rate:.0%}")
 
     _instrumented_replay(check, result.db)
 

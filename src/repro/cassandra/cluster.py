@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 from ..sim.cpu import CpuModel, DedicatedCpu, SharedCpu
 from ..sim.kernel import KernelObserver, Simulator
 from ..sim.memory import GB, MachineMemory, NodeMemoryProfile, OutOfMemoryError, single_process_profile
-from ..sim.network import LatencyModel, Network, OrderEnforcer
+from ..sim.network import LatencyModel, Network
 from .bugs import BugConfig, get_bug
 from .gossip import GossipConfig
 from .metrics import (
@@ -128,8 +128,8 @@ class Cluster:
 
     Two seams let :mod:`repro.cassandra.partition` split one scenario
     across several clusters: ``network`` builds the fabric for this
-    cluster's simulator (default: a :class:`~repro.sim.network.Network`
-    honouring ``order_enforcer``) and ``hosts`` says which member ids
+    cluster's simulator (default: a :class:`~repro.sim.network.Network`)
+    and ``hosts`` says which member ids
     live here.  The rest are *remote*: known through gossip state,
     reached through the fabric, never built, crashed or reported here.
     """
@@ -138,7 +138,6 @@ class Cluster:
         self,
         config: ClusterConfig,
         executor: Optional[CalcExecutor] = None,
-        order_enforcer: Optional[OrderEnforcer] = None,
         observer: Optional[KernelObserver] = None,
         network: Optional[Callable[[Simulator], Network]] = None,
         hosts: Callable[[str], bool] = lambda node_id: True,
@@ -149,8 +148,7 @@ class Cluster:
         if observer is not None:
             observer.attach(self.sim)
         self.network = (network(self.sim) if network is not None
-                        else Network(self.sim, latency=config.latency,
-                                     enforcer=order_enforcer))
+                        else Network(self.sim, latency=config.latency))
         self.hosts = hosts
         self.flaps = FlapCounter()
         self.calc_records: List[CalcRecord] = []

@@ -338,7 +338,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             chaos_seeds=(args.chaos_seeds if args.chaos_seeds
                          else [None]),
             chaos_events=args.chaos_events,
-            enforce_order=args.enforce_order,
             vnodes=args.vnodes,
             workloads=(args.workloads if args.workloads else [None]),
             users=(args.users if args.users else [None]),
@@ -759,8 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--chaos-seeds", type=int, nargs="*", default=None,
                        help="chaos-generator seeds (omit for fault-free)")
     sweep.add_argument("--chaos-events", type=int, default=8)
-    sweep.add_argument("--enforce-order", action="store_true",
-                       help="enforce recorded message order during replays")
     sweep.add_argument("--vnodes", type=int, default=None,
                        help="override the bugs' vnode counts (affordability)")
     sweep.add_argument("--workloads", nargs="*", default=None,

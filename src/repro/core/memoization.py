@@ -2,9 +2,9 @@
 
 During the one-time *basic colocation* run, every PIL-replaced function
 invocation records an ``(input, output, duration)`` triple -- the paper's
-in-situ time recording -- plus the global message-delivery order ("order
-determinism").  PIL-infused replay then substitutes each invocation with
-``sleep(duration)`` and the recorded output.
+in-situ time recording.  PIL-infused replay then substitutes each
+invocation with ``sleep(duration)`` and the recorded output.  The
+message-delivery order is not recorded (DESIGN.md section 1, step (d)).
 
 Keys are *content* keys (e.g. the ring table's stable hash), so records are
 shared across nodes whose state has converged -- this is what keeps the
@@ -25,7 +25,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..canonical import atomic_write_text, canonical_json, sha256_hex
 
@@ -54,7 +54,7 @@ class MemoRecord:
 
 
 class MemoDB:
-    """Input-keyed store of memo records plus the recorded message order.
+    """Input-keyed store of memo records.
 
     The processing illusion is only safe for *input-deterministic*
     functions (the paper's PIL-safety rule): a repeat invocation whose
@@ -68,7 +68,6 @@ class MemoDB:
 
     def __init__(self) -> None:
         self._records: Dict[Tuple[str, str], MemoRecord] = {}
-        self.message_order: List[str] = []
         self.meta: Dict[str, Any] = {}
         self.lookups = 0
         self.hits = 0
@@ -129,10 +128,6 @@ class MemoDB:
         existing.samples += 1
         existing.duration = total / existing.samples
         return existing
-
-    def record_message_order(self, delivery_log: Iterable[str]) -> None:
-        """Store the recorded global delivery order."""
-        self.message_order = list(delivery_log)
 
     # -- lookup --------------------------------------------------------------------
 
@@ -200,7 +195,6 @@ class MemoDB:
         return {
             "format": MEMO_FORMAT,
             "meta": self.meta,
-            "message_order": self.message_order,
             "records": [self._record_payload(self._records[key])
                         for key in sorted(self._records)],
             "conflicts": self.conflicts,
@@ -223,7 +217,6 @@ class MemoDB:
                              f"(expected {MEMO_FORMAT!r})")
         db = cls()
         db.meta = dict(payload.get("meta", {}))
-        db.message_order = list(payload.get("message_order", []))
         for item in payload.get("records", []):
             record = MemoRecord(**item)
             db._records[record.key()] = record
@@ -243,7 +236,7 @@ class MemoDB:
         return sha256_hex(canonical_json(self.to_payload()))
 
     def save(self, path) -> str:
-        """Serialize to JSON (records, message order, metadata, conflicts)
+        """Serialize to JSON (records, metadata, conflicts)
         and return the :meth:`digest` of what was written, both made from
         one payload.
 

@@ -92,7 +92,6 @@ def render_memo_summary(db: MemoDB) -> str:
         f"memo DB: {len(db)} distinct inputs, {db.total_samples()} samples",
         f"functions: {', '.join(db.func_ids()) or '(none)'}",
         f"recorded durations: {low:.4f}s .. {high:.4f}s",
-        f"message order: {len(db.message_order)} deliveries recorded",
     ]
     conflicts = getattr(db, "conflicts", 0)
     if conflicts:

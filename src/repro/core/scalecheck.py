@@ -9,11 +9,12 @@ scenario:
   over the calculation corpus;
 * steps (c)+(d) -- :meth:`ScaleCheck.memoize` executes the protocol once
   under basic colocation with recording executors, producing a
-  :class:`~repro.core.memoization.MemoDB` (including the message order);
+  :class:`~repro.core.memoization.MemoDB` of in-situ durations and outputs;
 * steps (e)+(f) -- :meth:`ScaleCheck.replay` runs fast PIL-infused replays:
   offending calculations become contention-free sleeps with memoized
-  outputs, and (optionally) message deliveries are released in the recorded
-  global order ("order determinism").
+  outputs.  The message order is not recorded: releasing deliveries in the
+  colocated run's global order made a replay flap far more than the real
+  run it stands in for (EXPERIMENTS.md, X-ORDER).
 
 For the paper's accuracy evaluation (Figure 3), :meth:`ScaleCheck.run_real`
 and :meth:`ScaleCheck.run_colo` produce the "Real" and "Colo" baselines and
@@ -30,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..cassandra import legacy_calc
 from ..cassandra.bugs import BugConfig, get_bug
@@ -43,7 +44,6 @@ from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
 from ..faults.schedule import FaultSchedule
 from ..sim.kernel import KernelObserver
-from ..sim.network import OrderEnforcer
 from .finder import FinderReport, find_offending
 from .memoization import MemoDB
 from .pil import MemoizingExecutor, PilReplayExecutor
@@ -52,7 +52,7 @@ from .target import Target, target_for
 
 @dataclass
 class ReplayResult:
-    """A completed replay with its determinism diagnostics.
+    """A completed replay and its memo lookup counts.
 
     ``hit_rate`` is derived from ``hits``/``misses`` rather than stored, so
     it can never disagree with the counts and never divides by zero: a
@@ -62,10 +62,6 @@ class ReplayResult:
     report: RunReport
     hits: int
     misses: int
-    order_enforced: bool
-    order_released: int = 0
-    order_skipped: int = 0
-    order_parked_at_end: int = 0
     hit_rate: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -79,10 +75,6 @@ class ReplayResult:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,
-            "order_enforced": self.order_enforced,
-            "order_released": self.order_released,
-            "order_skipped": self.order_skipped,
-            "order_parked_at_end": self.order_parked_at_end,
         }
 
 
@@ -174,31 +166,17 @@ class ScaleCheck:
 
     def _run(self, mode: Mode, faults: Optional[FaultSchedule],
              observer: Optional[KernelObserver] = None,
-             executor: Optional[CalcExecutor] = None,
-             enforcer: Optional[OrderEnforcer] = None,
-             log_deliveries: bool = False) -> Tuple[Any, RunReport]:
-        """Build the target's cluster for ``mode`` and run its scenario;
-        returns ``(cluster, report)``.
-
-        An ``enforcer`` releases deliveries in its recorded order, with its
-        watchdog running alongside so a replay that diverges from the
-        recording skips the messages that never come instead of stalling.
-        ``log_deliveries`` keeps the network's delivery log.
-        """
+             executor: Optional[CalcExecutor] = None) -> RunReport:
+        """Build the target's cluster for ``mode`` and run its scenario."""
         self._release_previous_cluster()
         target = self.target
-        cluster = target.cluster(self.config(mode), observer=observer,
-                                 order_enforcer=enforcer)
+        cluster = target.cluster(self.config(mode), observer=observer)
         if executor is not None:
             cluster.executor = executor
-        if log_deliveries:
-            cluster.network.delivery_log = []
         if isinstance(cluster, Cluster):
             cluster.output_cache = self._outputs
         install_faults(cluster, faults)
-        if enforcer is not None:
-            cluster.sim.spawn(enforcer.watchdog(), name="order-watchdog")
-        return cluster, target.run(cluster, self.params)
+        return target.run(cluster, self.params)
 
     def _release_previous_cluster(self) -> None:
         """Called before each run builds its cluster: the previous run's
@@ -219,12 +197,12 @@ class ScaleCheck:
     def run_real(self, faults: Optional[FaultSchedule] = None,
                  observer: Optional[KernelObserver] = None) -> RunReport:
         """Real-scale testing: every node on its own (simulated) machine."""
-        return self._run(Mode.REAL, faults, observer)[1]
+        return self._run(Mode.REAL, faults, observer)
 
     def run_colo(self, faults: Optional[FaultSchedule] = None,
                  observer: Optional[KernelObserver] = None) -> RunReport:
         """Basic colocation: all nodes contend on one machine, no PIL."""
-        return self._run(Mode.COLO, faults, observer)[1]
+        return self._run(Mode.COLO, faults, observer)
 
     # -- steps (c)+(d): memoization under basic colocation -------------------------------
 
@@ -235,9 +213,7 @@ class ScaleCheck:
         target = self.target
         executor = MemoizingExecutor(db, func_id=target.func_id,
                                      codec=target.codec)
-        cluster, report = self._run(Mode.COLO, faults, executor=executor,
-                                    log_deliveries=True)
-        db.record_message_order(cluster.network.delivery_log)
+        report = self._run(Mode.COLO, faults, executor=executor)
         db.meta.update({
             "bug": self.bug_id,
             "nodes": self.nodes,
@@ -252,8 +228,7 @@ class ScaleCheck:
         return ScaleCheckResult(
             bug_id=self.bug_id, nodes=self.nodes,
             memo_report=report,
-            replay=ReplayResult(report=report, hits=0, misses=0,
-                                order_enforced=False),
+            replay=ReplayResult(report=report, hits=0, misses=0),
             db=db,
         )
 
@@ -262,29 +237,20 @@ class ScaleCheck:
     def replay(
         self,
         db: MemoDB,
-        enforce_order: bool = False,
         faults: Optional[FaultSchedule] = None,
     ) -> ReplayResult:
         """Switch to replay mode / perform a replay.
 
         Passing the same ``faults`` schedule used for the memoization run
         replays the chaos deterministically under PIL: the injector fires
-        at identical virtual times in both runs.  ``enforce_order`` releases
-        message deliveries in the order ``db`` recorded.
+        at identical virtual times in both runs.
         """
         target = self.target
         executor = PilReplayExecutor(db, func_id=target.func_id,
                                      codec=target.codec)
-        enforcer = OrderEnforcer(db.message_order) if enforce_order else None
-        report = self._run(Mode.PIL, faults, executor=executor,
-                           enforcer=enforcer)[1]
-        return ReplayResult(
-            report=report, hits=executor.hits, misses=executor.misses,
-            order_enforced=enforce_order,
-            order_released=enforcer.released_in_order if enforcer else 0,
-            order_skipped=enforcer.skips if enforcer else 0,
-            order_parked_at_end=enforcer.parked_count if enforcer else 0,
-        )
+        report = self._run(Mode.PIL, faults, executor=executor)
+        return ReplayResult(report=report, hits=executor.hits,
+                            misses=executor.misses)
 
     # -- the whole pipeline ----------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """The target-system seam: what scale-check needs to know about a system.
 
 The paper's section 7 asks to "integrate the process to other distributed
-systems beyond Cassandra".  Memoizing under colocation, PIL replay, order
-enforcement, fault injection and sweeping are the same for every system;
-what differs fits in one :class:`Target` record, and
+systems beyond Cassandra".  Memoizing under colocation, PIL replay, fault
+injection and sweeping are the same for every system; what differs fits
+in one :class:`Target` record, and
 :class:`~repro.core.scalecheck.ScaleCheck` (every run, PIL replay
 included) and the sweep engine go through it.  There are two values:
 :data:`CASSANDRA` here and ``repro.hdfs.HDFS_TARGET``.
@@ -33,9 +33,8 @@ class Target:
 
     #: ``(check, mode) -> config`` of one :class:`ScaleCheck` run.
     config: Callable[[Any, Mode], Any]
-    #: ``(config, order_enforcer=, observer=) -> cluster``.  The cluster has
-    #: ``sim``, a ``network`` with a settable ``delivery_log``, a settable
-    #: ``executor`` and the fault-injection hooks.
+    #: ``(config, observer=) -> cluster``.  The cluster has ``sim``, a
+    #: ``network``, a settable ``executor`` and the fault-injection hooks.
     cluster: Callable[..., Any]
     #: ``(cluster, params) -> RunReport``: the scenario under test.
     run: Callable[[Any, ScenarioParams], RunReport]

@@ -24,7 +24,7 @@ from ..sim.cpu import DedicatedCpu, SharedCpu
 from ..sim.disk import DataEmulationPolicy, Disk
 from ..sim.kernel import KernelObserver, Simulator
 from ..sim.memory import GB, MB
-from ..sim.network import LatencyModel, Network, OrderEnforcer
+from ..sim.network import LatencyModel, Network
 from .datanode import DataNode, DataNodeCosts
 from .namenode import HdfsCosts, NameNode
 
@@ -63,21 +63,18 @@ class HdfsConfig:
 class HdfsCluster:
     """A namenode plus N datanodes under one execution mode.
 
-    Offers the seams scale-check uses on a Cassandra cluster: a settable
-    :attr:`executor` (the namenode's block-report processing) and an
-    ``order_enforcer`` for the network.
+    Offers the seam scale-check uses on a Cassandra cluster: a settable
+    :attr:`executor` (the namenode's block-report processing).
     """
 
     def __init__(self, config: HdfsConfig,
                  executor: Optional[CalcExecutor] = None,
-                 order_enforcer: Optional[OrderEnforcer] = None,
                  observer: Optional[KernelObserver] = None) -> None:
         self.config = config
         self.sim = Simulator(seed=config.seed)
         if observer is not None:
             observer.attach(self.sim)
-        self.network = Network(self.sim, latency=LatencyModel(),
-                               enforcer=order_enforcer)
+        self.network = Network(self.sim, latency=LatencyModel())
         self.flaps = FlapCounter()
         self.calc_records: List[CalcRecord] = []
         self._shared_cpu: Optional[SharedCpu] = None

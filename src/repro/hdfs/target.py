@@ -4,7 +4,7 @@ The paper's future work is to "integrate the process to other distributed
 systems beyond Cassandra".  This record is that whole integration:
 ``ScaleCheck(HDFS_BUG_ID, nodes=..., vnodes=..., params=...)`` runs the
 block-report cold-start storm through the same memoize, PIL replay,
-fault, order-enforcement and sweep paths as a Cassandra bug.  The
+fault and sweep paths as a Cassandra bug.  The
 mapping: ``nodes`` are datanodes, ``vnodes`` blocks per datanode (None
 keeps :class:`HdfsConfig`'s 10,000) and ``params.observe`` the cold-start
 window.

@@ -38,7 +38,7 @@ from .memory import (
     OutOfMemoryError,
     single_process_profile,
 )
-from .network import LatencyModel, Message, Network, OrderEnforcer
+from .network import LatencyModel, Message, Network
 from .rng import SplittableRng, derive_seed
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "Message",
     "Network",
     "NodeMemoryProfile",
-    "OrderEnforcer",
     "OutOfMemoryError",
     "PilCpu",
     "Process",

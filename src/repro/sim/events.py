@@ -2,10 +2,10 @@
 
 The kernel (:mod:`repro.sim.kernel`) is a classic event-queue simulator:
 every state change in a simulated cluster is an :class:`Event` with a virtual
-firing time.  Determinism is load-bearing for this project -- the paper's
-"order determinism" (section 5) requires that a replayed run observes exactly
-the event order of the recorded run -- so ties are broken by an explicit
-``(time, priority, seq)`` triple and never by object identity or hash order.
+firing time.  Determinism is load-bearing for this project -- the same seed
+and inputs must give the same event order in every process -- so ties are
+broken by an explicit ``(time, priority, seq)`` triple and never by object
+identity or hash order.
 
 There is one queue, :class:`EventQueue`: a binary heap with lazy
 cancellation and compaction.  Because the ``(time, priority, seq)`` keys

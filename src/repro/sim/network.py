@@ -1,25 +1,19 @@
 """Point-to-point messaging between simulated nodes.
 
 Messages are delivered into per-node inbox :class:`~repro.sim.kernel.Channel`
-objects after a configurable latency.  Two features exist specifically for
-the paper's mechanism:
-
-* every message has a *deterministic message key*; a run that sets
-  ``delivery_log`` to a list (the memoization run does) has each delivery's
-  key appended to it, which is what the recording keeps as the message
-  ordering;
-* :class:`OrderEnforcer` lets a PIL replay hold back deliveries so they are
-  released exactly in a previously recorded order ("order determinism",
-  section 5) even though PIL-substituted durations shift the raw timing.
+objects after a configurable latency.  Every message has a *deterministic
+message key*; a run that sets ``delivery_log`` to a list has each delivery's
+key appended to it, which is how tests check that two runs delivered the
+same messages in the same order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from .kernel import Channel, Simulator, Timeout
+from .kernel import Channel, Simulator
 
 
 @dataclass
@@ -53,105 +47,6 @@ class LatencyModel:
         return self.base + sim.rng.uniform("net-jitter", 0.0, self.jitter)
 
 
-class OrderEnforcer:
-    """Releases deliveries in a previously recorded global order.
-
-    The enforcer is given the recorded sequence of message keys.  When a
-    message becomes deliverable, it is released only if its key is the next
-    unreleased recorded key; otherwise it parks until its turn.  Keys absent
-    from the recording (messages the recorded run never saw) are released
-    immediately -- the cache-miss policy that keeps replay live when code
-    under debug changes slightly.
-    """
-
-    def __init__(self, recorded_order: List[str]) -> None:
-        self._positions: Dict[str, int] = {}
-        for idx, key in enumerate(recorded_order):
-            # first occurrence wins; keys are unique by construction
-            self._positions.setdefault(key, idx)
-        self._order = recorded_order
-        self._cursor = 0
-        self._parked: Dict[str, Tuple[Message, Callable[[Message], None]]] = {}
-        self._skipped: set = set()
-        self.released_in_order = 0
-        self.released_unrecorded = 0
-        self.skips = 0
-
-    def offer(self, message: Message, deliver: Callable[[Message], None]) -> None:
-        """Deliver now or park until the recorded order permits."""
-        if message.key not in self._positions or message.key in self._skipped:
-            self.released_unrecorded += 1
-            deliver(message)
-            return
-        self._parked[message.key] = (message, deliver)
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._cursor < len(self._order):
-            key = self._order[self._cursor]
-            if key in self._skipped:
-                self._cursor += 1
-                continue
-            if key not in self._parked:
-                break
-            message, deliver = self._parked.pop(key)
-            self._cursor += 1
-            self.released_in_order += 1
-            deliver(message)
-
-    def skip_stalled(self) -> int:
-        """Unblock a stalled replay: skip recorded keys that have not been
-        produced, up to the next one that is parked and deliverable.
-
-        A replayed run whose code under debug changed slightly may never
-        produce some recorded messages; a strict enforcer would park all
-        their successors forever.  Skipped keys are remembered, so if the
-        message materializes later it is released immediately.  Returns the
-        number of keys skipped.
-        """
-        skipped = 0
-        while self._cursor < len(self._order):
-            key = self._order[self._cursor]
-            if key in self._parked:
-                break
-            self._skipped.add(key)
-            self._cursor += 1
-            skipped += 1
-        self.skips += skipped
-        if skipped:
-            self._drain()
-        return skipped
-
-    def watchdog(self):
-        """Kernel process: skip past recorded-but-missing messages whenever
-        the replay stalls (checked once per virtual second).
-
-        A replay that diverges from the recording (changed code, different
-        timing) keeps producing messages the recording never saw while
-        some recorded keys never materialize; skipping eagerly on every
-        stalled tick keeps gossip live instead of strangling it behind a
-        head-of-line blockage.
-        """
-        while True:
-            yield Timeout(1.0)
-            if self.stalled:
-                self.skip_stalled()
-
-    @property
-    def parked_count(self) -> int:
-        """Messages currently held back by the enforcer."""
-        return len(self._parked)
-
-    @property
-    def stalled(self) -> bool:
-        """True when parked messages exist but none is the next in order."""
-        if not self._parked:
-            return False
-        if self._cursor >= len(self._order):
-            return False
-        return self._order[self._cursor] not in self._parked
-
-
 class Network:
     """The cluster message fabric.
 
@@ -170,13 +65,10 @@ class Network:
         self,
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
-        enforcer: Optional[OrderEnforcer] = None,
     ) -> None:
         self.sim = sim
         self.latency = latency if latency is not None else LatencyModel()
-        self.enforcer = enforcer
         self._inboxes: Dict[str, Channel] = {}
-        self._known_cache: Optional[List[str]] = None
         self._seq: Dict[Tuple[str, str, str], int] = defaultdict(int)
         self._down: set = set()
         self._cut_pairs: set = set()
@@ -223,23 +115,10 @@ class Network:
         if node_id in self._inboxes:
             raise ValueError(f"duplicate node id {node_id!r}")
         self._inboxes[node_id] = inbox
-        self._known_cache = None
 
     def deregister(self, node_id: str) -> None:
         """Remove an address (idempotent)."""
         self._inboxes.pop(node_id, None)
-        self._known_cache = None
-
-    def known_nodes(self) -> List[str]:
-        """All registered addresses, sorted (treat as read-only).
-
-        Cached between membership changes; re-sorting per call showed up in
-        large-N profiles.
-        """
-        cache = self._known_cache
-        if cache is None:
-            cache = self._known_cache = sorted(self._inboxes)
-        return cache
 
     # -- failure injection ----------------------------------------------------
 
@@ -294,10 +173,6 @@ class Network:
             self._degraded.pop((src, dst), None)
         else:
             self._degraded[(src, dst)] = (drop_p, latency_mult)
-
-    def degraded_links(self) -> Dict[Tuple[str, str], Tuple[float, float]]:
-        """Currently degraded links: ``(src, dst) -> (drop_p, latency_mult)``."""
-        return dict(self._degraded)
 
     # -- sending --------------------------------------------------------------
 
@@ -359,10 +234,7 @@ class Network:
         if message.dst not in self._inboxes:
             self.dropped_unknown_dst += 1
             return
-        if self.enforcer is not None:
-            self.enforcer.offer(message, self._deliver)
-        else:
-            self._deliver(message)
+        self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
         inbox = self._inboxes.get(message.dst)

@@ -166,12 +166,3 @@ class ShardFabric(Network):
                                              flight[1].key)):
             schedule(arrival - now, lambda m=message: arrive(m),
                      tag=message.key)
-
-    def _arrive(self, message: Message) -> None:
-        if message.dst in self._down:
-            self.dropped_down += 1
-            return
-        if message.dst not in self._inboxes:
-            self.dropped_unknown_dst += 1
-            return
-        self._deliver(message)

@@ -119,13 +119,11 @@ def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
             "samples": db.total_samples(),
             "duration_min": low,
             "duration_max": high,
-            "message_order": len(db.message_order),
             "conflicts": db.conflicts,
         }
     elif kind == "replay":
         db = MemoDB.load(payload["memo_path"])
-        replay = check.replay(db, enforce_order=point.enforce_order,
-                              faults=faults)
+        replay = check.replay(db, faults=faults)
         out["report"] = replay.report.to_dict()
         out["replay"] = replay.to_dict()
         out["memo_digest"] = payload.get("memo_digest", "")
@@ -376,7 +374,7 @@ def run_sweep(
         )
         if needs_recording:
             memo_point = SweepPoint.from_dict(
-                dict(point.to_dict(), mode="colo", enforce_order=False))
+                dict(point.to_dict(), mode="colo"))
             job = base_payload(memo_point, "memo", key_for(memo_point))
             job["identity_key"] = identity
             job["memo_path"] = str(cache.memo_path(identity))

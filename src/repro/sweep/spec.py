@@ -28,6 +28,15 @@ SPEC_FORMAT = "repro-sweep-spec-v1"
 MODES = ("real", "colo", "pil")
 
 
+def _refuse_enforced_order(data: Dict[str, Any]) -> None:
+    """Reject a saved spec or point that asks for the deleted order-enforced
+    replay.  ``"enforce_order": false`` still loads: every spec saved
+    before the mode was deleted carries it."""
+    if data.get("enforce_order"):
+        raise ValueError("order-enforced replay (enforce_order) was removed; "
+                         "PIL replay runs unordered")
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One grid point: a single scenario run the executor can dispatch."""
@@ -41,7 +50,6 @@ class SweepPoint:
     #: seed, and event budget -> same digest), so specs stay small.
     chaos_seed: Optional[int] = None
     chaos_events: int = 8
-    enforce_order: bool = False
     #: Optional vnode-count override (affordability at large N).
     vnodes: Optional[int] = None
     #: Workload preset name (``repro.workload.scenarios.PRESETS``); None
@@ -76,8 +84,6 @@ class SweepPoint:
                  self.mode]
         if self.chaos_seed is not None:
             parts.append(f"chaos{self.chaos_seed}")
-        if self.enforce_order:
-            parts.append("ordered")
         if self.vnodes is not None:
             parts.append(f"P={self.vnodes}")
         if self.workload is not None:
@@ -97,7 +103,6 @@ class SweepPoint:
             "mode": self.mode,
             "chaos_seed": self.chaos_seed,
             "chaos_events": self.chaos_events,
-            "enforce_order": self.enforce_order,
             "vnodes": self.vnodes,
             "workload": self.workload,
             "users": self.users,
@@ -107,6 +112,7 @@ class SweepPoint:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SweepPoint":
         """Inverse of :meth:`to_dict`."""
+        _refuse_enforced_order(data)
         return cls(
             bug_id=str(data["bug"]),
             nodes=int(data["nodes"]),
@@ -115,7 +121,6 @@ class SweepPoint:
             chaos_seed=(None if data.get("chaos_seed") is None
                         else int(data["chaos_seed"])),
             chaos_events=int(data.get("chaos_events", 8)),
-            enforce_order=bool(data.get("enforce_order", False)),
             vnodes=(None if data.get("vnodes") is None
                     else int(data["vnodes"])),
             workload=(None if data.get("workload") is None
@@ -129,13 +134,12 @@ class SweepPoint:
     def memo_identity(self) -> Dict[str, Any]:
         """The part of the identity the basic-colocation recording depends on.
 
-        Mode and order enforcement are *replay-side* knobs: every mode of
-        the same scenario shares one recording, which is exactly why the
-        sweep writes it once and reloads it everywhere.
+        Mode is a *replay-side* knob: every mode of the same scenario shares
+        one recording, which is exactly why the sweep writes it once and
+        reloads it everywhere.
         """
         data = self.to_dict()
         del data["mode"]
-        del data["enforce_order"]
         return data
 
 
@@ -149,7 +153,6 @@ class SweepSpec:
     modes: List[str] = field(default_factory=lambda: ["pil"])
     chaos_seeds: List[Optional[int]] = field(default_factory=lambda: [None])
     chaos_events: int = 8
-    enforce_order: bool = False
     vnodes: Optional[int] = None
     #: Workload-preset axis; ``None`` entries run the plain membership
     #: scenario.  The ``users``/``consistencies`` axes only multiply under
@@ -200,7 +203,6 @@ class SweepSpec:
                                         seed=seed, mode=mode,
                                         chaos_seed=chaos_seed,
                                         chaos_events=self.chaos_events,
-                                        enforce_order=self.enforce_order,
                                         vnodes=self.vnodes,
                                         workload=workload, users=users,
                                         consistency=consistency,
@@ -223,7 +225,6 @@ class SweepSpec:
             "modes": list(self.modes),
             "chaos_seeds": list(self.chaos_seeds),
             "chaos_events": self.chaos_events,
-            "enforce_order": self.enforce_order,
             "vnodes": self.vnodes,
             "workloads": list(self.workloads),
             "users": list(self.users),
@@ -237,6 +238,7 @@ class SweepSpec:
         if fmt != SPEC_FORMAT:
             raise ValueError(f"unknown sweep-spec format {fmt!r} "
                              f"(expected {SPEC_FORMAT!r})")
+        _refuse_enforced_order(data)
         return cls(
             bugs=[str(b) for b in data["bugs"]],
             scales=[int(n) for n in data["scales"]],
@@ -245,7 +247,6 @@ class SweepSpec:
             chaos_seeds=[None if c is None else int(c)
                          for c in data.get("chaos_seeds", [None])],
             chaos_events=int(data.get("chaos_events", 8)),
-            enforce_order=bool(data.get("enforce_order", False)),
             vnodes=(None if data.get("vnodes") is None
                     else int(data["vnodes"])),
             workloads=[None if w is None else str(w)

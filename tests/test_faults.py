@@ -170,10 +170,17 @@ def test_degrade_latency_multiplier_delays_delivery():
 
 def test_degrade_restore_clears_entry():
     sim, net = make_net()
-    net.degrade("a", "b", drop_p=0.5, latency_mult=2.0)
-    assert ("a", "b") in net.degraded_links()
+    got = []
+    collect_inbox(sim, net, "b", got)
+    net.degrade("a", "b", drop_p=1.0, latency_mult=2.0)
+    assert net.send("a", "b", "ping", "degraded") is None
+    assert net.dropped_degraded == 1
     net.degrade("a", "b", drop_p=0.0, latency_mult=1.0)
-    assert net.degraded_links() == {}
+    net.send("a", "b", "ping", "restored")
+    sim.run()
+    assert [m.payload for m in got] == ["restored"]
+    assert sim.now == pytest.approx(0.001)       # base latency, not 2x
+    assert net.dropped_degraded == 1
 
 
 def test_degrade_rejects_bad_ranges():
@@ -280,7 +287,6 @@ def test_injector_link_degrade_duration_restores():
     cluster.sim.run(until=10.0)
     assert [m.payload for m in got] == ["after"]
     assert net.dropped_degraded == 1
-    assert net.degraded_links() == {}
 
 
 def test_injector_disk_degrade_throttles_and_restores():

@@ -5,8 +5,8 @@ HDFS used to run through a scale-check class of its own.
 before it was deleted; ``ScaleCheck(HDFS_BUG_ID, ...)`` must reproduce it
 through the target seam.  Each cell pins the canonical report of the real
 run, the memoizing colo run and the PIL replay, the replay's hits and
-misses, and the recording's records and message order (its meta is not
-pinned: its keys are ScaleCheck's now).  The ladder pins what ``repro
+misses, and the recording's records (its meta is not pinned: its keys
+are ScaleCheck's now).  The ladder pins what ``repro
 hunt``'s HDFS probe ran: real at 8/16/32/64 datanodes and colo at 64.
 """
 
@@ -52,7 +52,6 @@ def test_scalecheck_reproduces_the_hdfs_golden(golden, nodes, blocks, seed,
         "misses": result.replay.misses,
         "db_len": len(result.db),
         "db_records": sha256_hex(canonical_json(payload["records"])),
-        "message_order": sha256_hex(canonical_json(payload["message_order"])),
         "flaps": {"real": real.flaps, "colo": result.memo_report.flaps,
                   "pil": result.replay_report.flaps},
     } == expected

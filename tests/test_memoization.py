@@ -79,16 +79,20 @@ def test_hit_rate_tracking():
 
 
 def test_message_order_recording():
+    """A recording keeps no message order: none is written, and the one a
+    recording saved with it carries is dropped on load."""
     db = MemoDB()
-    db.record_message_order(iter(["k1", "k2"]))
-    assert db.message_order == ["k1", "k2"]
+    db.put("f", "a", 1, 0.1)
+    payload = db.to_payload()
+    assert "message_order" not in payload
+    loaded = MemoDB.from_payload(dict(payload, message_order=["k1", "k2"]))
+    assert loaded.to_payload() == payload
 
 
 def test_save_load_roundtrip(tmp_path):
     db = MemoDB()
     db.put("f", "a", {"x": [1, 2]}, 0.25, node_id="n1", time=3.5)
     db.put("f", "b", "str-output", 1.5)
-    db.record_message_order(["m1", "m2"])
     db.meta["bug"] = "c3831"
     path = tmp_path / "memo.json"
     db.save(path)
@@ -96,7 +100,6 @@ def test_save_load_roundtrip(tmp_path):
     assert len(loaded) == 2
     assert loaded.get("f", "a").output == {"x": [1, 2]}
     assert loaded.get("f", "a").duration == 0.25
-    assert loaded.message_order == ["m1", "m2"]
     assert loaded.meta["bug"] == "c3831"
 
 

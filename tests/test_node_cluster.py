@@ -160,7 +160,10 @@ def test_node_stop_is_idempotent_and_detaches():
     node.stop()
     node.stop()
     assert not node.running
-    assert node_name(0) not in cluster.network.known_nodes()
+    network = cluster.network
+    before = network.dropped_unknown_dst
+    assert network.send(node_name(1), node_name(0), "probe", None) is None
+    assert network.dropped_unknown_dst == before + 1
 
 
 def test_duplicate_node_id_rejected():

@@ -37,9 +37,7 @@ def memoized_run(bug_id="c3831", nodes=8, seed=5):
                                    seed=seed)
     cluster = Cluster(config)
     cluster.executor = MemoizingExecutor(db)
-    cluster.network.delivery_log = []
     report = run_decommission(cluster, FAST)
-    db.record_message_order(cluster.network.delivery_log)
     return db, report, cluster
 
 

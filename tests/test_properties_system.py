@@ -1,9 +1,8 @@
-"""System-level property tests: conservation, convergence, ordering.
+"""System-level property tests: conservation, convergence, replay outputs.
 
 These pin the invariants the whole reproduction rests on: the CPU models
-conserve work, gossip converges regardless of topology/seed, the order
-enforcer realizes any recorded permutation, and PIL replay preserves
-output equality for arbitrary ring configurations.
+conserve work, gossip converges regardless of topology/seed, and PIL
+replay preserves output equality for arbitrary ring configurations.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.cassandra import Cluster, ClusterConfig, Mode
 from repro.cassandra.cluster import node_name
 from repro.sim import (
     Compute,
-    OrderEnforcer,
     ProcessorSharingCpu,
     Simulator,
 )
@@ -87,50 +85,6 @@ class TestGossipConvergenceProperty:
             observe=60.0, join_duration=6.0, bootstrap_stagger=2.0))
         for node in cluster.nodes.values():
             assert len(node.metadata.normal_endpoints()) == 6
-
-
-class TestOrderEnforcerProperty:
-    @given(permutation=st.permutations(list(range(12))))
-    @settings(max_examples=50)
-    def test_property_any_recorded_order_is_realized(self, permutation):
-        """Whatever order messages arrive in, release follows the record."""
-        recorded = [f"k{i}" for i in range(12)]
-        enforcer = OrderEnforcer(recorded)
-        released = []
-
-        class Msg:
-            def __init__(self, key):
-                self.key = key
-
-        for index in permutation:
-            enforcer.offer(Msg(f"k{index}"), lambda m: released.append(m.key))
-        assert released == recorded
-        assert enforcer.parked_count == 0
-
-    @given(recorded_count=st.integers(min_value=1, max_value=10),
-           missing=st.integers(min_value=0, max_value=9))
-    @settings(max_examples=40)
-    def test_property_skip_always_restores_liveness(self, recorded_count,
-                                                    missing):
-        """However many recorded keys never materialize, skipping drains
-        every parked message."""
-        missing = min(missing, recorded_count - 1) if recorded_count > 1 else 0
-        recorded = [f"k{i}" for i in range(recorded_count)]
-        enforcer = OrderEnforcer(recorded)
-        released = []
-
-        class Msg:
-            def __init__(self, key):
-                self.key = key
-
-        # Offer all but the first `missing` keys.
-        for key in recorded[missing:]:
-            enforcer.offer(Msg(key), lambda m: released.append(m.key))
-        while enforcer.parked_count:
-            before = enforcer.parked_count
-            enforcer.skip_stalled()
-            assert enforcer.parked_count < before or not enforcer.stalled
-        assert sorted(released) == sorted(recorded[missing:])
 
 
 class TestReplayOutputEqualityProperty:

@@ -29,7 +29,6 @@ def test_memoize_produces_db_with_meta(pipeline):
     assert result.db.meta["bug"] == "c3831"
     assert result.db.meta["nodes"] == 8
     assert len(result.db) >= 1
-    assert len(result.db.message_order) > 0
 
 
 def test_replay_has_high_hit_rate(pipeline):
@@ -58,24 +57,6 @@ def test_find_offenders_runs_the_program_analysis(pipeline):
     report = check.find_offenders()
     assert report.offenders()
     assert report.pil_candidates()
-
-
-def test_replay_with_order_enforcement_completes(pipeline):
-    check, result = pipeline
-    replay = check.replay(result.db, enforce_order=True)
-    assert replay.order_enforced
-    # Some messages were released in the recorded order, and the run
-    # completed (watchdog unblocked any divergence).
-    assert replay.order_released > 0
-    assert replay.report.duration == pytest.approx(FAST.warmup + FAST.observe)
-
-
-def test_order_enforcement_ablation_changes_release_counts(pipeline):
-    check, result = pipeline
-    loose = check.replay(result.db, enforce_order=False)
-    strict = check.replay(result.db, enforce_order=True)
-    assert loose.order_released == 0
-    assert strict.order_released > 0
 
 
 def test_scale_check_result_speedup_defined(pipeline):

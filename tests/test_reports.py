@@ -79,7 +79,6 @@ def test_render_memo_summary():
     db = MemoDB()
     db.put("calc", "k1", {}, 0.001)
     db.put("calc", "k2", {}, 4.0)
-    db.record_message_order(["m1"])
     db.meta["bug"] = "c3831"
     text = render_memo_summary(db)
     assert "2 distinct inputs" in text

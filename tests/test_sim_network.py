@@ -1,14 +1,13 @@
-"""Tests for the network: delivery, failure injection, order enforcement."""
+"""Tests for the network: delivery and failure injection."""
 
 import pytest
 
-from repro.sim import Get, LatencyModel, Network, OrderEnforcer, Simulator
+from repro.sim import Get, LatencyModel, Network, Simulator
 
 
-def make_net(seed=1, latency=None, enforcer=None):
+def make_net(seed=1, latency=None):
     sim = Simulator(seed=seed)
-    net = Network(sim, latency=latency or LatencyModel(base=0.001, jitter=0.0),
-                  enforcer=enforcer)
+    net = Network(sim, latency=latency or LatencyModel(base=0.001, jitter=0.0))
     return sim, net
 
 
@@ -109,67 +108,3 @@ def test_delivery_log_records_order():
     net.send("a", "b", "y", None)
     sim.run()
     assert net.delivery_log == ["a>b:x#1", "a>b:y#1"]
-
-
-class TestOrderEnforcer:
-    def test_releases_in_recorded_order(self):
-        enforcer = OrderEnforcer(["k1", "k2", "k3"])
-        released = []
-
-        class Msg:
-            def __init__(self, key):
-                self.key = key
-
-        # Offer out of order: k2 parks until k1 arrives.
-        enforcer.offer(Msg("k2"), lambda m: released.append(m.key))
-        assert released == []
-        assert enforcer.parked_count == 1
-        enforcer.offer(Msg("k1"), lambda m: released.append(m.key))
-        assert released == ["k1", "k2"]
-        enforcer.offer(Msg("k3"), lambda m: released.append(m.key))
-        assert released == ["k1", "k2", "k3"]
-        assert enforcer.released_in_order == 3
-
-    def test_unrecorded_keys_pass_through(self):
-        enforcer = OrderEnforcer(["k1"])
-        released = []
-
-        class Msg:
-            def __init__(self, key):
-                self.key = key
-
-        enforcer.offer(Msg("new"), lambda m: released.append(m.key))
-        assert released == ["new"]
-        assert enforcer.released_unrecorded == 1
-
-    def test_skip_stalled_unblocks_missing_keys(self):
-        enforcer = OrderEnforcer(["never-sent", "k2"])
-        released = []
-
-        class Msg:
-            def __init__(self, key):
-                self.key = key
-
-        enforcer.offer(Msg("k2"), lambda m: released.append(m.key))
-        assert released == []
-        assert enforcer.stalled
-        skipped = enforcer.skip_stalled()
-        assert skipped == 1
-        assert released == ["k2"]
-        # A skipped key arriving late is released immediately.
-        enforcer.offer(Msg("never-sent"), lambda m: released.append(m.key))
-        assert released == ["k2", "never-sent"]
-
-    def test_network_integration_reorders_deliveries(self):
-        # Record an order that reverses the natural send order, then check
-        # the enforcer makes deliveries follow the recording.
-        enforcer = OrderEnforcer(["a>b:m2#1", "a>b:m1#1"])
-        sim = Simulator(seed=1)
-        net = Network(sim, latency=LatencyModel(base=0.001, jitter=0.0),
-                      enforcer=enforcer)
-        got = []
-        collect_inbox(sim, net, "b", got)
-        net.send("a", "b", "m1", None)
-        net.send("a", "b", "m2", None)
-        sim.run()
-        assert [m.kind for m in got] == ["m2", "m1"]

@@ -141,21 +141,44 @@ def test_a_recording_in_an_older_format_is_rerecorded(tmp_path):
     assert db_path.read_text() == raw               # re-recorded in place
 
 
+def test_a_recording_with_a_message_order_is_rerecorded(tmp_path):
+    """A recording saved while recordings kept the delivery order carries a
+    ``"message_order"`` list and a sidecar digest over it.  This version
+    reads it without the order, so its content no longer matches the
+    sidecar: it is counted corrupt and re-recorded, never replayed."""
+    spec = small_spec(modes=["pil"])
+    cold = run_sweep(spec, cache_dir=tmp_path)
+    (db_path,) = (tmp_path / "memo").glob("*.json")
+    raw = db_path.read_text()
+    older = dict(json.loads(raw), message_order=["n0>n1:syn#1",
+                                                 "n1>n0:ack#1"])
+    db_path.write_text(json.dumps(older, indent=1, sort_keys=True))
+    db_path.with_suffix(".digest").write_text(
+        sha256_hex(canonical_json(older)))
+    shutil.rmtree(tmp_path / "results")
+
+    warm = run_sweep(spec, cache_dir=tmp_path)
+    assert warm.memo_built == 1 and warm.memo_reused == 0
+    assert warm.cache_stats["corrupt"] == 1
+    assert warm.table() == cold.table()
+    assert db_path.read_text() == raw               # re-recorded in place
+
+
 def test_recording_is_shared_across_replay_points(tmp_path):
-    """One scenario, many replay knobs: exactly one MemoDB on disk."""
+    """One scenario, many replay points: exactly one MemoDB on disk."""
     spec = small_spec(modes=["pil"], seeds=[1, 2])
     summary = run_sweep(spec, cache_dir=tmp_path)
     assert summary.executed == 2
     assert summary.memo_built == 2          # one per seed (different scenario)
     dbs = list((tmp_path / "memo").glob("*.json"))
     assert len(dbs) == 2
-    # A later sweep adding order enforcement reuses both recordings.
-    ordered = small_spec(modes=["pil"], seeds=[1, 2], enforce_order=True)
-    again = run_sweep(ordered, cache_dir=tmp_path)
+    # A later pil sweep, its results cleared, reuses both recordings.
+    shutil.rmtree(tmp_path / "results")
+    again = run_sweep(spec, cache_dir=tmp_path)
     assert again.memo_built == 0
     assert again.memo_reused == 2
     assert again.executed == 2              # new replay results, old recordings
-    assert all(r.replay["order_enforced"] for r in again.results)
+    assert again.table() == summary.table()
 
 
 def test_force_reexecutes_but_result_is_unchanged(tmp_path):
@@ -350,6 +373,29 @@ def test_cli_sweep_spec_save_and_load(capsys, tmp_path):
     assert "0 executed, 1 cached" in out
 
 
+def test_cli_sweep_has_no_enforce_order_flag(capsys, tmp_path):
+    """The order-enforced replay is gone, and so is its flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--bugs", "c3831", "--scales", str(NODES),
+              "--modes", "pil", "--enforce-order",
+              "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "--enforce-order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("load", [
+    lambda data: SweepSpec.from_dict(dict(small_spec().to_dict(), **data)),
+    lambda data: SweepPoint.from_dict(
+        dict(SweepPoint("c3831", NODES).to_dict(), **data)),
+], ids=["spec", "point"])
+def test_a_saved_enforce_order_is_refused_unless_false(load):
+    """A spec or point saved with ``"enforce_order": true`` names the
+    removed mode; ``false``, which every older saved spec carries, loads."""
+    with pytest.raises(ValueError, match="order-enforced replay"):
+        load({"enforce_order": True})
+    assert load({"enforce_order": False}) == load({})
+
+
 def test_cli_sweep_force_reexecutes(capsys, tmp_path):
     argv = ["sweep", "--bugs", "c3831", "--scales", str(NODES),
             "--modes", "pil", "--cache-dir", str(tmp_path)]
@@ -368,8 +414,7 @@ def zero_report(mode="real", flaps=0):
 
 
 def test_replay_result_empty_counts_yield_zero_hit_rate():
-    result = ReplayResult(report=zero_report("pil"), hits=0, misses=0,
-                          order_enforced=False)
+    result = ReplayResult(report=zero_report("pil"), hits=0, misses=0)
     assert result.hit_rate == 0.0
     assert result.to_dict()["hit_rate"] == 0.0
 

@@ -9,7 +9,7 @@ simulator itself lives by.
 Covered properties:
 
 * MemoDB JSON round-trips losslessly -- records (outputs, folded
-  durations, sample counts), message order, metadata, strict flag, and
+  durations, sample counts), metadata, strict flag, and
   conflict diagnostics -- and the content digest survives the trip;
 * strict-mode conflict behaviour matches non-strict counting;
 * SweepSpec grid expansion is duplicate-free, stable, sized like the
@@ -58,7 +58,7 @@ def gen_json_value(rng, tag):
 
 
 def gen_memo_db(rng, conflicts=False):
-    """A random MemoDB: records, repeats, message order, metadata."""
+    """A random MemoDB: records, repeats, metadata."""
     db = MemoDB()
     for i in range(rng.randint("records", 0, 15)):
         func = rng.choice(f"func{i}", ["calc", "scan", "merge"])
@@ -75,9 +75,6 @@ def gen_memo_db(rng, conflicts=False):
                duration=rng.uniform(f"dur{i}", 1e-6, 2.0),
                node_id=f"node{rng.randint(f'node{i}', 0, 3)}",
                time=rng.uniform(f"time{i}", 0.0, 300.0))
-    db.record_message_order(
-        [f"msg-{rng.randint(f'msg{i}', 0, 999)}"
-         for i in range(rng.randint("order", 0, 20))])
     db.meta = {"bug": rng.choice("bug", ["c3831", "c6127"]),
                "nodes": rng.randint("nodes", 1, 256),
                "virtual_duration": rng.uniform("vd", 0.0, 500.0)}
@@ -95,7 +92,6 @@ def assert_dbs_equal(db, back):
         assert twin.samples == record.samples
         assert twin.node_id == record.node_id
         assert twin.time == record.time
-    assert back.message_order == db.message_order
     assert back.meta == db.meta
     assert back.conflicts == db.conflicts
     assert back.conflict_keys == db.conflict_keys
@@ -163,7 +159,6 @@ def gen_spec(rng):
         modes=axis("modes", ["real", "colo", "pil"], 3),
         chaos_seeds=axis("chaos", [None, 0, 7], 2),
         chaos_events=rng.randint("events", 1, 16),
-        enforce_order=rng.random("order") < 0.5,
         vnodes=rng.choice("vnodes", [None, 16, 32]),
         name="case-spec",
     )
