@@ -129,9 +129,9 @@ class Cluster:
     Two seams let :mod:`repro.cassandra.partition` split one scenario
     across several clusters: ``network`` builds the fabric for this
     cluster's simulator (default: a :class:`~repro.sim.network.Network`)
-    and ``hosts`` says which member ids
-    live here.  The rest are *remote*: known through gossip state,
-    reached through the fabric, never built, crashed or reported here.
+    and ``hosts`` says which member ids live here.  The rest are
+    *remote*: known through gossip state, reached through the fabric,
+    never built, crashed or reported here.
     """
 
     def __init__(

@@ -231,12 +231,6 @@ class Network:
         if message.dst in self._down:
             self.dropped_down += 1
             return
-        if message.dst not in self._inboxes:
-            self.dropped_unknown_dst += 1
-            return
-        self._deliver(message)
-
-    def _deliver(self, message: Message) -> None:
         inbox = self._inboxes.get(message.dst)
         if inbox is None:
             self.dropped_unknown_dst += 1
