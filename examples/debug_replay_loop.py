@@ -22,14 +22,16 @@ from repro.cassandra import ClusterSampler, ScenarioParams, render_timeline
 from repro.cassandra.cluster import Cluster, Mode
 from repro.cassandra.workloads import run_workload
 from repro.core import ProbeSet
-from repro.core.pil import PilReplayExecutor
+from repro.core.pil import CALC_FUNC_ID, PilReplayExecutor
 
 
 def _instrumented_replay(check: ScaleCheck, db) -> None:
     """One replay with 'more logs added' (step f): probes + a timeline."""
     cluster = Cluster(check.config(Mode.PIL))
-    executor = PilReplayExecutor(db)
-    cluster.executor = executor
+    cluster.executor = PilReplayExecutor(db)
+    # Resolve through the recording's store, as a ScaleCheck run does: a
+    # miss on a ring an earlier run met computes nothing.
+    cluster.outputs = db.outputs(CALC_FUNC_ID)
     probes = (ProbeSet()
               .log_calcs_over(threshold=0.25)
               .log_convictions())

@@ -12,7 +12,10 @@ exclude line numbers, so moving code does not churn the file.
 source alone -- C3831, C3881, C5456, C6127, and the HDFS O(B)
 block-report path -- that the baseline suppresses everything, i.e.
 zero false positives on the shipped tree, and that every baseline entry
-still matches a finding, so the baseline cannot only grow.
+still matches a finding, so the baseline cannot only grow.  An entry
+matches when its fingerprint is the finding's and its note is the
+finding's message (optionally followed by ``; justified: ...``), so a note
+cannot drift from what it suppresses.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class LintReport(VerbReport):
     module_count: int
     function_count: int
     raw_findings: List[Finding] = field(default_factory=list)
-    #: Baseline entries no raw finding matches.
+    #: Baseline entries no raw finding matches (fingerprint and note).
     stale: List[Dict[str, str]] = field(default_factory=list)
 
     def to_json_dict(self) -> Dict[str, object]:
@@ -147,7 +150,7 @@ def run_lint(targets: Sequence[str] = DEFAULT_TARGETS,
     raw, drift_verdicts = run_rules(program)
     baseline = load_baseline(baseline_path) if baseline_path else {}
     unsuppressed = [f for f in raw if f.fingerprint not in baseline]
-    found = {f.fingerprint for f in raw}
+    found = {f.fingerprint: f.message for f in raw}
     return LintReport(
         targets=list(targets),
         findings=unsuppressed,
@@ -158,7 +161,8 @@ def run_lint(targets: Sequence[str] = DEFAULT_TARGETS,
                            for unit in program.modules.values()),
         raw_findings=raw,
         stale=[entry for fingerprint, entry in sorted(baseline.items())
-               if fingerprint not in found],
+               if found.get(fingerprint)
+               != entry["note"].partition("; justified: ")[0]],
     )
 
 

@@ -21,7 +21,6 @@ from .node import (
     DirectExecutor,
     Node,
     NodeCosts,
-    SharedOutputCache,
 )
 from .pending_ranges import (
     CalculatorVariant,
@@ -109,7 +108,6 @@ __all__ = [
     "STATUS_LEFT",
     "STATUS_NORMAL",
     "ScenarioParams",
-    "SharedOutputCache",
     "TOKENS",
     "TimelinePoint",
     "TokenMetadata",

@@ -42,9 +42,8 @@ from .node import (
     DirectExecutor,
     Node,
     NodeCosts,
-    SharedOutputCache,
 )
-from .pending_ranges import CostConstants
+from .pending_ranges import CostConstants, PendingRanges
 from .state import STATUS, STATUS_NORMAL, TOKENS
 from .ring import TokenMetadata
 from .state_columnar import EstablishedView, SharedClusterState
@@ -152,7 +151,10 @@ class Cluster:
         self.hosts = hosts
         self.flaps = FlapCounter()
         self.calc_records: List[CalcRecord] = []
-        self.output_cache = SharedOutputCache()
+        #: Calculation outputs by input key (:meth:`resolve_output`).  A
+        #: scale check points it at its store
+        #: (:meth:`~repro.core.memoization.MemoDB.outputs`) before the run.
+        self.outputs: Dict[str, PendingRanges] = {}
         self.executor = executor if executor is not None else DirectExecutor()
         self.nodes: Dict[str, Node] = {}
         self.crashed_for_oom: List[str] = []
@@ -198,6 +200,15 @@ class Cluster:
             return single_process_profile(self.config.memory_profile)
         return self.config.memory_profile
 
+    def resolve_output(self, input_key: str,
+                       compute: Callable[[], PendingRanges]) -> PendingRanges:
+        """The output for ``input_key`` in :attr:`outputs`, computed on first
+        use: the nodes share it, so a ring the cluster met is computed once.
+        Outputs are never mutated in place."""
+        if input_key not in self.outputs:
+            self.outputs[input_key] = compute()
+        return self.outputs[input_key]
+
     # -- node management ------------------------------------------------------------
 
     def add_node(self, node_id: str, generation: int = 1) -> Node:
@@ -214,7 +225,7 @@ class Cluster:
             bug=self.config.bug,
             flaps=self.flaps,
             executor=self.executor,
-            output_cache=self.output_cache,
+            resolve_output=self.resolve_output,
             calc_records=self.calc_records,
             rf=self.config.rf,
             costs=self.config.costs,

@@ -151,38 +151,6 @@ class DirectExecutor(CalcExecutor):
         return output, elapsed
 
 
-class SharedOutputCache:
-    """Memo of real calculation outputs, keyed by input, shared by the runs
-    that one :class:`~repro.core.scalecheck.ScaleCheck` builds (a cluster
-    built on its own gets a cache of its own).
-
-    Ring tables converge across nodes, so most nodes request the same input
-    key; computing the real output once per distinct key keeps host wall
-    time independent of cluster size.  The key names the ring content and
-    ``rf``, all the output depends on, so runs in different modes can share
-    it.  Outputs are never mutated in place.  This cache is a
-    simulator-side optimization only -- virtual CPU cost is still charged
-    per invocation.
-    """
-
-    def __init__(self) -> None:
-        self._outputs: Dict[str, PendingRanges] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def resolve(self, key: str, compute: Callable[[], PendingRanges]):
-        """Return the cached output for ``key``, computing it on first use."""
-        if key in self._outputs:
-            self.hits += 1
-        else:
-            self.misses += 1
-            self._outputs[key] = compute()
-        return self._outputs[key]
-
-    def __len__(self) -> int:
-        return len(self._outputs)
-
-
 class Node:
     """One simulated cluster member."""
 
@@ -197,7 +165,8 @@ class Node:
         bug: BugConfig,
         flaps: FlapCounter,
         executor: CalcExecutor,
-        output_cache: SharedOutputCache,
+        resolve_output: Callable[[str, Callable[[], PendingRanges]],
+                                 PendingRanges],
         calc_records: List[CalcRecord],
         rf: int = 3,
         costs: Optional[NodeCosts] = None,
@@ -217,7 +186,7 @@ class Node:
         self.costs = costs or NodeCosts()
         self.cost_constants = cost_constants
         self.executor = executor
-        self.output_cache = output_cache
+        self.resolve_output = resolve_output
         self.calc_records = calc_records
         self.inbox: Channel = sim.channel(f"inbox:{node_id}")
         self.calc_queue: Channel = sim.channel(f"calcq:{node_id}")
@@ -248,7 +217,6 @@ class Node:
         self._ring_dirty = False
         self._retry_attempts: Dict[str, int] = {}
         self._processes: List = []
-        self.calc_invocations = 0
         self.round_lateness_max = 0.0
         self.round_lateness_sum = 0.0
         self.rounds_completed = 0
@@ -504,7 +472,6 @@ class Node:
             compute_output=lambda: self._calc_output(metadata, ring_hash,
                                                      input_key),
         )
-        self.calc_invocations += 1
         result = yield from self.executor.execute(self, request)
         observed_output, elapsed = result
         metadata.set_pending_ranges(observed_output)
@@ -517,13 +484,14 @@ class Node:
     def _calc_output(self, metadata: TokenMetadata, ring_hash: int,
                      input_key: str) -> PendingRanges:
         """The real output of a calculation triggered when ``metadata``
-        hashed to ``ring_hash``: computed once per distinct ring, refused if
-        the ring has moved since (its key would name another input)."""
+        hashed to ``ring_hash``: resolved through the cluster, so computed
+        once per distinct ring, refused if the ring has moved since (its
+        key would name another input)."""
         if metadata.content_hash != ring_hash:
             raise RuntimeError(
                 f"{self.node_id}: calculation output resolved after the ring "
                 f"moved (an executor yielded before resolving it)")
-        return self.output_cache.resolve(
+        return self.resolve_output(
             input_key, lambda: compute_pending_ranges(metadata, self.rf))
 
     # -- diagnostics ----------------------------------------------------------------------

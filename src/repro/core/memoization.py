@@ -10,12 +10,18 @@ Keys are *content* keys (e.g. the ring table's stable hash), so records are
 shared across nodes whose state has converged -- this is what keeps the
 database small even though the calculation runs thousands of times.
 
+A :class:`MemoDB` is also a :class:`~repro.core.scalecheck.ScaleCheck`'s
+one output store: :meth:`MemoDB.outputs` holds every output its runs
+resolve, and a record adds what a memoize run measured (duration, samples,
+node, time) over the same object.  Only records are counted, saved,
+digested and hit by a replay.
+
 A record holds its output as the function returned it (a pending-range
-output is compact arrays, shared with the run that computed it); a
-function's ``(serialize, deserialize)`` codec, registered by the executor
-that records or replays it, makes the JSON form only at the disk boundary:
-:meth:`MemoDB.to_payload` (and so ``save`` and ``digest``) writes it, and a
-loaded recording is converted back once, when an executor adopts it.
+output is compact arrays); a function's ``(serialize, deserialize)`` codec,
+registered by the executor that records or replays it, makes the JSON form
+only at the disk boundary: :meth:`MemoDB.to_payload` (and so ``save`` and
+``digest``) writes it, and a loaded recording is converted back once, when
+an executor adopts it.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ class MemoRecord:
 
 
 class MemoDB:
-    """Input-keyed store of memo records.
+    """Input-keyed store of calculation outputs and memo records.
 
     The processing illusion is only safe for *input-deterministic*
     functions (the paper's PIL-safety rule): a repeat invocation whose
@@ -68,6 +74,8 @@ class MemoDB:
 
     def __init__(self) -> None:
         self._records: Dict[Tuple[str, str], MemoRecord] = {}
+        #: ``func_id -> {input_key: output}``, recorded or not.
+        self._outputs: Dict[str, Dict[str, Any]] = {}
         self.meta: Dict[str, Any] = {}
         self.lookups = 0
         self.hits = 0
@@ -91,6 +99,17 @@ class MemoDB:
         for record in self._records.values():
             if record.func_id == func_id:
                 record.output = deserialize(record.output)
+
+    def outputs(self, func_id: str) -> Dict[str, Any]:
+        """``input_key -> output`` of ``func_id``, the map a cluster's nodes
+        resolve their calculations through (they add what they compute)."""
+        return self._outputs.setdefault(func_id, {})
+
+    def take_outputs(self, other: "MemoDB") -> None:
+        """Hold ``other``'s outputs too, keeping this store's own for a key
+        both hold; records are not taken."""
+        for func_id, outputs in other._outputs.items():
+            self._outputs[func_id] = {**outputs, **self.outputs(func_id)}
 
     # -- recording ----------------------------------------------------------------
 

@@ -18,9 +18,10 @@ the node's calculation seam:
   (consuming no machine capacity; bound to the simulator of the first node
   it serves) and substitutes the memoized output object; on a hit the
   replaced function is not run at all, not even on the host, and nothing
-  is deserialized.  On a miss it sleeps the analytic cost model's estimate
-  on the same :class:`~repro.sim.cpu.PilCpu` and computes the output on the
-  host.
+  is deserialized.  A hit needs a record: an output the store holds
+  unrecorded is a miss.  On a miss it sleeps the analytic cost model's
+  estimate on the same :class:`~repro.sim.cpu.PilCpu` and resolves the
+  output as a live run does (computed only if the store lacks it).
 
 Both count what they did in plain attributes (``hits``/``misses`` on
 replay, ``conflicts`` on recording) that the cluster's report reads.
@@ -28,7 +29,7 @@ replay, ``conflicts`` on recording) that the cluster's report reads.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..cassandra.node import CalcExecutor, CalcRequest
 from ..cassandra.pending_ranges import PENDING_CODEC
@@ -90,7 +91,6 @@ class PilReplayExecutor(CalcExecutor):
         #: Content keys repeat heavily across converged nodes; the LRU
         #: front serves them and counts the repeats.
         self.lru = MemoLruFront(db)
-        self._pil_tags: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
 
@@ -101,14 +101,11 @@ class PilReplayExecutor(CalcExecutor):
         record, output = self.lru.get(self.func_id, request.input_key)
         if record is not None:
             self.hits += 1
-            node_id = node.node_id
-            tag = self._pil_tags.get(node_id)
-            if tag is None:
-                tag = self._pil_tags[node_id] = f"pil:{node_id}"
-            elapsed = yield Compute(self.pil_cpu, record.duration, tag=tag)
+            elapsed = yield Compute(self.pil_cpu, record.duration,
+                                    tag=f"pil:{node.node_id}")
             return output, elapsed
         self.misses += 1
-        # Trust the analytic cost model for the duration and compute the
+        # Trust the analytic cost model for the duration and resolve the
         # real output on the host (it costs no virtual time).
         output = request.compute_output()
         elapsed = yield Compute(self.pil_cpu, request.demand,

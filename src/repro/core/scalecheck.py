@@ -9,7 +9,8 @@ scenario:
   over the calculation corpus;
 * steps (c)+(d) -- :meth:`ScaleCheck.memoize` executes the protocol once
   under basic colocation with recording executors, producing a
-  :class:`~repro.core.memoization.MemoDB` of in-situ durations and outputs;
+  :class:`Recording`: a :class:`~repro.core.memoization.MemoDB` of in-situ
+  durations and outputs, and the colocated run's report;
 * steps (e)+(f) -- :meth:`ScaleCheck.replay` runs fast PIL-infused replays:
   offending calculations become contention-free sleeps with memoized
   outputs.  The message order is not recorded: releasing deliveries in the
@@ -38,7 +39,7 @@ from ..cassandra.bugs import BugConfig, get_bug
 from ..cassandra.cluster import Cluster, MachineSpec, Mode
 from ..cassandra.gossip import GossipConfig
 from ..cassandra.metrics import RunReport, accuracy_error
-from ..cassandra.node import CalcExecutor, NodeCosts, SharedOutputCache
+from ..cassandra.node import CalcExecutor, NodeCosts
 from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
@@ -79,14 +80,22 @@ class ReplayResult:
 
 
 @dataclass
-class ScaleCheckResult:
-    """Output of a full memoize + replay pipeline run."""
+class Recording:
+    """What a memoize run made: the recording and the colocated run's
+    report.  There is no replay yet; :meth:`ScaleCheck.check` makes one."""
+
+    db: MemoDB
+    memo_report: RunReport
+
+
+@dataclass
+class ScaleCheckResult(Recording):
+    """Output of a full memoize + replay pipeline run: a recording and its
+    replay."""
 
     bug_id: str
     nodes: int
-    memo_report: RunReport
     replay: ReplayResult
-    db: MemoDB
 
     @property
     def replay_report(self) -> RunReport:
@@ -116,12 +125,16 @@ class ScaleCheck:
     ``rf``) are ignored by other targets.
 
     The runs one check builds (:meth:`run_real`, :meth:`run_colo`,
-    :meth:`memoize`, :meth:`replay`) share one
-    :class:`~repro.cassandra.node.SharedOutputCache`, so each distinct ring
+    :meth:`memoize`, :meth:`replay`) resolve Cassandra outputs through one
+    store, a :class:`~repro.core.memoization.MemoDB`, so each distinct ring
     is computed once per check, not once per run, and a replay miss on a
     ring an earlier run met computes nothing.  So :meth:`memoize`'s host
     seconds exclude the rings an earlier run of the same check computed.
-    Virtual time is charged per invocation as before, so reports do not
+    :meth:`memoize` records into a new store that keeps the outputs so
+    far, and :meth:`replay` makes the recording it replays the store;
+    other runs add outputs, never records.  HDFS computes live: a block
+    report reads the namenode's block map, so its output is not a function
+    of its key.  Virtual time is charged per invocation, so reports do not
     depend on the sharing.  A check holds one cluster at a time: each run
     after the first collects the previous run's cluster before building
     its own.
@@ -140,9 +153,9 @@ class ScaleCheck:
     #: the per-node token population the way ``repro doctor --vnodes`` does;
     #: blocks per datanode on HDFS).
     vnodes: Optional[int] = None
-    #: Calculation outputs shared by every cluster this check builds.
-    _outputs: SharedOutputCache = field(default_factory=SharedOutputCache,
-                                        init=False, repr=False, compare=False)
+    #: The output store every cluster this check builds resolves through.
+    _store: MemoDB = field(default_factory=MemoDB, init=False, repr=False,
+                           compare=False)
     #: Clusters built so far (the first run has nothing to collect).
     _runs: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -174,9 +187,15 @@ class ScaleCheck:
         if executor is not None:
             cluster.executor = executor
         if isinstance(cluster, Cluster):
-            cluster.output_cache = self._outputs
+            cluster.outputs = self._store.outputs(target.func_id)
         install_faults(cluster, faults)
         return target.run(cluster, self.params)
+
+    def _adopt(self, db: MemoDB) -> None:
+        """Make ``db`` the check's store, holding the outputs so far."""
+        if db is not self._store:
+            db.take_outputs(self._store)
+            self._store = db
 
     def _release_previous_cluster(self) -> None:
         """Called before each run builds its cluster: the previous run's
@@ -206,10 +225,10 @@ class ScaleCheck:
 
     # -- steps (c)+(d): memoization under basic colocation -------------------------------
 
-    def memoize(self,
-                faults: Optional[FaultSchedule] = None) -> ScaleCheckResult:
-        """One-time recording run; returns result with replay not yet run."""
+    def memoize(self, faults: Optional[FaultSchedule] = None) -> Recording:
+        """One-time recording run: the recording and the colocated report."""
         db = MemoDB()
+        self._adopt(db)
         target = self.target
         executor = MemoizingExecutor(db, func_id=target.func_id,
                                      codec=target.codec)
@@ -225,12 +244,7 @@ class ScaleCheck:
             # survives persistence without perturbing the DB's digest.
             "memo_report": report.to_dict(canonical=True),
         })
-        return ScaleCheckResult(
-            bug_id=self.bug_id, nodes=self.nodes,
-            memo_report=report,
-            replay=ReplayResult(report=report, hits=0, misses=0),
-            db=db,
-        )
+        return Recording(db=db, memo_report=report)
 
     # -- steps (e)+(f): PIL-infused replay ----------------------------------------------
 
@@ -243,8 +257,11 @@ class ScaleCheck:
 
         Passing the same ``faults`` schedule used for the memoization run
         replays the chaos deterministically under PIL: the injector fires
-        at identical virtual times in both runs.
+        at identical virtual times in both runs.  A lookup hits only a
+        record; an output ``db`` holds unrecorded is a miss, served from it
+        without computing.
         """
+        self._adopt(db)
         target = self.target
         executor = PilReplayExecutor(db, func_id=target.func_id,
                                      codec=target.codec)
@@ -262,9 +279,11 @@ class ScaleCheck:
         memoized durations and the replay's symptom counts are produced
         under identical cluster weather.
         """
-        result = self.memoize(faults=faults)
-        result.replay = self.replay(result.db, faults=faults)
-        return result
+        recording = self.memoize(faults=faults)
+        return ScaleCheckResult(
+            db=recording.db, memo_report=recording.memo_report,
+            bug_id=self.bug_id, nodes=self.nodes,
+            replay=self.replay(recording.db, faults=faults))
 
     # -- evaluation helper --------------------------------------------------------------------
 

@@ -2,9 +2,9 @@
 
 Messages are delivered into per-node inbox :class:`~repro.sim.kernel.Channel`
 objects after a configurable latency.  Every message has a *deterministic
-message key*; a run that sets ``delivery_log`` to a list has each delivery's
-key appended to it, which is how tests check that two runs delivered the
-same messages in the same order.
+message key*; a :class:`~repro.sim.kernel.KernelObserver` sees each
+delivery (its ``deliver`` seam), which is how tests check that two runs
+delivered the same messages in the same order.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class Network:
         #: Batch events fired / largest batch seen (diagnostics).
         self.batch_deliveries = 0
         self.max_batch = 0
-        #: Delivered message keys, in order, when set to a list before the
-        #: run; None (the default) keeps no log.
-        self.delivery_log: Optional[List[str]] = None
 
     @property
     def dropped(self) -> int:
@@ -236,8 +233,6 @@ class Network:
             self.dropped_unknown_dst += 1
             return
         self.delivered += 1
-        if self.delivery_log is not None:
-            self.delivery_log.append(message.key)
         obs = self.sim.observer
         if obs is not None:
             obs.deliver(message)

@@ -74,6 +74,9 @@ class SweepCache:
         #: Result entries and recordings that existed but were truncated or
         #: damaged (each one recomputed and overwritten).
         self.corrupt = 0
+        #: Recordings intact against their sidecar but written by an earlier
+        #: format, so they load to other content (each one re-recorded).
+        self.stale = 0
 
     # -- results -------------------------------------------------------------
 
@@ -130,23 +133,29 @@ class SweepCache:
         return sidecar.read_text().strip()
 
     def loadable_memo_digest(self, identity_key: str) -> Optional[str]:
-        """:meth:`memo_digest`, or None when the recording does not load or
-        its content does not match the digest sidecar.
+        """:meth:`memo_digest`, or None when the recording does not load to
+        the content the digest sidecar names.
 
         Parses the whole database, so it is asked only before a replay that
-        will load it anyway.  A truncated, damaged or replaced recording is
-        treated as absent and counted in ``corrupt``: the caller re-records
-        it and the new file overwrites the old one.
+        will load it anyway.  Such a recording is treated as absent: the
+        caller re-records it and the new file overwrites the old one.  It
+        is counted ``stale`` when the file is the one its sidecar names (an
+        earlier format, which this version reads to other content), and
+        ``corrupt`` when it is truncated, damaged or replaced.
         """
         digest = self.memo_digest(identity_key)
         if digest is not None:
+            payload = loaded = None
             try:
-                loaded = MemoDB.load(self.memo_path(identity_key)).digest()
+                payload = json.loads(self.memo_path(identity_key).read_text())
+                loaded = MemoDB.from_payload(payload).digest()
             except (ValueError, KeyError, TypeError, AttributeError):
-                # undecodable JSON / wrong-shaped document
-                loaded = None
+                pass  # undecodable JSON / wrong-shaped document
             if loaded != digest:
-                self.corrupt += 1
+                if sha256_hex(canonical_json(payload)) == digest:
+                    self.stale += 1
+                else:
+                    self.corrupt += 1
                 return None
         return digest
 
@@ -155,6 +164,7 @@ class SweepCache:
         atomic_write_text(self.memo_dir / f"{identity_key}.digest", digest)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss counters for reports, plus the ``corrupt`` count."""
+        """Hit/miss counters for reports, plus the ``corrupt`` and
+        ``stale`` counts."""
         return {"hits": self.hits, "misses": self.misses,
-                "corrupt": self.corrupt}
+                "corrupt": self.corrupt, "stale": self.stale}

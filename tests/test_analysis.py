@@ -438,6 +438,38 @@ class TestBaseline:
             f"stale: lintpkg.gone.Gone [undeclared-shared-state] "
             f"{gone.fingerprint}")}
 
+    def test_a_drifted_note_fails_the_self_check_by_name(self, tmp_path):
+        """A suppression matches a finding only while its note is the
+        finding's message, optionally with a justification after it: a
+        note that still says 2 process roots where the finding says 3 is
+        stale, and the shipped baseline, some of whose notes carry a
+        justification, has no stale entry."""
+        name = "baseline: every suppression matches a finding"
+
+        def verdict(path):
+            lint = run_lint(baseline_path=str(path))
+            assert lint.findings == []
+            [check] = [c for c in self_check(lint) if c["check"] == name]
+            return lint.stale, check
+
+        baseline = json.loads(BASELINE.read_text())
+        assert any("; justified: " in entry["note"]
+                   for entry in baseline["suppressions"])
+        assert verdict(BASELINE) == ([], {
+            "check": name, "ok": True, "evidence": "no stale baseline entry"})
+
+        [entry] = [entry for entry in baseline["suppressions"]
+                   if entry["note"].startswith("SharedClusterState.names ")]
+        assert "from 3 process roots" in entry["note"]
+        entry["note"] = entry["note"].replace("from 3 process roots",
+                                              "from 2 process roots")
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        stale, check = verdict(path)
+        assert stale == [entry]
+        assert check == {"check": name, "ok": False, "evidence": (
+            f"stale: repro.cassandra.state_columnar.SharedClusterState "
+            f"[undeclared-shared-state] {entry['fingerprint']}")}
 
 # -- golden output (S4) -------------------------------------------------------------
 

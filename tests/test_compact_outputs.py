@@ -1,7 +1,7 @@
 """One compact copy of each pending-range output, from calculation to replay.
 
 A calculation output is, per endpoint, its sorted ``(left, right]`` bounds
-flattened into one ``array('q')``.  The shared output cache, the recording
+flattened into one ``array('q')``.  The check's output store, its records
 and the replay hold that one object; the ``{endpoint: [[left, right], ...]}``
 JSON form exists only on disk.  These tests pin the disk form to the bytes a
 recording had before the compact form, count the objects a scale check
@@ -23,10 +23,12 @@ from repro.cassandra import (
     CostConstants,
     ScenarioParams,
 )
+from repro.cassandra import node as node_module
 from repro.cassandra.pending_ranges import bounds_contain, serialize_pending
 from repro.cassandra.tokens import TOKEN_SPACE, TokenRange, token_for_key
 from repro.core import scalecheck, target
 from repro.core.memoization import MemoDB
+from repro.core.pil import CALC_FUNC_ID
 from repro.core.scalecheck import ScaleCheck
 from repro.sweep.executor import _execute_job
 from repro.sweep.spec import SweepPoint
@@ -94,7 +96,7 @@ def test_a_memo_job_serializes_each_output_once(tmp_path, monkeypatch):
 
 def test_one_output_object_per_distinct_input(monkeypatch):
     """After the ``scalecheck_c5456`` flow (real, memoize, replay), the
-    output cache, the recording and the replay's LRU front hold one object
+    check's store, its records and the replay's LRU front hold one object
     per distinct input key, each endpoint's bounds a sorted ``array('q')``
     of pairs."""
     fronts = []
@@ -112,7 +114,7 @@ def test_one_output_object_per_distinct_input(monkeypatch):
     replay = check.replay(memo.db)
     assert replay.hits > 0 and len(fronts) == 1
 
-    cached = check._outputs._outputs
+    cached = memo.db.outputs(CALC_FUNC_ID)
     records = {record.input_key: record.output
                for record in memo.db.records()}
     front = {key[1]: record.output
@@ -130,19 +132,24 @@ def test_one_output_object_per_distinct_input(monkeypatch):
             assert pairs == sorted(pairs)
 
 
-def test_a_replay_shares_the_check_output_cache():
+def test_a_replay_shares_the_check_output_cache(monkeypatch):
     """The replay is built like the check's other runs, so its one miss in
     the ``scalecheck_c5456`` flow is a ring the real or memoize run met:
-    served from the check's output cache, not computed again."""
+    served from the check's store, where it is held unrecorded, not
+    computed again."""
     check = pinned_check(24, C5456_PARAMS, PIN["cost_constants"])
     check.run_real()
     memo = check.memoize()
-    outputs = check._outputs
-    keys, served = set(outputs._outputs), outputs.hits
+    outputs = memo.db.outputs(CALC_FUNC_ID)
+    keys = set(outputs)
+    calls = []
+    compute = node_module.compute_pending_ranges
+    monkeypatch.setattr(node_module, "compute_pending_ranges",
+                        lambda *args: calls.append(args) or compute(*args))
     replay = check.replay(memo.db)
     assert (len(keys), replay.hits, replay.misses) == (21, 532, 1)
-    assert set(outputs._outputs) == keys
-    assert outputs.hits == served + replay.misses
+    assert set(outputs) == keys and calls == []
+    assert len(memo.db) == 20               # the missed ring is not recorded
 
 
 def ranges_of(bounds):

@@ -26,6 +26,7 @@ from repro.faults.injector import ClusterFaultTarget
 from repro.sim import Get, LatencyModel, Network, Simulator
 from repro.sim.cpu import DedicatedCpu
 from repro.sim.disk import Disk
+from repro.sim.kernel import KernelObserver
 
 ALL_PRIMITIVES = [
     NodeCrash(time=1.0, node="node-000"),
@@ -406,10 +407,19 @@ def test_shrink_respects_budget():
 SMALL = ScenarioParams(warmup=10.0, observe=40.0)
 
 
+class _DeliveryLog(KernelObserver):
+    """The key of each delivered message, in delivery order."""
+
+    def __init__(self):
+        self.keys = []
+
+    def deliver(self, message):
+        self.keys.append(message.key)
+
+
 def _colo_run(schedule):
     check = ScaleCheck("c3831-fixed", 6, seed=42, params=SMALL)
-    cluster = Cluster(check.config(Mode.COLO))
-    cluster.network.delivery_log = []
+    cluster = Cluster(check.config(Mode.COLO), observer=_DeliveryLog())
     injector = install_faults(cluster, schedule)
     report = run_workload(cluster, check.bug.workload, check.params)
     return cluster, injector, report
@@ -431,8 +441,8 @@ def chaos_mix_schedule():
 def test_same_seed_same_schedule_identical_runs():
     cluster_a, _, report_a = _colo_run(chaos_mix_schedule())
     cluster_b, _, report_b = _colo_run(chaos_mix_schedule())
-    assert cluster_a.network.delivery_log == cluster_b.network.delivery_log
-    assert len(cluster_a.network.delivery_log) > 0
+    assert cluster_a.sim.observer.keys == cluster_b.sim.observer.keys
+    assert len(cluster_a.sim.observer.keys) > 0
     assert report_a.flaps == report_b.flaps
     assert report_a.dropped_degraded == report_b.dropped_degraded
     assert report_a.duration == report_b.duration

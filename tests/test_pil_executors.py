@@ -82,15 +82,16 @@ def test_memoize_serializes_each_output_once(tmp_path):
                                             seed=5))
     cluster.executor = MemoizingExecutor(
         db, codec=(serialize, deserialize_pending))
+    cluster.outputs = outputs = db.outputs(CALC_FUNC_ID)
     report = run_decommission(cluster, FAST)
     puts = len(report.calc_records)
-    assert puts > len(cluster.output_cache)       # repeats were recorded
+    assert puts > len(outputs)                    # repeats were recorded
     assert serialize.calls == 0
-    assert len(db) == len(cluster.output_cache)
+    assert len(db) == len(outputs)
     for record in db.records():
-        assert record.output is cluster.output_cache._outputs[record.input_key]
+        assert record.output is outputs[record.input_key]
     db.save(tmp_path / "memo.json")
-    assert serialize.calls == len(cluster.output_cache)
+    assert serialize.calls == len(outputs)
     assert db.total_samples() == puts
 
 

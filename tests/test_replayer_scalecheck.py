@@ -1,5 +1,6 @@
 """Tests for PIL replay and the ScaleCheck pipeline orchestrator."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -144,14 +145,71 @@ def test_one_check_computes_each_ring_once(monkeypatch):
     assert len(calls) == len(memo_keys)
 
     # Nothing mutated a shared output across runs: the recording holds the
-    # very object the check holds for each ring, and that object still
-    # serializes to what the recording stored for the ring.
-    shared = {key: output for key, output in check._outputs._outputs.items()
+    # very object the check's store holds for each ring, and that object
+    # still serializes to what the recording stored for the ring.
+    shared = {key: output
+              for key, output in memo.db.outputs(CALC_FUNC_ID).items()
               if key in memo_keys}
     assert set(shared) == memo_keys
     for key, output in shared.items():
         assert memo.db.get(CALC_FUNC_ID, key).output is output
         assert serialize_pending(output) == recorded[key]
+
+
+def test_memoize_returns_the_recording_not_a_replay():
+    """A memoize run makes a recording and the colocated run's report and
+    nothing that reads as a replay: no replay report, hit counts or
+    speedup until :meth:`ScaleCheck.check` (or ``replay``) runs one."""
+    recording = scale_out_check().memoize()
+    for name in ("replay", "replay_report", "speedup"):
+        assert not hasattr(recording, name), name
+    assert [field.name for field in dataclasses.fields(recording)] == [
+        "db", "memo_report"]
+    assert recording.memo_report.mode == "colo" and len(recording.db) > 0
+
+
+def test_a_recording_is_only_what_its_memoize_run_recorded(tmp_path,
+                                                           monkeypatch):
+    """Every run of a check resolves outputs through one store, but only a
+    memoize run records: a second memoize records the same, a later real
+    run or replay leaves the saved bytes alone, and an output the store
+    holds unrecorded is a replay miss that computes nothing."""
+    check = scale_out_check()
+    first, second = check.memoize(), check.memoize()
+    assert first.db.digest() == second.db.digest()
+    store = second.db
+    check.run_real()
+    assert store.lookups == 0                     # only a replay looks up
+
+    # A recording with one record dropped: replaying it misses that ring.
+    key = min(record.input_key for record in store.records())
+    payload = store.to_payload()
+    payload["records"] = [item for item in payload["records"]
+                          if item["input_key"] != key]
+    partial = MemoDB.from_payload(payload)
+    path = tmp_path / "partial.json"
+    partial.save(path)
+    saved = path.read_bytes()
+
+    calls = counting(monkeypatch, node_module, "compute_pending_ranges")
+    replay = scale_out_check().replay(partial)
+    assert replay.misses > 0 and calls            # the miss computed it
+    assert key in partial.outputs(CALC_FUNC_ID)
+    assert (CALC_FUNC_ID, key) not in partial     # held, not recorded
+    assert len(partial) == len(store) - 1
+    assert partial.lookups == replay.hits + replay.misses
+    assert partial.hits == replay.hits
+    partial.save(path)
+    assert path.read_bytes() == saved
+
+    # The output is held now, unrecorded: still a miss, computed no more.
+    calls.clear()
+    again = scale_out_check().replay(partial)
+    assert (again.hits, again.misses) == (replay.hits, replay.misses)
+    assert again.report.digest() == replay.report.digest()
+    assert calls == []
+    partial.save(path)
+    assert path.read_bytes() == saved
 
 
 def test_a_check_holds_one_cluster_at_a_time(monkeypatch):

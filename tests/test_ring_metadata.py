@@ -14,10 +14,11 @@ from repro.cassandra import (
 )
 from repro.cassandra import ring
 from repro.cassandra.legacy_calc import _is_fresh_bootstrap
-from repro.cassandra.node import SharedOutputCache
 from repro.cassandra.pending_ranges import compute_pending_ranges
 from repro.cassandra.ring import TokenMetadata
 from repro.cassandra.tokens import TOKEN_SPACE
+from repro.core.memoization import MemoDB
+from repro.core.pil import CALC_FUNC_ID
 
 
 def build_metadata(normal=None, boot=None, leaving=None):
@@ -141,20 +142,21 @@ def test_idempotent_mutations_keep_hash_consistent():
 
 
 def test_removing_an_endpoint_leaves_a_shared_calculation_output_alone():
-    """Nodes with the same ring install one cached output object, so one
-    node learning LEFT must not edit the others' pending ranges or the
-    output later requesters get."""
-    cache = SharedOutputCache()
+    """Nodes with the same ring install the one output object their store
+    holds, so one node learning LEFT must not edit the others' pending
+    ranges or the output later requesters get."""
+    outputs = MemoDB().outputs(CALC_FUNC_ID)
     tables = [build_metadata(normal={"a": [10], "b": [20]}, boot={"c": [30]})
               for _ in range(2)]
     for table in tables:
-        table.set_pending_ranges(cache.resolve(
-            "ring", lambda: compute_pending_ranges(tables[0], rf=1)))
+        if "ring" not in outputs:
+            outputs["ring"] = compute_pending_ranges(tables[0], rf=1)
+        table.set_pending_ranges(outputs["ring"])
     assert "c" in tables[1].pending_ranges
     tables[0].remove_endpoint("c")
     assert "c" not in tables[0].pending_ranges
     assert "c" in tables[1].pending_ranges
-    assert "c" in cache.resolve("ring", dict)
+    assert "c" in outputs["ring"]
 
 
 def test_each_token_set_is_hashed_once_per_process(monkeypatch):

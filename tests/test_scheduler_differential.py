@@ -49,7 +49,6 @@ def _run(nodes: int, seed: int, observer=None):
     config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
                                    seed=seed)
     cluster = Cluster(config, observer=observer)
-    cluster.network.delivery_log = []
     report = run_workload(cluster, config.bug.workload, FAST)
     return cluster, report
 
@@ -69,12 +68,13 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("seed", range(10))
 def test_wheel_and_heap_reports_byte_identical(nodes, seed):
     """Seeds 0..9, N in {8,32}: the wheel's report, step count and log."""
-    cluster, report = _run(nodes, seed)
+    deliveries = _Deliveries()
+    cluster, report = _run(nodes, seed, observer=deliveries)
     assert {
         "report_sha256": _sha256(_canonical(report)),
         "steps": cluster.sim.steps,
         "delivery_log_sha256": _sha256(
-            "\n".join(cluster.network.delivery_log)),
+            "\n".join(key for _, _, key in deliveries.records)),
     } == GOLDEN["grid"][f"n{nodes}-s{seed}"]
 
 

@@ -3,6 +3,17 @@
 import pytest
 
 from repro.sim import Get, LatencyModel, Network, Simulator
+from repro.sim.kernel import KernelObserver
+
+
+class DeliveryLog(KernelObserver):
+    """The key of each delivered message, in delivery order."""
+
+    def __init__(self):
+        self.keys = []
+
+    def deliver(self, message):
+        self.keys.append(message.key)
 
 
 def make_net(seed=1, latency=None):
@@ -99,12 +110,15 @@ def test_negative_latency_rejected():
 
 
 def test_delivery_log_records_order():
+    """The network keeps no log; an observer's ``deliver`` seam sees each
+    delivery at the point it reaches the inbox, in order."""
     sim, net = make_net()
-    assert net.delivery_log is None         # no log unless a run asks
-    net.delivery_log = []
+    assert not hasattr(net, "delivery_log")
+    log = DeliveryLog().attach(sim)
     got = []
     collect_inbox(sim, net, "b", got)
     net.send("a", "b", "x", None)
+    net.send("a", "nobody", "x", None)      # dropped: never delivered
     net.send("a", "b", "y", None)
     sim.run()
-    assert net.delivery_log == ["a>b:x#1", "a>b:y#1"]
+    assert log.keys == ["a>b:x#1", "a>b:y#1"]

@@ -37,6 +37,7 @@ from repro.cassandra.state import (
 )
 from repro.cassandra.state_columnar import SharedClusterState
 from repro.cassandra.workloads import ScenarioParams, run_workload
+from repro.sim.kernel import KernelObserver
 from repro.sim.rng import SplittableRng
 
 GOLDEN = json.loads(
@@ -49,13 +50,23 @@ FAST = ScenarioParams(warmup=2.0, observe=5.0, leaving_duration=2.0,
                       join_duration=2.0, join_stagger=0.5)
 
 
+class _DeliveryLog(KernelObserver):
+    """The key of each delivered message, in delivery order."""
+
+    def __init__(self):
+        self.keys = []
+
+    def deliver(self, message):
+        self.keys.append(message.key)
+
+
 def _run(nodes: int, seed: int):
     config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
                                    seed=seed)
-    cluster = Cluster(config)
-    cluster.network.delivery_log = []
+    log = _DeliveryLog()
+    cluster = Cluster(config, observer=log)
     report = run_workload(cluster, config.bug.workload, FAST)
-    return cluster, report
+    return cluster, report, log.keys
 
 
 def _canonical(report) -> str:
@@ -73,12 +84,12 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("seed", range(10))
 def test_backends_byte_identical(nodes, seed):
     """Seeds 0..9, N in {8,32,64}: the reference's report, steps and log."""
-    cluster, report = _run(nodes, seed)
+    cluster, report, deliveries = _run(nodes, seed)
     assert {
         "report_sha256": _sha256(_canonical(report)),
         "steps": cluster.sim.steps,
         "delivery_log_sha256": _sha256(
-            "\n".join(cluster.network.delivery_log)),
+            "\n".join(deliveries)),
     } == GOLDEN["grid"][f"n{nodes}-s{seed}"]
 
 

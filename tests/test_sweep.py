@@ -111,7 +111,7 @@ def test_corrupt_recordings_are_rerecorded_and_counted(tmp_path, damage):
 
     warm = run_sweep(spec, cache_dir=tmp_path)
     assert warm.memo_built == 1 and warm.executed == 1
-    assert warm.cache_stats["corrupt"] == 1
+    assert (warm.cache_stats["corrupt"], warm.cache_stats["stale"]) == (1, 0)
     assert warm.table() == cold.table()
     assert db_path.read_text() == raw               # overwritten in place
 
@@ -121,9 +121,9 @@ def test_corrupt_recordings_are_rerecorded_and_counted(tmp_path, damage):
 
 def test_a_recording_in_an_older_format_is_rerecorded(tmp_path):
     """A recording whose payload carries a key this version no longer
-    writes (``"strict"``, dropped with the strict mode) is stale even when
-    its digest sidecar matches it: it is counted corrupt and re-recorded,
-    never replayed."""
+    writes (``"strict"``, dropped with the strict mode) is stale: its digest
+    sidecar matches the file, but it loads to other content.  It is counted
+    stale, not corrupt, and re-recorded, never replayed."""
     spec = small_spec(modes=["pil"])
     cold = run_sweep(spec, cache_dir=tmp_path)
     (db_path,) = (tmp_path / "memo").glob("*.json")
@@ -136,7 +136,7 @@ def test_a_recording_in_an_older_format_is_rerecorded(tmp_path):
 
     warm = run_sweep(spec, cache_dir=tmp_path)
     assert warm.memo_built == 1 and warm.executed == 1
-    assert warm.cache_stats["corrupt"] == 1
+    assert (warm.cache_stats["stale"], warm.cache_stats["corrupt"]) == (1, 0)
     assert warm.table() == cold.table()
     assert db_path.read_text() == raw               # re-recorded in place
 
@@ -144,8 +144,9 @@ def test_a_recording_in_an_older_format_is_rerecorded(tmp_path):
 def test_a_recording_with_a_message_order_is_rerecorded(tmp_path):
     """A recording saved while recordings kept the delivery order carries a
     ``"message_order"`` list and a sidecar digest over it.  This version
-    reads it without the order, so its content no longer matches the
-    sidecar: it is counted corrupt and re-recorded, never replayed."""
+    reads it without the order, so it loads to content other than the
+    sidecar names, though the file is the one the sidecar names: it is
+    counted stale, not corrupt, and re-recorded, never replayed."""
     spec = small_spec(modes=["pil"])
     cold = run_sweep(spec, cache_dir=tmp_path)
     (db_path,) = (tmp_path / "memo").glob("*.json")
@@ -159,7 +160,7 @@ def test_a_recording_with_a_message_order_is_rerecorded(tmp_path):
 
     warm = run_sweep(spec, cache_dir=tmp_path)
     assert warm.memo_built == 1 and warm.memo_reused == 0
-    assert warm.cache_stats["corrupt"] == 1
+    assert (warm.cache_stats["stale"], warm.cache_stats["corrupt"]) == (1, 0)
     assert warm.table() == cold.table()
     assert db_path.read_text() == raw               # re-recorded in place
 
@@ -294,7 +295,8 @@ def test_cache_miss_then_hit(tmp_path):
     assert cache.get("deadbeef") is None
     cache.put("deadbeef", {"report": {"flaps": 3}}, point={"bug": "c3831"})
     assert cache.get("deadbeef") == {"report": {"flaps": 3}}
-    assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
+    assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0,
+                             "stale": 0}
     assert len(cache) == 1
 
 
