@@ -40,7 +40,9 @@ def main() -> None:
     print("2) scale-check pipeline at 64 datanodes (memoize -> PIL replay)")
     check = ScaleCheck(HDFS_BUG_ID, nodes=64, seed=3,
                        params=ScenarioParams(observe=60.0))
-    reports = check.compare_modes()
+    real = check.run_real()
+    result = check.check()
+    reports = result.modes(real)
     accuracy = ScaleCheck.accuracy(reports)
     for mode in ("real", "colo", "pil"):
         report = reports[mode]
@@ -48,7 +50,6 @@ def main() -> None:
               f"{report.cpu_utilization:.0%}")
     print(f"  SC+PIL error vs real: {accuracy['pil_error']:.0%} "
           f"(colocation: {accuracy['colo_error']:.0%})")
-    result = check.check()
     print(f"  memo DB: {len(result.db)} distinct report contents, "
           f"replay hit rate {result.replay.hit_rate:.0%}")
     print()

@@ -46,12 +46,14 @@ def main() -> None:
               f"PIL-safe={analysis.pil_safe(finder_report.registry)}")
     print()
 
-    # Steps (d)-(f) plus the real-scale baseline.
-    reports = check.compare_modes()
+    # The real-scale baseline, then steps (c)-(f): memoize once under
+    # colocation, replay once with PIL.
+    real = check.run_real()
+    result = check.check()
+    reports = result.modes(real)
     print(render_mode_comparison(reports))
     print()
 
-    result = check.check()  # cached pipeline: memoize + replay
     print(render_memo_summary(result.db))
     print()
 

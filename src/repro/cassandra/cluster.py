@@ -37,12 +37,7 @@ from .metrics import (
     RunReport,
     assemble_report,
 )
-from .node import (
-    CalcExecutor,
-    DirectExecutor,
-    Node,
-    NodeCosts,
-)
+from .node import CalcExecutor, DirectExecutor, Node
 from .pending_ranges import CostConstants, PendingRanges
 from .state import STATUS, STATUS_NORMAL, TOKENS
 from .ring import TokenMetadata
@@ -73,29 +68,37 @@ class MachineSpec:
     context_switch_coeff: float = 0.002
 
 
+#: One colocated node's memory: a process per node (COLO, DIECAST).  A PIL
+#: replay runs the scale-checkable redesign, one process with a shared
+#: event loop (paper section 6).
+NODE_MEMORY = NodeMemoryProfile()
+PIL_NODE_MEMORY = single_process_profile(NODE_MEMORY)
+
+
 @dataclass
 class ClusterConfig:
-    """Everything needed to build a cluster for one scenario run."""
+    """Everything a caller can tell one scenario run's cluster.
+
+    The replication factor
+    (:data:`~repro.cassandra.pending_ranges.REPLICATION_FACTOR`), the live
+    operations' CPU costs (:class:`~repro.cassandra.node.NodeCosts`) and a
+    node's memory (:data:`NODE_MEMORY`) are constants; the colocation host
+    tracks memory in every shared-host mode.
+    """
 
     bug: BugConfig
     nodes: int
     mode: Mode = Mode.REAL
-    rf: int = 3
     seed: int = 42
     node_cores: int = 2
     machine: MachineSpec = field(default_factory=MachineSpec)
     gossip: GossipConfig = field(default_factory=GossipConfig)
-    costs: NodeCosts = field(default_factory=NodeCosts)
     cost_constants: CostConstants = field(default_factory=CostConstants)
     latency: LatencyModel = field(default_factory=LatencyModel)
-    #: Track memory on the colocation host (COLO/PIL modes).
-    track_memory: bool = True
     #: DieCast time-dilation factor (only used in DIECAST mode).
     time_dilation: float = 1.0
     #: Attach the data path (read/write coordination) to every node.
     enable_storage: bool = False
-    #: Node memory profile for COLO (one process per node).
-    memory_profile: NodeMemoryProfile = field(default_factory=NodeMemoryProfile)
 
     @classmethod
     def for_bug(cls, bug_id: str, nodes: int, mode: Mode = Mode.REAL,
@@ -160,8 +163,7 @@ class Cluster:
         self.crashed_for_oom: List[str] = []
         self._shared_cpu: Optional[SharedCpu] = None
         self.memory: Optional[MachineMemory] = None
-        if (config.mode in (Mode.COLO, Mode.PIL, Mode.DIECAST)
-                and config.track_memory):
+        if config.mode in (Mode.COLO, Mode.PIL, Mode.DIECAST):
             self.memory = MachineMemory(config.machine.dram_bytes)
         self._wall_started = 0.0
         self.seeds = [node_name(i) for i in range(min(3, config.nodes))]
@@ -193,13 +195,6 @@ class Cluster:
             )
         return self._shared_cpu
 
-    def _memory_profile(self) -> NodeMemoryProfile:
-        if self.config.mode is Mode.PIL:
-            # PIL replay runs the scale-checkable redesign: one process,
-            # shared event loop (paper section 6).
-            return single_process_profile(self.config.memory_profile)
-        return self.config.memory_profile
-
     def resolve_output(self, input_key: str,
                        compute: Callable[[], PendingRanges]) -> PendingRanges:
         """The output for ``input_key`` in :attr:`outputs`, computed on first
@@ -227,8 +222,6 @@ class Cluster:
             executor=self.executor,
             resolve_output=self.resolve_output,
             calc_records=self.calc_records,
-            rf=self.config.rf,
-            costs=self.config.costs,
             cost_constants=self.config.cost_constants,
             gossip_config=self.config.gossip,
             generation=generation,
@@ -242,7 +235,8 @@ class Cluster:
         """Start a node, charging its memory footprint on the colocation
         host.  Returns False (node crashed) on OOM."""
         if self.memory is not None:
-            profile = self._memory_profile()
+            profile = (PIL_NODE_MEMORY if self.config.mode is Mode.PIL
+                       else NODE_MEMORY)
             try:
                 self.memory.allocate(node.node_id, profile.baseline(), "baseline")
                 self.memory.allocate(

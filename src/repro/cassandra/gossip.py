@@ -60,11 +60,11 @@ _ENDPOINT = itemgetter(0)
 
 @dataclass
 class GossipConfig:
+    """The gossip round's timing: the DieCast baseline stretches the
+    interval by its time-dilation factor.  The failure detector's threshold
+    and window are its defaults."""
+
     interval: float = 1.0
-    phi_threshold: float = 8.0
-    fd_window: int = 1000
-    seed_probability: float = SEED_GOSSIP_PROBABILITY
-    dead_probability: float = DEAD_GOSSIP_PROBABILITY
 
 
 class Gossiper:
@@ -114,8 +114,6 @@ class Gossiper:
         self._shared = shared if shared is not None else SharedClusterState()
         self._store = ColumnarEndpointStore(self._shared)
         self.fd = PhiAccrualFailureDetector(
-            phi_threshold=self.config.phi_threshold,
-            window_size=self.config.fd_window,
             expected_interval=self.config.interval,
             shared=self._shared,
             arrivals=self._store.update_ts,
@@ -266,11 +264,11 @@ class Gossiper:
         if live:
             targets.append(self.rng.choice(self._rng_stream, live))
         dead = self._sorted_unreachable()
-        if dead and self.rng.random(self._rng_stream) < self.config.dead_probability:
+        if dead and self.rng.random(self._rng_stream) < DEAD_GOSSIP_PROBABILITY:
             targets.append(self.rng.choice(self._rng_stream, dead))
         gossiped_to_seed = any(t in self.seeds for t in targets)
         if self.seeds and not gossiped_to_seed and (
-            not live or self.rng.random(self._rng_stream) < self.config.seed_probability
+            not live or self.rng.random(self._rng_stream) < SEED_GOSSIP_PROBABILITY
         ):
             targets.append(self.rng.choice(self._rng_stream, self.seeds))
         digests = self._build_digests()

@@ -36,6 +36,7 @@ from .pending_ranges import (
     CalculatorVariant,
     CostConstants,
     DEFAULT_COSTS,
+    REPLICATION_FACTOR,
     PendingRanges,
     calc_cost,
     compute_pending_ranges,
@@ -71,23 +72,23 @@ lock_protects("ring_lock", "metadata",
 SESSION_CLOSE = "session-close"
 
 
-@dataclass
 class NodeCosts:
     """CPU demand of the small (non-offending) operations, in seconds.
 
     These are the costs that remain *live* under PIL replay; they are small
     enough that hundreds of colocated nodes fit in one machine's cores, which
-    is precisely why replacing only the offending functions suffices.
+    is precisely why replacing only the offending functions suffices.  A
+    namespace of constants: no run sets them.
     """
 
-    gossip_round_base: float = 5e-5
-    per_digest: float = 1e-6
-    message_base: float = 3e-5
-    per_entry: float = 2e-6
-    check_base: float = 2e-5
-    per_liveness_check: float = 5e-7
-    clone_per_token: float = 2e-7     # ring-table clone (the 5456 fix)
-    install_cost: float = 1e-5        # installing calc output under lock
+    gossip_round_base = 5e-5
+    per_digest = 1e-6
+    message_base = 3e-5
+    per_entry = 2e-6
+    check_base = 2e-5
+    per_liveness_check = 5e-7
+    clone_per_token = 2e-7     # ring-table clone (the 5456 fix)
+    install_cost = 1e-5        # installing calc output under lock
 
 
 def estimate_entries(kind: str, payload) -> int:
@@ -168,8 +169,6 @@ class Node:
         resolve_output: Callable[[str, Callable[[], PendingRanges]],
                                  PendingRanges],
         calc_records: List[CalcRecord],
-        rf: int = 3,
-        costs: Optional[NodeCosts] = None,
         cost_constants: CostConstants = DEFAULT_COSTS,
         gossip_config: Optional[GossipConfig] = None,
         generation: int = 1,
@@ -182,8 +181,6 @@ class Node:
         self.cpu = cpu
         self.tokens = tuple(tokens)
         self.bug = bug
-        self.rf = rf
-        self.costs = costs or NodeCosts()
         self.cost_constants = cost_constants
         self.executor = executor
         self.resolve_output = resolve_output
@@ -356,8 +353,8 @@ class Node:
         yield Timeout(self.sim.rng.uniform_once(f"stagger:{self.node_id}", 0.0, interval))
         intended = self.sim.now
         while self.running:
-            cost = (self.costs.gossip_round_base
-                    + self.costs.per_digest * len(self.gossiper.endpoint_state_map))
+            cost = (NodeCosts.gossip_round_base
+                    + NodeCosts.per_digest * len(self.gossiper.endpoint_state_map))
             if self.bug.handoff_scan and self.metadata.has_pending_changes():
                 # ported rhandoff fault: rescan the full ring against
                 # itself for handoff partners, every round changes pend
@@ -384,12 +381,12 @@ class Node:
                 sessions = len(self.gossiper.endpoint_state_map)
                 yield Compute(
                     self.cpu,
-                    self.costs.message_base
+                    NodeCosts.message_base
                     + self.cost_constants.k_close_scan * sessions,
                     tag=f"close-scan:{self.node_id}")
                 continue
             entries = estimate_entries(message.kind, message.payload)
-            cost = self.costs.message_base + self.costs.per_entry * entries
+            cost = NodeCosts.message_base + NodeCosts.per_entry * entries
             if locked_stage:
                 yield Acquire(self.ring_lock)
             yield Compute(self.cpu, cost, tag=f"proc:{self.node_id}")
@@ -405,7 +402,7 @@ class Node:
         yield Timeout(self.sim.rng.uniform_once(f"fd-stagger:{self.node_id}", 0.0, interval))
         while self.running:
             live = len(self.gossiper.live_endpoints)
-            cost = self.costs.check_base + self.costs.per_liveness_check * live
+            cost = NodeCosts.check_base + NodeCosts.per_liveness_check * live
             yield Compute(self.cpu, cost, tag=f"fd:{self.node_id}")
             self.gossiper.check_convictions()
             yield Timeout(interval)
@@ -418,14 +415,14 @@ class Node:
             if self.bug.lock_mode is LockMode.CLONE:
                 # The fix: clone the ring table, release the lock early,
                 # calculate on the clone.
-                clone_cost = self.costs.clone_per_token * max(
+                clone_cost = NodeCosts.clone_per_token * max(
                     1, self.metadata.token_count()
                 )
                 yield Compute(self.cpu, clone_cost, tag=f"clone:{self.node_id}")
                 self.ring_lock.release()
                 yield from self._run_calculation()
                 yield Acquire(self.ring_lock)
-                yield Compute(self.cpu, self.costs.install_cost,
+                yield Compute(self.cpu, NodeCosts.install_cost,
                               tag=f"install:{self.node_id}")
                 self.ring_lock.release()
             else:
@@ -464,7 +461,8 @@ class Node:
         token_count = metadata.token_count() + len(metadata.bootstrap_tokens)
         demand = calc_cost(variant, metadata.node_count(), token_count, changes,
                            self.cost_constants)
-        input_key = pending_ranges_input_key(metadata, self.rf, variant)
+        input_key = pending_ranges_input_key(metadata, REPLICATION_FACTOR,
+                                             variant)
         ring_hash = metadata.content_hash
         request = CalcRequest(
             node_id=self.node_id, variant=variant, input_key=input_key,
@@ -492,7 +490,8 @@ class Node:
                 f"{self.node_id}: calculation output resolved after the ring "
                 f"moved (an executor yielded before resolving it)")
         return self.resolve_output(
-            input_key, lambda: compute_pending_ranges(metadata, self.rf))
+            input_key, lambda: compute_pending_ranges(metadata,
+                                                      REPLICATION_FACTOR))
 
     # -- diagnostics ----------------------------------------------------------------------
 

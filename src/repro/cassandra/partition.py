@@ -65,7 +65,11 @@ DEFAULT_PARAMS = ScenarioParams(warmup=2.0, leaving_duration=2.0,
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Everything needed to run one partitioned scenario, picklable."""
+    """Everything needed to run one partitioned scenario, picklable.
+
+    ``workers`` is 0 (every shard in this process) or ``shards`` (one
+    forked worker per shard); any other count is refused.
+    """
 
     nodes: int
     shards: int = 1
@@ -75,7 +79,6 @@ class PartitionSpec:
     until: float = 8.0
     seed: int = 42
     bug: str = "c3831"
-    #: Worker processes; 0 runs every shard in-process (interleaved).
     workers: int = 0
     scenario: str = "steady"        # "steady" | "decommission" | "join"
     observe_from: float = 0.0
@@ -87,6 +90,10 @@ class PartitionSpec:
         if self.nodes < self.shards or self.shards < 1:
             raise ValueError(
                 f"need 1 <= shards <= nodes: {self.shards}/{self.nodes}")
+        if self.workers not in (0, self.shards):
+            raise ValueError(
+                f"workers={self.workers} with shards={self.shards}: a forked "
+                f"run has one worker per shard (use 0 or {self.shards})")
         if self.epoch <= 0.0 or self.until <= 0.0:
             raise ValueError("epoch and until must be positive")
         if self.scenario not in _SCENARIOS:
@@ -332,9 +339,9 @@ def run_partitioned(spec: PartitionSpec) -> RunReport:
     """Run one partitioned scenario end to end and merge the report.
 
     ``spec.workers == 0`` interleaves all shards in this process (the
-    reference mode); any positive count runs each shard in its own forked
-    worker.  Both paths execute the identical per-barrier sequence, so
-    their reports are byte-identical.
+    reference mode); ``spec.workers == spec.shards`` runs each shard in
+    its own forked worker.  Both paths execute the identical per-barrier
+    sequence, so their reports are byte-identical.
     """
     started = _time.perf_counter()
     ctx = fork_context() if spec.workers > 0 else None

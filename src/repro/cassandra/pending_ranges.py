@@ -60,6 +60,10 @@ declare_cost("calc_cost", M=1, T=2,
 #: of one endpoint are disjoint, so only the last can wrap the origin.
 PendingRanges = Dict[str, array]
 
+#: The simulated keyspace's replication factor (SimpleStrategy): every
+#: node's calculation and every coordinator's replica walk use it.
+REPLICATION_FACTOR = 3
+
 
 def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> PendingRanges:
     """Correct pending-range computation (reference implementation).

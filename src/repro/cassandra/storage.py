@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..annotations import lock_protects
 from ..sim.kernel import Acquire, Compute, Get, Timeout
-from .pending_ranges import bounds_contain
+from .pending_ranges import REPLICATION_FACTOR, bounds_contain
 from .state import STATUS_LEFT
 from .tokens import token_for_key
 
@@ -96,11 +96,13 @@ class OperationResult:
     error: str = ""            # "", "unavailable", "timeout"
 
 
-@dataclass
 class StorageCosts:
-    write_local: float = 5e-5
-    read_local: float = 5e-5
-    coordinate: float = 3e-5
+    """CPU demand of the data path, in seconds: constants, no run sets
+    them."""
+
+    write_local = 5e-5
+    read_local = 5e-5
+    coordinate = 3e-5
 
 
 class StorageService:
@@ -117,11 +119,9 @@ class StorageService:
     #: replica absorbs in one tick).
     HINT_BATCH = 64
 
-    def __init__(self, node, costs: Optional[StorageCosts] = None,
-                 rpc_timeout: float = 2.0,
+    def __init__(self, node, rpc_timeout: float = 2.0,
                  hint_interval: float = 5.0) -> None:
         self.node = node
-        self.costs = costs or StorageCosts()
         self.rpc_timeout = rpc_timeout
         self.store: Dict[str, Tuple[str, float]] = {}
         self._request_ids = itertools.count(1)
@@ -150,7 +150,7 @@ class StorageService:
         ring = metadata.ring()
         if not ring:
             return []
-        natural = ring.natural_endpoints(token, self.node.rf)
+        natural = ring.natural_endpoints(token, REPLICATION_FACTOR)
         pending = [
             endpoint
             for endpoint, bounds in metadata.pending_ranges.items()
@@ -179,10 +179,10 @@ class StorageService:
                          cl: ConsistencyLevel = ConsistencyLevel.QUORUM):
         """Write path: returns :class:`OperationResult`."""
         started = self.node.sim.now
-        yield Compute(self.node.cpu, self.costs.coordinate,
+        yield Compute(self.node.cpu, StorageCosts.coordinate,
                       tag=f"coord-w:{self.node.node_id}")
         replicas = self.replicas_for(key)
-        natural_count = min(self.node.rf, len(replicas)) or 1
+        natural_count = min(REPLICATION_FACTOR, len(replicas)) or 1
         required = cl.required(natural_count)
         alive = self.live_view(replicas)
         if len(alive) < required:
@@ -277,7 +277,7 @@ class StorageService:
             if not batch:
                 continue
             yield Compute(self.node.cpu,
-                          self.costs.write_local * len(batch),
+                          StorageCosts.write_local * len(batch),
                           tag=f"hints:{self.node.node_id}")
             for endpoint, (key, value, timestamp) in batch:
                 self._send_or_local(
@@ -289,10 +289,10 @@ class StorageService:
                         cl: ConsistencyLevel = ConsistencyLevel.ONE):
         """Read path: returns :class:`OperationResult` with ``value``."""
         started = self.node.sim.now
-        yield Compute(self.node.cpu, self.costs.coordinate,
+        yield Compute(self.node.cpu, StorageCosts.coordinate,
                       tag=f"coord-r:{self.node.node_id}")
         replicas = self.replicas_for(key)
-        natural_count = min(self.node.rf, len(replicas)) or 1
+        natural_count = min(REPLICATION_FACTOR, len(replicas)) or 1
         required = cl.required(natural_count)
         alive = self.live_view(replicas)
         if len(alive) < required:
@@ -353,9 +353,9 @@ class StorageService:
         """Process loop for WRITE/READ/acks: separate from GossipStage."""
         while self.node.running:
             message = yield Get(inbox)
-            cost = (self.costs.write_local
+            cost = (StorageCosts.write_local
                     if message.kind in (WRITE, WRITE_ACK)
-                    else self.costs.read_local)
+                    else StorageCosts.read_local)
             yield Compute(self.node.cpu, cost,
                           tag=f"storage:{self.node.node_id}")
             self._handle_storage_message(message.kind, message.payload,

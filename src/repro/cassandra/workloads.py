@@ -21,7 +21,7 @@ from typing import List, Optional
 from ..sim.kernel import Timeout
 from ..sim.memory import OutOfMemoryError
 from .bugs import Workload
-from .cluster import Cluster, node_name
+from .cluster import NODE_MEMORY, Cluster, node_name
 from .metrics import RunReport
 from .node import Node
 from .state import STATUS_BOOT, STATUS_LEAVING, STATUS_LEFT, STATUS_NORMAL
@@ -302,16 +302,15 @@ def run_rebalance(cluster: Cluster,
     cluster.build_established()
     cluster.run(until=params.warmup)
     cluster.op_started_at = cluster.sim.now
-    profile = cluster.config.memory_profile
     vnodes = cluster.config.bug.vnodes
     nodes = cluster.config.nodes
 
     def rebalance_driver(node):
         if cluster.memory is not None:
             if space_oblivious:
-                size = profile.rebalance_overallocation(nodes, vnodes)
+                size = NODE_MEMORY.rebalance_overallocation(nodes, vnodes)
             else:
-                size = profile.rebalance_needed(vnodes)
+                size = NODE_MEMORY.rebalance_needed(vnodes)
             try:
                 allocation = cluster.memory.allocate(
                     node.node_id, size, "rebalance-services")

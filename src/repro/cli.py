@@ -70,9 +70,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     check = make_check(args.bug, args.nodes, seed=args.seed)
     print(f"scale-checking {args.bug} at {args.nodes} nodes "
           f"(seed {args.seed})...")
-    reports = check.compare_modes()
-    print(render_mode_comparison(reports))
+    real = check.run_real()
     result = check.check()
+    reports = result.modes(real)
+    print(render_mode_comparison(reports))
     print()
     print(render_memo_summary(result.db))
     if args.save_db:
@@ -98,7 +99,8 @@ def _chaos_scale_check(args: argparse.Namespace) -> ScaleCheck:
 
 
 class _InputError(Exception):
-    """A user-supplied file is unusable; ``main`` reports it and exits 2."""
+    """A user-supplied file or value is unusable; ``main`` reports it and
+    exits 2."""
 
 
 @contextlib.contextmanager
@@ -462,18 +464,21 @@ def _cmd_partition(args: argparse.Namespace) -> int:
               "(serial vs sharded vs forked)...")
         return _checked(_partition_self_check(epoch=0.05))
 
-    spec = PartitionSpec(
-        nodes=args.nodes,
-        shards=args.shards,
-        epoch=args.epoch,
-        until=args.until,
-        seed=args.seed,
-        workers=args.workers,
-        scenario=args.scenario,
-        observe_from=args.observe_from,
-        params=replace(DEFAULT_PARAMS, warmup=args.op_time,
-                       join_count=args.join_count),
-    )
+    try:
+        spec = PartitionSpec(
+            nodes=args.nodes,
+            shards=args.shards,
+            epoch=args.epoch,
+            until=args.until,
+            seed=args.seed,
+            workers=args.workers,
+            scenario=args.scenario,
+            observe_from=args.observe_from,
+            params=replace(DEFAULT_PARAMS, warmup=args.op_time,
+                           join_count=args.join_count),
+        )
+    except ValueError as exc:
+        raise _InputError(f"unusable partition run: {exc}") from exc
     print(f"partitioned run: N={spec.nodes} K={spec.shards} "
           f"workers={spec.workers} epoch={spec.epoch} until={spec.until} "
           f"scenario={spec.scenario}...",
@@ -823,7 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--shards", type=int, default=4,
                            help="shard count K (node i lives in shard i%%K)")
     partition.add_argument("--workers", type=int, default=0,
-                           help="forked worker processes (0: in-process)")
+                           help="0 runs every shard in-process; the shard "
+                                "count forks one worker per shard (no "
+                                "other value is accepted)")
     partition.add_argument("--epoch", type=float, default=0.005,
                            help="lockstep window width in virtual seconds "
                                 "(also the message-latency floor)")

@@ -119,9 +119,9 @@ def space_oblivious_footprint(over_allocates: bool = True
 
 @dataclass
 class DemandModel:
-    """Per-node CPU demand per second of the live (non-PIL) operations."""
+    """Per-node CPU demand per second of the live (non-PIL) operations, at
+    the simulator's own :class:`~repro.cassandra.node.NodeCosts`."""
 
-    costs: NodeCosts = field(default_factory=NodeCosts)
     gossip_interval: float = 1.0
     exchanges_per_second: float = 3.0
     entries_per_message: float = 8.0
@@ -134,12 +134,12 @@ class DemandModel:
 
     def per_node_demand(self, cluster_size: int, pil: bool) -> float:
         """CPU-seconds of demand per node per wall second."""
-        per_round = (self.costs.gossip_round_base
-                     + self.costs.per_digest * cluster_size)
-        per_check = (self.costs.check_base
-                     + self.costs.per_liveness_check * cluster_size)
-        per_message = (self.costs.message_base
-                       + self.costs.per_entry * self.entries_per_message)
+        per_round = (NodeCosts.gossip_round_base
+                     + NodeCosts.per_digest * cluster_size)
+        per_check = (NodeCosts.check_base
+                     + NodeCosts.per_liveness_check * cluster_size)
+        per_message = (NodeCosts.message_base
+                       + NodeCosts.per_entry * self.entries_per_message)
         demand = (per_round + per_check) / self.gossip_interval
         demand += per_message * self.exchanges_per_second
         if not pil and self.calc_variant is not None:

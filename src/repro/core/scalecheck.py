@@ -37,9 +37,8 @@ from typing import Any, Dict, Optional
 from ..cassandra import legacy_calc
 from ..cassandra.bugs import BugConfig, get_bug
 from ..cassandra.cluster import Cluster, MachineSpec, Mode
-from ..cassandra.gossip import GossipConfig
 from ..cassandra.metrics import RunReport, accuracy_error
-from ..cassandra.node import CalcExecutor, NodeCosts
+from ..cassandra.node import CalcExecutor
 from ..cassandra.pending_ranges import CostConstants
 from ..cassandra.workloads import ScenarioParams
 from ..faults.injector import install_faults
@@ -102,6 +101,13 @@ class ScaleCheckResult(Recording):
         """The PIL replay's run report."""
         return self.replay.report
 
+    def modes(self, real: RunReport) -> Dict[str, RunReport]:
+        """The :meth:`ScaleCheck.compare_modes` dict of this check and the
+        ``real`` run: a caller that needs the recording too runs the three
+        modes once."""
+        return {"real": real, "colo": self.memo_report,
+                "pil": self.replay_report}
+
     def speedup(self) -> float:
         """Wall-clock memoization/replay cost ratio (host seconds).
 
@@ -119,10 +125,13 @@ class ScaleCheckResult(Recording):
 
 @dataclass
 class ScaleCheck:
-    """One scale-check scenario: a bug, a cluster size, and timing knobs.
-
-    The Cassandra-only knobs (``cost_constants``, ``costs``, ``gossip``,
-    ``rf``) are ignored by other targets.
+    """One scale-check scenario: a bug, a cluster size, a seed, the
+    scenario window (``params``), the calculation cost constants, the
+    colocation host and an optional vnode count.  That is all a check can
+    be told: the replication factor, the gossip timing and the costs of
+    the live operations are constants of the model (DESIGN.md, "What a run
+    can be told").  ``cost_constants`` is Cassandra-only; other targets
+    ignore it.
 
     The runs one check builds (:meth:`run_real`, :meth:`run_colo`,
     :meth:`memoize`, :meth:`replay`) resolve Cassandra outputs through one
@@ -145,10 +154,7 @@ class ScaleCheck:
     seed: int = 42
     params: ScenarioParams = field(default_factory=ScenarioParams)
     cost_constants: CostConstants = field(default_factory=CostConstants)
-    costs: NodeCosts = field(default_factory=NodeCosts)
     machine: MachineSpec = field(default_factory=MachineSpec)
-    gossip: GossipConfig = field(default_factory=GossipConfig)
-    rf: int = 3
     #: Optional vnode-count override (affordability: large-N sweeps shrink
     #: the per-node token population the way ``repro doctor --vnodes`` does;
     #: blocks per datanode on HDFS).
@@ -290,12 +296,7 @@ class ScaleCheck:
     def compare_modes(self, faults: Optional[FaultSchedule] = None) -> Dict[str, RunReport]:
         """One Figure-3 data point: Real, Colo, and SC+PIL flap counts."""
         real = self.run_real(faults=faults)
-        result = self.check(faults=faults)
-        return {
-            "real": real,
-            "colo": result.memo_report,
-            "pil": result.replay_report,
-        }
+        return self.check(faults=faults).modes(real)
 
     @staticmethod
     def accuracy(reports: Dict[str, RunReport]) -> Dict[str, float]:
@@ -304,15 +305,3 @@ class ScaleCheck:
             "colo_error": accuracy_error(reports["real"], reports["colo"]),
             "pil_error": accuracy_error(reports["real"], reports["pil"]),
         }
-
-    @staticmethod
-    def divergence(reports: Dict[str, RunReport]) -> Dict[str, Dict]:
-        """Attribute each mode's divergence from the real run to a stage.
-
-        Uses the per-stage lateness every :class:`RunReport` now carries
-        (:func:`repro.obs.doctor.attribute_divergence`): the stage whose
-        lateness exceeds the real run's the most is named as the cause of
-        the mode's distorted symptom counts.
-        """
-        from ..obs.doctor import attribute_divergence
-        return attribute_divergence(reports)

@@ -52,11 +52,8 @@ def _cassandra_config(check, mode: Mode) -> ClusterConfig:
         bug=check.bug,
         nodes=check.nodes,
         mode=mode,
-        rf=check.rf,
         seed=check.seed,
         machine=copy.deepcopy(check.machine),
-        gossip=copy.deepcopy(check.gossip),
-        costs=copy.deepcopy(check.costs),
         cost_constants=copy.deepcopy(check.cost_constants),
     )
 

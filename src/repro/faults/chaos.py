@@ -8,10 +8,11 @@ schedule.  The generator is deliberately self-contained (it does not touch
 the simulator's RNG): generating a schedule never perturbs the run that
 enacts it.
 
-The knobs live in :class:`ChaosConfig`.  Weights select fault kinds;
-everything else bounds the blast radius (partition size, degrade severity,
-outage length) so generated schedules stay survivable -- the goal is to
-*amplify* protocol symptoms, not to kill the whole cluster.
+The knobs live in :class:`ChaosConfig`: how many faults, when, of which
+kinds, and the crash and partition bounds.  The module constants below
+bound the rest of the blast radius (partition size, degrade severity,
+antagonist counts), so generated schedules stay survivable -- the goal is
+to *amplify* protocol symptoms, not to kill the whole cluster.
 """
 
 from __future__ import annotations
@@ -43,9 +44,25 @@ def _default_weights() -> Dict[str, float]:
     }
 
 
+#: Partition minority side size, as a fraction of the cluster.
+PARTITION_FRACTION = 0.25
+#: Link-degrade drop probability, latency-multiplier and duration ranges.
+DROP_P = (0.2, 0.9)
+LATENCY_MULT = (2.0, 10.0)
+DEGRADE_DURATION = (5.0, 40.0)
+#: CPU-stress antagonist count and duration ranges.
+HOGS = (1, 4)
+STRESS_DURATION = (5.0, 20.0)
+#: Disk throttle factor and duration ranges.
+DISK_FACTOR = (0.05, 0.5)
+DISK_DURATION = (5.0, 30.0)
+
+
 @dataclass
 class ChaosConfig:
-    """Knobs for the chaos generator."""
+    """What a chaos schedule can be told: the event count, the window, the
+    kind weights, and the crash and partition bounds.  The other bounds
+    are this module's constants (:data:`DROP_P` and the rest)."""
 
     #: Number of primary fault events to draw (restarts and heals that pair
     #: with crashes/partitions come on top).
@@ -59,20 +76,8 @@ class ChaosConfig:
     outage: tuple = (5.0, 30.0)
     #: Fraction of crashes left permanent (no matching restart).
     permanent_crash_p: float = 0.2
-    #: Partition minority side size as a fraction of the cluster, and the
-    #: [min, max] seconds before the matching heal.
-    partition_fraction: float = 0.25
+    #: [min, max] seconds before a partition's matching heal.
     partition_duration: tuple = (5.0, 30.0)
-    #: Link-degrade drop probability and latency-multiplier ranges.
-    drop_p: tuple = (0.2, 0.9)
-    latency_mult: tuple = (2.0, 10.0)
-    degrade_duration: tuple = (5.0, 40.0)
-    #: CPU-stress antagonist count and duration ranges.
-    hogs: tuple = (1, 4)
-    stress_duration: tuple = (5.0, 20.0)
-    #: Disk throttle factor range.
-    disk_factor: tuple = (0.05, 0.5)
-    disk_duration: tuple = (5.0, 30.0)
     #: Never have more than this fraction of the cluster crashed at once.
     max_down_fraction: float = 0.34
 
@@ -107,7 +112,7 @@ def _draw_partition(rng: random.Random, when: float,
                     population: Sequence[str],
                     config: ChaosConfig) -> List[Fault]:
     """Draw a minority partition and its matching heal."""
-    minority = max(1, int(len(population) * config.partition_fraction))
+    minority = max(1, int(len(population) * PARTITION_FRACTION))
     shuffled = list(population)
     rng.shuffle(shuffled)
     side_a = tuple(sorted(shuffled[:minority]))
@@ -120,37 +125,34 @@ def _draw_partition(rng: random.Random, when: float,
 
 
 def _draw_link_degrade(rng: random.Random, when: float,
-                       population: Sequence[str],
-                       config: ChaosConfig) -> List[Fault]:
+                       population: Sequence[str]) -> List[Fault]:
     """Draw a lossy/slow directed link."""
     src, dst = rng.sample(list(population), 2)
     return [LinkDegrade(
         time=when, src=src, dst=dst,
-        drop_p=round(_uniform(rng, config.drop_p), 3),
-        latency_mult=round(_uniform(rng, config.latency_mult), 3),
-        duration=round(_uniform(rng, config.degrade_duration), 3),
+        drop_p=round(_uniform(rng, DROP_P), 3),
+        latency_mult=round(_uniform(rng, LATENCY_MULT), 3),
+        duration=round(_uniform(rng, DEGRADE_DURATION), 3),
     )]
 
 
 def _draw_cpu_stress(rng: random.Random, when: float,
-                     population: Sequence[str],
-                     config: ChaosConfig) -> List[Fault]:
+                     population: Sequence[str]) -> List[Fault]:
     """Draw a CPU antagonist on one node."""
     return [CpuStress(
         time=when, node=rng.choice(list(population)),
-        hogs=rng.randint(int(config.hogs[0]), int(config.hogs[1])),
-        duration=round(_uniform(rng, config.stress_duration), 3),
+        hogs=rng.randint(*HOGS),
+        duration=round(_uniform(rng, STRESS_DURATION), 3),
     )]
 
 
 def _draw_disk_degrade(rng: random.Random, when: float,
-                       population: Sequence[str],
-                       config: ChaosConfig) -> List[Fault]:
+                       population: Sequence[str]) -> List[Fault]:
     """Draw a disk throttle on one node."""
     return [DiskDegrade(
         time=when, node=rng.choice(list(population)),
-        bandwidth_factor=round(_uniform(rng, config.disk_factor), 3),
-        duration=round(_uniform(rng, config.disk_duration), 3),
+        bandwidth_factor=round(_uniform(rng, DISK_FACTOR), 3),
+        duration=round(_uniform(rng, DISK_DURATION), 3),
     )]
 
 
@@ -188,11 +190,10 @@ def generate_schedule(nodes: Sequence[str], seed: int,
         PartitionCut.kind: lambda when: _draw_partition(rng, when,
                                                         population, config),
         LinkDegrade.kind: lambda when: _draw_link_degrade(rng, when,
-                                                          population, config),
-        CpuStress.kind: lambda when: _draw_cpu_stress(rng, when,
-                                                      population, config),
+                                                          population),
+        CpuStress.kind: lambda when: _draw_cpu_stress(rng, when, population),
         DiskDegrade.kind: lambda when: _draw_disk_degrade(rng, when,
-                                                          population, config),
+                                                          population),
     }
 
     for __ in range(max(0, config.events)):

@@ -25,12 +25,16 @@ from ..sim.disk import DataEmulationPolicy, Disk
 from ..sim.kernel import KernelObserver, Simulator
 from ..sim.memory import GB, MB
 from ..sim.network import LatencyModel, Network
-from .datanode import DataNode, DataNodeCosts
-from .namenode import HdfsCosts, NameNode
+from .datanode import DataNode
+from .namenode import NameNode
 
 #: The bug id of the block-report storm: every HDFS report carries it, and
 #: it selects the HDFS target wherever a bug id is asked for.
 HDFS_BUG_ID = "hdfs-blockreport"
+
+#: Datanodes send their first block report at a seeded time in
+#: ``[0, REPORT_STAGGER)`` seconds after start.
+REPORT_STAGGER = 5.0
 
 
 def datanode_name(index: int) -> str:
@@ -40,7 +44,10 @@ def datanode_name(index: int) -> str:
 
 @dataclass
 class HdfsConfig:
-    """Everything needed to build an HDFS-like cluster run."""
+    """Everything a caller can tell an HDFS-like cluster run.  The CPU
+    costs (:class:`~repro.hdfs.namenode.HdfsCosts`,
+    :class:`~repro.hdfs.datanode.DataNodeCosts`), the heartbeat and
+    block-report periods and :data:`REPORT_STAGGER` are constants."""
 
     datanodes: int
     blocks_per_datanode: int = 10000
@@ -51,13 +58,8 @@ class HdfsConfig:
     host_disk_bytes: int = 200 * GB   # colocation host's disk
     disk_bandwidth: int = 400 * MB    # host disk bandwidth (bytes/sec)
     emulation: Optional[DataEmulationPolicy] = None  # None = faithful
-    nn_costs: HdfsCosts = field(default_factory=HdfsCosts)
-    dn_costs: DataNodeCosts = field(default_factory=DataNodeCosts)
     dead_timeout: float = 10.0
-    heartbeat_interval: float = 1.0
-    report_interval: float = 30.0
     store_data: bool = False          # write blocks to disk (Exalt workloads)
-    report_stagger: float = 5.0       # initial block-report spread
 
 
 class HdfsCluster:
@@ -86,10 +88,8 @@ class HdfsCluster:
             cpu=self._cpu_for("namenode", cores=8),
             flaps=self.flaps,
             executor=executor,
-            costs=config.nn_costs,
             calc_records=self.calc_records,
             dead_timeout=config.dead_timeout,
-            heartbeat_interval=config.heartbeat_interval,
         )
         self.datanodes: Dict[str, DataNode] = {}
 
@@ -151,9 +151,6 @@ class HdfsCluster:
                 disk=self._disk_for(name),
                 block_count=self.config.blocks_per_datanode,
                 block_size=self.config.block_size,
-                costs=self.config.dn_costs,
-                heartbeat_interval=self.config.heartbeat_interval,
-                report_interval=self.config.report_interval,
                 store_data=self.config.store_data,
             )
 
@@ -161,8 +158,7 @@ class HdfsCluster:
         """Start every datanode with a staggered initial report."""
         for i, node in enumerate(self.datanodes.values()):
             delay = self.sim.rng.uniform_once(
-                f"report-stagger:{node.node_id}", 0.0,
-                self.config.report_stagger)
+                f"report-stagger:{node.node_id}", 0.0, REPORT_STAGGER)
             node.start(initial_report_delay=delay)
 
     def run(self, until: float) -> None:
@@ -200,9 +196,6 @@ class HdfsCluster:
             disk=old.disk,
             block_count=0,
             block_size=self.config.block_size,
-            costs=self.config.dn_costs,
-            heartbeat_interval=self.config.heartbeat_interval,
-            report_interval=self.config.report_interval,
             store_data=False,  # its data already sits on the same disk
         )
         node.blocks = old.blocks

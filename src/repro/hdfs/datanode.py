@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..sim.cpu import CpuModel
 from ..sim.disk import Disk, DiskFullError
 from ..sim.kernel import Compute, Simulator, Timeout
 from ..sim.network import Network
 from .blocks import BlockReport, ReportedBlock, synthesize_blocks
-from .namenode import BLOCK_REPORT, HEARTBEAT, REGISTER
+from .namenode import BLOCK_REPORT, HEARTBEAT, HEARTBEAT_INTERVAL, REGISTER
 
 
-@dataclass
+#: Period of a datanode's full block report.
+REPORT_INTERVAL = 30.0
+
+
 class DataNodeCosts:
-    """CPU demand of datanode-side operations (seconds)."""
+    """CPU demand of datanode-side operations (seconds): constants, no run
+    sets them."""
 
-    heartbeat_send: float = 1e-5
-    report_build_base: float = 5e-4
-    report_build_per_block: float = 1e-6
+    heartbeat_send = 1e-5
+    report_build_base = 5e-4
+    report_build_per_block = 1e-6
 
 
 class DataNode:
@@ -41,9 +44,6 @@ class DataNode:
         disk: Disk,
         block_count: int,
         block_size: int,
-        costs: Optional[DataNodeCosts] = None,
-        heartbeat_interval: float = 1.0,
-        report_interval: float = 30.0,
         store_data: bool = True,
         namenode_id: str = "namenode",
     ) -> None:
@@ -52,9 +52,6 @@ class DataNode:
         self.network = network
         self.cpu = cpu
         self.disk = disk
-        self.costs = costs or DataNodeCosts()
-        self.heartbeat_interval = heartbeat_interval
-        self.report_interval = report_interval
         self.store_data = store_data
         self.namenode_id = namenode_id
         self.blocks: List[ReportedBlock] = synthesize_blocks(
@@ -107,11 +104,11 @@ class DataNode:
             yield Timeout(initial_report_delay)
         while self.running:
             yield from self._send_report()
-            yield Timeout(self.report_interval)
+            yield Timeout(REPORT_INTERVAL)
 
     def _send_report(self):
-        cost = (self.costs.report_build_base
-                + self.costs.report_build_per_block * len(self.blocks))
+        cost = (DataNodeCosts.report_build_base
+                + DataNodeCosts.report_build_per_block * len(self.blocks))
         yield Compute(self.cpu, cost, tag=f"dn-report:{self.node_id}")
         report = BlockReport(datanode=self.node_id, blocks=tuple(self.blocks))
         self.network.send(self.node_id, self.namenode_id, BLOCK_REPORT, report)
@@ -119,8 +116,8 @@ class DataNode:
 
     def _heartbeat_task(self):
         while self.running:
-            yield Compute(self.cpu, self.costs.heartbeat_send,
+            yield Compute(self.cpu, DataNodeCosts.heartbeat_send,
                           tag=f"dn-hb:{self.node_id}")
             self.network.send(self.node_id, self.namenode_id, HEARTBEAT, None)
             self.heartbeats_sent += 1
-            yield Timeout(self.heartbeat_interval)
+            yield Timeout(HEARTBEAT_INTERVAL)

@@ -63,21 +63,25 @@ REPORT_FUNC_ID = "hdfs.processBlockReport"
 REPORT_CODEC = (dict, dict)
 
 
-@dataclass
-class HdfsCosts:
-    """CPU demand of namenode operations (seconds)."""
+#: Datanode heartbeat period, and the namenode heartbeat monitor's.
+HEARTBEAT_INTERVAL = 1.0
 
-    heartbeat_process: float = 2e-5
-    register_process: float = 1e-4
-    report_base: float = 2e-3
+
+class HdfsCosts:
+    """CPU demand of namenode operations (seconds): constants, no run sets
+    them."""
+
+    heartbeat_process = 2e-5
+    register_process = 1e-4
+    report_base = 2e-3
     #: Per-block processing cost of a full block report -- the offending,
     #: scale-dependent term (O(B) under the global lock).
-    report_per_block: float = 8e-5
-    monitor_base: float = 2e-5
-    monitor_per_datanode: float = 5e-7
+    report_per_block = 8e-5
+    monitor_base = 2e-5
+    monitor_per_datanode = 5e-7
     #: Replication-monitor scan per known block while a decommission is in
     #: flight (the HDFS decommission bugs' O(B) term).
-    replication_scan_per_block: float = 2e-6
+    replication_scan_per_block = 2e-6
 
 
 @dataclass
@@ -107,10 +111,8 @@ class NameNode:
         cpu: CpuModel,
         flaps: FlapCounter,
         executor: Optional[CalcExecutor] = None,
-        costs: Optional[HdfsCosts] = None,
         calc_records: Optional[List[CalcRecord]] = None,
         dead_timeout: float = 10.0,
-        heartbeat_interval: float = 1.0,
         node_id: str = "namenode",
     ) -> None:
         self.sim = sim
@@ -118,10 +120,8 @@ class NameNode:
         self.cpu = cpu
         self.flaps = flaps
         self.executor = executor if executor is not None else DirectExecutor()
-        self.costs = costs or HdfsCosts()
         self.calc_records = calc_records if calc_records is not None else []
         self.dead_timeout = dead_timeout
-        self.heartbeat_interval = heartbeat_interval
         self.node_id = node_id
         self.inbox: Channel = sim.channel("inbox:namenode")
         self.fsn_lock = sim.lock("fsn-lock")
@@ -172,7 +172,7 @@ class NameNode:
 
     def _handle_register(self, message: Message):
         yield Acquire(self.fsn_lock)
-        yield Compute(self.cpu, self.costs.register_process, tag="nn-register")
+        yield Compute(self.cpu, HdfsCosts.register_process, tag="nn-register")
         now = self.sim.now
         self.datanodes[message.src] = DatanodeDescriptor(
             node_id=message.src, registered_at=now, last_heartbeat=now)
@@ -180,7 +180,7 @@ class NameNode:
 
     def _handle_heartbeat(self, message: Message):
         yield Acquire(self.fsn_lock)
-        yield Compute(self.cpu, self.costs.heartbeat_process, tag="nn-heartbeat")
+        yield Compute(self.cpu, HdfsCosts.heartbeat_process, tag="nn-heartbeat")
         descriptor = self.datanodes.get(message.src)
         if descriptor is not None:
             descriptor.last_heartbeat = self.sim.now
@@ -195,8 +195,8 @@ class NameNode:
         """The offending path: O(blocks) processing under the global lock."""
         report: BlockReport = message.payload
         yield Acquire(self.fsn_lock)
-        demand = (self.costs.report_base
-                  + self.costs.report_per_block * len(report))
+        demand = (HdfsCosts.report_base
+                  + HdfsCosts.report_per_block * len(report))
         request = CalcRequest(
             node_id=self.node_id,
             variant=None,
@@ -253,8 +253,8 @@ class NameNode:
         precisely how healthy datanodes get declared dead at scale.
         """
         while self.running:
-            cost = (self.costs.monitor_base
-                    + self.costs.monitor_per_datanode * len(self.datanodes))
+            cost = (HdfsCosts.monitor_base
+                    + HdfsCosts.monitor_per_datanode * len(self.datanodes))
             yield Compute(self.cpu, cost, tag="nn-monitor")
             now = self.sim.now
             for descriptor in self.datanodes.values():
@@ -263,7 +263,7 @@ class NameNode:
                     descriptor.alive = False
                     self.flaps.record_conviction(now, self.node_id,
                                                  descriptor.node_id)
-            yield Timeout(self.heartbeat_interval)
+            yield Timeout(HEARTBEAT_INTERVAL)
 
     def _replication_monitor(self):
         """O(B) block-map scan per tick while any decommission is pending."""
@@ -272,7 +272,7 @@ class NameNode:
             if not any(d.decommissioning for d in self.datanodes.values()):
                 continue
             yield Acquire(self.fsn_lock)
-            demand = (self.costs.replication_scan_per_block
+            demand = (HdfsCosts.replication_scan_per_block
                       * max(1, len(self.block_map)))
             yield Compute(self.cpu, demand, tag="nn-replication-scan")
             for descriptor in self.datanodes.values():

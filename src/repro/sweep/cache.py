@@ -86,9 +86,12 @@ class SweepCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Stored result payload for ``key``, or None.
 
-        An entry that does not decode to an object carrying ``result`` (a
-        half-written or hand-damaged file) is a miss, counted in
-        ``corrupt``: the caller recomputes and :meth:`put` overwrites it.
+        An entry that does not decode to an object of this
+        :data:`CACHE_SCHEMA` carrying ``result`` (a half-written or
+        hand-damaged file) is a miss, counted in ``corrupt``: the caller
+        recomputes and :meth:`put` overwrites it.  An entry of another
+        schema is damage too, not a stale format: the schema is hashed into
+        the key, so no honest entry of another schema sits at this one.
         """
         path = self._result_path(key)
         if path.exists():
@@ -99,8 +102,8 @@ class SweepCache:
                     self.hits += 1
                     return result
             except (ValueError, AttributeError, KeyError):
-                # undecodable JSON / not an object / no "result"
-                self.corrupt += 1
+                pass  # undecodable JSON / not an object / no "result"
+            self.corrupt += 1
         self.misses += 1
         return None
 

@@ -69,6 +69,25 @@ def test_check_saves_db(tmp_path, capsys):
     assert db.meta["bug"] == "c3831-fixed"
 
 
+def test_check_builds_each_mode_once(capsys, monkeypatch):
+    """``repro check`` runs real, memoize and replay once each: the mode
+    table and the recording summary come from the same three runs."""
+    from repro.core.scalecheck import ScaleCheck
+
+    modes = []
+    run = ScaleCheck._run
+
+    def counted(self, mode, *args, **kwargs):
+        modes.append(mode.value)
+        return run(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(ScaleCheck, "_run", counted)
+    code, out = run_cli(capsys, "check", "--bug", "c3831", "--nodes", "8")
+    assert code == 0
+    assert "memo DB" in out
+    assert modes == ["real", "colo", "pil"]
+
+
 def test_figure3_with_tiny_scales(capsys):
     code, out = run_cli(capsys, "figure3", "--bug", "c3831",
                         "--scales", "4", "6", "--seed", "3")
@@ -217,6 +236,19 @@ def test_partition_run_prints_steps_memory_and_digest(capsys):
     assert "KB peak RSS (coordinator)" in lines["memory"]
     assert int(lines["memory"].split()[1].replace(",", "")) > 0
     assert len(lines["digest"].split()[1]) == 64
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_partition_workers_other_than_shards_is_unusable_input(
+        capsys, workers):
+    """A forked run has one worker per shard, so ``--workers`` is 0 or the
+    shard count; any other value is refused, naming both."""
+    code = main(["partition", "--nodes", "12", "--shards", "2",
+                 "--workers", workers, "--until", "1.0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert f"workers={workers}" in err and "shards=2" in err
 
 
 # -- lint ----------------------------------------------------------------------------

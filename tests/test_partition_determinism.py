@@ -149,6 +149,12 @@ def test_spec_validation():
         LinkDegrade(1.0, "node-000", "node-001", latency_mult=0.5)])
     with pytest.raises(ValueError, match="latency_mult"):
         PartitionSpec(nodes=4, faults=speedup)
+    # A forked run has one worker per shard: any other positive count
+    # would be ignored, so it is refused, naming both values.
+    for workers in (1, 3):
+        with pytest.raises(ValueError, match=f"workers={workers}.*shards=2"):
+            PartitionSpec(nodes=4, shards=2, workers=workers)
+    PartitionSpec(nodes=4, shards=2, workers=2)
 
 
 def test_unknown_chaos_kind_rejected():

@@ -18,6 +18,7 @@ from repro.core.report import render_sweep_summary
 from repro.core.scalecheck import ReplayResult, ScaleCheck, ScaleCheckResult
 from repro.obs import SweepCollector
 from repro.sweep import (
+    CACHE_SCHEMA,
     SweepCache,
     SweepPoint,
     SweepSpec,
@@ -298,6 +299,20 @@ def test_cache_miss_then_hit(tmp_path):
     assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0,
                              "stale": 0}
     assert len(cache) == 1
+
+
+def test_a_result_of_another_schema_at_its_key_is_corrupt(tmp_path):
+    """The schema is hashed into the key, so an entry of another schema at
+    a current key is damage: a counted corrupt miss, overwritten by put."""
+    cache = SweepCache(tmp_path)
+    cache.put("deadbeef", {"report": {"flaps": 3}})
+    path = tmp_path / "results" / "deadbeef.json"
+    payload = json.loads(path.read_text())
+    payload["schema"] = CACHE_SCHEMA + 1
+    path.write_text(json.dumps(payload))
+    assert cache.get("deadbeef") is None
+    assert cache.stats() == {"hits": 0, "misses": 1, "corrupt": 1,
+                             "stale": 0}
 
 
 def fill_the_disk(monkeypatch):
