@@ -16,13 +16,11 @@ Deselect with ``-m "not obs"``; this module simulates ~7 cluster runs at
 N=128.
 """
 
-import dataclasses
 import time
 
 import pytest
 
 from repro.bench.calibrate import ci_cost_constants
-from repro.cassandra.bugs import get_bug
 from repro.cassandra.cluster import MachineSpec, node_name
 from repro.cassandra.workloads import ScenarioParams
 from repro.core.scalecheck import ScaleCheck
@@ -49,17 +47,9 @@ CHAOS = ChaosConfig(
 )
 
 
-class VnodeScaleCheck(ScaleCheck):
-    """c6127 with a reduced vnode count so N=128 runs are affordable."""
-
-    @property
-    def bug(self):
-        return dataclasses.replace(get_bug(self.bug_id), vnodes=VNODES)
-
-
 def make_check() -> ScaleCheck:
-    return VnodeScaleCheck(
-        "c6127", NODES, seed=SEED, params=PARAMS,
+    return ScaleCheck(
+        "c6127", NODES, seed=SEED, params=PARAMS, vnodes=VNODES,
         cost_constants=ci_cost_constants("c6127", ci_top=NODES, paper_top=32),
         machine=MachineSpec(cores=NODES))
 

@@ -21,7 +21,8 @@ from ..core.axes import Term
 from ..core.finder import Program
 from .findings import Finding
 
-#: Expected polynomial degrees per corpus function, keyed by module suffix.
+#: Expected polynomial degrees per corpus function (by qualname), keyed by
+#: module suffix.
 #: These mirror the ``calc_cost`` formulas (CalculatorVariant) and the
 #: HdfsCosts per-block charges; update both together or the lint gate fails.
 EXPECTATIONS: Dict[str, List[Tuple[str, Dict[str, int], str]]] = {
@@ -40,11 +41,12 @@ EXPECTATIONS: Dict[str, List[Tuple[str, Dict[str, int], str]]] = {
          "legacy top-level calculation, O(T^2) dominant"),
     ],
     "cassandra.node": [
-        ("_run_calculation", {"M": 1, "T": 2},
+        ("Node._run_calculation", {"M": 1, "T": 2},
          "declare_cost bridge: worst modeled variant O(M·T^2)"),
     ],
     "hdfs.namenode": [
-        ("_report_outcome", {"B": 1}, "block-report processing, O(B)"),
+        ("NameNode._report_outcome", {"B": 1},
+         "block-report processing, O(B)"),
     ],
 }
 

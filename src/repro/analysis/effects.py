@@ -42,7 +42,7 @@ def check_complexity(program: Program) -> List[Finding]:
             rule="scale-complexity",
             severity="error" if degree >= 3 else "warning",
             module=module,
-            function=analysis.name,
+            function=analysis.qualname,
             lineno=analysis.lineno,
             message=f"effective complexity {labels}{guard_note}",
             detail=labels,
@@ -73,7 +73,7 @@ def check_pil_safety(program: Program) -> List[Finding]:
             rule="pil-unsafe-offender",
             severity="warning",
             module=module,
-            function=analysis.name,
+            function=analysis.qualname,
             lineno=analysis.lineno,
             message=f"offending but not PIL-replaceable: {reason}",
             detail=detail,
@@ -95,7 +95,7 @@ def check_determinism(program: Program) -> List[Finding]:
                 rule="nondeterminism",
                 severity="warning",
                 module=module,
-                function=analysis.name,
+                function=analysis.qualname,
                 lineno=first.lineno,
                 message=f"{kind}: {', '.join(details)}",
                 detail=f"{kind}|{','.join(details)}",

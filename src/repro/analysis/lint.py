@@ -11,15 +11,17 @@ exclude line numbers, so moving code does not churn the file.
 *raw* (pre-baseline) findings rediscover every historical bug path from
 source alone -- C3831, C3881, C5456, C6127, and the HDFS O(B)
 block-report path -- that the baseline suppresses everything, i.e.
-zero false positives on the shipped tree, and that every baseline entry
-still matches a finding, so the baseline cannot only grow.  An entry
-matches when its fingerprint is the finding's and its note is the
+zero false positives on the shipped tree, that every baseline entry
+still matches a finding, so the baseline cannot only grow, and that every
+function defined in the targets is analysed (once, under its qualname).
+An entry matches when its fingerprint is the finding's and its note is the
 finding's message (optionally followed by ``; justified: ...``), so a note
 cannot drift from what it suppresses.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 from dataclasses import dataclass, field
@@ -30,9 +32,10 @@ from ..core.finder import Program
 from .drift import check_drift
 from .effects import check_complexity, check_determinism, check_pil_safety
 from .findings import Finding, sort_findings
-from .locks import check_locks
+from .locks import check_locks, walk_locks
 from .sarif import findings_to_sarif_dict
-from .shared import check_dead_annotations, check_shared_state
+from .shared import (check_dead_annotations, check_shared_state,
+                     harvest_shared_state)
 
 #: Default lint targets: the two modeled systems and the client workload
 #: that drives them (the set ``lint-baseline.json`` is written for).
@@ -54,6 +57,8 @@ class LintReport(VerbReport):
     raw_findings: List[Finding] = field(default_factory=list)
     #: Baseline entries no raw finding matches (fingerprint and note).
     stale: List[Dict[str, str]] = field(default_factory=list)
+    #: ``module:qualname`` of each def in the targets with no analysis.
+    unanalysed: List[str] = field(default_factory=list)
 
     def to_json_dict(self) -> Dict[str, object]:
         """Canonical JSON form (stable ordering, no absolute paths)."""
@@ -135,12 +140,33 @@ def run_rules(program: Program) -> "tuple[List[Finding], List[Dict[str, object]]
     findings.extend(check_complexity(program))
     findings.extend(check_pil_safety(program))
     findings.extend(check_determinism(program))
-    findings.extend(check_locks(program))
-    findings.extend(check_shared_state(program))
-    findings.extend(check_dead_annotations(program))
+    walks = walk_locks(program)
+    findings.extend(check_locks(program, walks))
+    findings.extend(check_shared_state(harvest_shared_state(program, walks)))
+    findings.extend(check_dead_annotations(program, walks))
     verdicts, drift_findings = check_drift(program)
     findings.extend(drift_findings)
     return sort_findings(findings), verdicts
+
+
+def unanalysed_defs(program: Program) -> List[str]:
+    """``module:qualname`` of every module- or class-level def (a
+    property's getter and setter are one) that the program holds no
+    analysis for, read off each module's syntax tree."""
+    missing: List[str] = []
+    for module in sorted(program.modules):
+        unit = program.modules[module]
+        stack = [(unit.tree.body, "")]
+        while stack:
+            body, prefix = stack.pop()
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    stack.append((node.body, f"{prefix}{node.name}."))
+                elif isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)) \
+                        and prefix + node.name not in unit.report.functions:
+                    missing.append(f"{module}:{prefix}{node.name}")
+    return sorted(set(missing))
 
 
 def run_lint(targets: Sequence[str] = DEFAULT_TARGETS,
@@ -163,6 +189,7 @@ def run_lint(targets: Sequence[str] = DEFAULT_TARGETS,
         stale=[entry for fingerprint, entry in sorted(baseline.items())
                if found.get(fingerprint)
                != entry["note"].partition("; justified: ")[0]],
+        unanalysed=unanalysed_defs(program),
     )
 
 
@@ -205,8 +232,8 @@ def self_check(report: LintReport) -> Checks:
     record(
         "C5456: calculation under the coarse ring lock",
         _has_finding(raw, "lock-held-scale-work", "cassandra.node",
-                     "_calc_stage", contains="ring_lock"),
-        "lock-held-scale-work on _calc_stage (ring_lock)",
+                     "Node._calc_stage", contains="ring_lock"),
+        "lock-held-scale-work on Node._calc_stage (ring_lock)",
     )
     record(
         "C6127: branch-guarded fresh-bootstrap construction",
@@ -217,14 +244,20 @@ def self_check(report: LintReport) -> Checks:
     record(
         "HDFS: O(B) block report under the namesystem lock",
         _has_finding(raw, "lock-held-scale-work", "hdfs.namenode",
-                     "_handle_block_report", contains="fsn_lock"),
-        "lock-held-scale-work on _handle_block_report (fsn_lock)",
+                     "NameNode._handle_block_report", contains="fsn_lock"),
+        "lock-held-scale-work on NameNode._handle_block_report (fsn_lock)",
     )
     bad_drift = [v for v in report.drift if not v["ok"]]
     checks.add(
         "cost-model drift: inferred == declared degrees", not bad_drift,
         "all declared cost classes match inferred terms" if not bad_drift
         else f"drift on {', '.join(str(v['function']) for v in bad_drift)}")
+    checks.add(
+        "every function definition in the targets is analysed",
+        not report.unanalysed,
+        f"{report.function_count} functions, each analysed once"
+        if not report.unanalysed
+        else f"not analysed: {', '.join(report.unanalysed)}")
     checks.add(
         "baseline: zero unsuppressed findings on the shipped tree",
         not report.findings,

@@ -21,6 +21,10 @@ branch holds it):
 Lock operations recognized: ``yield Acquire(self.lock)`` (the simulator
 kernel idiom), ``self.lock.acquire()``, ``with self.lock:``, and
 ``self.lock.release()``.
+
+:func:`walk_locks` walks every function of the program once; the two
+rules here, ``dead-lock-annotation`` and the shared-state pass's guard
+inference (:mod:`repro.analysis.shared`) all read that one walk.
 """
 
 from __future__ import annotations
@@ -40,40 +44,41 @@ class _WalkResult:
 
     module: str
     function: str
-    #: (structure, lineno, held-locks) for every protected-structure access
+    #: (attribute, lineno, held-locks) for every ``self.<attribute>``
+    #: access, direct or through a local alias
     touches: List[Tuple[str, int, FrozenSet[str]]] = field(default_factory=list)
     #: (callee-module, callee-function, lineno, held-locks) resolved calls
     edges: List[Tuple[str, str, int, FrozenSet[str]]] = field(default_factory=list)
-    #: scale work found under a lock: (lock, what, term, lineno)
+    #: scale work found under a declared lock: (lock, what, term, lineno)
     work: List[Tuple[str, str, Term, int]] = field(default_factory=list)
 
 
 class _LockWalker:
-    """Path-sensitive held-lock walk of one function body."""
+    """Path-sensitive held-lock walk of one function body.
+
+    ``locks`` are the names tracked as held: the declared locks plus the
+    lock-like attributes of the function's class.  Scale work is reported
+    under the ``declared`` ones only.
+    """
 
     def __init__(self, program: Program, module: str,
-                 analysis: FunctionAnalysis, node: ast.AST) -> None:
+                 analysis: FunctionAnalysis, declared: Set[str],
+                 locks: Set[str]) -> None:
         self.program = program
         self.module = module
         self.analysis = analysis
-        self.node = node
-        registry = program.registry
-        self.locks: Set[str] = {a.lock for a in registry.lock_annotations()}
-        self.structures: Dict[str, str] = {
-            structure: annotation.lock
-            for annotation in registry.lock_annotations()
-            for structure in annotation.structures
-        }
-        #: local alias name -> protected structure it refers to
+        self.declared = declared
+        self.locks = locks
+        #: local alias name -> the ``self`` attribute it refers to
         self.alias: Dict[str, str] = {}
-        self.result = _WalkResult(module=module, function=analysis.name)
+        self.result = _WalkResult(module=module, function=analysis.qualname)
         self._loops_by_line = {
             loop.lineno: loop for loop in analysis.scale_loops
         }
 
-    def run(self) -> _WalkResult:
-        body = getattr(self.node, "body", [])
-        self._walk(body, held=set(), in_reported_loop=False)
+    def run(self, nodes: Sequence[ast.FunctionDef]) -> _WalkResult:
+        for node in nodes:
+            self._walk(node.body, held=set(), in_reported_loop=False)
         return self.result
 
     # -- statement walk -----------------------------------------------------------
@@ -91,8 +96,9 @@ class _LockWalker:
                 else stmt.test
             self._scan_expr(header, held)
             reported = in_reported_loop
-            if held and not in_reported_loop:
-                reported = self._report_loop_work(stmt, held) or reported
+            if held & self.declared and not in_reported_loop:
+                reported = self._report_loop_work(
+                    stmt, held & self.declared) or reported
             body_exit = self._walk(list(stmt.body), set(held), reported)
             self._walk(list(stmt.orelse), set(held), in_reported_loop)
             return held & body_exit
@@ -177,8 +183,7 @@ class _LockWalker:
     def _note_alias(self, targets: Sequence[ast.AST],
                     value: ast.AST) -> None:
         structure: Optional[str] = None
-        if isinstance(value, ast.Attribute) and _root_name(value) == "self" \
-                and value.attr in self.structures:
+        if isinstance(value, ast.Attribute) and _root_name(value) == "self":
             structure = value.attr
         elif isinstance(value, ast.Name):
             structure = self.alias.get(value.id)
@@ -190,13 +195,12 @@ class _LockWalker:
                     self.alias.pop(target.id, None)
 
     def _scan_expr(self, expr: Optional[ast.AST], held: Set[str]) -> None:
-        """Record protected-structure touches and resolved-call facts."""
+        """Record ``self`` attribute touches and resolved-call facts."""
         if expr is None:
             return
         frozen = frozenset(held)
         for sub in ast.walk(expr):
-            if isinstance(sub, ast.Attribute) and sub.attr in self.structures \
-                    and _root_name(sub) == "self":
+            if isinstance(sub, ast.Attribute) and _root_name(sub) == "self":
                 self.result.touches.append((sub.attr, sub.lineno, frozen))
             elif isinstance(sub, ast.Name) and sub.id in self.alias:
                 self.result.touches.append(
@@ -208,10 +212,12 @@ class _LockWalker:
         name = _call_name(call)
         if not name:
             return
-        resolved = self.program.resolve_call(self.module, name)
+        resolved = self.program.resolve_call(self.module,
+                                             self.analysis.qualname, name)
         if resolved is not None:
             self.result.edges.append(
                 (resolved[0], resolved[1], call.lineno, held))
+        held = held & self.declared
         if not held:
             return
         declared = self.program.registry.cost_degrees(name)
@@ -247,19 +253,55 @@ class _LockWalker:
         return True
 
 
-def _function_nodes(tree: ast.Module):
-    """Top-level and method function defs, as (name, node) pairs."""
-    def collect(body):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node.name, node
-            elif isinstance(node, ast.ClassDef):
-                yield from collect(node.body)
-    yield from collect(tree.body)
+def lockish_attrs(cls_node: ast.ClassDef) -> Set[str]:
+    """Attribute names that look like locks (``self.x = sim.lock(...)``
+    or any attr whose name contains "lock")."""
+    locks: Set[str] = set()
+    for node in ast.walk(cls_node):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Attribute) \
+                    and _root_name(target) == "self":
+                tail = _call_name(node.value).rsplit(".", 1)[-1] \
+                    if isinstance(node.value, ast.Call) else ""
+                if "lock" in target.attr or tail in ("lock", "Lock"):
+                    locks.add(target.attr)
+    return locks
 
 
-def check_locks(program: Program) -> List[Finding]:
-    """Run both lock rules over every function of the program."""
+def walk_locks(program: Program) -> List[_WalkResult]:
+    """Walk every function of the program once, in (module, qualname)
+    order, tracking the declared locks and its class's lock-like
+    attributes."""
+    declared = {a.lock for a in program.registry.lock_annotations()}
+    results: List[_WalkResult] = []
+    for module in sorted(program.modules):
+        unit = program.modules[module]
+        lockish = {node.name: lockish_attrs(node) for node in unit.tree.body
+                   if isinstance(node, ast.ClassDef)}
+        for qualname in sorted(unit.defs):
+            owner = lockish.get(qualname.rpartition(".")[0], set())
+            walker = _LockWalker(program, module,
+                                 unit.report.functions[qualname],
+                                 declared, declared | owner)
+            results.append(walker.run(unit.defs[qualname]))
+    return results
+
+
+def incoming_locks(walks: Sequence[_WalkResult]
+                   ) -> Dict[Tuple[str, str], List[FrozenSet[str]]]:
+    """(module, qualname) -> the held-lock set at every call into it."""
+    incoming: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
+    for result in walks:
+        for callee_mod, callee_fn, _lineno, held in result.edges:
+            incoming.setdefault((callee_mod, callee_fn), []).append(held)
+    return incoming
+
+
+def check_locks(program: Program,
+                walks: Sequence[_WalkResult]) -> List[Finding]:
+    """Run both lock rules over the walk of every function."""
     if not program.registry.lock_annotations():
         return []
     structures = {
@@ -267,25 +309,10 @@ def check_locks(program: Program) -> List[Finding]:
         for annotation in program.registry.lock_annotations()
         for structure in annotation.structures
     }
-    results: List[_WalkResult] = []
-    for module_name in sorted(program.modules):
-        unit = program.modules[module_name]
-        for name, node in _function_nodes(unit.tree):
-            analysis = unit.report.functions.get(name)
-            if analysis is None:
-                continue
-            walker = _LockWalker(program, module_name, analysis, node)
-            results.append(walker.run())
-
-    # Program-wide call-site pass: held-lock sets at every edge into F.
-    incoming: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
-    for result in results:
-        for callee_mod, callee_fn, _lineno, held in result.edges:
-            incoming.setdefault((callee_mod, callee_fn), []).append(held)
-
+    incoming = incoming_locks(walks)
     findings: List[Finding] = []
-    for result in results:
-        if result.function == "__init__":
+    for result in walks:
+        if result.function.rpartition(".")[2] == "__init__":
             continue
         seen_work: Set[Tuple[str, str]] = set()
         for lock, what, term, lineno in result.work:
@@ -306,8 +333,8 @@ def check_locks(program: Program) -> List[Finding]:
             ))
         seen_touch: Set[str] = set()
         for structure, lineno, held in result.touches:
-            lock = structures[structure]
-            if lock in held or structure in seen_touch:
+            lock = structures.get(structure)
+            if lock is None or lock in held or structure in seen_touch:
                 continue
             edges = incoming.get((result.module, result.function), [])
             if edges and all(lock in held_at for held_at in edges):

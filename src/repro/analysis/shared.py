@@ -3,10 +3,10 @@
 Every mutable structure a class initializes (``self.x = {}`` and friends
 in ``__init__``) is checked for *escape*: can more than one kernel
 process -- a generator handed to ``sim.spawn(...)`` -- reach an access to
-it?  Reachability runs over the whole-program call graph (the linker's
-resolved edges plus a unique-tail-name fallback for cross-object calls
-like ``self.storage.coordinate_write(...)``, which name-based resolution
-cannot link).  Each shared structure is then classified:
+it?  Reachability follows the calls :meth:`Program.resolve_call` links
+(the one resolver every analysis uses; its unique-name fallback links
+cross-object calls like ``self.storage.coordinate_write(...)``).  Each
+shared structure is then classified:
 
 * **declared** -- a ``lock_protects`` annotation names it;
 * **guard-inferred** -- undeclared, but every static access happens while
@@ -27,30 +27,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.finder import Program, _call_name, _root_name
+from ..core.finder import MUTATING_METHODS, Program, _call_name, _root_name
 from .findings import Finding, sort_findings
-from .locks import _LockWalker, _function_nodes
+from .locks import _WalkResult, incoming_locks, lockish_attrs
+
+Key = Tuple[str, str]
 
 #: Constructor calls that build mutable builtin containers.
 _MUTABLE_CTORS = {
     "dict", "list", "set", "deque", "defaultdict", "OrderedDict", "Counter",
-}
-
-#: Method names that mutate a container (write heuristic for
-#: ``self.x.append(...)``-style accesses).
-_MUTATOR_METHODS = {
-    "append", "appendleft", "add", "clear", "discard", "extend", "insert",
-    "pop", "popleft", "popitem", "remove", "reverse", "setdefault", "sort",
-    "update",
-}
-
-#: Tail names never used for unique-name call-graph fallback resolution
-#: (builtin container/kernel verbs would create bogus edges).
-_FALLBACK_STOPLIST = _MUTATOR_METHODS | {
-    "get", "put", "items", "keys", "values", "join", "split", "copy",
-    "schedule", "spawn", "send", "close", "acquire", "release", "run",
 }
 
 
@@ -138,41 +125,24 @@ def _mutable_kind(value: ast.AST) -> Optional[str]:
     return None
 
 
-def _lockish_attrs(cls_node: ast.ClassDef) -> Set[str]:
-    """Attribute names that look like locks (``self.x = sim.lock(...)``
-    or any attr whose name contains "lock")."""
-    locks: Set[str] = set()
-    for node in ast.walk(cls_node):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Attribute) \
-                    and _root_name(target) == "self":
-                tail = _call_name(node.value).rsplit(".", 1)[-1] \
-                    if isinstance(node.value, ast.Call) else ""
-                if "lock" in target.attr or tail in ("lock", "Lock"):
-                    locks.add(target.attr)
-    return locks
-
-
 class _ClassInfo:
     """Static facts about one class: mutable attrs and member methods."""
 
-    def __init__(self, module: str, node: ast.ClassDef) -> None:
+    def __init__(self, program: Program, module: str,
+                 node: ast.ClassDef) -> None:
         self.module = module
         self.name = node.name
-        self.node = node
-        self.methods: Dict[str, ast.AST] = {
-            n.name: n for n in node.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        self.lockish = _lockish_attrs(node)
+        defs = program.modules[module].defs
+        init = f"{node.name}.__init__"
+        #: qualname -> defs of this class's methods other than __init__
+        self.methods = {qualname: nodes for qualname, nodes in defs.items()
+                        if qualname.rpartition(".")[0] == node.name
+                        and qualname != init}
+        self.lockish = lockish_attrs(node)
         #: attr -> (kind, lineno), from __init__ assignments.
         self.mutable: Dict[str, Tuple[str, int]] = {}
-        init = self.methods.get("__init__")
-        if init is None:
-            return
-        for stmt in ast.walk(init):
+        for stmt in (sub for tree in defs.get(init, [])
+                     for sub in ast.walk(tree)):
             if isinstance(stmt, ast.Assign):
                 targets = stmt.targets
                 value: Optional[ast.AST] = stmt.value
@@ -200,7 +170,7 @@ def _classes(program: Program) -> List[_ClassInfo]:
         tree = program.modules[module].tree
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                out.append(_ClassInfo(module, node))
+                out.append(_ClassInfo(program, module, node))
     return out
 
 
@@ -209,7 +179,8 @@ def _classes(program: Program) -> List[_ClassInfo]:
 
 def _attr_accesses(method: ast.AST, attrs: Set[str]
                    ) -> List[Tuple[str, str, int]]:
-    """(attr, 'r'|'w', lineno) for every ``self.<attr>`` access."""
+    """(attr, 'r'|'w', lineno) for every ``self.<attr>`` access in one
+    def."""
     accesses: List[Tuple[str, str, int]] = []
     write_nodes: Set[int] = set()
 
@@ -237,7 +208,7 @@ def _attr_accesses(method: ast.AST, attrs: Set[str]
         elif isinstance(stmt, ast.Call):
             func = stmt.func
             if isinstance(func, ast.Attribute) \
-                    and func.attr in _MUTATOR_METHODS:
+                    and func.attr in MUTATING_METHODS:
                 base = func.value
                 if isinstance(base, ast.Attribute) and base.attr in attrs \
                         and _root_name(base) == "self":
@@ -254,57 +225,31 @@ def _attr_accesses(method: ast.AST, attrs: Set[str]
 # -- process roots and reachability ---------------------------------------------
 
 
-def find_process_roots(program: Program) -> List[Tuple[str, str]]:
-    """(module, function) spawned as kernel processes anywhere."""
-    roots: Set[Tuple[str, str]] = set()
+def find_process_roots(program: Program) -> List[Key]:
+    """(module, qualname) of every function spawned as a kernel process."""
+    roots: Set[Key] = set()
     for module in sorted(program.modules):
-        tree = program.modules[module].tree
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name.rsplit(".", 1)[-1] != "spawn" or not node.args:
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Call):
-                root = _call_name(arg).rsplit(".", 1)[-1]
-                if root:
-                    roots.add((module, root))
+        for qualname, nodes in program.modules[module].defs.items():
+            for node in (sub for tree in nodes for sub in ast.walk(tree)):
+                if not isinstance(node, ast.Call) or not node.args \
+                        or _call_name(node).rsplit(".", 1)[-1] != "spawn" \
+                        or not isinstance(node.args[0], ast.Call):
+                    continue
+                root = program.resolve_call(module, qualname,
+                                            _call_name(node.args[0]))
+                if root is not None:
+                    roots.add(root)
     return sorted(roots)
 
 
-def _call_graph(program: Program) -> Dict[Tuple[str, str],
-                                          Set[Tuple[str, str]]]:
-    """Adjacency over (module, function), with unique-tail fallback."""
-    # Unique-name index for the fallback: tail -> the only (module, fn).
-    by_name: Dict[str, List[Tuple[str, str]]] = {}
-    for module, analysis in program.functions():
-        by_name.setdefault(analysis.name, []).append((module, analysis.name))
-    graph: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
-    for module, analysis in program.functions():
-        edges = graph.setdefault((module, analysis.name), set())
-        for call in analysis.calls:
-            resolved = program.resolve_call(module, call.callee)
-            if resolved is not None:
-                edges.add(resolved)
-                continue
-            tail = call.callee.rsplit(".", 1)[-1]
-            if tail in _FALLBACK_STOPLIST:
-                continue
-            candidates = by_name.get(tail, [])
-            if len(candidates) == 1:
-                edges.add(candidates[0])
-    return graph
-
-
-def _reachable(graph: Dict[Tuple[str, str], Set[Tuple[str, str]]],
-               root: Tuple[str, str]) -> Set[Tuple[str, str]]:
+def _reachable(program: Program, root: Key) -> Set[Key]:
     seen = {root}
     frontier = [root]
     while frontier:
-        node = frontier.pop()
-        for nxt in graph.get(node, ()):
-            if nxt not in seen:
+        key = frontier.pop()
+        for call in program.function(key).calls:
+            nxt = program.resolve_call(*key, call.callee)
+            if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
@@ -313,23 +258,13 @@ def _reachable(graph: Dict[Tuple[str, str], Set[Tuple[str, str]]],
 # -- guard inference -------------------------------------------------------------
 
 
-def _held_at_touches(program: Program, info: _ClassInfo,
+def _held_at_touches(walks: Dict[Key, _WalkResult], info: _ClassInfo,
                      attrs: Set[str]) -> Dict[str, List[FrozenSet[str]]]:
     """attr -> held-lock-ish sets at each static touch in this class."""
     held: Dict[str, List[FrozenSet[str]]] = {attr: [] for attr in attrs}
-    locks = set(info.lockish) \
-        | {a.lock for a in program.registry.lock_annotations()}
-    for name, node in info.methods.items():
-        if name == "__init__":
-            continue
-        analysis = program.modules[info.module].report.functions.get(name)
-        if analysis is None:
-            continue
-        walker = _LockWalker(program, info.module, analysis, node)
-        walker.locks = locks
-        walker.structures = {attr: "" for attr in attrs}
-        result = walker.run()
-        for structure, _lineno, held_set in result.touches:
+    for qualname in info.methods:
+        for structure, _lineno, held_set in \
+                walks[(info.module, qualname)].touches:
             if structure in held:
                 held[structure].append(held_set)
     return held
@@ -338,14 +273,14 @@ def _held_at_touches(program: Program, info: _ClassInfo,
 # -- the pass --------------------------------------------------------------------
 
 
-def harvest_shared_state(program: Program) -> SharedStateReport:
-    """Classify every mutable class structure by process-escape."""
+def harvest_shared_state(program: Program, walks: Sequence[_WalkResult]
+                         ) -> SharedStateReport:
+    """Classify every mutable class structure by process-escape, reading
+    held locks off the program's one lock walk (:func:`walk_locks`)."""
     registry = program.registry
     roots = find_process_roots(program)
-    graph = _call_graph(program)
-    reach: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {
-        root: _reachable(graph, root) for root in roots
-    }
+    reach = {root: _reachable(program, root) for root in roots}
+    by_key = {(walk.module, walk.function): walk for walk in walks}
     report = SharedStateReport(roots=[f"{m}:{f}" for m, f in roots])
 
     for info in _classes(program):
@@ -357,13 +292,12 @@ def harvest_shared_state(program: Program) -> SharedStateReport:
         }
         # attr -> methods (of this class) accessing it, with r/w counts.
         accessors: Dict[str, Set[str]] = {attr: set() for attr in attrs}
-        for mname, mnode in info.methods.items():
-            if mname == "__init__":
-                continue
-            for attr, kind, lineno in _attr_accesses(mnode, attrs):
-                accesses[attr].append((mname, kind, lineno))
-                accessors[attr].add(mname)
-        held = _held_at_touches(program, info, attrs)
+        for mname, nodes in info.methods.items():
+            for node in nodes:
+                for attr, kind, lineno in _attr_accesses(node, attrs):
+                    accesses[attr].append((mname, kind, lineno))
+                    accessors[attr].add(mname)
+        held = _held_at_touches(by_key, info, attrs)
         for attr in sorted(attrs):
             if not accesses[attr]:
                 report.private += 1
@@ -413,11 +347,13 @@ def harvest_shared_state(program: Program) -> SharedStateReport:
 # -- lint rules ------------------------------------------------------------------
 
 
-def check_shared_state(program: Program) -> List[Finding]:
+def check_shared_state(harvest: SharedStateReport) -> List[Finding]:
     """The ``undeclared-shared-state`` rule over the harvest."""
     findings: List[Finding] = []
-    for site in harvest_shared_state(program).shared("undeclared-shared"):
-        root_tails = [r.rsplit(":", 1)[-1] for r in site.roots]
+    for site in harvest.shared("undeclared-shared"):
+        # Roots are ``module:qualname``; the message names bare functions.
+        root_tails = [r.rpartition(":")[2].rpartition(".")[2]
+                      for r in site.roots]
         findings.append(Finding(
             rule="undeclared-shared-state",
             severity="warning",
@@ -450,7 +386,8 @@ def _annotation_sites(program: Program) -> Dict[str, Tuple[str, int]]:
     return sites
 
 
-def check_dead_annotations(program: Program) -> List[Finding]:
+def check_dead_annotations(program: Program,
+                           walks: Sequence[_WalkResult]) -> List[Finding]:
     """The ``dead-lock-annotation`` rule: declared but never exercised.
 
     A ``lock_protects(lock, structure)`` pair is *live* when some function
@@ -462,21 +399,9 @@ def check_dead_annotations(program: Program) -> List[Finding]:
     annotations = program.registry.lock_annotations()
     if not annotations:
         return []
-    results = []
-    for module_name in sorted(program.modules):
-        unit = program.modules[module_name]
-        for name, node in _function_nodes(unit.tree):
-            analysis = unit.report.functions.get(name)
-            if analysis is None:
-                continue
-            results.append(
-                _LockWalker(program, module_name, analysis, node).run())
-    incoming: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
-    for result in results:
-        for callee_mod, callee_fn, _lineno, held in result.edges:
-            incoming.setdefault((callee_mod, callee_fn), []).append(held)
+    incoming = incoming_locks(walks)
     live: Set[Tuple[str, str]] = set()
-    for result in results:
+    for result in walks:
         edges = incoming.get((result.module, result.function), [])
         for structure, _lineno, held in result.touches:
             for annotation in annotations:

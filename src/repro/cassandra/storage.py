@@ -118,18 +118,19 @@ class StorageService:
     #: Hints replayed per delivery pass (bounds the burst a recovering
     #: replica absorbs in one tick).
     HINT_BATCH = 64
+    #: Seconds a coordinator waits for a replica's reply.
+    rpc_timeout = 2.0
+    #: Seconds between hint-delivery passes.
+    hint_interval = 5.0
 
-    def __init__(self, node, rpc_timeout: float = 2.0,
-                 hint_interval: float = 5.0) -> None:
+    def __init__(self, node) -> None:
         self.node = node
-        self.rpc_timeout = rpc_timeout
         self.store: Dict[str, Tuple[str, float]] = {}
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, object] = {}  # request id -> reply channel
         self.writes_served = 0
         self.reads_served = 0
         # -- hinted handoff: missed writes keyed by the down endpoint.
-        self.hint_interval = hint_interval
         self.hints: Dict[str, List[Tuple[str, str, float]]] = {}
         self.hints_lock = node.sim.lock(f"hints:{node.node_id}")
         self.hints_stored = 0

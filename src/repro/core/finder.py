@@ -79,7 +79,14 @@ NONDET_HINTS = {"time", "perf_counter", "monotonic", "now", "random",
 #: Methods that mutate their receiver in place.
 MUTATING_METHODS = {"append", "add", "update", "extend", "insert", "remove",
                     "discard", "pop", "popitem", "clear", "setdefault",
-                    "sort", "reverse", "appendleft", "extendleft"}
+                    "sort", "reverse", "appendleft", "extendleft", "popleft"}
+#: Tails never linked by the unique-name fallback of
+#: :meth:`Program.resolve_call` (container and kernel verbs would create
+#: bogus edges).
+FALLBACK_STOPLIST = MUTATING_METHODS | {
+    "get", "put", "items", "keys", "values", "join", "split", "copy",
+    "schedule", "spawn", "send", "close", "acquire", "release", "run",
+}
 #: Builtins that reduce a collection to a scalar: results are not tainted.
 SCALAR_BUILTINS = {"len", "sum", "min", "max", "any", "all", "count", "index"}
 #: Side-effect kinds that veto PIL safety when present (directly or
@@ -197,19 +204,24 @@ class FunctionAnalysis:
 
 
 class _FunctionScanner:
-    """Single-function taint and structure analysis."""
+    """Single-function taint and structure analysis.
 
-    def __init__(self, node: ast.FunctionDef, qualname: str, module: str,
-                 registry: AnnotationRegistry) -> None:
-        self.node = node
+    A function is every def of one qualname: a property's getter and
+    setter are scanned as one function, their bodies in source order.
+    """
+
+    def __init__(self, nodes: Sequence[ast.FunctionDef], qualname: str,
+                 module: str, registry: AnnotationRegistry) -> None:
+        self.nodes = nodes
         self.registry = registry
+        params = [arg.arg for node in nodes for arg in node.args.args
+                  if arg.arg not in ("self", "cls")]
         self.analysis = FunctionAnalysis(
-            name=node.name, qualname=qualname, module=module,
-            lineno=node.lineno,
-            params=[arg.arg for arg in node.args.args
-                    if arg.arg not in ("self", "cls")],
+            name=nodes[0].name, qualname=qualname, module=module,
+            lineno=nodes[0].lineno, params=list(dict.fromkeys(params)),
         )
-        self.analysis.is_generator = _contains_yield(node)
+        self.analysis.is_generator = any(_contains_yield(node)
+                                         for node in nodes)
         #: name -> axis-var frozenset (empty = tainted, axis unnamed)
         self.tainted: Dict[str, FrozenSet[str]] = {}
         #: alias origins: name -> "self" | "param:<name>" | "local"
@@ -366,7 +378,8 @@ class _FunctionScanner:
             self.analysis.calls = []
             self.analysis.returns_value = False
             self._term_chains = []
-            self._walk(self.node.body, chain=(), guards=())
+            for node in self.nodes:
+                self._walk(node.body, chain=(), guards=())
             if self.tainted == before:
                 break
         self.analysis.local_depth = max(
@@ -700,20 +713,12 @@ def _safe_unparse(node: Optional[ast.AST]) -> str:
 
 @dataclass
 class FinderReport:
-    """One module's resolved analyses, with the registry that scored them."""
+    """One module's resolved analyses, keyed by qualname, with the registry
+    that scored them."""
 
     module: str
     functions: Dict[str, FunctionAnalysis]
     registry: AnnotationRegistry
-
-    def get(self, name: str) -> FunctionAnalysis:
-        """Look up by bare name or qualname."""
-        if name in self.functions:
-            return self.functions[name]
-        for analysis in self.functions.values():
-            if analysis.qualname == name:
-                return analysis
-        raise KeyError(name)
 
     def offenders(self) -> List[FunctionAnalysis]:
         """Offending functions, deepest first."""
@@ -742,65 +747,17 @@ class FinderReport:
         return counts
 
 
-def _collect(body: Sequence[ast.stmt], prefix: str, module: str,
-             registry: AnnotationRegistry,
-             scanners: Dict[str, _FunctionScanner]) -> None:
+def _defs(body: Sequence[ast.stmt], prefix: str = "",
+          found: Optional[Dict[str, List[ast.FunctionDef]]] = None
+          ) -> Dict[str, List[ast.FunctionDef]]:
+    """qualname -> its defs (a property's getter and setter share one)."""
+    found = {} if found is None else found
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scanners[node.name] = _FunctionScanner(
-                node, f"{prefix}{node.name}", module, registry
-            )
+            found.setdefault(f"{prefix}{node.name}", []).append(node)
         elif isinstance(node, ast.ClassDef):
-            _collect(node.body, f"{node.name}.", module, registry, scanners)
-
-
-def _scan_module(tree: ast.Module, module: str,
-                 registry: AnnotationRegistry) -> Dict[str, FunctionAnalysis]:
-    """Scan one module's functions and run its parameter-taint fixpoint.
-
-    Taint crosses intra-module call edges only.  Each round moves it one
-    call hop; rounds repeat until nothing changes, which terminates
-    because axis sets only grow and there are finitely many of them.
-    """
-    scanners: Dict[str, _FunctionScanner] = {}
-    _collect(tree.body, "", module, registry, scanners)
-    analyses = {name: scanner.scan() for name, scanner in scanners.items()}
-    changed = True
-    while changed:
-        changed = False
-        for analysis in analyses.values():
-            for call in analysis.calls:
-                callee = _local_callee(call.callee, analyses)
-                if callee is None:
-                    continue
-                callee_analysis = analyses[callee]
-                for pos, axes in zip(call.tainted_args, call.tainted_arg_axes):
-                    if pos >= len(callee_analysis.params):
-                        continue
-                    param = callee_analysis.params[pos]
-                    new = frozenset(axes)
-                    old = callee_analysis.param_axes.get(param)
-                    if (param not in callee_analysis.tainted_params
-                            or old is None or not new <= old):
-                        callee_analysis.tainted_params.add(param)
-                        callee_analysis.param_axes[param] = (
-                            (old or frozenset()) | new
-                        )
-                        changed = True
-        if changed:
-            for scanner in scanners.values():
-                scanner.scan()
-    return analyses
-
-
-def _local_callee(callee: str, functions: Dict[str, object]) -> Optional[str]:
-    """Resolve a call-site name to a function of the same module."""
-    if callee in functions:
-        return callee
-    parts = callee.split(".")
-    if parts[0] == "self" and len(parts) == 2 and parts[1] in functions:
-        return parts[1]
-    return None
+            _defs(node.body, f"{prefix}{node.name}.", found)
+    return found
 
 
 # -- the whole program: annotation harvest, module discovery, linking ----------
@@ -818,6 +775,8 @@ class ModuleUnit:
     path: str
     tree: ast.Module
     report: FinderReport
+    #: qualname -> the defs its analysis covers (the one copy of each node)
+    defs: Dict[str, List[ast.FunctionDef]] = field(default_factory=dict)
     #: local alias -> (absolute module name, remote function name)
     imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
@@ -841,7 +800,8 @@ def harvest_annotations(tree: ast.Module, registry: AnnotationRegistry) -> int:
     (``scale_dependent("ring", var="T")``,
     ``lock_protects("ring_lock", "metadata")``, ``declare_cost("f", T=2)``),
     the decorator-call form on top-level classes/functions, and the
-    ``@pil_safe`` / ``@pil_unsafe`` overrides on functions and methods.
+    ``@pil_safe`` / ``@pil_unsafe`` overrides on functions and methods
+    (registered under the function's qualname).
     Returns the number of annotations registered.
     """
     count = 0
@@ -854,21 +814,12 @@ def harvest_annotations(tree: ast.Module, registry: AnnotationRegistry) -> int:
                 if isinstance(decorator, ast.Call):
                     count += _harvest_call(decorator, registry,
                                            decorated=stmt.name)
-    return count + _harvest_overrides(tree.body, "", registry)
-
-
-def _harvest_overrides(body: Sequence[ast.stmt], prefix: str,
-                       registry: AnnotationRegistry) -> int:
-    """Register ``@pil_safe``/``@pil_unsafe`` under the finder's qualname."""
-    count = 0
-    for node in body:
-        if isinstance(node, ast.ClassDef):
-            count += _harvest_overrides(node.body, f"{node.name}.", registry)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for qualname, nodes in _defs(tree.body).items():
+        for node in nodes:
             for decorator in node.decorator_list:
                 add = _OVERRIDES.get(_tail_name(decorator))
                 if add is not None:
-                    add(registry, f"{prefix}{node.name}")
+                    add(registry, qualname)
                     count += 1
     return count
 
@@ -977,17 +928,23 @@ def _discover(target: str) -> List[Tuple[str, str]]:
 class Program:
     """A linked set of analyzed modules with a shared harvested registry.
 
-    The one driver of the static analysis.  Building a program parses
-    each module once, harvests every annotation from source into one
-    registry, scans each module (taint stays intra-module), and then
-    fills every function's effective terms, depth and transitive effect
-    kinds over the cross-module call graph, honoring ``declare_cost``
-    bridges (modeled demand charged arithmetically).
+    The one driver of the static analysis, and the one place that names
+    functions and resolves calls.  Building a program parses each module
+    once, harvests every annotation from source into one registry, scans
+    every function once under its qualname (``Class.method``), runs each
+    module's parameter-taint fixpoint, and then fills every function's
+    effective terms, depth and transitive effect kinds over the
+    cross-module call graph, honoring ``declare_cost`` bridges (modeled
+    demand charged arithmetically).  Every consumer -- the taint fixpoint,
+    the term/effect DFS, the lock walker, process-root discovery and
+    shared-state reachability -- links a call through :meth:`resolve_call`.
     """
 
     def __init__(self, registry: AnnotationRegistry) -> None:
         self.registry = registry
         self.modules: Dict[str, ModuleUnit] = {}
+        #: bare function name -> every (module, qualname) that bears it
+        self._by_tail: Dict[str, List[Tuple[str, str]]] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -1014,15 +971,28 @@ class Program:
         trees = {name: ast.parse(sources[name]) for name in sorted(sources)}
         for tree in trees.values():
             harvest_annotations(tree, registry)
+        scanners: Dict[str, Dict[str, _FunctionScanner]] = {}
         for name, tree in trees.items():
+            defs = _defs(tree.body)
+            scanners[name] = {
+                qualname: _FunctionScanner(nodes, qualname, name, registry)
+                for qualname, nodes in defs.items()}
             program.modules[name] = ModuleUnit(
                 name=name,
                 path=(paths or {}).get(name, f"<{name}>"),
                 tree=tree,
-                report=FinderReport(name, _scan_module(tree, name, registry),
-                                    registry),
+                report=FinderReport(name, {
+                    qualname: scanner.scan()
+                    for qualname, scanner in scanners[name].items()},
+                    registry),
+                defs=defs,
                 imports=_collect_imports(tree, name),
             )
+            for qualname in defs:
+                program._by_tail.setdefault(qualname.rpartition(".")[2],
+                                            []).append((name, qualname))
+        for name in trees:
+            program._propagate_taint(name, scanners[name])
         program._link()
         return program
 
@@ -1038,38 +1008,102 @@ class Program:
             return matches[0]
         return None
 
-    def resolve_call(self, module: str, callee: str
+    def _imported(self, unit: ModuleUnit, alias: str, member: str = ""
+                  ) -> Optional[Tuple[str, str]]:
+        """``alias`` (or ``alias.member``) through an import, if analyzed."""
+        if alias not in unit.imports:
+            return None
+        remote_module, remote_name = unit.imports[alias]
+        resolved = self.find_module(remote_module)
+        qualname = f"{remote_name}.{member}" if member else remote_name
+        if resolved is not None \
+                and qualname in self.modules[resolved].report.functions:
+            return (resolved, qualname)
+        return None
+
+    def resolve_call(self, module: str, caller: str, callee: str
                      ) -> Optional[Tuple[str, str]]:
-        """Resolve a call-site name to (module, function) program-wide."""
+        """Resolve a call site to ``(module, qualname)`` program-wide.
+
+        ``caller`` is the calling function's qualname.  ``self.m()``
+        resolves to the caller's own class and ``Class.m()`` to the named
+        class (local or imported); a bare name to the module's function or
+        an imported one, else to nothing.  Any other attribute call --
+        ``self.storage.write()``, a method the caller's class inherits --
+        links to the one function program-wide whose name is the call's
+        tail, unless that name is shared or on :data:`FALLBACK_STOPLIST`.
+        """
         unit = self.modules.get(module)
         if unit is None:
             return None
-        local = _local_callee(callee, unit.report.functions)
-        if local is not None:
-            return (module, local)
-        if "." not in callee and callee in unit.imports:
-            remote_module, remote_name = unit.imports[callee]
-            resolved = self.find_module(remote_module)
-            if resolved is not None:
-                remote_unit = self.modules[resolved]
-                if remote_name in remote_unit.report.functions:
-                    return (resolved, remote_name)
-        return None
+        functions = unit.report.functions
+        head, _, tail = callee.rpartition(".")
+        if not head:
+            if callee in functions:
+                return (module, callee)
+            return self._imported(unit, callee)
+        if "." not in head:
+            owner = caller.rpartition(".")[0] if head == "self" else head
+            if owner and f"{owner}.{tail}" in functions:
+                return (module, f"{owner}.{tail}")
+            imported = self._imported(unit, head, tail)
+            if imported is not None:
+                return imported
+        candidates = self._by_tail.get(tail, [])
+        if tail in FALLBACK_STOPLIST or len(candidates) != 1:
+            return None
+        return candidates[0]
 
     def functions(self) -> List[Tuple[str, FunctionAnalysis]]:
         """Every analyzed function as (module, analysis), sorted."""
         result: List[Tuple[str, FunctionAnalysis]] = []
         for name in sorted(self.modules):
             report = self.modules[name].report
-            for fname in sorted(report.functions):
-                result.append((name, report.functions[fname]))
+            for qualname in sorted(report.functions):
+                result.append((name, report.functions[qualname]))
         return result
 
     def function(self, key: Tuple[str, str]) -> FunctionAnalysis:
-        """The analysis of ``(module, function)``."""
+        """The analysis of ``(module, qualname)``."""
         return self.modules[key[0]].report.functions[key[1]]
 
     # -- program-wide inference -------------------------------------------------------
+
+    def _propagate_taint(self, module: str,
+                         scanners: Dict[str, _FunctionScanner]) -> None:
+        """Run one module's parameter-taint fixpoint.
+
+        Taint crosses the module's own call edges only.  Each round moves
+        it one call hop; rounds repeat until nothing changes, which
+        terminates because axis sets only grow and there are finitely
+        many of them.
+        """
+        changed = True
+        while changed:
+            changed = False
+            for qualname, scanner in scanners.items():
+                for call in scanner.analysis.calls:
+                    resolved = self.resolve_call(module, qualname,
+                                                 call.callee)
+                    if resolved is None or resolved[0] != module:
+                        continue
+                    callee = scanners[resolved[1]].analysis
+                    for pos, axes in zip(call.tainted_args,
+                                         call.tainted_arg_axes):
+                        if pos >= len(callee.params):
+                            continue
+                        param = callee.params[pos]
+                        new = frozenset(axes)
+                        old = callee.param_axes.get(param)
+                        if (param not in callee.tainted_params
+                                or old is None or not new <= old):
+                            callee.tainted_params.add(param)
+                            callee.param_axes[param] = (
+                                (old or frozenset()) | new)
+                            changed = True
+            if changed:
+                for scanner in scanners.values():
+                    scanner.scan()
 
     def _link(self) -> None:
         """Fill effective terms, depth and transitive effect kinds.
@@ -1096,7 +1130,7 @@ class Program:
                     # instead of (invisible) loop structure.
                     found.append(chain_term.mul(Term.from_degrees(declared)))
                     continue
-                resolved = self.resolve_call(key[0], call.callee)
+                resolved = self.resolve_call(*key, call.callee)
                 if resolved is not None:
                     found.extend(chain_term.mul(term) for term
                                  in terms_of(resolved, stack + (key,)))
@@ -1110,13 +1144,13 @@ class Program:
                 return set()
             found = {effect.kind for effect in self.function(key).side_effects}
             for call in self.function(key).calls:
-                resolved = self.resolve_call(key[0], call.callee)
+                resolved = self.resolve_call(*key, call.callee)
                 if resolved is not None:
                     found |= kinds_of(resolved, stack + (key,))
             kinds[key] = found
             return found
 
-        roots = [(module, analysis.name)
+        roots = [(module, analysis.qualname)
                  for module, analysis in self.functions()]
         for key in roots:
             analysis = self.function(key)

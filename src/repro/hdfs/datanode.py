@@ -9,7 +9,8 @@ from ..sim.disk import Disk, DiskFullError
 from ..sim.kernel import Compute, Simulator, Timeout
 from ..sim.network import Network
 from .blocks import BlockReport, ReportedBlock, synthesize_blocks
-from .namenode import BLOCK_REPORT, HEARTBEAT, HEARTBEAT_INTERVAL, REGISTER
+from .namenode import (BLOCK_REPORT, HEARTBEAT, HEARTBEAT_INTERVAL,
+                       NAMENODE_ID, REGISTER)
 
 
 #: Period of a datanode's full block report.
@@ -45,7 +46,6 @@ class DataNode:
         block_count: int,
         block_size: int,
         store_data: bool = True,
-        namenode_id: str = "namenode",
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -53,7 +53,6 @@ class DataNode:
         self.cpu = cpu
         self.disk = disk
         self.store_data = store_data
-        self.namenode_id = namenode_id
         self.blocks: List[ReportedBlock] = synthesize_blocks(
             node_id, block_count, block_size)
         self.running = False
@@ -89,7 +88,7 @@ class DataNode:
     # -- tasks ----------------------------------------------------------------------
 
     def _boot(self, initial_report_delay: float):
-        self.network.send(self.node_id, self.namenode_id, REGISTER, None)
+        self.network.send(self.node_id, NAMENODE_ID, REGISTER, None)
         if self.store_data:
             try:
                 for block in self.blocks:
@@ -111,13 +110,13 @@ class DataNode:
                 + DataNodeCosts.report_build_per_block * len(self.blocks))
         yield Compute(self.cpu, cost, tag=f"dn-report:{self.node_id}")
         report = BlockReport(datanode=self.node_id, blocks=tuple(self.blocks))
-        self.network.send(self.node_id, self.namenode_id, BLOCK_REPORT, report)
+        self.network.send(self.node_id, NAMENODE_ID, BLOCK_REPORT, report)
         self.reports_sent += 1
 
     def _heartbeat_task(self):
         while self.running:
             yield Compute(self.cpu, DataNodeCosts.heartbeat_send,
                           tag=f"dn-hb:{self.node_id}")
-            self.network.send(self.node_id, self.namenode_id, HEARTBEAT, None)
+            self.network.send(self.node_id, NAMENODE_ID, HEARTBEAT, None)
             self.heartbeats_sent += 1
             yield Timeout(HEARTBEAT_INTERVAL)

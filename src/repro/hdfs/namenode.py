@@ -65,6 +65,8 @@ REPORT_CODEC = (dict, dict)
 
 #: Datanode heartbeat period, and the namenode heartbeat monitor's.
 HEARTBEAT_INTERVAL = 1.0
+#: The namenode's network address.
+NAMENODE_ID = "namenode"
 
 
 class HdfsCosts:
@@ -113,7 +115,6 @@ class NameNode:
         executor: Optional[CalcExecutor] = None,
         calc_records: Optional[List[CalcRecord]] = None,
         dead_timeout: float = 10.0,
-        node_id: str = "namenode",
     ) -> None:
         self.sim = sim
         self.network = network
@@ -122,10 +123,10 @@ class NameNode:
         self.executor = executor if executor is not None else DirectExecutor()
         self.calc_records = calc_records if calc_records is not None else []
         self.dead_timeout = dead_timeout
-        self.node_id = node_id
+        self.node_id = NAMENODE_ID
         self.inbox: Channel = sim.channel("inbox:namenode")
         self.fsn_lock = sim.lock("fsn-lock")
-        network.register(node_id, self.inbox)
+        network.register(NAMENODE_ID, self.inbox)
         self.datanodes: Dict[str, DatanodeDescriptor] = {}
         #: block id -> (size, replica set)
         self.block_map: Dict[str, Tuple[int, Set[str]]] = {}

@@ -10,7 +10,7 @@ whose findings assert scale-dependent work:
 
 One candidate per flagged *function*: taint propagation flags a caller for
 every flagged callee it reaches, so a single location can carry several
-findings (C5456's ``_calc_stage`` has both rules); the candidate keeps
+findings (C5456's ``Node._calc_stage`` has both rules); the candidate keeps
 every term but one verdict.
 """
 

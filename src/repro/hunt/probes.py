@@ -53,9 +53,10 @@ def _cassandra_probes() -> Dict[Tuple[str, str], Probe]:
             Probe("c3881-fixed", expect_buggy=False),
         # C5456 is a locking bug: the candidate is the calc stage holding
         # the ring lock across the calculation.
-        ("cassandra.node", "_calc_stage"): Probe("c5456"),
+        ("cassandra.node", "Node._calc_stage"): Probe("c5456"),
         # HDFS: the block report processed under the namesystem lock.
-        ("hdfs.namenode", "_handle_block_report"): Probe(HDFS_BUG_ID),
+        ("hdfs.namenode", "NameNode._handle_block_report"):
+            Probe(HDFS_BUG_ID),
     }
     for function, bug_id in BUG_OF.items():
         symptom = "collateral_flaps" if bug_id == "retryamp" else "flaps"
@@ -64,7 +65,7 @@ def _cassandra_probes() -> Dict[Tuple[str, str], Probe]:
     return probes
 
 
-#: (module suffix, function) -> probe.
+#: (module suffix, function qualname) -> probe.
 PROBES: Dict[Tuple[str, str], Probe] = _cassandra_probes()
 
 

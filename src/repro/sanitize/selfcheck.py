@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..analysis.shared import check_dead_annotations, check_shared_state
+from ..analysis.lint import run_rules
 from ..canonical import canonical_json
 from ..checks import Checks
 from ..core.finder import Program
@@ -190,11 +190,8 @@ lock_protects("stale_lock", "tokens")
 
 
 def _static_findings(source: str, rule: str) -> List[Any]:
-    program = Program.from_sources({"planted.ring": source})
-    if rule == "undeclared-shared-state":
-        findings = check_shared_state(program)
-    else:
-        findings = check_dead_annotations(program)
+    findings, _drift = run_rules(
+        Program.from_sources({"planted.ring": source}))
     return [f for f in findings if f.rule == rule]
 
 

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..analysis.findings import sort_findings
+from ..analysis.locks import walk_locks
 from ..analysis.shared import (
     check_dead_annotations,
     check_shared_state,
@@ -89,9 +90,10 @@ def run_sanitize(config: Optional[SanitizeConfig] = None) -> SanitizeReport:
     """The whole pipeline: harvest -> instrument -> sweep -> classify."""
     config = config if config is not None else SanitizeConfig()
     program = Program.load(list(config.targets))
-    static = harvest_shared_state(program)
-    findings = sort_findings(check_shared_state(program)
-                             + check_dead_annotations(program))
+    walks = walk_locks(program)
+    static = harvest_shared_state(program, walks)
+    findings = sort_findings(check_shared_state(static)
+                             + check_dead_annotations(program, walks))
     report = SanitizeReport(
         targets=list(config.targets),
         static=static.to_dict(),

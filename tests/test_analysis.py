@@ -174,9 +174,10 @@ class TestProgram:
 
     def test_resolve_call_through_import_from(self):
         program = Program.from_sources(CROSS_MODULE_SOURCES)
-        assert program.resolve_call("pkg.bmod", "walk_all") == \
-            ("pkg.amod", "walk_all")
-        assert program.resolve_call("pkg.bmod", "missing") is None
+        assert program.resolve_call("pkg.bmod", "per_change",
+                                    "walk_all") == ("pkg.amod", "walk_all")
+        assert program.resolve_call("pkg.bmod", "per_change",
+                                    "missing") is None
 
     def test_declared_cost_bridges_arithmetic_charges(self):
         program = Program.from_sources({
@@ -197,6 +198,107 @@ class TestProgram:
         program = Program.load(["repro.cassandra"])
         assert "repro.cassandra.node" in program.modules
         assert "repro.cassandra.legacy_calc" in program.modules
+
+    def test_same_named_methods_are_each_analysed_and_self_resolves(self):
+        program = Program.from_sources({"m": (
+            'scale_dependent("ring", var="T")\n'
+            "class Quiet:\n"
+            "    def run(self, ring):\n"
+            "        return self.step(ring)\n"
+            "    def step(self, ring):\n"
+            "        return len(ring)\n"
+            "class Loud:\n"
+            "    def run(self, ring):\n"
+            "        return self.step(ring)\n"
+            "    def step(self, ring):\n"
+            "        print(ring)\n"
+            "        n = 0\n"
+            "        for a in ring:\n"
+            "            for b in ring:\n"
+            "                n += 1\n"
+            "        return n\n"
+        )})
+        functions = program.modules["m"].report.functions
+        assert sorted(functions) == ["Loud.run", "Loud.step",
+                                     "Quiet.run", "Quiet.step"]
+        assert program.resolve_call("m", "Quiet.run", "self.step") == \
+            ("m", "Quiet.step")
+        assert program.resolve_call("m", "Loud.run", "self.step") == \
+            ("m", "Loud.step")
+        assert functions["Quiet.run"].effective_depth == 0
+        assert functions["Quiet.run"].pil_safe(program.registry)
+        assert functions["Loud.run"].effective_depth == 2
+        assert "io" in functions["Loud.run"].transitive_effect_kinds
+
+    def test_attribute_calls_fall_back_to_a_unique_name(self):
+        program = Program.from_sources({
+            "a": ("class Store:\n"
+                  "    def put_row(self, row):\n"
+                  "        self.rows.append(row)\n"
+                  "    def get(self):\n"
+                  "        return 1\n"),
+            "b": ("def write(store, row):\n"
+                  "    store.put_row(row)\n"
+                  "    return store.get()\n"
+                  "def shadow():\n"
+                  "    return put_row()\n"),
+        })
+        resolve = program.resolve_call
+        assert resolve("b", "write", "store.put_row") == ("a",
+                                                          "Store.put_row")
+        assert resolve("b", "write", "store.get") is None  # stoplisted
+        assert resolve("b", "shadow", "put_row") is None   # bare name
+        assert "state-write" in program.function(
+            ("b", "write")).transitive_effect_kinds
+
+    def test_calc_output_carries_the_output_map_write(self):
+        program = Program.load(["repro.cassandra"])
+        calc_output = program.function(("repro.cassandra.node",
+                                        "Node._calc_output"))
+        assert "state-write" in calc_output.transitive_effect_kinds
+        assert not calc_output.pil_safe(program.registry)
+
+
+class TestOneLockWalk:
+    """One lint run walks every function once, each def with its own
+    analysis, and every lock rule reads that walk."""
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        from unittest import mock
+
+        from repro.analysis.locks import _LockWalker
+
+        walks = []
+        original = _LockWalker.run
+
+        def run(walker, nodes):
+            walks.append((walker.module, walker.analysis.qualname,
+                          walker.analysis.lineno,
+                          [node.lineno for node in nodes]))
+            return original(walker, nodes)
+
+        with mock.patch.object(_LockWalker, "run", run):
+            report = run_lint(baseline_path=str(BASELINE))
+        return report, walks
+
+    def test_each_function_is_walked_exactly_once(self, walked):
+        report, walks = walked
+        keys = [(module, qualname) for module, qualname, _l, _n in walks]
+        assert len(keys) == len(set(keys)) == report.function_count
+
+    def test_both_executors_are_walked_with_their_own_analysis(self, walked):
+        _report, walks = walked
+        executors = {qualname: (lineno, defs)
+                     for module, qualname, lineno, defs in walks
+                     if module == "repro.cassandra.node"
+                     and qualname.endswith("Executor.execute")}
+        assert set(executors) == {"CalcExecutor.execute",
+                                  "DirectExecutor.execute"}
+        for lineno, defs in executors.values():
+            assert defs == [lineno]  # the analysis is of the def walked
+        assert executors["CalcExecutor.execute"][0] \
+            < executors["DirectExecutor.execute"][0]
 
 
 # -- lock-discipline checker --------------------------------------------------------
@@ -256,7 +358,7 @@ class TestLockChecker:
             "        return len(self.table)\n"
         )
         assert [(f.rule, f.function) for f in found] == \
-            [("unlocked-access", "peek")]
+            [("unlocked-access", "C.peek")]
 
     def test_helper_called_only_under_lock_is_exempt(self):
         found = lock_findings(
@@ -283,7 +385,7 @@ class TestLockChecker:
             "        self.table[k] = v\n"
         )
         assert [(f.rule, f.function) for f in found] == \
-            [("unlocked-access", "_install")]
+            [("unlocked-access", "C._install")]
 
     def test_with_statement_counts_as_held(self):
         found = lock_findings(
@@ -307,7 +409,7 @@ class TestLockChecker:
             "        return value\n"
         )
         assert [(f.rule, f.function) for f in found] == \
-            [("unlocked-access", "maybe")]
+            [("unlocked-access", "C.maybe")]
 
     def test_alias_of_protected_structure_tracked(self):
         found = lock_findings(
@@ -316,7 +418,7 @@ class TestLockChecker:
             "        snapshot = self.table\n"
             "        return len(snapshot)\n"
         )
-        assert [f.function for f in found] == ["read"]
+        assert [f.function for f in found] == ["C.read"]
 
     def test_yield_acquire_kernel_idiom(self):
         found = lock_findings(
@@ -357,7 +459,7 @@ class TestRealTree:
 
     def test_c5456_found_from_source_alone(self, report):
         found = findings_by(report.raw_findings, rule="lock-held-scale-work",
-                            function="_calc_stage")
+                            function="Node._calc_stage")
         assert len(found) == 1
         assert found[0].severity == "error"
         assert "ring_lock" in found[0].message
@@ -367,7 +469,7 @@ class TestRealTree:
         # The CLONE branch calculates after releasing: exactly one
         # lock-held-scale-work finding on _calc_stage (the coarse branch).
         found = findings_by(report.raw_findings, rule="lock-held-scale-work")
-        calc_stage = [f for f in found if f.function == "_calc_stage"]
+        calc_stage = [f for f in found if f.function == "Node._calc_stage"]
         assert len(calc_stage) == 1
 
     def test_variant_labels_match_modeled_cost_classes(self, report):
@@ -381,7 +483,7 @@ class TestRealTree:
 
     def test_hdfs_block_report_flagged_under_fsn_lock(self, report):
         found = findings_by(report.raw_findings, rule="lock-held-scale-work",
-                            function="_handle_block_report")
+                            function="NameNode._handle_block_report")
         assert found
         assert all("fsn_lock" in f.message and "O(B)" in f.message
                    for f in found)

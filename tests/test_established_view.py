@@ -210,10 +210,12 @@ def test_sanitizer_wrappers_survive_the_build():
     """Containers wrapped (or wrappable) at ``add_node`` time are filled in
     place: a rebound attribute would silently drop its tracked wrapper."""
     from repro.analysis import Program
+    from repro.analysis.locks import walk_locks
     from repro.analysis.shared import harvest_shared_state
     from repro.sanitize import RaceTracker, TrackedMap, instrument_cluster
 
-    sites = harvest_shared_state(Program.load(["repro.cassandra"])).shared()
+    program = Program.load(["repro.cassandra"])
+    sites = harvest_shared_state(program, walk_locks(program)).shared()
     tracker = RaceTracker()
     cluster = Cluster(ClusterConfig.for_bug("c3831", nodes=8),
                       observer=tracker)

@@ -45,7 +45,7 @@ def test_loop_over_annotated_structure_detected():
         """,
         "ring",
     )
-    analysis = report.get("f")
+    analysis = report.functions["f"]
     assert analysis.local_depth == 1
     assert analysis.category == "serialized-linear"
 
@@ -60,7 +60,7 @@ def test_unannotated_loop_not_flagged():
         """,
         "ring",
     )
-    assert report.get("f").local_depth == 0
+    assert report.functions["f"].local_depth == 0
 
 
 def test_nested_loops_counted():
@@ -75,7 +75,7 @@ def test_nested_loops_counted():
         """,
         "ring",
     )
-    analysis = report.get("f")
+    analysis = report.functions["f"]
     assert analysis.local_depth == 2
     assert analysis.offending
     assert analysis.complexity == "O(N^2)"
@@ -93,7 +93,7 @@ def test_taint_through_assignment():
         """,
         "ring",
     )
-    assert report.get("f").local_depth == 1
+    assert report.functions["f"].local_depth == 1
 
 
 def test_scalar_builtins_launder_taint():
@@ -107,7 +107,7 @@ def test_scalar_builtins_launder_taint():
         """,
         "ring",
     )
-    assert report.get("f").local_depth == 0
+    assert report.functions["f"].local_depth == 0
 
 
 def test_range_len_of_tainted_is_scale_loop():
@@ -121,7 +121,7 @@ def test_range_len_of_tainted_is_scale_loop():
         "ring",
     )
     # range(len(ring)) iterates a cluster-sized index space.
-    assert report.get("f").local_depth == 1
+    assert report.functions["f"].local_depth == 1
 
 
 def test_element_subscript_launders_slice_keeps_taint():
@@ -139,8 +139,8 @@ def test_element_subscript_launders_slice_keeps_taint():
         "ring",
     )
     # Only the slice-derived loop is scale-dependent.
-    assert report.get("f").local_depth == 1
-    assert len(report.get("f").scale_loops) == 1
+    assert report.functions["f"].local_depth == 1
+    assert len(report.functions["f"].scale_loops) == 1
 
 
 def test_comprehension_counts_as_scale_loop():
@@ -151,7 +151,7 @@ def test_comprehension_counts_as_scale_loop():
         """,
         "ring",
     )
-    assert report.get("f").local_depth == 1
+    assert report.functions["f"].local_depth == 1
 
 
 def test_while_loop_over_tainted_condition():
@@ -164,7 +164,7 @@ def test_while_loop_over_tainted_condition():
         """,
         "ring",
     )
-    assert report.get("f").local_depth == 1
+    assert report.functions["f"].local_depth == 1
 
 
 # -- cross-function analysis -----------------------------------------------------------
@@ -186,9 +186,9 @@ def test_cross_function_nest_depth():
         "ring",
     )
     # outer: loop(1) + call to inner whose param is tainted (depth 1) = 2.
-    assert report.get("outer").effective_depth == 2
-    assert report.get("outer").offending
-    assert report.get("inner").effective_depth == 1
+    assert report.functions["outer"].effective_depth == 2
+    assert report.functions["outer"].offending
+    assert report.functions["inner"].effective_depth == 1
 
 
 def test_taint_propagates_through_parameters():
@@ -205,8 +205,8 @@ def test_taint_propagates_through_parameters():
         """,
         "ring",
     )
-    assert report.get("helper").effective_depth == 1
-    assert report.get("entry").effective_depth == 1
+    assert report.functions["helper"].effective_depth == 1
+    assert report.functions["entry"].effective_depth == 1
 
 
 def test_taint_reaches_a_nest_twelve_calls_deep():
@@ -224,9 +224,9 @@ def test_taint_reaches_a_nest_twelve_calls_deep():
           "    return total\n"
     )
     report = report_for(axis_registry(ring="T"), source)
-    assert report.get("hop12").complexity == "O(T^2)"
-    assert report.get("entry").complexity == "O(T^2)"
-    assert report.get("entry").offending
+    assert report.functions["hop12"].complexity == "O(T^2)"
+    assert report.functions["entry"].complexity == "O(T^2)"
+    assert report.functions["entry"].offending
 
 
 def test_local_taint_reaches_a_loop_seven_assignments_back():
@@ -243,8 +243,8 @@ def test_local_taint_reaches_a_loop_seven_assignments_back():
         + "    x7 = ring\n"
           "    return total\n"
     )
-    assert report_for(axis_registry(ring="T"), source).get(
-        "f").complexity == "O(T^2)"
+    assert report_for(axis_registry(ring="T"), source).functions[
+        "f"].complexity == "O(T^2)"
 
 
 def test_recursion_does_not_hang():
@@ -257,7 +257,7 @@ def test_recursion_does_not_hang():
         """,
         "ring",
     )
-    assert report.get("f").effective_depth >= 1
+    assert report.functions["f"].effective_depth >= 1
 
 
 def test_guard_conditions_recorded():
@@ -271,9 +271,9 @@ def test_guard_conditions_recorded():
         """,
         "ring",
     )
-    loops = report.get("f").scale_loops
+    loops = report.functions["f"].scale_loops
     assert loops[0].guards == ("fresh",)
-    assert report.get("f").guard_conditions() == ["fresh"]
+    assert report.functions["f"].guard_conditions() == ["fresh"]
 
 
 def test_else_branch_guard_negated():
@@ -289,7 +289,7 @@ def test_else_branch_guard_negated():
         """,
         "ring",
     )
-    assert report.get("f").scale_loops[0].guards == ("not (fresh)",)
+    assert report.functions["f"].scale_loops[0].guards == ("not (fresh)",)
 
 
 # -- side effects and PIL safety ----------------------------------------------------------
@@ -307,7 +307,7 @@ def test_pure_function_is_pil_safe():
         """,
         "ring",
     )
-    assert report.get("f").pil_safe()
+    assert report.functions["f"].pil_safe()
 
 
 @pytest.mark.parametrize("stmt,kind", [
@@ -328,7 +328,7 @@ def test_side_effects_veto_pil_safety(stmt, kind):
         """,
         "ring",
     )
-    analysis = report.get("f")
+    analysis = report.functions["f"]
     assert kind in analysis.transitive_effect_kinds
     assert not analysis.pil_safe()
 
@@ -347,8 +347,8 @@ def test_side_effects_propagate_through_calls():
         """,
         "ring",
     )
-    assert not report.get("entry").pil_safe()
-    assert "io" in report.get("entry").transitive_effect_kinds
+    assert not report.functions["entry"].pil_safe()
+    assert "io" in report.functions["entry"].transitive_effect_kinds
 
 
 def test_self_state_write_vetoes():
@@ -362,7 +362,7 @@ def test_self_state_write_vetoes():
         """,
         "ring",
     )
-    assert not report.get("C.f").pil_safe()
+    assert not report.functions["C.f"].pil_safe()
 
 
 def test_param_mutation_is_warning_not_veto():
@@ -375,7 +375,7 @@ def test_param_mutation_is_warning_not_veto():
         """,
         "ring",
     )
-    analysis = report.get("f")
+    analysis = report.functions["f"]
     assert analysis.param_mutations
     assert analysis.pil_safe()   # warning only
 
@@ -389,7 +389,7 @@ def test_no_return_value_is_not_memoizable():
         """,
         "ring",
     )
-    assert not report.get("f").pil_safe()
+    assert not report.functions["f"].pil_safe()
 
 
 def test_global_write_vetoes():
@@ -404,7 +404,7 @@ def test_global_write_vetoes():
         """,
         "ring",
     )
-    assert not report.get("f").pil_safe()
+    assert not report.functions["f"].pil_safe()
 
 
 def test_registry_overrides_beat_analysis():
@@ -416,11 +416,11 @@ def probe(ring):
     return 1
 """
     report = report_for(registry, source)
-    assert not report.get("probe").pil_safe(registry)
+    assert not report.functions["probe"].pil_safe(registry)
     registry.add_pil_safe("probe")    # developer asserts the print is benign
-    assert report.get("probe").pil_safe(registry)
+    assert report.functions["probe"].pil_safe(registry)
     registry.add_pil_unsafe("probe")  # developer vetoes
-    assert not report.get("probe").pil_safe(registry)
+    assert not report.functions["probe"].pil_safe(registry)
 
 
 def test_pil_safe_decorator_registers_qualname():
@@ -444,14 +444,14 @@ class TestLegacyCorpus:
         return find_offending(legacy_calc)
 
     def test_entry_point_is_offending_via_callees(self, report):
-        entry = report.get("calculate_pending_ranges_legacy")
+        entry = report.functions["calculate_pending_ranges_legacy"]
         assert entry.local_depth == 0          # no loops of its own...
         assert entry.effective_depth >= 2      # ...but superlinear via calls
         assert entry.offending
         assert entry.pil_safe()
 
     def test_fresh_bootstrap_path_is_branch_guarded(self, report):
-        entry = report.get("calculate_pending_ranges_legacy")
+        entry = report.functions["calculate_pending_ranges_legacy"]
         fresh_calls = [c for c in entry.calls
                        if c.callee == "_fresh_ring_construction"]
         assert fresh_calls
@@ -475,11 +475,11 @@ class TestLegacyCorpus:
         counts = report.category_counts()
         assert sum(counts.values()) == len(report.functions)
 
-    def test_lookup_by_bare_and_qualname(self, report):
-        assert report.get("_incremental_update") is report.get(
-            "_incremental_update")
+    def test_functions_are_keyed_by_qualname(self, report):
+        assert all(key == analysis.qualname
+                   for key, analysis in report.functions.items())
         with pytest.raises(KeyError):
-            report.get("nonexistent")
+            report.functions["nonexistent"]
 
 
 def test_finder_refuses_gossiper_message_handling():
@@ -490,10 +490,10 @@ def test_finder_refuses_gossiper_message_handling():
 
     report = find_offending(gossip_module,
                             make_registry("endpoint_state_map"))
-    handler = report.get("Gossiper._handle_syn")
+    handler = report.functions["Gossiper._handle_syn"]
     assert "network" in handler.transitive_effect_kinds
     assert not handler.pil_safe(make_registry("endpoint_state_map"))
-    apply_state = report.get("Gossiper._apply_state")
+    apply_state = report.functions["Gossiper._apply_state"]
     assert not apply_state.pil_safe(make_registry("endpoint_state_map"))
 
 
@@ -521,7 +521,7 @@ class TestNamedAxes:
                 return total
             """
         )
-        assert report.get("f").complexity == "O(N·NP)"
+        assert report.functions["f"].complexity == "O(N·NP)"
 
     def test_same_axis_twice_squares(self):
         registry = axis_registry(ring="T")
@@ -535,7 +535,7 @@ class TestNamedAxes:
                 return total
             """
         )
-        assert report.get("f").complexity == "O(T^2)"
+        assert report.functions["f"].complexity == "O(T^2)"
 
     def test_unnamed_axes_keep_depth_fallback(self):
         report = analyze(
@@ -549,7 +549,7 @@ class TestNamedAxes:
             """,
             "ring",
         )
-        assert report.get("f").complexity == "O(N^2)"
+        assert report.functions["f"].complexity == "O(N^2)"
 
     def test_scale_loops_carry_axis_vars(self):
         registry = axis_registry(ring="T")
@@ -561,7 +561,7 @@ class TestNamedAxes:
                 return 0
             """
         )
-        loops = report.get("f").scale_loops
+        loops = report.functions["f"].scale_loops
         assert [loop.axes for loop in loops] == [("T",)]
 
     def test_mixed_structure_level_sums_axes(self):
@@ -578,7 +578,7 @@ class TestNamedAxes:
                 return total
             """
         )
-        assert report.get("f").complexity == "O((M+T))"
+        assert report.functions["f"].complexity == "O((M+T))"
 
 
 # -- PIL-safety tightening: generators and implicit None -----------------------------
@@ -594,7 +594,7 @@ class TestPilSafetyVerdicts:
                     yield a
             """
         )
-        analysis = report.get("gen")
+        analysis = report.functions["gen"]
         assert analysis.is_generator
         assert not analysis.pil_safe(registry)
         # The veto is absolute: a developer assertion cannot lift it.
@@ -611,7 +611,7 @@ class TestPilSafetyVerdicts:
                     total += 1
             """
         )
-        analysis = report.get("walk")
+        analysis = report.functions["walk"]
         assert not analysis.returns_value
         assert not analysis.pil_safe(registry)
 
@@ -626,7 +626,7 @@ class TestPilSafetyVerdicts:
                 return
             """
         )
-        analysis = report.get("walk")
+        analysis = report.functions["walk"]
         assert not analysis.returns_value
 
     def test_real_return_is_safe(self):
@@ -640,6 +640,6 @@ class TestPilSafetyVerdicts:
                 return total
             """
         )
-        analysis = report.get("walk")
+        analysis = report.functions["walk"]
         assert analysis.returns_value
         assert analysis.pil_safe(registry)

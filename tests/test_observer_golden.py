@@ -66,12 +66,13 @@ def test_span_tracer_sees_what_it_saw(tmp_path):
 
 @pytest.fixture(scope="module")
 def shared_sites():
+    from repro.analysis.locks import walk_locks
     from repro.analysis.shared import harvest_shared_state
     from repro.core.finder import Program
 
     program = Program.load(["repro.cassandra", "repro.hdfs",
                             "repro.workload"])
-    return harvest_shared_state(program).shared()
+    return harvest_shared_state(program, walk_locks(program)).shared()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

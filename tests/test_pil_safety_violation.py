@@ -40,6 +40,7 @@ class Holder:
         return self.count
 """
     report = Program.from_sources({"m": source}, registry).modules["m"].report
-    assert not report.get("announce_and_sum").pil_safe(registry)   # network
-    assert not report.get("pick").pil_safe(registry)               # nondet
-    assert not report.get("Holder.bump").pil_safe(registry)        # state
+    functions = report.functions
+    assert not functions["announce_and_sum"].pil_safe(registry)  # network
+    assert not functions["pick"].pil_safe(registry)              # nondet
+    assert not functions["Holder.bump"].pil_safe(registry)       # state

@@ -1,7 +1,8 @@
 """Run settings that no caller sets: a list that only shrinks.
 
 A standard-library ``ast`` scan.  A *run setting* is a constructor field of
-one of the classes a run is configured through (:data:`CLASSES`).  It is
+one of the classes a run is configured through (:data:`CLASSES`): a
+dataclass field, or a parameter of the class's own ``__init__``.  It is
 *set* when some code in ``src/``, ``tests/``, ``examples/``,
 ``benchmarks/`` or ``scalebench/`` passes it:
 
@@ -36,6 +37,9 @@ CLASSES = {
     "GossipConfig": "src/repro/cassandra/gossip.py",
     "HdfsConfig": "src/repro/hdfs/cluster.py",
     "ChaosConfig": "src/repro/faults/chaos.py",
+    "StorageService": "src/repro/cassandra/storage.py",
+    "NameNode": "src/repro/hdfs/namenode.py",
+    "DataNode": "src/repro/hdfs/datanode.py",
 }
 
 
@@ -47,12 +51,19 @@ def _init_false(value) -> bool:
 
 
 def fields(root: Path, classes: Dict[str, str]) -> Dict[str, List[str]]:
-    """``class -> constructor fields in order`` (dataclass annotations)."""
+    """``class -> constructor fields in order``: the parameters of the
+    class's own ``__init__`` after ``self``, else its dataclass
+    annotations."""
     found: Dict[str, List[str]] = {}
     for name, rel in classes.items():
         for node in ast.walk(ast.parse((root / rel).read_text())):
             if isinstance(node, ast.ClassDef) and node.name == name:
+                inits = [stmt.args for stmt in node.body
+                         if isinstance(stmt, ast.FunctionDef)
+                         and stmt.name == "__init__"]
                 found[name] = [
+                    arg.arg for args in inits
+                    for arg in args.args[1:] + args.kwonlyargs] or [
                     stmt.target.id for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)
@@ -156,7 +167,10 @@ def test_the_scan_sees_every_way_to_set_a_field(tmp_path):
         "        self.own = 1\n"
         "    @classmethod\n"
         "    def for_bug(cls, first, **overrides):\n"
-        "        return cls(first, **overrides)\n")
+        "        return cls(first, **overrides)\n"
+        "class Plain:\n"
+        "    def __init__(self, given, named=0, *, unset=0):\n"
+        "        self.given = given\n")
     (tmp_path / "tests" / "use.py").write_text(
         "from conf import Conf\n"
         "import dataclasses\n"
@@ -164,6 +178,8 @@ def test_the_scan_sees_every_way_to_set_a_field(tmp_path):
         "Conf.for_bug(1, overridden=4)\n"
         "dataclasses.replace(conf, replaced=5)\n"
         "conf.written = 6\n"
-        "setattr(conf, 'by_name', 7)\n")
-    assert unset(tmp_path, {"Conf": "src/conf.py"}) == ["Conf.own",
-                                                        "Conf.unset"]
+        "setattr(conf, 'by_name', 7)\n"
+        "Plain(1, named=2)\n")
+    assert unset(tmp_path, {"Conf": "src/conf.py",
+                            "Plain": "src/conf.py"}) == [
+        "Conf.own", "Conf.unset", "Plain.unset"]

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Program
+from repro.analysis.locks import walk_locks
 from repro.analysis.shared import (
     check_dead_annotations,
     check_shared_state,
@@ -106,53 +107,58 @@ class Store:
 '''
 
 
+def _harvest(program):
+    return harvest_shared_state(program, walk_locks(program))
+
+
 class TestStaticPass:
     def test_undeclared_shared_site_classified_and_flagged(self):
         program = Program.from_sources({"fix.store": UNDECLARED_SRC})
-        report = harvest_shared_state(program)
+        report = _harvest(program)
         sites = report.shared("undeclared-shared")
         assert [f"{s.cls}.{s.attr}" for s in sites] == ["Store.items"]
         assert sites[0].writes >= 1 and sites[0].reads >= 1
-        findings = check_shared_state(program)
+        findings = check_shared_state(report)
         assert len(findings) == 1
         assert findings[0].rule == "undeclared-shared-state"
 
     def test_declared_site_produces_no_finding(self):
         program = Program.from_sources({"fix.store": DECLARED_SRC})
-        report = harvest_shared_state(program)
+        report = _harvest(program)
         declared = report.shared("declared")
         assert [f"{s.cls}.{s.attr}" for s in declared] == ["Store.items"]
         assert declared[0].lock == "store_lock"
-        assert check_shared_state(program) == []
+        assert check_shared_state(report) == []
 
     def test_single_root_structure_stays_private(self):
         program = Program.from_sources({"fix.store": PRIVATE_SRC})
-        report = harvest_shared_state(program)
+        report = _harvest(program)
         assert report.shared() == []
         assert report.private >= 1
 
     def test_process_roots_found_from_spawn_calls(self):
         program = Program.from_sources({"fix.store": UNDECLARED_SRC})
         roots = find_process_roots(program)
-        assert sorted(f for _, f in roots) == ["_reader", "_writer"]
+        assert sorted(f for _, f in roots) == ["Store._reader",
+                                               "Store._writer"]
 
     def test_dead_annotation_flagged_and_live_one_exempt(self):
         stale = UNDECLARED_SRC + (
             "\nfrom repro.annotations import lock_protects\n"
             "\nlock_protects(\"stale_lock\", \"items\")\n")
         program = Program.from_sources({"fix.store": stale})
-        findings = check_dead_annotations(program)
+        findings = check_dead_annotations(program, walk_locks(program))
         assert len(findings) == 1
         assert findings[0].rule == "dead-lock-annotation"
         assert "stale_lock" in findings[0].detail
         live = Program.from_sources({"fix.store": DECLARED_SRC})
-        assert check_dead_annotations(live) == []
+        assert check_dead_annotations(live, walk_locks(live)) == []
 
     def test_real_tree_fires_on_known_sites(self):
         """Acceptance: the rule fires on real undeclared-shared sites."""
         program = Program.load(["repro.cassandra", "repro.hdfs",
                                 "repro.workload"])
-        findings = check_shared_state(program)
+        findings = check_shared_state(_harvest(program))
         details = {f.detail for f in findings}
         assert "Gossiper.endpoint_state_map" in details
         assert "TokenMetadata.pending_ranges" in details
@@ -192,8 +198,7 @@ class TestTrackerAccounting:
         from repro.cassandra.workloads import ScenarioParams, run_workload
         from repro.sanitize import instrument_cluster
 
-        sites = harvest_shared_state(
-            Program.load(["repro.cassandra"])).shared()
+        sites = _harvest(Program.load(["repro.cassandra"])).shared()
         config = ClusterConfig.for_bug("c3881", nodes=8, mode=Mode.REAL,
                                        seed=42)
         tracker = RaceTracker()
@@ -293,7 +298,6 @@ class TestSanitizerDifferential:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_event_trace_and_report_identical_with_tracker(self, seed):
-        from repro.analysis.shared import harvest_shared_state
         from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
         from repro.cassandra.workloads import ScenarioParams, run_workload
         from repro.sanitize import instrument_cluster
@@ -310,7 +314,7 @@ class TestSanitizerDifferential:
                 program = Program.load(["repro.cassandra", "repro.hdfs",
                                         "repro.workload"])
                 instrument_cluster(
-                    cluster, harvest_shared_state(program).shared(), observer)
+                    cluster, _harvest(program).shared(), observer)
             report = run_workload(cluster, config.bug.workload, params)
             return cluster, report
 
@@ -352,7 +356,6 @@ class TestSanitizePipeline:
         assert warm.to_json() == cold.to_json()
 
     def test_race_metrics_exported_through_run_report_and_obs(self):
-        from repro.analysis.shared import harvest_shared_state
         from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
         from repro.cassandra.workloads import ScenarioParams, run_workload
         from repro.obs.collect import ClusterCollector
@@ -360,7 +363,7 @@ class TestSanitizePipeline:
 
         program = Program.load(["repro.cassandra", "repro.hdfs",
                                 "repro.workload"])
-        sites = harvest_shared_state(program).shared()
+        sites = _harvest(program).shared()
         config = ClusterConfig.for_bug("c3831", nodes=8, mode=Mode.REAL,
                                        seed=42)
         tracker = RaceTracker()
