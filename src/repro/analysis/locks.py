@@ -51,6 +51,9 @@ class _WalkResult:
     edges: List[Tuple[str, str, int, FrozenSet[str]]] = field(default_factory=list)
     #: scale work found under a declared lock: (lock, what, term, lineno)
     work: List[Tuple[str, str, Term, int]] = field(default_factory=list)
+    #: the lock-like attributes of the function's class (one set per
+    #: class, shared by its methods' results)
+    class_locks: FrozenSet[str] = frozenset()
 
 
 class _LockWalker:
@@ -273,19 +276,23 @@ def lockish_attrs(cls_node: ast.ClassDef) -> Set[str]:
 def walk_locks(program: Program) -> List[_WalkResult]:
     """Walk every function of the program once, in (module, qualname)
     order, tracking the declared locks and its class's lock-like
-    attributes."""
+    attributes (found once per class, and kept on each result for the
+    shared-state pass)."""
     declared = {a.lock for a in program.registry.lock_annotations()}
     results: List[_WalkResult] = []
     for module in sorted(program.modules):
         unit = program.modules[module]
-        lockish = {node.name: lockish_attrs(node) for node in unit.tree.body
+        lockish = {node.name: frozenset(lockish_attrs(node))
+                   for node in unit.tree.body
                    if isinstance(node, ast.ClassDef)}
         for qualname in sorted(unit.defs):
-            owner = lockish.get(qualname.rpartition(".")[0], set())
+            owner = lockish.get(qualname.rpartition(".")[0], frozenset())
             walker = _LockWalker(program, module,
                                  unit.report.functions[qualname],
                                  declared, declared | owner)
-            results.append(walker.run(unit.defs[qualname]))
+            result = walker.run(unit.defs[qualname])
+            result.class_locks = owner
+            results.append(result)
     return results
 
 

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.finder import MUTATING_METHODS, Program, _call_name, _root_name
 from .findings import Finding, sort_findings
-from .locks import _WalkResult, incoming_locks, lockish_attrs
+from .locks import _WalkResult, incoming_locks
 
 Key = Tuple[str, str]
 
@@ -129,7 +129,7 @@ class _ClassInfo:
     """Static facts about one class: mutable attrs and member methods."""
 
     def __init__(self, program: Program, module: str,
-                 node: ast.ClassDef) -> None:
+                 node: ast.ClassDef, lockish: FrozenSet[str]) -> None:
         self.module = module
         self.name = node.name
         defs = program.modules[module].defs
@@ -138,7 +138,7 @@ class _ClassInfo:
         self.methods = {qualname: nodes for qualname, nodes in defs.items()
                         if qualname.rpartition(".")[0] == node.name
                         and qualname != init}
-        self.lockish = lockish_attrs(node)
+        self.lockish = lockish
         #: attr -> (kind, lineno), from __init__ assignments.
         self.mutable: Dict[str, Tuple[str, int]] = {}
         for stmt in (sub for tree in defs.get(init, [])
@@ -164,13 +164,21 @@ class _ClassInfo:
                                             (kind, stmt.lineno))
 
 
-def _classes(program: Program) -> List[_ClassInfo]:
+def _classes(program: Program, walks: Sequence[_WalkResult]
+             ) -> List[_ClassInfo]:
+    """Every top-level class, with the lock-like attributes the lock walk
+    found for it (a class none of whose methods was walked has no
+    ``__init__`` either, so no structure they could exclude)."""
+    lockish = {(walk.module, walk.function.rpartition(".")[0]):
+               walk.class_locks for walk in walks}
     out: List[_ClassInfo] = []
     for module in sorted(program.modules):
         tree = program.modules[module].tree
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                out.append(_ClassInfo(program, module, node))
+                out.append(_ClassInfo(
+                    program, module, node,
+                    lockish.get((module, node.name), frozenset())))
     return out
 
 
@@ -283,7 +291,7 @@ def harvest_shared_state(program: Program, walks: Sequence[_WalkResult]
     by_key = {(walk.module, walk.function): walk for walk in walks}
     report = SharedStateReport(roots=[f"{m}:{f}" for m, f in roots])
 
-    for info in _classes(program):
+    for info in _classes(program, walks):
         if not info.mutable:
             continue
         attrs = set(info.mutable)

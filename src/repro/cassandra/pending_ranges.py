@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -43,7 +43,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from ..annotations import declare_cost
 from .ring import TokenMetadata
-from .tokens import TokenRange
+from .tokens import Ring, TokenRange
 
 # Cost-model bridge for the static analysis: calc_cost charges virtual CPU
 # demand arithmetically (``m * tokens ** 2``), which loop analysis cannot
@@ -71,20 +71,39 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> PendingRanges:
     Replica sets are piecewise-constant between ring-token boundaries, but
     the *current* and *future* rings have different boundary sets (a
     leaving node's tokens exist only in the current ring, a bootstrapping
-    node's only in the future one).  Diffing at the **union** of both
-    boundary sets is therefore required: evaluating only at future
-    boundaries silently misses the sub-ranges a departing token used to
-    delimit (keys previously owned by a leaving node would get no pending
-    gainer).  For every union sub-range, any endpoint replicating it in
-    the future but not today gains it as a pending range.
+    node's only in the future one), so the two are compared at the
+    **union** of both boundary sets.  A boundary ``u``'s replicas in a ring
+    are the SimpleStrategy walk from ``u``'s successor there; any endpoint
+    in the future walk but not the current one gains ``u``'s range.
+
+    Only the boundaries whose walk can meet a change are compared.  A
+    token is *unchanged* when it sits in both rings with the same owner;
+    the *changed* positions are a leaving endpoint's tokens in the current
+    ring and every bootstrap token in the future ring.  Proof sketch: take
+    a boundary ``u`` and walk both rings from its successors in lockstep.
+    While both walks stand on unchanged tokens they stand on the same one:
+    a token that is next in one ring and unchanged is in the other too, so
+    neither ring has an earlier next token unless that token is changed.
+    So the walks read the same owners, and collect the same replicas,
+    until one of them meets a token that is not unchanged.  In the
+    current ring that is a leaving endpoint's token or a token a joiner
+    takes over, and the latter is a bootstrap token the future walk meets
+    at the same step.  So if neither walk meets a changed position, ``u``
+    gains nothing.  The walk from position ``q`` reaches ``p`` exactly
+    when fewer than ``rf`` distinct endpoints sit at ``q..p-1``, so walking
+    back from each changed position until ``rf`` distinct endpoints are
+    seen gives the positions, and so the token arc of boundaries, whose
+    walk can reach it (the whole ring when the ring holds fewer than
+    ``rf`` distinct endpoints).  Only the merged arcs are swept: O(changed
+    tokens x rf) walks, not one per ring token.
 
     Pure function of ring content: same input content hash => same output,
     which is exactly the memoizability property PIL relies on.
 
-    One merge pass over the sorted union: each ring keeps a forward pointer
-    to the successor of the current boundary, and a ring's replica walk is
-    redone only when that successor changes.  Every ring token is itself a
-    boundary, so a pointer moves at most one step per boundary.  Each
+    Each arc is one merge pass: each ring keeps a forward pointer to the
+    successor of the current boundary, and a ring's replica walk is redone
+    only when that successor changes.  The arcs are swept in token order,
+    so the output is the one a sweep of the whole union would give.  Each
     endpoint's ranges are sorted once and packed into one array
     (:data:`PendingRanges`), the only form the output takes in memory.
     """
@@ -97,38 +116,90 @@ def compute_pending_ranges(metadata: TokenMetadata, rf: int) -> PendingRanges:
     if not future:
         return {}
     current_tokens, future_tokens = current.tokens, future.tokens
-    # Two sorted runs merge in linear time; fromkeys drops shared tokens.
-    boundaries = list(dict.fromkeys(sorted(current_tokens + future_tokens)))
     n_current, n_future = len(current_tokens), len(future_tokens)
+    changed_current = metadata.leaving_positions()
+    changed_future = [bisect_left(future_tokens, token)
+                      for token in metadata.bootstrap_tokens]
+    spans = _merged_spans(_reaching_arcs(current, changed_current, rf)
+                          + _reaching_arcs(future, changed_future, rf))
+    # A span's first range starts at the union token before it, or wraps
+    # from the last one.
+    last = [max(current_tokens[-1:] + future_tokens[-1:])]
     pending: Dict[str, List[Tuple[int, int]]] = {}
-    ci = fi = 0                  # ring tokens below the boundary
-    future_at = -1               # the pointer value the cached walk is for
-    current_at = -1 if n_current else 0   # an empty ring's walk stays []
-    current_replicas: List[str] = []
-    future_replicas: List[str] = []
-    left = boundaries[-1]        # the first range wraps
-    for token in boundaries:
-        if fi < n_future and future_tokens[fi] < token:
-            fi += 1
-        if fi != future_at:
-            future_at = fi
-            future_replicas = future.replicas_from(fi % n_future, rf)
-        if ci < n_current and current_tokens[ci] < token:
-            ci += 1
-        if ci != current_at:
-            current_at = ci
-            current_replicas = current.replicas_from(ci % n_current, rf)
-        if future_replicas != current_replicas:
-            bounds = (left, token)
-            for endpoint in future_replicas:
-                if endpoint not in current_replicas:
-                    pending.setdefault(endpoint, []).append(bounds)
-        left = token
+    for lo, hi in spans:
+        ci = bisect_right(current_tokens, lo)    # ring tokens below the
+        fi = bisect_right(future_tokens, lo)     # span's first boundary
+        left = max(current_tokens[ci - 1:ci] + future_tokens[fi - 1:fi]
+                   or last)
+        boundaries = sorted({
+            *current_tokens[ci:bisect_right(current_tokens, hi, ci)],
+            *future_tokens[fi:bisect_right(future_tokens, hi, fi)]})
+        future_at = -1           # the pointer value the cached walk is for
+        current_at = -1 if n_current else 0   # an empty ring's walk stays []
+        current_replicas: List[str] = []
+        future_replicas: List[str] = []
+        for token in boundaries:
+            if fi < n_future and future_tokens[fi] < token:
+                fi += 1
+            if fi != future_at:
+                future_at = fi
+                future_replicas = future.replicas_from(fi % n_future, rf)
+            if ci < n_current and current_tokens[ci] < token:
+                ci += 1
+            if ci != current_at:
+                current_at = ci
+                current_replicas = current.replicas_from(ci % n_current, rf)
+            if future_replicas != current_replicas:
+                bounds = (left, token)
+                for endpoint in future_replicas:
+                    if endpoint not in current_replicas:
+                        pending.setdefault(endpoint, []).append(bounds)
+            left = token
     compact = {}
     for endpoint, ranges in pending.items():
         ranges.sort()
         compact[endpoint] = array("q", chain.from_iterable(ranges))
     return compact
+
+
+#: A span of boundaries ``(lo, hi]``; an open end is an infinity.
+Span = Tuple[float, float]
+
+_WHOLE_RING: List[Span] = [(-math.inf, math.inf)]
+
+
+def _reaching_arcs(ring: Ring, positions: List[int], rf: int) -> List[Span]:
+    """The boundary spans whose walk in ``ring`` reaches one of the changed
+    ``positions``: for ``p``, back from ``p`` until ``rf`` distinct
+    endpoints are seen.  A span that wraps the origin is split in two, and
+    a walk that can reach ``p`` from anywhere makes it the whole ring."""
+    tokens, endpoints = ring.tokens, ring.endpoints
+    arcs: List[Span] = []
+    for position in positions:
+        seen = set()
+        for back in range(1, len(endpoints)):
+            seen.add(endpoints[position - back])
+            if len(seen) == rf:
+                break
+        else:
+            return _WHOLE_RING
+        lo, hi = tokens[position - back], tokens[position]
+        if lo < hi:
+            arcs.append((lo, hi))
+        else:
+            arcs += ((lo, math.inf), (-math.inf, hi))
+    return arcs
+
+
+def _merged_spans(spans: List[Span]) -> List[Span]:
+    """``spans`` merged where they touch, in token order."""
+    merged: List[Span] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 class CalculatorVariant(str, Enum):

@@ -31,6 +31,7 @@ every calculation trigger.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from typing import (Dict, FrozenSet, Iterable, List, MutableMapping, Optional,
                     Set, Tuple)
@@ -336,14 +337,47 @@ class TokenMetadata:
 
     def future_ring(self) -> Ring:
         """The ring after all in-flight operations complete: bootstrapping
-        endpoints own their tokens, leaving endpoints are gone."""
-        future: Dict[int, str] = {
-            token: endpoint
-            for token, endpoint in self.token_to_endpoint.items()
-            if endpoint not in self.leaving_endpoints
-        }
-        future.update(self.bootstrap_tokens)
-        return Ring(future.items())
+        endpoints own their tokens, leaving endpoints are gone.
+
+        Derived from :meth:`ring` by edits rather than rebuilt: a leaving
+        endpoint's positions are dropped, a bootstrap token is inserted at
+        its sorted position (replacing an equal current token), and the
+        unchanged runs between edits are copied as list slices.  So the
+        Python work is per changed token, and nothing is sorted but the
+        edits.
+        """
+        current = self.ring()
+        tokens, endpoints = current.tokens, current.endpoints
+        # (position, drop, token, endpoint): an insert goes before the
+        # position, so it sorts ahead of a drop of that position.
+        edits = [(position, True, 0, "")
+                 for position in self.leaving_positions()]
+        for token, endpoint in self.bootstrap_tokens.items():
+            at = bisect_left(tokens, token)
+            edits.append((at, False, token, endpoint))
+            if at < len(tokens) and tokens[at] == token:
+                edits.append((at, True, 0, ""))
+        edits.sort()
+        future_tokens: List[int] = []
+        future_endpoints: List[str] = []
+        start = 0
+        for at, drop, token, endpoint in edits:
+            future_tokens += tokens[start:at]
+            future_endpoints += endpoints[start:at]
+            if drop:
+                start = at + 1
+            else:
+                future_tokens.append(token)
+                future_endpoints.append(endpoint)
+                start = at
+        future_tokens += tokens[start:]
+        future_endpoints += endpoints[start:]
+        return Ring.from_sorted(future_tokens, future_endpoints)
+
+    def leaving_positions(self) -> List[int]:
+        """Sorted positions in :meth:`ring` of the leaving endpoints'
+        tokens."""
+        return self.ring().positions_of(self.leaving_endpoints)
 
     def normal_endpoints(self) -> List[str]:
         """Sorted endpoints with normal token ownership."""

@@ -13,8 +13,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import FrozenInstanceError
-from functools import total_ordering
-from typing import Iterable, List, Tuple
+from functools import lru_cache, total_ordering
+from itertools import compress, count
+from typing import AbstractSet, Iterable, List, Tuple
 
 #: Tokens live on a ring modulo 2**63 (mirrors Murmur3Partitioner's range
 #: magnitude without negative values, which keeps arithmetic simple).
@@ -45,7 +46,16 @@ def tokens_for_node(node_id: str, vnodes: int) -> List[int]:
     """
     if vnodes <= 0:
         raise ValueError("vnodes must be positive")
-    return sorted(stable_hash64(f"token:{node_id}:{i}") for i in range(vnodes))
+    return list(_node_tokens(node_id, vnodes))
+
+
+@lru_cache(maxsize=4096)
+def _node_tokens(node_id: str, vnodes: int) -> Tuple[int, ...]:
+    """The sorted tokens of :func:`tokens_for_node`, hashed once per process:
+    a cluster asks for each node's tokens several times (its own node, and
+    every peer's published state), and each ask is ``vnodes`` SHA-256s."""
+    return tuple(sorted(stable_hash64(f"token:{node_id}:{i}")
+                        for i in range(vnodes)))
 
 
 @total_ordering
@@ -137,6 +147,15 @@ class Ring:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate tokens in ring")
 
+    @classmethod
+    def from_sorted(cls, tokens: List[int], endpoints: List[str]) -> "Ring":
+        """A ring over ``tokens``, already sorted and distinct, owned by
+        ``endpoints``: the lists are taken as they are, neither sorted nor
+        copied."""
+        ring = cls.__new__(cls)
+        ring.tokens, ring.endpoints = tokens, endpoints
+        return ring
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -146,6 +165,16 @@ class Ring:
     def distinct_endpoints(self) -> List[str]:
         """Sorted distinct endpoints on the ring."""
         return sorted(set(self.endpoints))
+
+    def positions_of(self, endpoints: AbstractSet[str]) -> List[int]:
+        """Sorted ring positions owned by any of ``endpoints``: one scan of
+        the endpoint list in C, not a Python step per token.  Each owner is
+        looked up in ``endpoints`` itself, not in a copy, so a set that
+        reports its reads to the race tracker reports these."""
+        if not endpoints:
+            return []
+        return list(compress(count(), map(endpoints.__contains__,
+                                          self.endpoints)))
 
     def successor_index(self, token: int) -> int:
         """Index of the first ring token >= ``token`` (wrapping)."""

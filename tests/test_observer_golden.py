@@ -12,11 +12,16 @@ were still fed by separate kernel hooks; it holds
 
 Both observers now ride the one ``Simulator.observer`` seam, and every
 value must stay equal at zero tolerance.  The two c3831 race digests were
-re-recorded once since, when a gossip round that holds every registered
-endpoint stopped re-reading the endpoint map to rebuild its sorted digest
-order: ``to_dict()`` differs from the earlier record in ``accesses`` only
-(855 → 831 at seed 0, 1019 → 995 at seed 1); every race, pair and example
-is unchanged.
+re-recorded twice since, each time with ``to_dict()`` differing from the
+earlier record in ``accesses`` only and every race, pair and example
+unchanged: when a gossip round that holds every registered endpoint
+stopped re-reading the endpoint map to rebuild its sorted digest order
+(855 → 831 at seed 0, 1019 → 995 at seed 1), and when the pending-range
+calculation began to find the leaving endpoints' ring positions itself
+and to derive the future ring from the current one (831 → 844, 995 →
+1008: two scans now ask the leaving set once per ring token and once for
+its size, where the old future-ring build asked once per token, and the
+calculation reads the bootstrap tokens itself).
 """
 
 import hashlib

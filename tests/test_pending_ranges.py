@@ -1,6 +1,8 @@
 """Tests for pending-range calculation: correctness, differential oracles,
 cost model, serialization."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from repro.cassandra.pending_ranges import (
     token_ranges,
 )
 from repro.cassandra.ring import TokenMetadata
-from repro.cassandra.tokens import TOKEN_SPACE, tokens_for_node
+from repro.cassandra.tokens import TOKEN_SPACE, Ring, tokens_for_node
 
 
 def metadata_with(normal, boot=None, leaving=None):
@@ -181,6 +183,122 @@ def test_property_legacy_equals_efficient_on_colliding_tokens(
         lowest = min(metadata.token_to_endpoint)
         metadata.add_leaving_endpoint(metadata.token_to_endpoint[lowest])
     assert_equivalent(metadata, rf)
+
+
+#: A 64-value token space: small enough that rings built from it wrap,
+#: collide and repeat an endpoint, large enough for runs of several tokens.
+WINDOW_SPACE = 64
+
+
+@st.composite
+def window_rings(draw):
+    """Rings aimed at the windows the calculation walks back over: runs of
+    one endpoint longer than ``rf``, a ring rotated so that runs (and the
+    windows inside them) wrap the origin, joiners and leavers at once (a
+    normal endpoint that is not leaving may bootstrap tokens too),
+    bootstrap tokens taken from a leaving endpoint, and ``rf`` above the
+    number of distinct future endpoints."""
+    rf = draw(st.integers(min_value=1, max_value=5))
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(["n0", "n1", "n2", "n3"]),
+                  st.integers(min_value=1, max_value=rf + 3)),
+        max_size=8))
+    token = draw(st.integers(min_value=0, max_value=WINDOW_SPACE - 1))
+    owners = {}
+    for endpoint, length in runs:
+        for _ in range(length):
+            owners[token % WINDOW_SPACE] = endpoint
+            token += draw(st.integers(min_value=1, max_value=3))
+    normal = {}
+    for token, endpoint in owners.items():
+        normal.setdefault(endpoint, []).append(token)
+    leaving = draw(st.sets(st.sampled_from(sorted(normal) or ["n0"]),
+                           max_size=2))
+    left_behind = sorted(t for t, e in owners.items() if e in leaving)
+    boot = {}
+    joiners = ["b0", "b1"] + (["n0"] if "n0" in normal
+                              and "n0" not in leaving else [])
+    for joiner in draw(st.sets(st.sampled_from(joiners), max_size=2)):
+        tokens = draw(st.lists(
+            st.integers(min_value=0, max_value=WINDOW_SPACE - 1),
+            max_size=4))
+        if left_behind:
+            tokens += draw(st.lists(st.sampled_from(left_behind),
+                                    max_size=2))
+        if tokens:
+            boot[joiner] = tokens
+    return metadata_with(normal, boot, leaving), rf
+
+
+@given(window_rings())
+@settings(max_examples=300, deadline=None)
+def test_property_legacy_equals_efficient_on_window_edges(case):
+    """The differential property where the windows have edges: a window
+    that runs through a long same-endpoint run or wraps the origin, a
+    change that is a join and a leave at once, a joiner taking over a
+    leaving endpoint's token, and a future ring with fewer distinct
+    endpoints than ``rf`` (the window is the whole ring).  The future ring
+    derived by edits is the one its definition gives."""
+    metadata, rf = case
+    assert_equivalent(metadata, rf)
+    expected = {token: endpoint
+                for token, endpoint in metadata.token_to_endpoint.items()
+                if endpoint not in metadata.leaving_endpoints}
+    expected.update(metadata.bootstrap_tokens)
+    future = metadata.future_ring()
+    assert list(zip(future.tokens, future.endpoints)) == sorted(
+        expected.items())
+
+
+# -- work census: replica walks per calculation --------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def vnode_ring(nodes, joiners, leavers):
+    """``nodes`` normal nodes at 256 vnodes, ``joiners`` bootstrapping
+    and the first ``leavers`` leaving."""
+    metadata = TokenMetadata()
+    for i in range(nodes):
+        name = f"node-{i:03d}"
+        metadata.update_normal_tokens(name, tokens_for_node(name, 256))
+    for j in range(joiners):
+        name = f"joiner-{j}"
+        metadata.add_bootstrap_tokens(name, tokens_for_node(name, 256))
+    for i in range(leavers):
+        metadata.add_leaving_endpoint(f"node-{i:03d}")
+    return metadata
+
+
+def walks_per_calculation(monkeypatch, metadata, rf=3):
+    """``Ring.replicas_from`` calls made by one calculation."""
+    walks = []
+    walk = Ring.replicas_from
+    monkeypatch.setattr(Ring, "replicas_from", lambda ring, index, rf: (
+        walks.append(index) or walk(ring, index, rf)))
+    compute_pending_ranges(metadata, rf)
+    monkeypatch.undo()
+    return len(walks)
+
+
+@pytest.mark.parametrize("nodes,joiners,leavers", [
+    (64, 4, 0), (128, 4, 0), (256, 4, 0), (64, 0, 1), (64, 2, 1)])
+def test_walks_are_bounded_by_the_changed_tokens(monkeypatch, nodes,
+                                                  joiners, leavers):
+    """A calculation walks only where a walk can meet a changed token: at
+    most a few walks per changed token and replica, whatever the ring
+    size (a walk per union boundary would be 11-43 times the bound)."""
+    changed = 256 * (joiners + leavers)
+    walks = walks_per_calculation(
+        monkeypatch, vnode_ring(nodes, joiners, leavers))
+    assert walks <= 3 * changed * 3
+
+
+def test_walks_do_not_grow_with_the_ring(monkeypatch):
+    """The same change on a ring four times larger costs about the same
+    number of walks."""
+    small = walks_per_calculation(monkeypatch, vnode_ring(64, 4, 0))
+    large = walks_per_calculation(monkeypatch, vnode_ring(256, 4, 0))
+    assert large <= 1.5 * small
 
 
 # -- cost model ----------------------------------------------------------------------------
