@@ -25,14 +25,14 @@ def test_finder_runs_over_corpus(benchmark):
 
 def test_cross_function_nests_found(benchmark, report):
     result = benchmark.pedantic(lambda: report, rounds=1, iterations=1)
-    entry = result.get("calculate_pending_ranges_legacy")
+    entry = result.functions["calculate_pending_ranges_legacy"]
     assert entry.local_depth == 0       # entry has no loops itself
     assert entry.effective_depth >= 2   # the nest spans callees
 
 
 def test_branch_guarded_path_surfaced(benchmark, report):
     result = benchmark.pedantic(lambda: report, rounds=1, iterations=1)
-    entry = result.get("calculate_pending_ranges_legacy")
+    entry = result.functions["calculate_pending_ranges_legacy"]
     fresh = [c for c in entry.calls if c.callee == "_fresh_ring_construction"]
     assert fresh and any("_is_fresh_bootstrap" in g for g in fresh[0].guards)
 

@@ -61,7 +61,8 @@ from .core.report import (
     render_mode_comparison,
 )
 from .core.scalecheck import ScaleCheck
-from .faults import ChaosConfig, FaultSchedule, generate_schedule, shrink
+from .faults import (ChaosConfig, FaultSchedule, search_amplifying_schedule,
+                     shrink)
 from .study import default_study, render_population_table
 from .workload.scenarios import PRESETS as WORKLOAD_PRESETS
 
@@ -164,23 +165,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     def flaps_under(schedule: FaultSchedule) -> int:
         return check.run_colo(faults=schedule).flaps
 
+    def searched_flaps(schedule: FaultSchedule) -> int:
+        flaps = flaps_under(schedule)
+        print(f"  generator seed {schedule.seed}: {len(schedule)} events, "
+              f"{flaps} flaps")
+        return flaps
+
     schedule = _load_schedule(args.load_schedule)
     if schedule is None:
-        best_flaps = -1
-        for gen_seed in range(args.chaos_seed, args.chaos_seed + args.tries):
-            candidate = generate_schedule(population, gen_seed, config)
-            flaps = flaps_under(candidate)
-            print(f"  generator seed {gen_seed}: {len(candidate)} events, "
-                  f"{flaps} flaps")
-            if flaps > best_flaps:
-                schedule, best_flaps = candidate, flaps
-            if flaps >= args.min_flap_ratio * max(baseline.flaps, 1):
-                break
+        schedule, chaos_flaps = search_amplifying_schedule(
+            population, searched_flaps,
+            range(args.chaos_seed, args.chaos_seed + args.tries),
+            config, target_ratio=args.min_flap_ratio,
+            baseline=baseline.flaps)
         if schedule is None:
             print("no schedule generated")
             return 1
-
-    chaos_flaps = flaps_under(schedule)
+    else:
+        chaos_flaps = flaps_under(schedule)
     target = args.min_flap_ratio * max(baseline.flaps, 1)
     ratio = chaos_flaps / max(baseline.flaps, 1)
     print(f"chaos run: {chaos_flaps} flaps "
@@ -323,7 +325,6 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .core.report import render_sweep_summary
-    from .obs import SweepCollector
     from .sweep import SweepSpec, run_sweep
 
     if args.spec:
@@ -354,10 +355,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"sweeping {len(points)} points with {args.workers} "
           f"worker{'s' if args.workers != 1 else ''} "
           f"(cache: {args.cache_dir}{', forced' if args.force else ''})...")
-    collector = SweepCollector()
     summary = run_sweep(spec, workers=args.workers,
-                        cache_dir=args.cache_dir, force=args.force,
-                        collector=collector)
+                        cache_dir=args.cache_dir, force=args.force)
     print()
     print(render_sweep_summary(summary))
     return 0

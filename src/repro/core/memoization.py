@@ -277,8 +277,7 @@ class MemoLruFront:
 
     Replay resolves the *same* content keys over and over (every node whose
     ring view has converged hits the identical record).  The front serves
-    repeats from its own map and counts them, so a report tells how often
-    replay met a ring it had already seen.  A hit returns the record's
+    repeats from its own map.  A hit returns the record's
     output object itself: callers never mutate an output in place (a ring
     table rebinds its pending-range map instead of popping from it).
 
@@ -294,12 +293,6 @@ class MemoLruFront:
     def __init__(self, db: MemoDB) -> None:
         self.db = db
         self._cache: "OrderedDict[Tuple[str, str], MemoRecord]" = OrderedDict()
-        self.lru_hits = 0
-        self.lru_misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
     def get(self, func_id: str, input_key: str):
         """``(record, output)``; ``(None, None)`` on DB miss."""
@@ -307,22 +300,14 @@ class MemoLruFront:
         record = self._cache.get(key)
         if record is not None:
             self._cache.move_to_end(key)
-            self.lru_hits += 1
             db = self.db
             db.lookups += 1
             db.hits += 1
             return record, record.output
-        self.lru_misses += 1
         record = self.db.get(func_id, input_key)
         if record is None:
             return None, None
         self._cache[key] = record
         if len(self._cache) > self.CAPACITY:
             self._cache.popitem(last=False)
-            self.evictions += 1
         return record, record.output
-
-    def hit_rate(self) -> float:
-        """Fraction of front lookups served from the front."""
-        total = self.lru_hits + self.lru_misses
-        return self.lru_hits / total if total else 0.0

@@ -1,22 +1,23 @@
-"""repro.obs -- the unified observability subsystem.
+"""repro.obs -- the observability subsystem.
 
-Four pieces, layered bottom-up:
+A run reports what it did through its
+:class:`~repro.cassandra.metrics.RunReport` (a sweep through its
+:class:`~repro.sweep.executor.SweepSummary`, a step-(f) replay through the
+periodic :class:`~repro.cassandra.sampler.ClusterSampler`).  This package
+holds what explains those numbers:
 
-* :mod:`repro.obs.registry` -- counters/gauges/histograms with labelled
-  names and diffable virtual-time snapshots;
 * :mod:`repro.obs.tracer` -- structured virtual-time spans (queue waits,
   lock waits/holds, compute, network deliveries) built in the kernel's
   observer seam (``sim.observer``, None when untraced), exportable as
   JSON lines;
-* :mod:`repro.obs.collect` -- mirrors the existing ad-hoc cluster stats
-  into a registry per sampling window;
 * :mod:`repro.obs.doctor` -- the scale-doctor: a ranked bottleneck report
   (event lateness per stage, lock convoying, CPU contention -- the paper's
   section 8 colocation limits, measured on every run) plus mode-divergence
-  attribution for ``ScaleCheck.compare_modes``.
+  attribution for ``ScaleCheck.compare_modes``;
+* :mod:`repro.obs.histogram` -- the weighted latency histogram behind a
+  workload run's p50/p99/p999.
 """
 
-from .collect import ClusterCollector, SweepCollector
 from .doctor import (
     Bottleneck,
     DoctorReport,
@@ -24,14 +25,7 @@ from .doctor import (
     diagnose,
     stage_lateness,
 )
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    QuantileHistogram,
-)
+from .histogram import QuantileHistogram
 from .tracer import (
     CAT_COMPUTE,
     CAT_LOCK_HOLD,
@@ -49,17 +43,10 @@ __all__ = [
     "CAT_LOCK_WAIT",
     "CAT_NET",
     "CAT_QUEUE",
-    "ClusterCollector",
-    "Counter",
     "DoctorReport",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "QuantileHistogram",
     "Span",
     "SpanTracer",
-    "SweepCollector",
     "attribute_divergence",
     "diagnose",
     "stage_lateness",

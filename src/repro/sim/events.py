@@ -123,10 +123,6 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def storage_size(self) -> int:
-        """Number of entries physically stored (live + not-yet-dropped)."""
-        return len(self._heap)
-
     def push(
         self,
         time: float,

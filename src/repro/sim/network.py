@@ -84,26 +84,12 @@ class Network:
         self.dropped_cut = 0
         self.dropped_unknown_dst = 0
         self.dropped_degraded = 0
-        #: Messages that joined an already-scheduled batch (diagnostics).
-        self.batched_sends = 0
-        #: Batch events fired / largest batch seen (diagnostics).
-        self.batch_deliveries = 0
-        self.max_batch = 0
 
     @property
     def dropped(self) -> int:
         """Total messages dropped, all reasons combined."""
         return (self.dropped_down + self.dropped_cut
                 + self.dropped_unknown_dst + self.dropped_degraded)
-
-    def drop_reasons(self) -> Dict[str, int]:
-        """Per-reason drop counters (for reports)."""
-        return {
-            "down": self.dropped_down,
-            "cut": self.dropped_cut,
-            "unknown_dst": self.dropped_unknown_dst,
-            "degraded": self.dropped_degraded,
-        }
 
     # -- membership ----------------------------------------------------------
 
@@ -206,7 +192,6 @@ class Network:
             # Ride the already-scheduled event; within-bucket order is send
             # order, which is exactly the per-message seq order it replaces.
             batch.append(message)
-            self.batched_sends += 1
         else:
             batch = [message]
             self._batches[bucket] = batch
@@ -218,9 +203,6 @@ class Network:
     def _arrive_batch(self, bucket: Tuple[float, str],
                       batch: List[Message]) -> None:
         self._batches.pop(bucket, None)
-        self.batch_deliveries += 1
-        if len(batch) > self.max_batch:
-            self.max_batch = len(batch)
         for message in batch:
             self._arrive(message)
 

@@ -41,7 +41,6 @@ from ..core.scalecheck import ScaleCheck
 from ..core.target import target_for
 from ..faults.chaos import ChaosConfig, generate_schedule
 from ..faults.schedule import FaultSchedule
-from ..obs.collect import SweepCollector
 from ..sim.partition import fork_context
 from ..workload.scenarios import run_point as run_workload_point
 from .cache import SweepCache, memo_identity_key, result_key
@@ -230,7 +229,6 @@ class SweepSummary:
     cache_dir: str = ""
     #: ``SweepCache.stats()`` of the result cache at the end of the run.
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    collector: Optional[SweepCollector] = field(default=None, repr=False)
 
     def table(self) -> str:
         """Deterministic per-point table.
@@ -262,10 +260,6 @@ class SweepSummary:
                 f"wall {self.wall_seconds:.1f}s with {self.workers} "
                 f"worker{'s' if self.workers != 1 else ''}")
 
-    def render(self) -> str:
-        """Table plus provenance footer."""
-        return f"{self.table()}\n{self.stats_line()}"
-
     def flap_series(self) -> Dict[str, Dict[int, int]]:
         """Figure-3-shaped series: mode -> {nodes -> flaps} (first seed wins)."""
         series: Dict[str, Dict[int, int]] = {}
@@ -283,7 +277,6 @@ def run_sweep(
     params: Optional[ScenarioParams] = None,
     constants: Optional[CostConstants] = None,
     machine: Optional[MachineSpec] = None,
-    collector: Optional[SweepCollector] = None,
 ) -> SweepSummary:
     """Run (or cache-resolve) every point of ``spec``.
 
@@ -302,7 +295,6 @@ def run_sweep(
         tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-")
         cache_dir = tmp.name
     cache = SweepCache(cache_dir)
-    collector = collector if collector is not None else SweepCollector()
 
     params = params if params is not None else calibrate.scenario_params()
     params_dict = dataclasses.asdict(params)
@@ -384,7 +376,6 @@ def run_sweep(
         identity = out["identity_key"]
         cache.record_memo_digest(identity, out["memo_digest"])
         memo_built += 1
-        collector.memo_built()
         memo_point = SweepPoint.from_dict(out["point"])
         result = PointResult(
             point=memo_point, key=out["key"], cached=False,
@@ -434,7 +425,6 @@ def run_sweep(
             job["memo_digest"] = digest
             if identity not in recording_jobs:
                 memo_reused += 1
-                collector.memo_reused()
             jobs.append(job)
         elif point.mode == "colo":  # pragma: no cover - resolved in wave 1
             raise RuntimeError(f"colo point unresolved: {point.label()}")
@@ -453,9 +443,6 @@ def run_sweep(
     ordered = [resolved[point] for point in points]
     executed = sum(1 for r in ordered if not r.cached)
     cached_count = len(ordered) - executed
-    for result in ordered:
-        collector.point_finished(result.point.mode, result.cached,
-                                 result.wall_seconds)
     summary = SweepSummary(
         results=ordered,
         executed=executed,
@@ -466,7 +453,6 @@ def run_sweep(
         workers=workers,
         cache_dir=str(cache_dir),
         cache_stats=cache.stats(),
-        collector=collector,
     )
     if tmp is not None:
         tmp.cleanup()

@@ -5,19 +5,19 @@ by a :class:`~repro.workload.spec.WorkloadSpec`, picks a coordinator for
 every request (round-robin, Zipf-weighted power-law, or seed-biased),
 drives the storage layer's read/write coordination, and folds every
 outcome -- weighted by how many logical requests the representative
-stands for -- into :class:`~repro.obs.registry.QuantileHistogram`s and
-counters.  :meth:`fill_report` then surfaces the totals and the
+stands for -- into :class:`~repro.obs.histogram.QuantileHistogram`s and
+request totals.  :meth:`fill_report` then surfaces the totals and the
 p50/p99/p999 triple on the run's :class:`~repro.cassandra.metrics.RunReport`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..annotations import declare_cost, scale_dependent
 from ..cassandra.storage import ConsistencyLevel, OperationResult
-from ..obs.registry import MetricsRegistry, QuantileHistogram
+from ..obs.histogram import QuantileHistogram
 from .generators import ZipfKeys, make_curve
 from .shards import ShardDemand, closed_loop_worker, open_loop_shard
 from .spec import WorkloadSpec
@@ -39,24 +39,18 @@ SEED_BIAS = 0.75
 class WorkloadEngine:
     """Drives one spec's traffic against a built cluster."""
 
-    def __init__(self, cluster, spec: WorkloadSpec,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, cluster, spec: WorkloadSpec) -> None:
         self.cluster = cluster
         self.spec = spec
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.latency = self.registry.quantile_histogram("workload.latency")
+        self.latency = QuantileHistogram()
         self.latency_by_kind: Dict[str, QuantileHistogram] = {
-            kind: self.registry.quantile_histogram("workload.latency",
-                                                   kind=kind)
-            for kind in ("read", "write")
+            kind: QuantileHistogram() for kind in ("read", "write")
         }
-        self.attempted = self.registry.counter("workload.requests",
-                                               outcome="attempted")
-        self.ok = self.registry.counter("workload.requests", outcome="ok")
-        self.unavailable = self.registry.counter("workload.requests",
-                                                 outcome="unavailable")
-        self.timeouts = self.registry.counter("workload.requests",
-                                              outcome="timeout")
+        #: Weighted request totals, by outcome.
+        self.attempted = 0.0
+        self.ok = 0.0
+        self.unavailable = 0.0
+        self.timeouts = 0.0
         self.keys = ZipfKeys(spec.key_space, spec.zipf_alpha)
         self.curve = make_curve(spec.curve, spec.curve_params)
         self.read_cl = ConsistencyLevel(spec.read_cl)
@@ -165,23 +159,23 @@ class WorkloadEngine:
     # -- accounting ---------------------------------------------------------------
 
     def record(self, result: OperationResult, weight: float) -> None:
-        """Fold one (weighted) outcome into the histograms and counters."""
-        self.attempted.inc(weight)
+        """Fold one (weighted) outcome into the histograms and totals."""
+        self.attempted += weight
         self.latency.observe(result.latency, weight)
         self.latency_by_kind[result.kind].observe(result.latency, weight)
         if result.ok:
-            self.ok.inc(weight)
+            self.ok += weight
         elif result.error == "unavailable":
-            self.unavailable.inc(weight)
+            self.unavailable += weight
         else:
-            self.timeouts.inc(weight)
+            self.timeouts += weight
 
     def fill_report(self, report) -> None:
         """Surface the data-plane totals on a finished RunReport."""
-        report.requests_attempted = self.attempted.value
-        report.requests_ok = self.ok.value
-        report.requests_unavailable = self.unavailable.value
-        report.requests_timeout = self.timeouts.value
+        report.requests_attempted = self.attempted
+        report.requests_ok = self.ok
+        report.requests_unavailable = self.unavailable
+        report.requests_timeout = self.timeouts
         triple = self.latency.percentiles()
         report.latency_p50 = triple["p50"]
         report.latency_p99 = triple["p99"]

@@ -12,9 +12,7 @@ from repro.obs import (
     CAT_NET,
     CAT_QUEUE,
     Bottleneck,
-    ClusterCollector,
     DoctorReport,
-    MetricsRegistry,
     SpanTracer,
     attribute_divergence,
     diagnose,
@@ -24,66 +22,6 @@ from repro.obs import (
 pytestmark = pytest.mark.obs
 
 SMALL = ScenarioParams(warmup=10.0, observe=40.0)
-
-
-# -- registry ------------------------------------------------------------------
-
-
-def test_counter_inc_and_reject_negative():
-    reg = MetricsRegistry()
-    counter = reg.counter("requests")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
-def test_labels_are_order_independent_identity():
-    reg = MetricsRegistry()
-    a = reg.counter("net.dropped", reason="cut", node="n0")
-    b = reg.counter("net.dropped", node="n0", reason="cut")
-    assert a is b
-    assert a.full_name == "net.dropped{node=n0,reason=cut}"
-    assert a is not reg.counter("net.dropped", reason="down", node="n0")
-
-
-def test_kind_mismatch_raises():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError, match="already registered as counter"):
-        reg.gauge("x")
-
-
-def test_histogram_summary_fields():
-    reg = MetricsRegistry()
-    hist = reg.histogram("wait")
-    for value in (0.5, 1.5, 4.0):
-        hist.observe(value)
-    assert hist.count == 3
-    assert hist.total == pytest.approx(6.0)
-    assert (hist.vmin, hist.vmax) == (0.5, 4.0)
-    assert hist.mean() == pytest.approx(2.0)
-
-
-def test_snapshot_delta_differences_counters_and_histograms():
-    reg = MetricsRegistry()
-    reg.counter("events").inc(10)
-    reg.gauge("depth").set(3)
-    reg.histogram("wait").observe(1.0)
-    before = reg.snapshot(now=5.0)
-    reg.counter("events").inc(7)
-    reg.gauge("depth").set(9)
-    reg.histogram("wait").observe(3.0)
-    after = reg.snapshot(now=15.0)
-
-    window = after.delta(before)
-    assert window.get("events") == 7                     # differenced
-    assert window.get("depth") == 9                      # gauge: latest
-    assert window.get("wait", "count") == 1              # differenced
-    assert window.get("wait", "sum") == pytest.approx(3.0)
-    assert after.window_seconds(before) == pytest.approx(10.0)
-    assert window.get("never-registered") == 0.0
 
 
 # -- tracer --------------------------------------------------------------------
@@ -162,41 +100,6 @@ def test_kernel_emits_spans_during_a_run(traced_run):
     net_names = tracer.durations_by_name(CAT_NET)
     assert any(">" in name for name in net_names)
     assert tracer.point_counts            # resumes were counted
-
-
-def test_collector_mirrors_cluster_into_registry(traced_run):
-    cluster, _, _ = traced_run
-    collector = ClusterCollector(cluster)
-    snapshot = collector.collect()
-    names = collector.registry.names()
-    assert "queue.enqueued{stage=gossip}" in names
-    assert "lock.hold_seconds{lock=ring}" in names
-    assert "net.delivered" in names
-    assert snapshot.get("net.delivered") == cluster.network.delivered
-    assert snapshot.get("gossip.rounds") > 0
-    # A second collect produces a diffable window.
-    assert collector.window() is None
-    collector.collect()
-    window = collector.window()
-    assert window is not None
-    assert window.get("net.delivered") == 0.0  # nothing ran in between
-
-
-def test_collector_mirrors_memo_db():
-    from types import SimpleNamespace
-
-    from repro.core.memoization import MemoDB
-
-    db = MemoDB()
-    db.put("f", "k", 1, 0.5)
-    db.get("f", "k")
-    fake = SimpleNamespace(sim=SimpleNamespace(now=1.0), nodes={},
-                           executor=SimpleNamespace(db=db))
-    snapshot = ClusterCollector(fake).collect()
-    assert snapshot.get("memo.lookups") == 1
-    assert snapshot.get("memo.hit_rate") == pytest.approx(1.0)
-    assert snapshot.get("memo.records") == 1
-    assert snapshot.get("memo.conflicts") == 0
 
 
 def test_doctor_diagnoses_the_run(traced_run):

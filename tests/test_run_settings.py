@@ -40,6 +40,7 @@ CLASSES = {
     "StorageService": "src/repro/cassandra/storage.py",
     "NameNode": "src/repro/hdfs/namenode.py",
     "DataNode": "src/repro/hdfs/datanode.py",
+    "WorkloadEngine": "src/repro/workload/engine.py",
 }
 
 

@@ -16,7 +16,6 @@ from repro.cli import main
 from repro.core.memoization import MemoDB
 from repro.core.report import render_sweep_summary
 from repro.core.scalecheck import ReplayResult, ScaleCheck, ScaleCheckResult
-from repro.obs import SweepCollector
 from repro.sweep import (
     CACHE_SCHEMA,
     SweepCache,
@@ -241,13 +240,10 @@ def test_ephemeral_cache_dir_still_shares_recordings():
 
 
 def test_collector_counts_sweep_traffic(tmp_path):
-    collector = SweepCollector()
-    run_sweep(small_spec(), cache_dir=tmp_path, collector=collector)
-    run_sweep(small_spec(), cache_dir=tmp_path, collector=collector)
-    counts = collector.counts()
-    assert counts["executed"] == 2
-    assert counts["cached"] == 2
-    assert counts["memo_built"] == 1
+    cold = run_sweep(small_spec(), cache_dir=tmp_path)
+    warm = run_sweep(small_spec(), cache_dir=tmp_path)
+    assert (cold.executed, cold.cached, cold.memo_built) == (2, 0, 1)
+    assert (warm.executed, warm.cached, warm.memo_built) == (0, 2, 0)
 
 
 def test_point_result_payload_round_trip(tmp_path):

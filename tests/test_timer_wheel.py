@@ -236,7 +236,8 @@ def test_compaction_bounds_peak_storage_under_churn(stride):
         handles.append(queue.push((i % 500) * stride + 0.001, lambda: None))
         if len(handles) > live_cap:
             handles.pop(0).cancel()
-        peak_storage = max(peak_storage, queue.storage_size())
+        # Entries physically stored: live plus not-yet-dropped cancelled.
+        peak_storage = max(peak_storage, len(queue._heap))
     # O(live): within a small constant of the live cap, wildly below the
     # ~20k entries the no-compaction behaviour would have accumulated.
     assert len(queue) <= live_cap + 1

@@ -1,6 +1,7 @@
 """Tests for repro.workload: spec, generators, shards, engine, scenarios."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,9 +10,10 @@ from repro.cassandra.metrics import RunReport
 from repro.cassandra.workloads import ScenarioParams
 from repro.faults.primitives import NodeCrash
 from repro.faults.schedule import FaultSchedule
-from repro.obs.registry import QuantileHistogram
+from repro.obs.histogram import QuantileHistogram
 from repro.workload import (
     PRESETS,
+    WorkloadEngine,
     WorkloadSpec,
     ZipfKeys,
     make_curve,
@@ -130,24 +132,28 @@ class TestEmptyPercentiles:
     """Regression: percentiles over zero completed requests are None."""
 
     def test_empty_histogram_quantiles_are_none(self):
-        hist = QuantileHistogram("latency", {})
+        hist = QuantileHistogram()
         assert hist.quantile(0.5) is None
         assert hist.mean() is None
         assert hist.percentiles() == {"p50": None, "p99": None, "p999": None}
 
-    def test_empty_histogram_payload_does_not_raise(self):
-        payload = QuantileHistogram("latency", {}).payload()
-        assert payload["count"] == 0.0
-        assert payload["p99"] is None
+    def test_empty_kind_summary_does_not_raise(self):
+        engine = WorkloadEngine(traffic_cluster(nodes=3),
+                                WorkloadSpec(users=10, shards=2))
+        report = SimpleNamespace()
+        engine.fill_report(report)
+        assert report.workload["by_kind"]["write"] == {
+            "count": 0.0, "p50": None, "p99": None, "p999": None}
+        assert report.workload["mean_latency"] is None
 
     def test_zero_weight_observations_are_ignored(self):
-        hist = QuantileHistogram("latency", {})
+        hist = QuantileHistogram()
         hist.observe(1.0, weight=0.0)
         hist.observe(1.0, weight=-3.0)
         assert hist.quantile(0.99) is None
 
     def test_quantile_range_is_validated(self):
-        hist = QuantileHistogram("latency", {})
+        hist = QuantileHistogram()
         hist.observe(1.0)
         with pytest.raises(ValueError):
             hist.quantile(1.5)
@@ -165,7 +171,7 @@ class TestEmptyPercentiles:
         assert report.digest()  # canonical JSON serializes None fields
 
     def test_single_value_distribution_reports_that_value(self):
-        hist = QuantileHistogram("latency", {})
+        hist = QuantileHistogram()
         hist.observe(0.02, weight=1000.0)
         assert hist.quantile(0.5) == pytest.approx(0.02)
         assert hist.quantile(0.999) == pytest.approx(0.02)
@@ -173,7 +179,7 @@ class TestEmptyPercentiles:
 
 class TestQuantileHistogramWeighted:
     def test_weighted_tail_dominates_p99(self):
-        hist = QuantileHistogram("latency", {})
+        hist = QuantileHistogram()
         hist.observe(0.001, weight=9_000.0)
         hist.observe(2.0, weight=1_000.0)   # 10% of mass at 2s
         assert hist.quantile(0.5) < 0.01
